@@ -34,7 +34,6 @@ from .greens import (
     VARIANT_FLIPPED,
     VARIANT_NORMAL,
     WaveBasis,
-    greens_function,
     region_integrals,
     solve_bases,
     solve_wave_basis,
@@ -47,6 +46,7 @@ from .spectral import (
     ldos,
     ldos_closure_residuals,
     ldos_gradient,
+    occupation_sums,
     occupation_temperature,
     photon_numbers,
     source_occupation,
@@ -61,12 +61,10 @@ from .mechanics import (
     EnergyPressureSample,
     ForceDensitySample,
     IntegratedForce,
-    SpectralField,
     energy_pressure,
     force_density,
     frequency_integrated_force,
     net_force,
     net_force_occupation_route,
-    spectral_field,
 )
 from .scan import GridSpec, ScanResult, ScanSpec, run_scan

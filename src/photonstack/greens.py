@@ -126,23 +126,6 @@ class WaveBasis:
     def _right(self, j: int, x: float):
         return self._solution(self.a_right, self.b_right, j, x)
 
-    def solution_value(self, side: str, x: float):
-        """Physical value and derivative of one basis solution at x.
-
-        Intended for verification; applies the stored log-scale factor,
-        which can overflow for extremely thick lossy interior layers.
-        """
-        j = self.stack.layer_index(x)
-        if side == "left":
-            phi, dphi = self._left(j, x)
-            s = np.exp(self.scale_left[j])
-        elif side == "right":
-            phi, dphi = self._right(j, x)
-            s = np.exp(self.scale_right[j])
-        else:
-            raise ConfigError("side must be 'left' or 'right'")
-        return phi * s, dphi * s
-
     def layer_wronskians(self):
         """Per-layer scaled Wronskians and their log-scale offsets."""
         return self.wronskian_scaled, self.scale_left + self.scale_right
@@ -321,14 +304,6 @@ def solve_bases(stack: LayerStack, omega) -> BasisPair:
     )
 
 
-def greens_function(basis: WaveBasis, x: float, source: float) -> GreensSample:
-    """G(x, source) and its field-point derivative.
-
-    At coincident points the derivative takes its limit from x > source.
-    """
-    return basis.sample(x, source)
-
-
 # ---------------------------------------------------------------------------
 # closed-form source integrals
 
@@ -444,10 +419,3 @@ def region_integrals(
     d_dgg = -2.0 * (k2 * coeff * np.conj(dcoeff)).real * prof
     return RegionIntegrals(gg, dgg, d_gg, d_dgg)
 
-
-def source_integral_weights(basis: WaveBasis, x: float, layer: int):
-    """Closed-form ``int |G(x, x')|^2 dx'`` and ``int |dG/dx (x, x')|^2 dx'``
-    over all of layer ``layer``."""
-    lo, hi = basis.stack.layer_bounds(layer)
-    ri = region_integrals(basis, x, layer, lo, hi)
-    return ri.gg, ri.dgg

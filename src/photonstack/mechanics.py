@@ -33,12 +33,10 @@ from .errors import InterfacePointError
 from .greens import BasisPair, solve_bases
 from .spectral import (
     LdosTriplet,
+    OccupationSums,
     PhotonNumberTriplet,
-    TemperatureTriplet,
-    effective_temperatures,
     ldos,
     ldos_gradient,
-    occupation_sums,
     photon_numbers,
 )
 from .stack import LayerSlices, LayerStack, TemperatureProfile
@@ -61,15 +59,21 @@ class EnergyPressureSample:
 
 
 def energy_pressure(
-    stack: LayerStack, bases: BasisPair, profile: TemperatureProfile, x: float
+    omega, densities: LdosTriplet, numbers: PhotonNumberTriplet
 ) -> EnergyPressureSample:
-    om = bases.omega
-    dens = ldos(stack, bases, x)
-    nums = photon_numbers(stack, bases.normal, profile, x)
-    e_fluct = (hbar * om / epsilon_0) * dens.electric * (nums.electric + 0.5)
-    b_fluct = (hbar * om / (epsilon_0 * c * c)) * dens.magnetic * (nums.magnetic + 0.5)
-    u = hbar * om * dens.total * (nums.total + 0.5)
-    return EnergyPressureSample(e_fluct, b_fluct, u, u, x)
+    """Fluctuations, energy density, and pressure from the mode densities
+    and photon numbers already evaluated at one point."""
+    e_fluct = (hbar * omega / epsilon_0) * densities.electric * (numbers.electric + 0.5)
+    b_fluct = (
+        (hbar * omega / (epsilon_0 * c * c)) * densities.magnetic * (numbers.magnetic + 0.5)
+    )
+    u = hbar * omega * densities.total * (numbers.total + 0.5)
+    return EnergyPressureSample(e_fluct, b_fluct, u, u, densities.x)
+
+
+def _energy_at(stack, bases, profile, x) -> EnergyPressureSample:
+    return energy_pressure(bases.omega, ldos(stack, bases, x),
+                           photon_numbers(stack, bases.normal, profile, x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,24 +87,6 @@ class ForceDensitySample:
     total: np.ndarray
     x: float
     fd_residual: np.ndarray | None = None
-
-
-def _total_number_and_gradient(stack, basis, profile, x):
-    regions = profile.source_regions(stack)
-    om = basis.omega
-    if not regions:
-        zero = np.zeros(om.shape)
-        return zero, zero
-    sums = occupation_sums(stack, basis, regions, x, gradient=True)
-    an2 = np.abs(stack.layers[stack.layer_index(x)].n_at(om)) ** 2
-    denom = an2 * sums.d_e + sums.d_m
-    n_tot = (an2 * sums.f_e + sums.f_m) / denom
-    n_tot_prime = (
-        an2 * sums.f_e_prime
-        + sums.f_m_prime
-        - n_tot * (an2 * sums.d_e_prime + sums.d_m_prime)
-    ) / denom
-    return n_tot, n_tot_prime
 
 
 def _profile_edges(stack: LayerStack, profile: TemperatureProfile | None):
@@ -118,17 +104,21 @@ def force_density(
     stack: LayerStack,
     bases: BasisPair,
     profile: TemperatureProfile,
-    x: float,
+    densities: LdosTriplet,
+    sums: OccupationSums,
     *,
     fd_check: bool = False,
 ) -> ForceDensitySample:
     """Analytic force-density decomposition at a non-interface point.
 
+    ``densities`` and ``sums`` are ``ldos`` and ``occupation_sums(...,
+    gradient=True)`` at that point, as the caller already holds them.
     With ``fd_check`` the sample also carries the relative deviation of
     the summed terms from a Richardson-extrapolated central difference of
-    the energy density (step: local wavelength / 1000, shortened near
-    boundaries so the probes never cross one).
+    the energy density under ``profile`` (step: local wavelength / 1000,
+    shortened near boundaries so the probes never cross one).
     """
+    x = densities.x
     if any(x == b for b in stack.interfaces):
         raise InterfacePointError(
             f"x = {x!r} lies on an interface where the force density holds a "
@@ -136,11 +126,9 @@ def force_density(
         )
     om = bases.omega
     _, _, d_rho_tot = ldos_gradient(stack, bases, x)
-    rho_tot = ldos(stack, bases, x).total
-    n_tot, n_tot_prime = _total_number_and_gradient(stack, bases.normal, profile, x)
     zcf = -0.5 * hbar * om * d_rho_tot
-    tcf = -hbar * om * d_rho_tot * n_tot
-    ncf = -hbar * om * rho_tot * n_tot_prime
+    tcf = -hbar * om * d_rho_tot * sums.numbers.total
+    ncf = -hbar * om * densities.total * sums.total_number_gradient()
     total = zcf + tcf + ncf
     fd = None
     if fd_check:
@@ -159,8 +147,8 @@ def _fd_residual(stack, bases, profile, x, total):
     if dist < 4.0 * h:
         h = dist / 4.0
     def grad(step):
-        up = energy_pressure(stack, bases, profile, x + step).energy_density
-        dn = energy_pressure(stack, bases, profile, x - step).energy_density
+        up = _energy_at(stack, bases, profile, x + step).energy_density
+        dn = _energy_at(stack, bases, profile, x - step).energy_density
         return (up - dn) / (2.0 * step)
     coarse = grad(h)
     fine = grad(0.5 * h)
@@ -182,8 +170,8 @@ def net_force(
     the interface delta contributions."""
     if not x1 < x2:
         raise InterfacePointError("probe points must satisfy x1 < x2")
-    p1 = energy_pressure(stack, bases, profile, x1).pressure
-    p2 = energy_pressure(stack, bases, profile, x2).pressure
+    p1 = _energy_at(stack, bases, profile, x1).pressure
+    p2 = _energy_at(stack, bases, profile, x2).pressure
     return p1 - p2
 
 
@@ -245,34 +233,3 @@ def frequency_integrated_force(
         x1=x1,
         x2=x2,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """Every pointwise spectral quantity at one position, over the basis
-    frequencies; force is None on interface points."""
-
-    x: float
-    densities: LdosTriplet
-    numbers: PhotonNumberTriplet
-    temperatures: TemperatureTriplet
-    energy: EnergyPressureSample
-    force: ForceDensitySample | None
-
-
-def spectral_field(
-    stack: LayerStack,
-    bases: BasisPair,
-    profile: TemperatureProfile,
-    x: float,
-    *,
-    with_force: bool = True,
-) -> SpectralField:
-    densities = ldos(stack, bases, x)
-    numbers = photon_numbers(stack, bases.normal, profile, x)
-    temps = effective_temperatures(numbers, bases.omega)
-    energy = energy_pressure(stack, bases, profile, x)
-    force = None
-    if with_force and not any(x == b for b in stack.interfaces):
-        force = force_density(stack, bases, profile, x)
-    return SpectralField(x, densities, numbers, temps, energy, force)

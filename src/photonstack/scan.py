@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,12 +32,13 @@ from . import __version__
 from .errors import ConfigError, PhotonStackError
 from .greens import solve_bases
 from .mechanics import energy_pressure, force_density, net_force
-from .spectral import effective_temperatures, ldos, photon_numbers
+from .spectral import effective_temperatures, ldos, occupation_sums
 from .stack import (
     Layer,
     LayerStack,
     TemperatureProfile,
     build_stack,
+    load_stack,
     serialize_stack,
 )
 from .thermo import solve_self_consistent
@@ -82,6 +84,20 @@ _BALANCE_DEFAULTS = {
 _INTERFACE_CLEARANCE = 1e-12  # meters; force probes must stay off boundaries
 
 
+def _integer(value, where: str) -> int:
+    # int() would truncate 2.7 and accept True or "16"
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{where} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _real(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} must be a number, not {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Inclusive 1D grid; log scale spaces points geometrically."""
@@ -98,12 +114,14 @@ class GridSpec:
         unknown = set(data) - {"start", "stop", "count", "scale"}
         if unknown:
             raise ConfigError(f"{where}: unknown grid keys {sorted(unknown)}")
-        try:
-            start = float(data["start"])
-            stop = float(data["stop"])
-            count = int(data["count"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: grid needs numeric start/stop/count ({exc})") from None
+        missing = {"start", "stop", "count"} - set(data)
+        if missing:
+            raise ConfigError(
+                f"{where}: grid needs start/stop/count (missing {sorted(missing)})"
+            )
+        start = _real(data["start"], f"{where}: start")
+        stop = _real(data["stop"], f"{where}: stop")
+        count = _integer(data["count"], f"{where}: count")
         scale = data.get("scale", "linear")
         if scale not in ("linear", "log"):
             raise ConfigError(f"{where}: scale must be 'linear' or 'log'")
@@ -166,13 +184,7 @@ class ScanSpec:
             path = Path(raw_stack)
             if base is not None and not path.is_absolute():
                 path = base / path
-            try:
-                stack_data = yaml.safe_load(path.read_text())
-            except OSError as exc:
-                raise ConfigError(f"cannot read stack config {path}: {exc}") from None
-            except yaml.YAMLError as exc:
-                raise ConfigError(f"invalid YAML in {path}: {exc}") from None
-            stack = build_stack(stack_data, base_dir=path.parent)
+            stack = load_stack(path)
         elif isinstance(raw_stack, dict):
             stack = build_stack(raw_stack, base_dir=base)
         else:
@@ -229,10 +241,10 @@ class ScanSpec:
             if unknown:
                 raise ConfigError(f"unknown balance keys {sorted(unknown)}")
             balance.update(overrides)
-        balance["slices"] = int(balance["slices"])
-        balance["tolerance_K"] = float(balance["tolerance_K"])
-        balance["max_iterations"] = int(balance["max_iterations"])
-        balance["relaxation"] = float(balance["relaxation"])
+        for key in ("slices", "max_iterations"):
+            balance[key] = _integer(balance[key], f"balance {key}")
+        for key in ("tolerance_K", "relaxation"):
+            balance[key] = _real(balance[key], f"balance {key}")
         if balance["slices"] < 1 or balance["max_iterations"] < 1:
             raise ConfigError("balance slices and max_iterations must be >= 1")
         if not 0.0 < balance["tolerance_K"]:
@@ -254,7 +266,7 @@ class ScanSpec:
         p = Path(path)
         try:
             data = yaml.safe_load(p.read_text())
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: undecodable text
             raise ConfigError(f"cannot read scan spec {p}: {exc}") from None
         except yaml.YAMLError as exc:
             raise ConfigError(f"invalid YAML in {p}: {exc}") from None
@@ -317,13 +329,16 @@ class ScanResult:
 
 
 class _PointValues:
-    """Lazy per-position evaluation; each group is computed once."""
+    """Lazy per-position evaluation: the mode densities and the occupation
+    sums are computed at most once and every quantity is built from them.
+    The sums carry field-point derivatives only when a force is wanted."""
 
-    def __init__(self, stack, bases, profile, x, fd_check):
+    def __init__(self, stack, bases, profile, x, forces, fd_check):
         self.stack = stack
         self.bases = bases
         self.profile = profile
         self.x = x
+        self.forces = forces
         self.fd_check = fd_check
 
     @cached_property
@@ -331,8 +346,13 @@ class _PointValues:
         return ldos(self.stack, self.bases, self.x)
 
     @cached_property
+    def sums(self):
+        return occupation_sums(self.stack, self.bases.normal, self.profile, self.x,
+                               gradient=self.forces)
+
+    @property
     def numbers(self):
-        return photon_numbers(self.stack, self.bases.normal, self.profile, self.x)
+        return self.sums.numbers
 
     @cached_property
     def temperatures(self):
@@ -340,12 +360,12 @@ class _PointValues:
 
     @cached_property
     def energy(self):
-        return energy_pressure(self.stack, self.bases, self.profile, self.x)
+        return energy_pressure(self.bases.omega, self.densities, self.numbers)
 
     @cached_property
     def force(self):
-        return force_density(self.stack, self.bases, self.profile, self.x,
-                             fd_check=self.fd_check)
+        return force_density(self.stack, self.bases, self.profile, self.densities,
+                             self.sums, fd_check=self.fd_check)
 
 
 _GETTERS = {
@@ -373,17 +393,16 @@ def _pointwise_chunk(payload):
     block = np.empty((len(xs), omega.size, len(quantities)))
     fd_max = 0.0
     ldos_scale = LDOS_UNIT if units == "paper" else 1.0
+    forces = not _FORCE_QUANTITIES.isdisjoint(quantities)
     for i, x in enumerate(xs):
-        pv = _PointValues(stack, bases, profile, x, fd_check)
+        pv = _PointValues(stack, bases, profile, x, forces, fd_check)
         for q_i, q in enumerate(quantities):
             vals = _GETTERS[q](pv)
             if q.startswith("ldos_"):
                 vals = vals / ldos_scale
             block[i, :, q_i] = vals
-        if fd_check and _FORCE_QUANTITIES & set(quantities):
-            fd = pv.force.fd_residual
-            if fd is not None:
-                fd_max = max(fd_max, float(np.max(np.abs(fd))))
+        if fd_check and forces:
+            fd_max = max(fd_max, float(np.max(np.abs(pv.force.fd_residual))))
     return block, fd_max
 
 
@@ -410,8 +429,6 @@ class _SlabTemplate:
             problems.append("host layers (1 and 3) must be lossless")
         if host_l.index != host_r.index:
             problems.append("host layers (1 and 3) must share one index")
-        if slab.self_consistent and slab.semi_infinite:
-            problems.append("the slab cannot be semi-infinite")
         if problems:
             raise ConfigError("; ".join(problems))
         gap = host_l.thickness + slab.thickness + host_r.thickness
@@ -445,25 +462,23 @@ class _SlabTemplate:
         return quarter, self.gap - quarter
 
 
+def _profile(stack: LayerStack, balance: dict) -> TemperatureProfile:
+    """The stack's fixed temperatures, with self-consistent layers solved."""
+    if any(layer.self_consistent for layer in stack.layers):
+        return solve_self_consistent(stack, **balance).profile
+    return TemperatureProfile.from_stack(stack)
+
+
 def _slab_chunk(payload):
     template, widths, omega, balance = payload
     block = np.empty((len(widths), omega.size, 1))
     for i, w in enumerate(widths):
         stack = template.at_width(w)
-        if any(layer.self_consistent for layer in stack.layers):
-            profile = solve_self_consistent(stack, **balance).profile
-        else:
-            profile = TemperatureProfile.from_stack(stack)
+        profile = _profile(stack, balance)
         bases = solve_bases(stack, omega)
         x1, x2 = template.probes(w)
         block[i, :, 0] = net_force(stack, bases, profile, x1, x2)
     return block, 0.0
-
-
-def _format_value(v: float) -> str:
-    if v == 0.0:
-        return "0"
-    return "%.9g" % v
 
 
 def _chunks(values, n: int):
@@ -506,6 +521,11 @@ def run_scan(
         f"mode: {spec.mode}",
         f"units: {spec.units}",
     ]
+    if any(layer.self_consistent for layer in stack.layers):
+        meta.append(
+            "solver: slices={slices} tolerance_K={tolerance_K:g} "
+            "max_iterations={max_iterations} relaxation={relaxation:g}".format(**spec.balance)
+        )
     fd_max = None
 
     if spec.mode == "slab":
@@ -516,12 +536,6 @@ def run_scan(
             raise ConfigError(
                 f"widths reach {widths_um[-1]:g} um but the wall gap is only "
                 f"{template.gap / MICRON:g} um"
-            )
-        if template.slab.self_consistent:
-            bal = spec.balance
-            meta.append(
-                "solver: slices={slices} tolerance_K={tolerance_K:g} "
-                "max_iterations={max_iterations} relaxation={relaxation:g}".format(**bal)
             )
         payloads = [
             (template, chunk, omega, spec.balance)
@@ -540,15 +554,7 @@ def run_scan(
                         f"position {x_um:g} um lies on a layer interface; force "
                         "densities are undefined there (shift the grid)"
                     )
-        if any(layer.self_consistent for layer in stack.layers):
-            bal = spec.balance
-            profile = solve_self_consistent(stack, **bal).profile
-            meta.append(
-                "solver: slices={slices} tolerance_K={tolerance_K:g} "
-                "max_iterations={max_iterations} relaxation={relaxation:g}".format(**bal)
-            )
-        else:
-            profile = TemperatureProfile.from_stack(stack)
+        profile = _profile(stack, spec.balance)
         payloads = [
             (stack, profile, chunk, xs_m, spec.quantities, spec.units, fd_check)
             for chunk in _chunks(omega, max(1, threads))
@@ -583,11 +589,15 @@ def _write_csv(target: Path, meta, axis_name, axis_values, energies_ev,
             for line in meta:
                 f.write(f"# {line}\n")
             f.write(",".join([axis_name, "E_eV", *quantities]) + "\n")
-            for i, a in enumerate(axis_values):
-                for j, e in enumerate(energies_ev):
-                    cells = [_format_value(a), _format_value(e)]
-                    cells += [_format_value(v) for v in data[i, j]]
-                    f.write(",".join(cells) + "\n")
+            # one axis value's rows at a time keeps the memory flat; adding
+            # 0.0 turns -0.0 into 0.0, which %.9g writes as "0"
+            block = np.empty((len(energies_ev), 2 + len(quantities)))
+            block[:, 1] = energies_ev
+            for a, values in zip(axis_values, data):
+                block[:, 0] = a
+                block[:, 2:] = values
+                block += 0.0
+                np.savetxt(f, block, fmt="%.9g", delimiter=",")
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)

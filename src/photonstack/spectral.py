@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
 from .greens import BasisPair, WaveBasis, region_integrals
-from .stack import LayerStack, Region, TemperatureProfile
+from .stack import LayerStack, TemperatureProfile
 from .units import CROSS_SECTION, LDOS_UNIT, c, hbar, k_B
 
 
@@ -38,13 +39,14 @@ def source_occupation(omega, temperature: float):
 def occupation_temperature(number, omega):
     """Temperature whose Bose-Einstein occupancy equals ``number``.
 
-    Zero occupancy maps to 0 K (nothing radiates at that frequency).
+    Zero occupancy maps to 0 K (nothing radiates at that frequency); a
+    NaN occupancy stays NaN, so an undefined number cannot pass as 0 K.
     """
     n = np.asarray(number, dtype=float)
     om = np.asarray(omega, dtype=float)
     with np.errstate(divide="ignore"):
-        denom = np.log1p(1.0 / np.where(n > 0, n, 1.0))
-    out = np.where(n > 0, hbar * om / (k_B * denom), 0.0)
+        denom = np.log1p(1.0 / np.where(n <= 0, 1.0, n))
+    out = np.where(n <= 0, 0.0, hbar * om / (k_B * denom))
     if not out.shape:
         return float(out)
     return out
@@ -69,13 +71,21 @@ class LdosTriplet:
         )
 
 
+def _mode_density(om, g):
+    """Mode density from a coincident Green's function (or its gradient)."""
+    return 2.0 * om / (math.pi * c * c * CROSS_SECTION) * g.imag
+
+
+def electric_density(basis: WaveBasis, x: float):
+    """Electric mode density at x; needs only the normal basis."""
+    return _mode_density(basis.omega, basis.coincident_value(x))
+
+
 def ldos(stack: LayerStack, bases: BasisPair, x: float) -> LdosTriplet:
     """Mode densities at x from the coincident Green's functions."""
-    om = bases.omega
-    nn = stack.layers[stack.layer_index(x)].n_at(om)
-    pref = 2.0 * om / (math.pi * c * c * CROSS_SECTION)
-    electric = pref * bases.normal.coincident_value(x).imag
-    magnetic = pref * (nn * nn * bases.flipped.coincident_value(x)).imag
+    nn = stack.layers[stack.layer_index(x)].n_at(bases.omega)
+    electric = electric_density(bases.normal, x)
+    magnetic = _mode_density(bases.omega, nn * nn * bases.flipped.coincident_value(x))
     total = np.abs(nn) ** 2 * electric + magnetic
     return LdosTriplet(electric, magnetic, total, x)
 
@@ -84,21 +94,25 @@ def ldos_gradient(stack: LayerStack, bases: BasisPair, x: float):
     """d/dx of the three mode densities, within one layer."""
     om = bases.omega
     nn = stack.layers[stack.layer_index(x)].n_at(om)
-    pref = 2.0 * om / (math.pi * c * c * CROSS_SECTION)
-    d_e = pref * bases.normal.coincident_gradient(x).imag
-    d_m = pref * (nn * nn * bases.flipped.coincident_gradient(x)).imag
+    d_e = _mode_density(om, bases.normal.coincident_gradient(x))
+    d_m = _mode_density(om, nn * nn * bases.flipped.coincident_gradient(x))
     return d_e, d_m, np.abs(nn) ** 2 * d_e + d_m
 
 
 @dataclass(frozen=True, eq=False)
 class OccupationSums:
-    """Absorption-weighted source integrals behind the occupancies.
+    """Absorption-weighted source integrals behind the occupancies at x.
 
     ``d_*`` are the unfilled (denominator) sums, ``f_*`` the
     occupancy-filled ones; primed entries are field-point derivatives
-    when requested.
+    when requested. ``n_sq`` is |n|^2 at x, which weights the electric
+    sums in the total. Without any source region every sum is empty and
+    every number is zero.
     """
 
+    x: float
+    n_sq: np.ndarray
+    has_sources: bool
     d_e: np.ndarray
     f_e: np.ndarray
     d_m: np.ndarray
@@ -108,17 +122,41 @@ class OccupationSums:
     d_m_prime: np.ndarray | None = None
     f_m_prime: np.ndarray | None = None
 
+    @cached_property
+    def numbers(self) -> PhotonNumberTriplet:
+        """n = f/d for each density; the total weights the electric sums
+        by |n|^2, as the total mode density does."""
+        if not self.has_sources:
+            zero = np.zeros(self.d_e.shape)
+            return PhotonNumberTriplet(zero, zero.copy(), zero.copy(), self.x)
+        electric = self.f_e / self.d_e
+        magnetic = self.f_m / self.d_m
+        total = (self.n_sq * self.f_e + self.f_m) / (self.n_sq * self.d_e + self.d_m)
+        return PhotonNumberTriplet(electric, magnetic, total, self.x)
+
+    def total_number_gradient(self):
+        """d n_tot/dx; needs the sums evaluated with ``gradient=True``."""
+        if not self.has_sources:
+            return np.zeros(self.d_e.shape)
+        n_sq = self.n_sq
+        return (
+            n_sq * self.f_e_prime
+            + self.f_m_prime
+            - self.numbers.total * (n_sq * self.d_e_prime + self.d_m_prime)
+        ) / (n_sq * self.d_e + self.d_m)
+
 
 def occupation_sums(
     stack: LayerStack,
     basis: WaveBasis,
-    regions: tuple[Region, ...] | list[Region],
+    profile: TemperatureProfile,
     x: float,
     *,
     gradient: bool = False,
 ) -> OccupationSums:
     """Accumulate the per-region propagation integrals that weight each
     source's occupancy, optionally with analytic x-derivatives."""
+    regions = profile.source_regions(stack)
     om = basis.omega
     k0sq = (om / c) ** 2
     shape = om.shape
@@ -147,7 +185,9 @@ def occupation_sums(
             fp_e += wep * eta
             dp_m += wmp
             fp_m += wmp * eta
-    return OccupationSums(d_e, f_e, d_m, f_m, dp_e, fp_e, dp_m, fp_m)
+    n_sq = np.abs(stack.layers[stack.layer_index(x)].n_at(om)) ** 2
+    return OccupationSums(x, n_sq, bool(regions), d_e, f_e, d_m, f_m,
+                          dp_e, fp_e, dp_m, fp_m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,18 +212,7 @@ def photon_numbers(
     A structure with no lossy layer has no thermal sources; all three
     numbers are then zero.
     """
-    regions = profile.source_regions(stack)
-    om = basis.omega
-    if not regions:
-        zero = np.zeros(om.shape)
-        return PhotonNumberTriplet(zero, zero.copy(), zero.copy(), x)
-    sums = occupation_sums(stack, basis, regions, x)
-    nn = stack.layers[stack.layer_index(x)].n_at(om)
-    an2 = np.abs(nn) ** 2
-    electric = sums.f_e / sums.d_e
-    magnetic = sums.f_m / sums.d_m
-    total = (an2 * sums.f_e + sums.f_m) / (an2 * sums.d_e + sums.d_m)
-    return PhotonNumberTriplet(electric, magnetic, total, x)
+    return occupation_sums(stack, basis, profile, x).numbers
 
 
 @dataclass(frozen=True, eq=False)

@@ -185,9 +185,6 @@ class LayerStack:
         hi = math.inf if j == len(self.layers) - 1 else self.interfaces[j]
         return lo, hi
 
-    def n_at(self, j: int, omega):
-        return self.layers[j].n_at(omega)
-
     @property
     def span(self) -> tuple[float, float]:
         return self.interfaces[0], self.interfaces[-1]
@@ -357,7 +354,7 @@ def load_stack(path) -> LayerStack:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: NUL in the path, undecodable text
         raise ConfigError(f"cannot read stack config {p}: {exc}") from None
     try:
         data = yaml.safe_load(text)

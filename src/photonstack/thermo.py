@@ -20,17 +20,16 @@ over slices then converges the mutual illumination between them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import trapezoid
 
 from .errors import ConfigError, ConvergenceError
-from .greens import WaveBasis, region_integrals, solve_wave_basis
-from .spectral import photon_numbers, source_occupation
+from .greens import region_integrals, solve_wave_basis
+from .spectral import electric_density, photon_numbers, source_occupation
 from .stack import LayerSlices, LayerStack, Region, TemperatureProfile
-from .units import CROSS_SECTION, c, hbar, omega_from_ev
+from .units import hbar, omega_from_ev
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,12 +39,6 @@ class EmissionSample:
 
     value: np.ndarray
     x: float
-
-
-def _electric_density(basis: WaveBasis, x: float):
-    om = basis.omega
-    pref = 2.0 * om / (math.pi * c * c * CROSS_SECTION)
-    return pref * basis.coincident_value(x).imag
 
 
 def net_emission(
@@ -66,7 +59,7 @@ def net_emission(
     temperature = profile.temperature_at(stack, x)
     if temperature is None:
         raise ConfigError(f"no temperature assigned at x = {x!r}")
-    rho_e = _electric_density(basis, x)
+    rho_e = electric_density(basis, x)
     n_e = photon_numbers(stack, basis, profile, x).electric
     eta = source_occupation(om, temperature)
     value = hbar * om**2 * im_n2 * rho_e * (eta - n_e)
@@ -190,7 +183,7 @@ def solve_self_consistent(
             n2im = (stack.layers[reg.layer].n_at(om) ** 2).imag
             ri = region_integrals(basis, x_m, reg.layer, reg.lo, reg.hi)
             weights[m, r] = n2im * ri.gg
-        kernel[m] = hbar * om**2 * n2im_m * _electric_density(basis, x_m)
+        kernel[m] = hbar * om**2 * n2im_m * electric_density(basis, x_m)
 
     denom = weights.sum(axis=1)
     eta_fixed = [source_occupation(om, reg.temperature) for reg in fixed_regions]

@@ -2,11 +2,25 @@ import numpy as np
 import pytest
 
 from photonstack.greens import solve_bases
+from photonstack.mechanics import energy_pressure, force_density
+from photonstack.spectral import ldos, occupation_sums, photon_numbers
 from photonstack.stack import ConstantIndex, Layer, LayerStack, TemperatureProfile
 from photonstack.thermo import solve_self_consistent
 from photonstack.units import omega_from_ev
 
 INF = float("inf")
+
+
+def point_energy(stack, bases, profile, x):
+    """energy_pressure fed with freshly evaluated densities and numbers."""
+    return energy_pressure(bases.omega, ldos(stack, bases, x),
+                           photon_numbers(stack, bases.normal, profile, x))
+
+
+def point_force(stack, bases, profile, x, **kwargs):
+    """force_density fed with freshly evaluated densities and gradient sums."""
+    sums = occupation_sums(stack, bases.normal, profile, x, gradient=True)
+    return force_density(stack, bases, profile, ldos(stack, bases, x), sums, **kwargs)
 
 
 def cavity_stack() -> LayerStack:

@@ -21,7 +21,6 @@ from photonstack.greens import (
 )
 from photonstack.mechanics import (
     _profile_edges,
-    force_density,
     net_force,
     net_force_occupation_route,
 )
@@ -37,7 +36,7 @@ from photonstack.stack import ConstantIndex, Layer, LayerStack, TemperatureProfi
 from photonstack.thermo import solve_self_consistent
 from photonstack.units import c, omega_from_ev
 
-from conftest import INF, cavity_stack, slab_stack
+from conftest import INF, cavity_stack, point_force, slab_stack
 
 
 def _report(label: str, ok: bool, detail: str) -> str:
@@ -208,7 +207,7 @@ def test_force_decomposition_matches_gradient(balanced_passive, smooth_points):
     stack, bases, profile = balanced_passive
     worst = 0.0
     for x in smooth_points:
-        sample = force_density(stack, bases, profile, x, fd_check=True)
+        sample = point_force(stack, bases, profile, x, fd_check=True)
         worst = max(worst, float(np.max(np.abs(sample.fd_residual))))
     ok = worst < 1e-4
     msg = _report("force decomposition vs -du/dx at 100 points",
@@ -220,7 +219,7 @@ def test_occupation_force_never_negative(balanced_passive, smooth_points):
     stack, bases, profile = balanced_passive
     low = np.inf
     for x in smooth_points:
-        low = min(low, float(force_density(stack, bases, profile, x).occupation.min()))
+        low = min(low, float(point_force(stack, bases, profile, x).occupation.min()))
     ok = low >= 0.0
     msg = _report("occupation force nonnegative", ok, f"minimum {low:.3e}")
     assert ok, msg
@@ -231,7 +230,7 @@ def test_force_component_energy_trends(balanced_passive, smooth_points):
     om = bases.omega
     comps = {"zcf": [], "tcf": [], "ncf": []}
     for x in smooth_points:
-        sample = force_density(stack, bases, profile, x)
+        sample = point_force(stack, bases, profile, x)
         comps["zcf"].append(np.abs(sample.zero_point))
         comps["tcf"].append(np.abs(sample.thermal))
         comps["ncf"].append(np.abs(sample.occupation))

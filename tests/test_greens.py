@@ -6,7 +6,6 @@ from photonstack.errors import ConfigError, DivergentSourceError
 from photonstack.greens import (
     VARIANT_FLIPPED,
     VARIANT_NORMAL,
-    greens_function,
     interface_coefficients,
     region_integrals,
     solve_bases,
@@ -137,14 +136,6 @@ def test_green_function_continuous_across_interfaces(cavity_bases):
         lo = basis.sample(b - eps, src).value
         hi = basis.sample(b + eps, src).value
         assert np.max(np.abs(lo - hi) / np.abs(lo)) < 1e-4
-
-
-def test_greens_function_wrapper_matches_sample(cavity_bases):
-    basis = cavity_bases.normal
-    s = greens_function(basis, 2e-6, 8e-6)
-    direct = basis.sample(2e-6, 8e-6)
-    assert np.array_equal(s.value, direct.value)
-    assert s.field_point == 2e-6 and s.source == 8e-6
 
 
 # --- closed-form source integrals vs adaptive quadrature -------------------

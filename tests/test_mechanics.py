@@ -5,18 +5,15 @@ from scipy import integrate
 from photonstack.errors import InterfacePointError
 from photonstack.greens import solve_bases
 from photonstack.mechanics import (
-    energy_pressure,
-    force_density,
     frequency_integrated_force,
     net_force,
     net_force_occupation_route,
-    spectral_field,
 )
 from photonstack.spectral import ldos, source_occupation
 from photonstack.stack import TemperatureProfile
 from photonstack.units import hbar, omega_from_ev
 
-from conftest import cavity_stack, slab_stack
+from conftest import cavity_stack, point_energy, point_force, slab_stack
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +31,7 @@ def test_equilibrium_energy_density_formula(cavity, cavity_bases):
     om = cavity_bases.omega
     eta = source_occupation(om, 350.0)
     for x in (-2e-6, 4e-6, 12e-6):
-        sample = energy_pressure(cavity, cavity_bases, profile, x)
+        sample = point_energy(cavity, cavity_bases, profile, x)
         rho_tot = ldos(cavity, cavity_bases, x).total
         want = hbar * om * rho_tot * (eta + 0.5)
         assert np.max(np.abs(sample.energy_density - want) / want) < 1e-6
@@ -47,8 +44,8 @@ def test_field_fluctuations_continuous_energy_density_not(
     (their eps-offset jumps shrink linearly with eps) while the energy
     density holds a finite step at the n2 wall."""
     def jumps(b, eps):
-        lo = energy_pressure(cavity, cavity_bases, cavity_profile, b - eps)
-        hi = energy_pressure(cavity, cavity_bases, cavity_profile, b + eps)
+        lo = point_energy(cavity, cavity_bases, cavity_profile, b - eps)
+        hi = point_energy(cavity, cavity_bases, cavity_profile, b + eps)
         out = []
         for f in ("e_fluct", "b_fluct", "energy_density"):
             a, z = getattr(lo, f), getattr(hi, f)
@@ -71,7 +68,7 @@ def test_field_fluctuations_continuous_energy_density_not(
 
 def test_interface_point_rejected(cavity, cavity_bases, cavity_profile):
     with pytest.raises(InterfacePointError):
-        force_density(cavity, cavity_bases, cavity_profile, 0.0)
+        point_force(cavity, cavity_bases, cavity_profile, 0.0)
 
 
 def test_decomposition_sums_to_energy_gradient(balanced_passive):
@@ -81,7 +78,7 @@ def test_decomposition_sums_to_energy_gradient(balanced_passive):
     xs = np.array([0.2, 2.9, 5.1, 7.3, 9.8]) * 1e-6
     worst = 0.0
     for x in xs:
-        sample = force_density(stack, bases, profile, x, fd_check=True)
+        sample = point_force(stack, bases, profile, x, fd_check=True)
         worst = max(worst, float(np.max(np.abs(sample.fd_residual))))
         assert np.allclose(sample.total,
                            sample.zero_point + sample.thermal + sample.occupation)
@@ -91,7 +88,7 @@ def test_decomposition_sums_to_energy_gradient(balanced_passive):
 def test_occupation_force_nonnegative_in_passive_layer(balanced_passive):
     stack, bases, profile = balanced_passive
     for x in np.array([0.2, 1.7, 3.4, 6.6, 8.3, 9.8]) * 1e-6:
-        sample = force_density(stack, bases, profile, x)
+        sample = point_force(stack, bases, profile, x)
         assert np.all(sample.occupation >= 0.0)
 
 
@@ -99,11 +96,11 @@ def test_occupation_force_vanishes_in_vacuum_gap(cavity, cavity_bases, cavity_pr
     """In lossless media the photon numbers are position-independent, so
     the occupation term carries no force.  Inside the gap every component
     is roundoff-small, so the reference scale comes from the wall."""
-    wall = force_density(cavity, cavity_bases, cavity_profile, -0.5e-6)
+    wall = point_force(cavity, cavity_bases, cavity_profile, -0.5e-6)
     scale = np.abs(wall.zero_point).max()
     assert scale > 0.0
     for x in (2.3e-6, 6.8e-6):
-        sample = force_density(cavity, cavity_bases, cavity_profile, x)
+        sample = point_force(cavity, cavity_bases, cavity_profile, x)
         assert np.abs(sample.occupation).max() < 1e-12 * scale
 
 
@@ -114,12 +111,12 @@ def test_force_density_integrates_to_pressure_difference(
     om_index = 11
 
     def total(x):
-        return force_density(cavity, cavity_bases, cavity_profile,
-                             float(x)).total[om_index]
+        return point_force(cavity, cavity_bases, cavity_profile,
+                           float(x)).total[om_index]
 
     integral, _ = integrate.quad(total, a, b, epsabs=0, epsrel=1e-9, limit=200)
-    pa = energy_pressure(cavity, cavity_bases, cavity_profile, a).pressure[om_index]
-    pb = energy_pressure(cavity, cavity_bases, cavity_profile, b).pressure[om_index]
+    pa = point_energy(cavity, cavity_bases, cavity_profile, a).pressure[om_index]
+    pb = point_energy(cavity, cavity_bases, cavity_profile, b).pressure[om_index]
     assert abs(integral - (pa - pb)) / abs(pa - pb) < 1e-6
 
 
@@ -222,18 +219,3 @@ def test_integrated_thermal_force_points_to_cold_wall():
     assert result.thermal > 0.0
     assert np.isfinite(result.zero_point)
 
-
-# --- combined sampling ------------------------------------------------------
-
-def test_spectral_field_bundles_everything(cavity, cavity_bases, cavity_profile):
-    field = spectral_field(cavity, cavity_bases, cavity_profile, 3e-6)
-    direct = ldos(cavity, cavity_bases, 3e-6)
-    assert np.array_equal(field.densities.total, direct.total)
-    assert field.force is not None
-    assert np.array_equal(
-        field.energy.pressure,
-        energy_pressure(cavity, cavity_bases, cavity_profile, 3e-6).pressure)
-
-    on_interface = spectral_field(cavity, cavity_bases, cavity_profile, 0.0)
-    assert on_interface.force is None
-    assert on_interface.densities.total.shape == cavity_bases.omega.shape

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
+import photonstack.mechanics as mechanics_mod
 import photonstack.scan as scan_mod
 from photonstack import cli
 from photonstack.errors import ConfigError
@@ -110,6 +112,69 @@ def test_spec_validation_errors(mutate, fragment):
         ScanSpec.from_mapping(data)
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda s: s.update(balance={"slices": "abc"}),
+    lambda s: s.update(balance={"slices": 2.7}),
+    lambda s: s.update(balance={"slices": True}),
+    lambda s: s.update(balance={"max_iterations": 2.7}),
+    lambda s: s["positions"].update(count=2.7),
+    lambda s: s["energies"].update(count="7"),
+])
+def test_integer_spec_fields_reject_non_integers(mutate):
+    data = small_pointwise()
+    mutate(data)
+    with pytest.raises(ConfigError, match="must be an integer"):
+        ScanSpec.from_mapping(data)
+
+
+def test_cli_scan_non_integer_slices_exits_one(tmp_path, capsys):
+    mapping = small_pointwise()
+    mapping["balance"] = {"slices": "abc"}
+    spec_path = write_spec(tmp_path, "scan.yaml", mapping)
+    assert cli.main(["scan", str(spec_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: balance slices must be an integer")
+    assert err.count("\n") == 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6,
+)
+_FIELDS = (
+    [(key,) for key in sorted(scan_mod._SPEC_KEYS)]
+    + [(grid, key) for grid in ("positions", "energies", "widths")
+       for key in ("start", "stop", "count", "scale")]
+    + [("balance", key) for key in sorted(scan_mod._BALANCE_DEFAULTS)]
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(slab=st.booleans(),
+       edits=st.lists(st.tuples(st.sampled_from(_FIELDS), _JSON), max_size=4),
+       raw=st.none() | st.dictionaries(st.text(max_size=8), _JSON, max_size=4))
+def test_from_mapping_returns_a_spec_or_raises_config_error(slab, edits, raw):
+    """Valid specs with some fields replaced by arbitrary JSON-like values,
+    and arbitrary mappings, either parse or fail with a ConfigError."""
+    data = small_slab() if slab else small_pointwise()
+    for path, value in edits:
+        target = data
+        for key in path[:-1]:
+            if not isinstance(target.get(key), dict):
+                target[key] = {}
+            target = target[key]
+        target[path[-1]] = value
+    for mapping in (data, raw):
+        if mapping is None:
+            continue
+        try:
+            assert isinstance(ScanSpec.from_mapping(mapping), ScanSpec)
+        except ConfigError:
+            pass
+
+
 def test_slab_spec_cannot_mix_quantities_or_take_positions():
     data = small_slab()
     data["quantities"] = ["slab_force", "u"]
@@ -174,6 +239,46 @@ def test_metadata_block_contents(tmp_path):
     assert np.allclose(rows[:7, 0], rows[0, 0])
     assert rows[0, 1] < rows[1, 1]
     assert result.data.shape == (6, 7, 4)
+
+
+def test_writer_bytes_for_zeros_tiny_and_large_values(tmp_path):
+    out = tmp_path / "w.csv"
+    data = np.array([
+        [[-0.0, 0.0, 5e-324], [1.0e-300, -2.5, 1.23456789012e300]],
+        [[123456.7891, -0.0, 0.1], [0.0, -1e-7, 6.02214076e23]],
+    ])
+    scan_mod._write_csv(out, ["head", "spec: {}"], "x_um",
+                        np.array([-0.0, 2.5]), np.array([0.0, 0.125]),
+                        ("a", "b", "c"), data)
+    assert out.read_bytes() == (
+        b"# head\n"
+        b"# spec: {}\n"
+        b"x_um,E_eV,a,b,c\n"
+        b"0,0,0,0,4.94065646e-324\n"
+        b"0,0.125,1e-300,-2.5,1.23456789e+300\n"
+        b"2.5,0,123456.789,0,0.1\n"
+        b"2.5,0.125,0,-1e-07,6.02214076e+23\n"
+    )
+
+
+def test_each_position_is_evaluated_once(tmp_path, monkeypatch):
+    """A scan asking for every pointwise quantity computes the mode
+    densities and the occupation sums once per position."""
+    calls = {}
+    for mod in (scan_mod, mechanics_mod):
+        for name in ("ldos", "occupation_sums", "photon_numbers"):
+            original = getattr(mod, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(mod, name, counted)
+    data = small_pointwise()
+    data["quantities"] = list(scan_mod.POINTWISE_QUANTITIES)
+    run_scan(ScanSpec.from_mapping(data), output=tmp_path / "all.csv")
+    assert calls == {"ldos": 6, "occupation_sums": 6}
 
 
 def test_missing_spec_metadata_is_an_error(tmp_path):
@@ -284,6 +389,16 @@ def test_cli_scan_bad_spec_exits_one(tmp_path, capsys):
     spec_path = write_spec(tmp_path, "scan.yaml", mapping)
     assert cli.main(["scan", str(spec_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_scan_undecodable_files_exit_one(tmp_path, capsys):
+    binary = tmp_path / "binary.yaml"
+    binary.write_bytes(b"\xff\xfe\x00 not text")
+    mapping = small_pointwise()
+    mapping["stack"] = "binary.yaml"
+    for spec_path in (binary, write_spec(tmp_path, "scan.yaml", mapping)):
+        assert cli.main(["scan", str(spec_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read")
 
 
 def test_cli_scan_unwritable_output_exits_three(tmp_path, capsys):

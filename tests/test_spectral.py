@@ -8,6 +8,7 @@ from photonstack.spectral import (
     ldos,
     ldos_closure_residuals,
     ldos_gradient,
+    occupation_sums,
     occupation_temperature,
     photon_numbers,
     source_occupation,
@@ -56,6 +57,15 @@ def test_zero_occupancy_maps_to_zero_kelvin():
     out = occupation_temperature(np.zeros(2), om)
     assert np.array_equal(out, np.zeros(2))
     assert occupation_temperature(0.0, omega_from_ev(0.1)) == 0.0
+
+
+def test_nan_occupancy_stays_nan_not_zero_kelvin():
+    om = omega_from_ev(0.1)
+    out = occupation_temperature(np.array([np.nan, 0.0, 1.0]), om)
+    assert np.isnan(out[0])
+    assert out[1] == 0.0
+    assert abs(out[2] - hbar * om / (k_B * np.log(2.0))) < 1e-9 * out[2]
+    assert np.isnan(occupation_temperature(np.nan, om))
 
 
 # --- mode densities --------------------------------------------------------
@@ -173,6 +183,17 @@ def test_electric_temperature_saturates_deep_in_reservoirs(cavity):
     t_right = effective_temperatures(deep_right, om).electric[0]
     assert abs(t_left - 400.0) < 1.0
     assert abs(t_right - 300.0) < 1.0
+
+
+def test_gradient_sums_give_bitwise_equal_numbers(cavity, cavity_bases, cavity_profile):
+    """Scans read u and p off the gradient sums when forces are requested;
+    they must match the plain photon numbers bit for bit."""
+    for x in (-3e-6, 4e-6, 13e-6):
+        plain = photon_numbers(cavity, cavity_bases.normal, cavity_profile, x)
+        sums = occupation_sums(cavity, cavity_bases.normal, cavity_profile, x,
+                               gradient=True)
+        for name in ("electric", "magnetic", "total"):
+            assert np.array_equal(getattr(sums.numbers, name), getattr(plain, name))
 
 
 def test_sourceless_structure_has_zero_numbers():
