@@ -111,20 +111,26 @@ class WaveBasis:
 
     # -- solution evaluation -------------------------------------------------
 
-    def _solution(self, a, b, j: int, x: float):
-        u = x - self.refs[j]
+    def _waves(self, j: int, x):
+        """e^{+ik(x-ref)} and e^{-ik(x-ref)} in layer j at x (a point or a
+        1-D array of points), each shaped x.shape + omega.shape."""
+        u = np.asarray(x, dtype=float) - self.refs[j]
+        u = u.reshape(u.shape + (1,) * self.omega.ndim)
         kk = self.wavenumbers[j]
-        ep = np.exp(1j * kk * u)
-        em = np.exp(-1j * kk * u)
+        return np.exp(1j * kk * u), np.exp(-1j * kk * u)
+
+    def _solution(self, a, b, j: int, waves):
+        ep, em = waves
+        kk = self.wavenumbers[j]
         phi = a[j] * ep + b[j] * em
         dphi = 1j * kk * (a[j] * ep - b[j] * em)
         return phi, dphi
 
-    def _left(self, j: int, x: float):
-        return self._solution(self.a_left, self.b_left, j, x)
+    def _left(self, j: int, waves):
+        return self._solution(self.a_left, self.b_left, j, waves)
 
-    def _right(self, j: int, x: float):
-        return self._solution(self.a_right, self.b_right, j, x)
+    def _right(self, j: int, waves):
+        return self._solution(self.a_right, self.b_right, j, waves)
 
     def layer_wronskians(self):
         """Per-layer scaled Wronskians and their log-scale offsets."""
@@ -136,25 +142,28 @@ class WaveBasis:
 
     # -- Green's function ----------------------------------------------------
 
-    def coincident_value(self, x: float):
-        j = self.stack.layer_index(x)
-        phi_l, _ = self._left(j, x)
-        phi_r, _ = self._right(j, x)
+    def coincident_value(self, x):
+        """G(x, x) at a point or a 1-D array of points within one layer."""
+        j = self.stack.layer_of(x)
+        waves = self._waves(j, x)
+        phi_l, _ = self._left(j, waves)
+        phi_r, _ = self._right(j, waves)
         return -phi_l * phi_r / self.wronskian_scaled[j]
 
-    def coincident_gradient(self, x: float):
-        """d/dx of G(x, x) along the diagonal, within one layer."""
-        j = self.stack.layer_index(x)
-        phi_l, dphi_l = self._left(j, x)
-        phi_r, dphi_r = self._right(j, x)
+    def coincident_gradient(self, x):
+        """d/dx of G(x, x) along the diagonal, at points within one layer."""
+        j = self.stack.layer_of(x)
+        waves = self._waves(j, x)
+        phi_l, dphi_l = self._left(j, waves)
+        phi_r, dphi_r = self._right(j, waves)
         return -(dphi_l * phi_r + phi_l * dphi_r) / self.wronskian_scaled[j]
 
     def sample(self, x: float, source: float) -> GreensSample:
         xlo, xhi = (x, source) if x <= source else (source, x)
         ja = self.stack.layer_index(xlo)
         jb = self.stack.layer_index(xhi)
-        phi_l, dphi_l = self._left(ja, xlo)
-        phi_r, dphi_r = self._right(jb, xhi)
+        phi_l, dphi_l = self._left(ja, self._waves(ja, xlo))
+        phi_r, dphi_r = self._right(jb, self._waves(jb, xhi))
         cross = np.exp(self.scale_right[jb] - self.scale_right[ja])
         w = self.wronskian_scaled[ja]
         value = -phi_l * phi_r * cross / w
@@ -318,9 +327,10 @@ class RegionIntegrals:
     d_dgg: np.ndarray | None = None
 
 
-def _exp_int(alpha, t1: float, t2: float):
-    # int_{t1}^{t2} e^{alpha t} dt for finite bounds; series below the
-    # cancellation threshold, exact form otherwise
+def _exp_int(alpha, t1, t2):
+    # int_{t1}^{t2} e^{alpha t} dt for finite bounds (scalars or arrays
+    # broadcasting against alpha); series below the cancellation
+    # threshold, exact form otherwise
     span = t2 - t1
     z = alpha * span
     small = np.abs(z) < _SERIES_THRESHOLD
@@ -329,17 +339,19 @@ def _exp_int(alpha, t1: float, t2: float):
     return np.exp(alpha * t1) * span * ec
 
 
-def _interval_sq(a, b, kk, t1: float, t2: float):
-    """Integral of |a e^{ikt} + b e^{-ikt}|^2 over [t1, t2] (t may be
-    infinite, in which case the growing coefficient must vanish)."""
+def _interval_sq(a, b, kk, t1, t2):
+    """Integral of |a e^{ikt} + b e^{-ikt}|^2 over [t1, t2]. One bound may
+    be an array of finite bounds shaped to broadcast against kk; an
+    infinite bound is a scalar, and the coefficient growing toward it must
+    vanish."""
     kappa = kk.imag
-    if t1 == -math.inf:
+    if np.isscalar(t1) and t1 == -math.inf:
         if np.any(a != 0):
             raise DivergentSourceError("left tail carries a growing wave component")
         if np.any(kappa <= 0):
             raise DivergentSourceError("semi-infinite source layer must be lossy")
         return np.abs(b) ** 2 * np.exp(2.0 * kappa * t2) / (2.0 * kappa)
-    if t2 == math.inf:
+    if np.isscalar(t2) and t2 == math.inf:
         if np.any(b != 0):
             raise DivergentSourceError("right tail carries a growing wave component")
         if np.any(kappa <= 0):
@@ -352,70 +364,98 @@ def _interval_sq(a, b, kk, t1: float, t2: float):
 
 
 def region_integrals(
-    basis: WaveBasis, x: float, j: int, lo: float, hi: float, *, gradient: bool = False
+    basis: WaveBasis, x, j: int, lo: float, hi: float, *, gradient: bool = False
 ) -> RegionIntegrals:
     """Closed-form source integrals over the part of layer j in [lo, hi].
+
+    ``x`` is one field point or a 1-D array of field points that all lie
+    in one layer; every result has shape ``x.shape + omega.shape``, and
+    each point's entries are exactly those a call with that point alone
+    returns.
 
     For a source interval on one side of the field point, G restricted to
     that interval is a fixed two-exponential profile times an x-dependent
     coefficient, so each integral is the profile integral times the
     squared coefficient; the interval containing the field point splits
-    at x. Gradients differentiate the coefficients analytically (the
-    profile integrals only move through the split point).
+    at x. Within the field point's own layer the case is chosen per
+    point: the interval lies left of x when ``hi <= x``, right of it when
+    ``lo >= x``, and contains it otherwise. Gradients differentiate the
+    coefficients analytically (the profile integrals only move through
+    the split point).
     """
-    st = basis.stack
-    A = st.layer_index(x)
+    A = basis.stack.layer_of(x)
+    xs = np.asarray(x, dtype=float)
+    if j == A:
+        xs = np.atleast_1d(xs)  # the per-point masks below need an axis
+    waves = basis._waves(A, xs)
     w = basis.wronskian_scaled[A]
+    k2 = basis.wavenumbers[A] ** 2
     kj = basis.wavenumbers[j]
     ref = basis.refs[j]
 
-    if j < A or (j == A and hi <= x):
-        phi_r, dphi_r = basis._right(A, x)
-        s = np.exp(basis.scale_left[j] - basis.scale_left[A])
-        coeff = -phi_r * s / w
-        dcoeff = -dphi_r * s / w
-        prof = _interval_sq(basis.a_left[j], basis.b_left[j], kj, lo - ref, hi - ref)
-    elif j > A or (j == A and lo >= x):
-        phi_l, dphi_l = basis._left(A, x)
-        s = np.exp(basis.scale_right[j] - basis.scale_right[A])
-        coeff = -phi_l * s / w
-        dcoeff = -dphi_l * s / w
-        prof = _interval_sq(basis.a_right[j], basis.b_right[j], kj, lo - ref, hi - ref)
+    def one_side(pts, interval_left_of_x, phi, dphi):
+        # G over the interval is layer j's psi_left (psi_right) times a
+        # coefficient set by psi_right (psi_left), passed as phi, at x
+        if interval_left_of_x:
+            a, b, scale = basis.a_left, basis.b_left, basis.scale_left
+        else:
+            a, b, scale = basis.a_right, basis.b_right, basis.scale_right
+        s = np.exp(scale[j] - scale[A])
+        coeff = -phi[pts] * s / w
+        dcoeff = -dphi[pts] * s / w
+        prof = _interval_sq(a[j], b[j], kj, lo - ref, hi - ref)
+        parts = [np.abs(coeff) ** 2 * prof, np.abs(dcoeff) ** 2 * prof]
+        if gradient:
+            parts.append(2.0 * (dcoeff * np.conj(coeff)).real * prof)
+            parts.append(-2.0 * (k2 * coeff * np.conj(dcoeff)).real * prof)
+        return parts
+
+    if j < A:
+        parts = one_side(Ellipsis, True, *basis._right(A, waves))
+    elif j > A:
+        parts = one_side(Ellipsis, False, *basis._left(A, waves))
     else:
-        phi_l, dphi_l = basis._left(A, x)
-        phi_r, dphi_r = basis._right(A, x)
-        c_lo = -phi_r / w
-        cd_lo = -dphi_r / w
-        c_hi = -phi_l / w
-        cd_hi = -dphi_l / w
-        u = x - ref
-        prof_lo = _interval_sq(basis.a_left[A], basis.b_left[A], kj, lo - ref, u)
-        prof_hi = _interval_sq(basis.a_right[A], basis.b_right[A], kj, u, hi - ref)
-        gg = np.abs(c_lo) ** 2 * prof_lo + np.abs(c_hi) ** 2 * prof_hi
-        dgg = np.abs(cd_lo) ** 2 * prof_lo + np.abs(cd_hi) ** 2 * prof_hi
-        if not gradient:
-            return RegionIntegrals(gg, dgg)
-        k2 = basis.wavenumbers[A] ** 2
-        d_gg = (
-            2.0 * (cd_lo * np.conj(c_lo)).real * prof_lo
-            + 2.0 * (cd_hi * np.conj(c_hi)).real * prof_hi
-        )
-        # the |G|^2 boundary terms at the split cancel; the |dG/dx|^2 ones
-        # survive because the derivative kernel jumps across the source
-        d_dgg = (
-            -2.0 * (k2 * c_lo * np.conj(cd_lo)).real * prof_lo
-            - 2.0 * (k2 * c_hi * np.conj(cd_hi)).real * prof_hi
-            + np.abs(cd_lo) ** 2 * np.abs(phi_l) ** 2
-            - np.abs(cd_hi) ** 2 * np.abs(phi_r) ** 2
-        )
-        return RegionIntegrals(gg, dgg, d_gg, d_dgg)
+        phi_l, dphi_l = basis._left(A, waves)
+        phi_r, dphi_r = basis._right(A, waves)
+        left = hi <= xs
+        right = ~left & (lo >= xs)
+        split = ~(left | right)
+        parts = [np.empty(phi_l.shape) for _ in range(4 if gradient else 2)]
 
-    gg = np.abs(coeff) ** 2 * prof
-    dgg = np.abs(dcoeff) ** 2 * prof
-    if not gradient:
-        return RegionIntegrals(gg, dgg)
-    k2 = basis.wavenumbers[A] ** 2
-    d_gg = 2.0 * (dcoeff * np.conj(coeff)).real * prof
-    d_dgg = -2.0 * (k2 * coeff * np.conj(dcoeff)).real * prof
-    return RegionIntegrals(gg, dgg, d_gg, d_dgg)
+        def fill(pts, values):
+            for part, value in zip(parts, values):
+                part[pts] = value
 
+        if left.any():
+            fill(left, one_side(left, True, phi_r, dphi_r))
+        if right.any():
+            fill(right, one_side(right, False, phi_l, dphi_l))
+        if split.any():
+            # the interval splits at each of these field points
+            pl, dpl, pr, dpr = phi_l[split], dphi_l[split], phi_r[split], dphi_r[split]
+            c_lo = -pr / w
+            cd_lo = -dpr / w
+            c_hi = -pl / w
+            cd_hi = -dpl / w
+            u = (xs[split] - ref).reshape((-1,) + (1,) * basis.omega.ndim)
+            prof_lo = _interval_sq(basis.a_left[A], basis.b_left[A], kj, lo - ref, u)
+            prof_hi = _interval_sq(basis.a_right[A], basis.b_right[A], kj, u, hi - ref)
+            values = [np.abs(c_lo) ** 2 * prof_lo + np.abs(c_hi) ** 2 * prof_hi,
+                      np.abs(cd_lo) ** 2 * prof_lo + np.abs(cd_hi) ** 2 * prof_hi]
+            if gradient:
+                values.append(
+                    2.0 * (cd_lo * np.conj(c_lo)).real * prof_lo
+                    + 2.0 * (cd_hi * np.conj(c_hi)).real * prof_hi
+                )
+                # the |G|^2 boundary terms at the split cancel; the |dG/dx|^2
+                # ones survive because the derivative kernel jumps across the
+                # source
+                values.append(
+                    -2.0 * (k2 * c_lo * np.conj(cd_lo)).real * prof_lo
+                    - 2.0 * (k2 * c_hi * np.conj(cd_hi)).real * prof_hi
+                    + np.abs(cd_lo) ** 2 * np.abs(pl) ** 2
+                    - np.abs(cd_hi) ** 2 * np.abs(pr) ** 2
+                )
+            fill(split, values)
+    shape = np.shape(x) + basis.omega.shape
+    return RegionIntegrals(*(part.reshape(shape) for part in parts))

@@ -42,10 +42,13 @@ from .spectral import (
 from .stack import LayerSlices, LayerStack, TemperatureProfile
 from .units import c, epsilon_0, hbar
 
+_INTERFACE_CLEARANCE = 1e-12  # meters; force probes must stay off boundaries
+
 
 @dataclass(frozen=True, eq=False)
 class EnergyPressureSample:
-    """Spectral field fluctuations, energy density, and pressure at x.
+    """Spectral field fluctuations, energy density, and pressure at x (a
+    point or points in one layer).
 
     ``energy_density`` and ``pressure`` are one quantity; both names are
     kept because they enter different balances.
@@ -55,14 +58,14 @@ class EnergyPressureSample:
     b_fluct: np.ndarray
     energy_density: np.ndarray
     pressure: np.ndarray
-    x: float
+    x: float | np.ndarray
 
 
 def energy_pressure(
     omega, densities: LdosTriplet, numbers: PhotonNumberTriplet
 ) -> EnergyPressureSample:
     """Fluctuations, energy density, and pressure from the mode densities
-    and photon numbers already evaluated at one point."""
+    and photon numbers already evaluated at the same points."""
     e_fluct = (hbar * omega / epsilon_0) * densities.electric * (numbers.electric + 0.5)
     b_fluct = (
         (hbar * omega / (epsilon_0 * c * c)) * densities.magnetic * (numbers.magnetic + 0.5)
@@ -78,14 +81,14 @@ def _energy_at(stack, bases, profile, x) -> EnergyPressureSample:
 
 @dataclass(frozen=True, eq=False)
 class ForceDensitySample:
-    """The three force-density terms and their sum at one smooth point;
+    """The three force-density terms and their sum at smooth points x;
     fd_residual carries the finite-difference cross-check when requested."""
 
     zero_point: np.ndarray
     thermal: np.ndarray
     occupation: np.ndarray
     total: np.ndarray
-    x: float
+    x: float | np.ndarray
     fd_residual: np.ndarray | None = None
 
 
@@ -109,19 +112,23 @@ def force_density(
     *,
     fd_check: bool = False,
 ) -> ForceDensitySample:
-    """Analytic force-density decomposition at a non-interface point.
+    """Analytic force-density decomposition at non-interface points.
 
     ``densities`` and ``sums`` are ``ldos`` and ``occupation_sums(...,
-    gradient=True)`` at that point, as the caller already holds them.
-    With ``fd_check`` the sample also carries the relative deviation of
-    the summed terms from a Richardson-extrapolated central difference of
-    the energy density under ``profile`` (step: local wavelength / 1000,
-    shortened near boundaries so the probes never cross one).
+    gradient=True)`` at a point or a 1-D array of points in one layer, as
+    the caller already holds them. With ``fd_check`` the sample also
+    carries the relative deviation of the summed terms from a
+    Richardson-extrapolated central difference of the energy density
+    under ``profile`` (step: local wavelength / 1000, shortened near
+    boundaries so the probes never cross one). Points closer than
+    ``_INTERFACE_CLEARANCE`` to an interface or a slice boundary leave no
+    room for a step; they are not checked and their residual is NaN.
     """
     x = densities.x
-    if any(x == b for b in stack.interfaces):
+    on = [b for b in stack.interfaces if np.any(x == b)]
+    if on:
         raise InterfacePointError(
-            f"x = {x!r} lies on an interface where the force density holds a "
+            f"x = {on[0]!r} lies on an interface where the force density holds a "
             "delta contribution; integrate via the pressure difference instead"
         )
     om = bases.omega
@@ -142,20 +149,26 @@ def _fd_residual(stack, bases, profile, x, total):
         float(np.max(np.real(layer.n_at(om)))) for layer in stack.layers
     )
     lam = 2.0 * np.pi * c / (float(np.max(om)) * n_re)
-    h = lam / 1000.0
-    dist = min(abs(x - b) for b in _profile_edges(stack, profile))
-    if dist < 4.0 * h:
-        h = dist / 4.0
-    def grad(step):
-        up = _energy_at(stack, bases, profile, x + step).energy_density
-        dn = _energy_at(stack, bases, profile, x - step).energy_density
-        return (up - dn) / (2.0 * step)
-    coarse = grad(h)
-    fine = grad(0.5 * h)
-    fd = -(4.0 * fine - coarse) / 3.0
-    scale = np.maximum(np.abs(total), np.abs(fd))
-    tiny = np.finfo(float).tiny
-    return np.abs(total - fd) / np.maximum(scale, tiny)
+    xs = np.atleast_1d(x)
+    out = np.full(xs.shape + om.shape, np.nan)
+    dist = np.min(np.abs(xs[:, None] - np.array(_profile_edges(stack, profile))), axis=1)
+    checked = dist >= _INTERFACE_CLEARANCE
+    if checked.any():
+        h = lam / 1000.0
+        h = np.where(dist < 4.0 * h, dist / 4.0, h)[checked]
+        xc = xs[checked]
+        def grad(step):
+            up = _energy_at(stack, bases, profile, xc + step).energy_density
+            dn = _energy_at(stack, bases, profile, xc - step).energy_density
+            return (up - dn) / (2.0 * step.reshape((-1,) + (1,) * om.ndim))
+        coarse = grad(h)
+        fine = grad(0.5 * h)
+        fd = -(4.0 * fine - coarse) / 3.0
+        tot = np.reshape(total, out.shape)[checked]
+        scale = np.maximum(np.abs(tot), np.abs(fd))
+        tiny = np.finfo(float).tiny
+        out[checked] = np.abs(tot - fd) / np.maximum(scale, tiny)
+    return out.reshape(np.shape(x) + om.shape)
 
 
 def net_force(

@@ -26,17 +26,17 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .errors import ConfigError, PhotonStackError
 from .greens import solve_bases
-from .mechanics import energy_pressure, force_density, net_force
+from .mechanics import _INTERFACE_CLEARANCE, energy_pressure, force_density, net_force
 from .spectral import effective_temperatures, ldos, occupation_sums
 from .stack import (
     Layer,
     LayerStack,
     TemperatureProfile,
+    _read_yaml,
     build_stack,
     load_stack,
     serialize_stack,
@@ -80,8 +80,6 @@ _BALANCE_DEFAULTS = {
     "max_iterations": 100,
     "relaxation": 0.5,
 }
-
-_INTERFACE_CLEARANCE = 1e-12  # meters; force probes must stay off boundaries
 
 
 def _integer(value, where: str) -> int:
@@ -264,13 +262,7 @@ class ScanSpec:
     @classmethod
     def from_file(cls, path) -> "ScanSpec":
         p = Path(path)
-        try:
-            data = yaml.safe_load(p.read_text())
-        except (OSError, ValueError) as exc:  # ValueError: undecodable text
-            raise ConfigError(f"cannot read scan spec {p}: {exc}") from None
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"invalid YAML in {p}: {exc}") from None
-        return cls.from_mapping(data, base_dir=p.parent)
+        return cls.from_mapping(_read_yaml(p, "scan spec"), base_dir=p.parent)
 
     @classmethod
     def from_metadata(cls, csv_path) -> "ScanSpec":
@@ -329,9 +321,10 @@ class ScanResult:
 
 
 class _PointValues:
-    """Lazy per-position evaluation: the mode densities and the occupation
-    sums are computed at most once and every quantity is built from them.
-    The sums carry field-point derivatives only when a force is wanted."""
+    """Lazy evaluation at a 1-D array of positions in one layer: the mode
+    densities and the occupation sums are computed at most once, in one
+    call each, and every quantity is built from them. The sums carry
+    field-point derivatives only when a force is wanted."""
 
     def __init__(self, stack, bases, profile, x, forces, fd_check):
         self.stack = stack
@@ -387,23 +380,28 @@ _GETTERS = {
 
 
 def _pointwise_chunk(payload):
-    """Evaluate every position for one energy chunk; top-level for pickling."""
+    """Evaluate every position for one energy chunk, one pass per layer;
+    top-level for pickling. With ``fd_check`` the second result holds the
+    finite-difference residual per (position, energy), NaN where no check
+    was made."""
     stack, profile, omega, xs, quantities, units, fd_check = payload
     bases = solve_bases(stack, omega)
     block = np.empty((len(xs), omega.size, len(quantities)))
-    fd_max = 0.0
+    fd = np.full((len(xs), omega.size), np.nan) if fd_check else None
     ldos_scale = LDOS_UNIT if units == "paper" else 1.0
     forces = not _FORCE_QUANTITIES.isdisjoint(quantities)
-    for i, x in enumerate(xs):
-        pv = _PointValues(stack, bases, profile, x, forces, fd_check)
+    layers = stack.layer_index(xs)
+    for j in np.unique(layers):
+        rows = layers == j
+        pv = _PointValues(stack, bases, profile, xs[rows], forces, fd_check)
         for q_i, q in enumerate(quantities):
             vals = _GETTERS[q](pv)
             if q.startswith("ldos_"):
                 vals = vals / ldos_scale
-            block[i, :, q_i] = vals
+            block[rows, :, q_i] = vals
         if fd_check and forces:
-            fd_max = max(fd_max, float(np.max(np.abs(pv.force.fd_residual))))
-    return block, fd_max
+            fd[rows] = pv.force.fd_residual
+    return block, fd
 
 
 @dataclass(frozen=True)
@@ -478,7 +476,7 @@ def _slab_chunk(payload):
         bases = solve_bases(stack, omega)
         x1, x2 = template.probes(w)
         block[i, :, 0] = net_force(stack, bases, profile, x1, x2)
-    return block, 0.0
+    return block, None
 
 
 def _chunks(values, n: int):
@@ -562,8 +560,12 @@ def run_scan(
         results = _run_chunks(_pointwise_chunk, payloads, threads)
         data = np.concatenate([r[0] for r in results], axis=1)
         if fd_check:
-            fd_max = max(r[1] for r in results)
-            meta.append(f"fd-check: max-rel-residual={fd_max:.3e}")
+            # a position counts as unchecked when any of its residuals is NaN
+            fd = np.concatenate([r[1] for r in results], axis=1)
+            unchecked = np.isnan(fd).any(axis=1)
+            fd_max = float(np.max(fd[~unchecked], initial=0.0))
+            meta.append(f"fd-check: max-rel-residual={fd_max:.3e} "
+                        f"unchecked={np.count_nonzero(unchecked)}")
         axis_name, axis_values = "x_um", xs_um
 
     if not np.isfinite(data).all():

@@ -28,9 +28,10 @@ from .stack import LayerStack, TemperatureProfile
 from .units import CROSS_SECTION, LDOS_UNIT, c, hbar, k_B
 
 
-def source_occupation(omega, temperature: float):
-    """Bose-Einstein occupancy 1 / (e^{hbar omega / k_B T} - 1)."""
-    if temperature <= 0.0:
+def source_occupation(omega, temperature):
+    """Bose-Einstein occupancy 1 / (e^{hbar omega / k_B T} - 1); an array
+    of temperatures broadcasts against omega."""
+    if np.less_equal(temperature, 0.0).any():
         raise ConfigError("temperature must be positive")
     x = hbar * np.asarray(omega, dtype=float) / (k_B * temperature)
     return 1.0 / np.expm1(x)
@@ -54,13 +55,14 @@ def occupation_temperature(number, omega):
 
 @dataclass(frozen=True, eq=False)
 class LdosTriplet:
-    """Electric, magnetic, and total mode densities at one point (SI,
-    states per volume per angular frequency)."""
+    """Electric, magnetic, and total mode densities at x, a point or a 1-D
+    array of points in one layer (SI, states per volume per angular
+    frequency; shape x.shape + omega.shape)."""
 
     electric: np.ndarray
     magnetic: np.ndarray
     total: np.ndarray
-    x: float
+    x: float | np.ndarray
 
     def vacuum_units(self):
         """The same densities in units of the free-space total, 2/(pi c S)."""
@@ -76,24 +78,26 @@ def _mode_density(om, g):
     return 2.0 * om / (math.pi * c * c * CROSS_SECTION) * g.imag
 
 
-def electric_density(basis: WaveBasis, x: float):
-    """Electric mode density at x; needs only the normal basis."""
+def electric_density(basis: WaveBasis, x):
+    """Electric mode density at x (points in one layer); needs only the
+    normal basis."""
     return _mode_density(basis.omega, basis.coincident_value(x))
 
 
-def ldos(stack: LayerStack, bases: BasisPair, x: float) -> LdosTriplet:
-    """Mode densities at x from the coincident Green's functions."""
-    nn = stack.layers[stack.layer_index(x)].n_at(bases.omega)
+def ldos(stack: LayerStack, bases: BasisPair, x) -> LdosTriplet:
+    """Mode densities at x (a point or a 1-D array of points in one
+    layer) from the coincident Green's functions."""
+    nn = stack.layers[stack.layer_of(x)].n_at(bases.omega)
     electric = electric_density(bases.normal, x)
     magnetic = _mode_density(bases.omega, nn * nn * bases.flipped.coincident_value(x))
     total = np.abs(nn) ** 2 * electric + magnetic
     return LdosTriplet(electric, magnetic, total, x)
 
 
-def ldos_gradient(stack: LayerStack, bases: BasisPair, x: float):
-    """d/dx of the three mode densities, within one layer."""
+def ldos_gradient(stack: LayerStack, bases: BasisPair, x):
+    """d/dx of the three mode densities at points x within one layer."""
     om = bases.omega
-    nn = stack.layers[stack.layer_index(x)].n_at(om)
+    nn = stack.layers[stack.layer_of(x)].n_at(om)
     d_e = _mode_density(om, bases.normal.coincident_gradient(x))
     d_m = _mode_density(om, nn * nn * bases.flipped.coincident_gradient(x))
     return d_e, d_m, np.abs(nn) ** 2 * d_e + d_m
@@ -105,12 +109,13 @@ class OccupationSums:
 
     ``d_*`` are the unfilled (denominator) sums, ``f_*`` the
     occupancy-filled ones; primed entries are field-point derivatives
-    when requested. ``n_sq`` is |n|^2 at x, which weights the electric
-    sums in the total. Without any source region every sum is empty and
-    every number is zero.
+    when requested. Each sum has shape x.shape + omega.shape. ``n_sq`` is
+    |n|^2 in the layer holding x, which weights the electric sums in the
+    total. Without any source region every sum is empty and every number
+    is zero.
     """
 
-    x: float
+    x: float | np.ndarray
     n_sq: np.ndarray
     has_sources: bool
     d_e: np.ndarray
@@ -150,16 +155,18 @@ def occupation_sums(
     stack: LayerStack,
     basis: WaveBasis,
     profile: TemperatureProfile,
-    x: float,
+    x,
     *,
     gradient: bool = False,
 ) -> OccupationSums:
     """Accumulate the per-region propagation integrals that weight each
-    source's occupancy, optionally with analytic x-derivatives."""
+    source's occupancy, optionally with analytic x-derivatives, at a
+    point or a 1-D array of points in one layer (one region-integral
+    call per source region)."""
     regions = profile.source_regions(stack)
     om = basis.omega
     k0sq = (om / c) ** 2
-    shape = om.shape
+    shape = np.shape(x) + om.shape
     d_e = np.zeros(shape)
     f_e = np.zeros(shape)
     d_m = np.zeros(shape)
@@ -185,7 +192,7 @@ def occupation_sums(
             fp_e += wep * eta
             dp_m += wmp
             fp_m += wmp * eta
-    n_sq = np.abs(stack.layers[stack.layer_index(x)].n_at(om)) ** 2
+    n_sq = np.abs(stack.layers[stack.layer_of(x)].n_at(om)) ** 2
     return OccupationSums(x, n_sq, bool(regions), d_e, f_e, d_m, f_m,
                           dp_e, fp_e, dp_m, fp_m)
 
@@ -193,19 +200,19 @@ def occupation_sums(
 @dataclass(frozen=True, eq=False)
 class PhotonNumberTriplet:
     """Mean photon numbers of the electric, magnetic, and total mode
-    densities at one point."""
+    densities at x (a point or points in one layer)."""
 
     electric: np.ndarray
     magnetic: np.ndarray
     total: np.ndarray
-    x: float
+    x: float | np.ndarray
 
 
 def photon_numbers(
     stack: LayerStack,
     basis: WaveBasis,
     profile: TemperatureProfile,
-    x: float,
+    x,
 ) -> PhotonNumberTriplet:
     """Source-resolved mean photon numbers at x.
 
@@ -222,7 +229,7 @@ class TemperatureTriplet:
     electric: np.ndarray
     magnetic: np.ndarray
     total: np.ndarray
-    x: float
+    x: float | np.ndarray
 
 
 def effective_temperatures(

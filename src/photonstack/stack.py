@@ -90,7 +90,7 @@ class Layer:
 
     @property
     def semi_infinite(self) -> bool:
-        return math.isinf(self.thickness)
+        return self.thickness == math.inf
 
     @property
     def lossy(self) -> bool:
@@ -119,14 +119,16 @@ def _check_layer(i: int, layer: Layer, last: int, problems: list[str]) -> None:
             problems.append(f"layer {i}: Im[n] must be nonnegative (passive media)")
     else:
         tab = layer.index
+        if not (np.all(np.isfinite(tab.omega)) and np.all(np.isfinite(tab.values))):
+            problems.append(f"layer {i}: tabulated energies and index must be finite")
         if np.any(tab.values.real <= 0) or np.any(tab.values.imag < 0):
             problems.append(
                 f"layer {i}: tabulated index must have Re[n] > 0 and Im[n] >= 0"
             )
     if layer.temperature is not None and layer.self_consistent:
         problems.append(f"layer {i}: temperature cannot be both fixed and self-consistent")
-    if layer.temperature is not None and not layer.temperature > 0:
-        problems.append(f"layer {i}: temperature must be positive")
+    if layer.temperature is not None and not 0 < layer.temperature < math.inf:
+        problems.append(f"layer {i}: temperature must be positive and finite")
     if layer.has_assignment and not layer.lossy:
         problems.append(
             f"layer {i}: a temperature assignment requires a lossy medium "
@@ -177,8 +179,22 @@ class LayerStack:
             interfaces.append(x)
         return cls(layers, tuple(interfaces), allow_lossless_bounds)
 
-    def layer_index(self, x: float) -> int:
+    def layer_index(self, x):
+        """Index of the layer holding x; for an array of points, an integer
+        array of the same shape."""
+        if isinstance(x, np.ndarray) and x.ndim:
+            return np.searchsorted(self.interfaces, x, side="right")
         return bisect_right(self.interfaces, float(x))
+
+    def layer_of(self, x) -> int:
+        """Index of the one layer holding every point of x (a point or a
+        1-D array of points); raises ValueError if they span several."""
+        found = self.layer_index(x)
+        if not isinstance(found, np.ndarray):
+            return found
+        if found.size == 0 or found.min() != found.max():
+            raise ValueError("field points must lie within one layer")
+        return int(found[0])
 
     def layer_bounds(self, j: int) -> tuple[float, float]:
         lo = -math.inf if j == 0 else self.interfaces[j - 1]
@@ -202,11 +218,18 @@ def refractive_index(stack: LayerStack, x: float, omega):
 # ---------------------------------------------------------------------------
 # configuration ingestion
 
+def _to_float(raw, where: str) -> float:
+    try:
+        return float(raw)
+    except OverflowError:  # integers beyond the float range
+        raise ConfigError(f"{where}: number out of range") from None
+
+
 def _parse_complex(raw, where: str) -> complex:
     if isinstance(raw, bool):
         raise ConfigError(f"{where}: refractive index must be a number or a string")
     if isinstance(raw, (int, float)):
-        return complex(raw)
+        return complex(_to_float(raw, where))
     if isinstance(raw, str):
         text = raw.strip().replace(" ", "")
         if text.endswith("i"):
@@ -225,7 +248,7 @@ def _load_index_table(path: Path, where: str) -> TabulatedIndex:
 
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: NUL in the path, undecodable text
         raise ConfigError(f"{where}: cannot read index table {path}: {exc}") from None
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or tuple(s.strip() for s in lines[0].split(",")) != _TABLE_COLUMNS:
@@ -262,10 +285,12 @@ def _table_from_mapping(data, where: str) -> TabulatedIndex:
     if keys != set(_TABLE_COLUMNS):
         raise ConfigError(f"{where}: inline table needs keys {_TABLE_COLUMNS}")
     try:
+        if not all(isinstance(data[k], list) for k in _TABLE_COLUMNS):
+            raise TypeError
         energies = np.asarray([float(v) for v in data["E_eV"]], dtype=float)
         re = np.asarray([float(v) for v in data["n_re"]], dtype=float)
         im = np.asarray([float(v) for v in data["n_im"]], dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: inline table entries must be numeric lists") from None
     if not (len(energies) == len(re) == len(im)) or len(energies) < 2:
         raise ConfigError(f"{where}: inline table columns must match and have >= 2 rows")
@@ -290,10 +315,9 @@ def _parse_layer(i: int, entry, base_dir: Path | None) -> Layer:
     if isinstance(raw_t, str) and raw_t.strip().lower() == "inf":
         thickness = math.inf
     elif isinstance(raw_t, (int, float)) and not isinstance(raw_t, bool):
-        if math.isinf(raw_t):
-            thickness = math.inf
-        else:
-            thickness = float(raw_t) * MICRON
+        thickness = _to_float(raw_t, f"{where}: thickness")
+        if thickness != math.inf:
+            thickness *= MICRON
     else:
         raise ConfigError(f"{where}: thickness must be a number in um or 'inf'")
 
@@ -305,6 +329,8 @@ def _parse_layer(i: int, entry, base_dir: Path | None) -> Layer:
         if "table" in raw_n:
             if len(raw_n) != 1:
                 raise ConfigError(f"{where}: 'table' cannot mix with inline columns")
+            if not isinstance(raw_n["table"], str):
+                raise ConfigError(f"{where}: 'table' must be a file path")
             path = Path(raw_n["table"])
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
@@ -322,7 +348,7 @@ def _parse_layer(i: int, entry, base_dir: Path | None) -> Layer:
     elif isinstance(raw_T, str) and raw_T.strip().lower() == SELF_CONSISTENT:
         self_consistent = True
     elif isinstance(raw_T, (int, float)) and not isinstance(raw_T, bool):
-        temperature = float(raw_T)
+        temperature = _to_float(raw_T, f"{where}: temperature")
     else:
         raise ConfigError(
             f"{where}: temperature must be kelvin, '{SELF_CONSISTENT}', or 'none'"
@@ -349,18 +375,28 @@ def build_stack(config, *, base_dir: Path | str | None = None) -> LayerStack:
     return LayerStack.assemble(layers)
 
 
+def _read_yaml(path: Path, what: str):
+    """Parse a YAML file; unreadable or malformed files give a one-line
+    ConfigError naming the problem and, when known, its line and column."""
+    try:
+        text = path.read_text()
+    except (OSError, ValueError) as exc:  # ValueError: NUL in the path, undecodable text
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    try:
+        return yaml.safe_load(text)
+    except ValueError as exc:  # an integer literal too long to convert
+        raise ConfigError(f"invalid YAML in {path}: {exc}") from None
+    except yaml.YAMLError as exc:
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        mark = getattr(exc, "problem_mark", None)
+        where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
+        raise ConfigError(f"invalid YAML in {path}: {problem}{where}") from None
+
+
 def load_stack(path) -> LayerStack:
     """Load and build a stack from a YAML config file."""
     p = Path(path)
-    try:
-        text = p.read_text()
-    except (OSError, ValueError) as exc:  # ValueError: NUL in the path, undecodable text
-        raise ConfigError(f"cannot read stack config {p}: {exc}") from None
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML in {p}: {exc}") from None
-    return build_stack(data, base_dir=p.parent)
+    return build_stack(_read_yaml(p, "stack config"), base_dir=p.parent)
 
 
 def _format_complex(v: complex) -> str:

@@ -14,8 +14,13 @@ than enforced per frequency, which is the regime of a conduction-coupled
 slab that thermalizes each slice to a single temperature.
 
 The fixed-temperature reservoirs bound the attainable slice temperatures,
-so each root is bracketed and found by bisection; an under-relaxed sweep
-over slices then converges the mutual illumination between them.
+so each root is bracketed and found by bisection. The geometry behind
+the exchange (how strongly every source region illuminates every slice
+midpoint) is evaluated once per solve, with one region-integral call per
+(self-consistent layer, source region) covering all of the layer's
+midpoints. Each sweep then bisects every slice's balance at once on a
+(slices, omega) array, and an under-relaxed update of all slices
+converges the mutual illumination between them.
 """
 
 from __future__ import annotations
@@ -84,23 +89,34 @@ class BalanceResult:
     update_history: tuple[float, ...]
 
 
-def _bisect_balance(balance, t_lo: float, t_hi: float, tol: float) -> float:
-    """Root of a monotonically increasing balance function on [t_lo, t_hi],
-    clamped to the bracket when the root lies outside it."""
+def _bisect_all(balance, n: int, t_lo: float, t_hi: float, tol: float):
+    """Roots of n monotonically increasing balance functions on [t_lo,
+    t_hi], each clamped to the bracket when its root lies outside it.
+
+    ``balance(t, m)`` evaluates the functions with indices ``m`` at the
+    temperatures ``t``. All brackets are halved in lockstep, but each one
+    keeps its own early exits and stops once narrower than ``tol``, so
+    every root is exactly what a bisection of that function alone finds.
+    """
+    roots = np.full(n, t_lo)
     if t_hi - t_lo <= tol:
-        return t_lo
-    if balance(t_lo) >= 0.0:
-        return t_lo
-    if balance(t_hi) <= 0.0:
-        return t_hi
-    lo, hi = t_lo, t_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if balance(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        return roots
+    live = np.flatnonzero(~(balance(roots, np.arange(n)) >= 0.0))
+    at_hi = balance(np.full(live.size, t_hi), live) <= 0.0
+    roots[live[at_hi]] = t_hi
+    live = live[~at_hi]
+    lo = np.full(live.size, t_lo)
+    hi = np.full(live.size, t_hi)
+    while True:
+        moving = np.flatnonzero(hi - lo > tol)
+        if moving.size == 0:
+            break
+        mid = 0.5 * (lo[moving] + hi[moving])
+        up = balance(mid, live[moving]) >= 0.0
+        hi[moving[up]] = mid[up]
+        lo[moving[~up]] = mid[~up]
+    roots[live] = 0.5 * (lo + hi)
+    return roots
 
 
 def solve_self_consistent(
@@ -117,13 +133,17 @@ def solve_self_consistent(
     Every layer marked self-consistent is divided into ``slices`` uniform
     slices. The geometry factors (absorption-weighted propagation
     integrals from every source region to every slice midpoint, and the
-    per-midpoint emission kernel) are computed once; each iteration only
-    reweights them with the current occupancies, solves every slice's
-    scalar balance by bisection between the coldest and hottest
-    reservoir, and applies the update with under-relaxation. Convergence
-    is declared when the largest applied update falls below
-    ``tolerance_K``; exceeding ``max_iterations`` raises
-    ConvergenceError.
+    per-midpoint emission kernel) are computed once, one region-integral
+    call per (layer, source region) over all midpoints of the layer. Each
+    iteration reweights them with the current occupancies and bisects
+    all slice balances in lockstep between the coldest and hottest
+    reservoir: one trapezoid over a (slices, omega) array per step, with
+    each slice keeping its own clamping to the bracket and its own stop
+    at a bracket of ``0.1 * tolerance_K``, so the roots are exactly those
+    of a slice-by-slice bisection. The update is applied with
+    under-relaxation; convergence is declared when the largest applied
+    update falls below ``tolerance_K``, and exceeding ``max_iterations``
+    raises ConvergenceError.
     """
     sc_layers = [j for j, layer in enumerate(stack.layers) if layer.self_consistent]
     if not sc_layers:
@@ -161,41 +181,44 @@ def solve_self_consistent(
         fixed_regions.append(Region(j, lo, hi, layer.temperature))
 
     slice_edges: dict[int, np.ndarray] = {}
-    midpoints: list[float] = []
     slice_regions: list[Region] = []
     for j in sc_layers:
         lo, hi = stack.layer_bounds(j)
         edges = np.linspace(lo, hi, slices + 1)
         slice_edges[j] = edges
-        for m in range(slices):
-            midpoints.append(float(0.5 * (edges[m] + edges[m + 1])))
-            slice_regions.append(Region(j, float(edges[m]), float(edges[m + 1]), t_init))
-
+        slice_regions += [
+            Region(j, float(a), float(b), t_init) for a, b in zip(edges[:-1], edges[1:])
+        ]
     n_slices = len(slice_regions)
     regions = fixed_regions + slice_regions
+    n2im = [(stack.layers[reg.layer].n_at(om) ** 2).imag for reg in regions]
 
+    # one region-integral call per (layer, source region) over all of the
+    # layer's slice midpoints
     weights = np.empty((n_slices, len(regions), om.size))
     kernel = np.empty((n_slices, om.size))
-    for m, x_m in enumerate(midpoints):
-        jm = slice_regions[m].layer
-        n2im_m = (stack.layers[jm].n_at(om) ** 2).imag
+    midpoints = []
+    for i, j in enumerate(sc_layers):
+        x_m = 0.5 * (slice_edges[j][:-1] + slice_edges[j][1:])
+        midpoints.append(x_m)
+        rows = slice(i * slices, (i + 1) * slices)
         for r, reg in enumerate(regions):
-            n2im = (stack.layers[reg.layer].n_at(om) ** 2).imag
             ri = region_integrals(basis, x_m, reg.layer, reg.lo, reg.hi)
-            weights[m, r] = n2im * ri.gg
-        kernel[m] = hbar * om**2 * n2im_m * electric_density(basis, x_m)
+            weights[rows, r] = n2im[r] * ri.gg
+        n2im_m = (stack.layers[j].n_at(om) ** 2).imag
+        kernel[rows] = hbar * om**2 * n2im_m * electric_density(basis, x_m)
 
     denom = weights.sum(axis=1)
-    eta_fixed = [source_occupation(om, reg.temperature) for reg in fixed_regions]
+    eta_fixed = np.array([source_occupation(om, reg.temperature) for reg in fixed_regions])
 
     def field_numbers(t_slices):
-        filled = np.array(
-            eta_fixed + [source_occupation(om, t) for t in t_slices]
-        )
+        filled = np.concatenate([eta_fixed, source_occupation(om, t_slices[:, None])])
         return np.einsum("mrw,rw->mw", weights, filled) / denom
 
-    def integrated_balance(m, t, n_e_m):
-        return float(trapezoid(kernel[m] * (source_occupation(om, t) - n_e_m), om))
+    def integrated_balance(t, m, n_e):
+        # net exchange of slices m at temperatures t, over the (m, omega) grid
+        eta = source_occupation(om, t[:, None])
+        return trapezoid(kernel[m] * (eta - n_e[m]), om, axis=-1)
 
     temps = np.full(n_slices, t_init)
     history: list[float] = []
@@ -203,16 +226,12 @@ def solve_self_consistent(
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         n_e = field_numbers(temps)
-        roots = np.array(
-            [
-                _bisect_balance(
-                    lambda t, m=m: integrated_balance(m, t, n_e[m]),
-                    t_lo,
-                    t_hi,
-                    0.1 * tolerance_K,
-                )
-                for m in range(n_slices)
-            ]
+        roots = _bisect_all(
+            lambda t, m: integrated_balance(t, m, n_e),
+            n_slices,
+            t_lo,
+            t_hi,
+            0.1 * tolerance_K,
         )
         update = relaxation * (roots - temps)
         temps = temps + update
@@ -227,10 +246,7 @@ def solve_self_consistent(
             f"{max_iterations} iterations (tolerance {tolerance_K:g} K)"
         )
 
-    n_e = field_numbers(temps)
-    residuals = np.array(
-        [integrated_balance(m, float(temps[m]), n_e[m]) for m in range(n_slices)]
-    )
+    residuals = integrated_balance(temps, np.arange(n_slices), field_numbers(temps))
 
     entries: list[float | LayerSlices | None] = [
         layer.temperature for layer in stack.layers
@@ -247,7 +263,7 @@ def solve_self_consistent(
 
     return BalanceResult(
         profile=profile,
-        slice_positions=tuple(midpoints),
+        slice_positions=tuple(float(x) for x in np.concatenate(midpoints)),
         temperatures=temps,
         residuals=residuals,
         iterations=iterations,

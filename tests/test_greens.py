@@ -262,3 +262,41 @@ def test_solve_bases_carries_both_variants(cavity):
     assert pair.normal.variant == VARIANT_NORMAL
     assert pair.flipped.variant == VARIANT_FLIPPED
     assert np.array_equal(pair.omega, om)
+
+
+@pytest.mark.parametrize("gradient", [False, True])
+def test_region_integrals_on_point_arrays_equal_per_point_calls(gradient):
+    """Batched field points give bit-for-bit the per-point results, for
+    source intervals left of, containing, and right of each point, for
+    points exactly on slice boundaries, and in semi-infinite layers."""
+    stack = LayerStack.assemble([
+        Layer(INF, ConstantIndex(1.5 + 0.3j), 400.0),
+        Layer(10e-6, ConstantIndex(1.1 + 0.1j), 350.0),
+        Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),
+    ])
+    om = omega_from_ev(np.linspace(0.02, 0.24, 9))
+    basis = solve_wave_basis(stack, om)
+    edges = np.linspace(0.0, 10e-6, 5)
+    regions = ([(0, -INF, 0.0), (0, -2e-6, -1e-6), (2, 10e-6, INF), (2, 11e-6, 12e-6)]
+               + [(1, float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])])
+    point_sets = [
+        np.array([-3e-6, -1.5e-6, -1e-9]),
+        np.concatenate([edges[:-1], [1.3e-6, 3.7e-6, 6.1e-6, 9.99e-6]]),
+        np.array([10e-6, 11.5e-6, 14e-6]),
+    ]
+    fields = ("gg", "dgg", "d_gg", "d_dgg") if gradient else ("gg", "dgg")
+    for xs in point_sets:
+        for j, lo, hi in regions:
+            batched = region_integrals(basis, xs, j, lo, hi, gradient=gradient)
+            for i, x in enumerate(xs):
+                single = region_integrals(basis, float(x), j, lo, hi, gradient=gradient)
+                for f in fields:
+                    assert getattr(batched, f).shape == xs.shape + om.shape
+                    assert np.array_equal(getattr(batched, f)[i], getattr(single, f)), (
+                        f, j, lo, hi, x)
+
+
+def test_region_integrals_reject_points_in_several_layers():
+    basis = solve_wave_basis(cavity_stack(), omega_from_ev(np.array([0.11])))
+    with pytest.raises(ValueError, match="one layer"):
+        region_integrals(basis, np.array([-1e-6, 1e-6]), 1, 0.0, 10e-6)

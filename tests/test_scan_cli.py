@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import yaml
@@ -263,8 +265,10 @@ def test_writer_bytes_for_zeros_tiny_and_large_values(tmp_path):
 
 def test_each_position_is_evaluated_once(tmp_path, monkeypatch):
     """A scan asking for every pointwise quantity computes the mode
-    densities and the occupation sums once per position."""
+    densities and the occupation sums once per position, in one call for
+    all positions of a layer."""
     calls = {}
+    x_arg = {"ldos": 2, "occupation_sums": 3, "photon_numbers": 3}
     for mod in (scan_mod, mechanics_mod):
         for name in ("ldos", "occupation_sums", "photon_numbers"):
             original = getattr(mod, name, None)
@@ -272,13 +276,13 @@ def test_each_position_is_evaluated_once(tmp_path, monkeypatch):
                 continue
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
+                calls.setdefault(_name, []).append(np.size(args[x_arg[_name]]))
                 return _original(*args, **kwargs)
             monkeypatch.setattr(mod, name, counted)
     data = small_pointwise()
     data["quantities"] = list(scan_mod.POINTWISE_QUANTITIES)
     run_scan(ScanSpec.from_mapping(data), output=tmp_path / "all.csv")
-    assert calls == {"ldos": 6, "occupation_sums": 6}
+    assert calls == {"ldos": [6], "occupation_sums": [6]}
 
 
 def test_missing_spec_metadata_is_an_error(tmp_path):
@@ -391,6 +395,20 @@ def test_cli_scan_bad_spec_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, fragment", [
+    ("stack: [1", "(line 1, column 10)"),
+    ("layers: " + "1" * 5000, "integer string conversion"),
+], ids=["truncated", "huge_integer"])
+@pytest.mark.parametrize("command", ["scan", "balance"])
+def test_cli_malformed_yaml_gives_one_line_error(tmp_path, capsys, command, text, fragment):
+    malformed = tmp_path / "malformed.yaml"
+    malformed.write_text(text)
+    assert cli.main([command, str(malformed)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "invalid YAML" in err and fragment in err
+
+
 def test_cli_scan_undecodable_files_exit_one(tmp_path, capsys):
     binary = tmp_path / "binary.yaml"
     binary.write_bytes(b"\xff\xfe\x00 not text")
@@ -421,6 +439,30 @@ def test_cli_scan_nonconvergent_balance_exits_two(tmp_path, capsys):
     assert cli.main(["scan", str(spec_path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "never.csv").exists()
+
+
+def test_fd_check_counts_points_on_slice_boundaries(tmp_path):
+    """Positions on balance slice boundaries leave no room for a finite-
+    difference step: they are counted as unchecked, not reported as a
+    residual, and their force values are still written."""
+    mapping = {
+        "stack": dict(PASSIVE),
+        "quantities": ["u", "ncf"],
+        "positions": {"start": 1.25, "stop": 8.75, "count": 7},
+        "energies": {"start": 0.1, "stop": 0.14, "count": 3},
+        "balance": {"slices": 4, "tolerance_K": 0.5},
+        "output": "fd.csv",
+    }
+    out = tmp_path / "fd.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_scan(ScanSpec.from_mapping(mapping), output=out, fd_check=True)
+    meta, _, rows = read_scan_csv(out)
+    line = next(m for m in meta if m.startswith("fd-check: "))
+    # 2.5, 5.0 and 7.5 um sit on the boundaries of the four slices
+    assert line.endswith(" unchecked=3")
+    assert result.fd_residual_max < 1e-4
+    assert rows.shape == (7 * 3, 4) and np.all(np.isfinite(rows))
 
 
 def test_self_consistent_scan_records_solver_settings(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from photonstack.errors import ConfigError, MissingTemperatureError
 from photonstack.stack import (
@@ -269,3 +270,111 @@ def test_replaced_is_functional():
     warmer = base.replaced(0, 420.0)
     assert warmer.entries[0] == 420.0
     assert base.entries[0] == 400.0
+
+
+@pytest.mark.parametrize("layer, fragment", [
+    ({"thickness": 10**400, "n": 1.0}, "out of range"),
+    ({"thickness": 5.0, "n": 10**400}, "out of range"),
+    ({"thickness": 5.0, "n": "1.5+0.1i", "temperature": 10**400}, "out of range"),
+    ({"thickness": 5.0, "n": "1.5+0.1i", "temperature": float("inf")}, "finite"),
+    ({"thickness": 5.0, "n": {"E_eV": [0.01, float("nan")], "n_re": [1.5, 1.6],
+                              "n_im": [0.1, 0.1]}}, "must be finite"),
+    ({"thickness": 5.0, "n": {"E_eV": [0.01, 0.5], "n_re": [1.5, float("inf")],
+                              "n_im": [0.1, 0.1]}}, "must be finite"),
+    ({"thickness": 5.0, "n": {"E_eV": [0.01, 0.5], "n_re": [1.5, 10**400],
+                              "n_im": [0.1, 0.1]}}, "numeric lists"),
+    ({"thickness": 5.0, "n": {"E_eV": "12", "n_re": "34", "n_im": "11"}}, "numeric lists"),
+    ({"thickness": 5.0, "n": {"table": 3}}, "file path"),
+    ({"thickness": 5.0, "n": {"table": "n\x00.csv"}}, "cannot read index table"),
+])
+def test_build_stack_rejects_out_of_range_and_non_finite_values(layer, fragment):
+    outer = {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0}
+    with pytest.raises(ConfigError, match=fragment):
+        build_stack({"layers": [outer, layer, outer]})
+
+
+def test_outer_layer_thickness_must_be_plus_inf():
+    inner = {"thickness": 5.0, "n": 1.0}
+    outer = {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0}
+    with pytest.raises(ConfigError, match="outer layers must have thickness inf"):
+        build_stack({"layers": [dict(outer, thickness=float("-inf")), inner, outer]})
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6,
+)
+_LAYER_FIELDS = ["thickness", "n", "temperature", "extra"]
+_TABLE_FIELDS = ["E_eV", "n_re", "n_im", "table"]
+
+
+def _valid_config():
+    return {
+        "name": "probe",
+        "layers": [
+            {"thickness": "inf", "n": "1.5+0.3i", "temperature": 400.0},
+            {"thickness": 5.0, "n": {"E_eV": [0.01, 0.5], "n_re": [1.5, 1.7],
+                                     "n_im": [0.1, 0.2]},
+             "temperature": "self-consistent"},
+            {"thickness": 2.0, "n": 1.0},
+            {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0},
+        ],
+    }
+
+
+def _assert_valid(stack):
+    assert isinstance(stack, LayerStack)
+    assert len(stack.layers) >= 2
+    assert all(math.isfinite(x) for x in stack.interfaces)
+    assert all(b > a for a, b in zip(stack.interfaces, stack.interfaces[1:]))
+    for layer in stack.layers:
+        index = layer.index
+        if isinstance(index, ConstantIndex):
+            values = np.array([index.value])
+        else:
+            assert np.all(np.isfinite(index.omega)) and np.all(np.diff(index.omega) > 0)
+            values = index.values
+        assert np.all(np.isfinite(values))
+        assert np.all(values.real > 0) and np.all(values.imag >= 0)
+        if layer.temperature is not None:
+            assert math.isfinite(layer.temperature) and layer.temperature > 0
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(edits=st.lists(
+           st.tuples(st.integers(0, 4), st.sampled_from(_LAYER_FIELDS + _TABLE_FIELDS),
+                     _JSON),
+           max_size=4),
+       top=st.none() | st.tuples(st.sampled_from(["name", "layers", "extra"]), _JSON),
+       raw=st.none() | st.dictionaries(st.text(max_size=8), _JSON, max_size=4))
+def test_build_stack_returns_a_valid_stack_or_raises_config_error(tmp_path_factory,
+                                                                  edits, top, raw):
+    """A valid config with some fields replaced by arbitrary JSON-like
+    values, and arbitrary mappings, either build a valid stack or fail
+    with a ConfigError."""
+    config = _valid_config()
+    layers = config["layers"]
+    for i, key, value in edits:
+        if i >= len(layers):
+            layers.append(value)
+        elif not isinstance(layers[i], dict):
+            continue
+        elif key in _TABLE_FIELDS:
+            if not isinstance(layers[i].get("n"), dict):
+                layers[i]["n"] = {}
+            layers[i]["n"][key] = value
+        else:
+            layers[i][key] = value
+    if top is not None:
+        config[top[0]] = top[1]
+    base = tmp_path_factory.getbasetemp()
+    for mapping in (config, raw):
+        if mapping is None:
+            continue
+        try:
+            stack = build_stack(mapping, base_dir=base)
+        except ConfigError:
+            continue
+        _assert_valid(stack)

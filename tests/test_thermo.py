@@ -3,7 +3,8 @@ import pytest
 from scipy.integrate import trapezoid
 
 from photonstack.errors import ConfigError, ConvergenceError
-from photonstack.greens import solve_bases, solve_wave_basis
+from photonstack.greens import region_integrals, solve_bases, solve_wave_basis
+from photonstack.spectral import electric_density, source_occupation
 from photonstack.stack import (
     ConstantIndex,
     Layer,
@@ -16,9 +17,9 @@ from photonstack.thermo import (
     net_emission,
     solve_self_consistent,
 )
-from photonstack.units import ev_from_omega, omega_from_ev
+from photonstack.units import ev_from_omega, hbar, omega_from_ev
 
-from conftest import INF, cavity_stack, passive_cavity_stack
+from conftest import INF, cavity_stack, passive_cavity_stack, slab_stack
 
 
 def test_default_grid_is_logarithmic():
@@ -156,3 +157,78 @@ def test_convergence_failure_raises(passive_cavity):
 def test_omega_grid_validation(passive_cavity):
     with pytest.raises(ConfigError, match="omega_grid"):
         solve_self_consistent(passive_cavity, omega_grid=np.array([1.0e14]))
+
+
+def _scalar_balance(stack, slices, tolerance_K=1e-3, relaxation=0.5):
+    """Reference solve, one slice and one source region at a time: the
+    weights from per-midpoint region integrals and every slice bisected
+    on its own with scalar trapezoid integrals."""
+    om = default_balance_grid()
+    basis = solve_wave_basis(stack, om)
+    fixed = [layer.temperature for layer in stack.layers if layer.temperature is not None]
+    t_lo, t_hi = min(fixed), max(fixed)
+    regions = [(j, *stack.layer_bounds(j), layer.temperature)
+               for j, layer in enumerate(stack.layers)
+               if layer.lossy and not layer.self_consistent]
+    n_fixed = len(regions)
+    midpoints = []
+    for j, layer in enumerate(stack.layers):
+        if layer.self_consistent:
+            edges = np.linspace(*stack.layer_bounds(j), slices + 1)
+            for m in range(slices):
+                midpoints.append((j, float(0.5 * (edges[m] + edges[m + 1]))))
+                regions.append((j, float(edges[m]), float(edges[m + 1]), None))
+    n2im = lambda j: (stack.layers[j].n_at(om) ** 2).imag  # noqa: E731
+    weights = np.array([[n2im(r[0]) * region_integrals(basis, x, r[0], r[1], r[2]).gg
+                         for r in regions] for _, x in midpoints])
+    kernel = np.array([hbar * om**2 * n2im(j) * electric_density(basis, x)
+                       for j, x in midpoints])
+    denom = weights.sum(axis=1)
+    eta_fixed = [source_occupation(om, r[3]) for r in regions[:n_fixed]]
+
+    def field_numbers(temps):
+        filled = np.array(eta_fixed + [source_occupation(om, t) for t in temps])
+        return np.einsum("mrw,rw->mw", weights, filled) / denom
+
+    def balance(m, t, n_e):
+        return float(trapezoid(kernel[m] * (source_occupation(om, t) - n_e[m]), om))
+
+    def bisect(f, tol):
+        if t_hi - t_lo <= tol or f(t_lo) >= 0.0:
+            return t_lo
+        if f(t_hi) <= 0.0:
+            return t_hi
+        lo, hi = t_lo, t_hi
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if f(mid) >= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    temps = np.full(len(midpoints), 0.5 * (t_lo + t_hi))
+    while True:
+        n_e = field_numbers(temps)
+        roots = np.array([bisect(lambda t, m=m: balance(m, t, n_e), 0.1 * tolerance_K)
+                          for m in range(len(midpoints))])
+        update = relaxation * (roots - temps)
+        temps = temps + update
+        if np.max(np.abs(update)) < tolerance_K:
+            break
+    n_e = field_numbers(temps)
+    residuals = np.array([balance(m, float(temps[m]), n_e) for m in range(len(temps))])
+    return temps, residuals
+
+
+@pytest.mark.parametrize("stack, slices", [
+    (passive_cavity_stack(), 16),
+    (slab_stack(2.5e-6, 1.5 + 0.3j, self_consistent=True), 8),
+], ids=["passive_cavity", "absorbing_slab"])
+def test_lockstep_bisection_matches_the_scalar_solve(stack, slices):
+    """Batched weights and lockstep bisection reproduce the slice-by-slice
+    solve bit for bit."""
+    result = solve_self_consistent(stack, slices=slices)
+    temps, residuals = _scalar_balance(stack, slices)
+    assert np.array_equal(result.temperatures, temps)
+    assert np.array_equal(result.residuals, residuals)
