@@ -376,12 +376,14 @@ def region_integrals(
     For a source interval on one side of the field point, G restricted to
     that interval is a fixed two-exponential profile times an x-dependent
     coefficient, so each integral is the profile integral times the
-    squared coefficient; the interval containing the field point splits
-    at x. Within the field point's own layer the case is chosen per
-    point: the interval lies left of x when ``hi <= x``, right of it when
-    ``lo >= x``, and contains it otherwise. Gradients differentiate the
-    coefficients analytically (the profile integrals only move through
-    the split point).
+    squared coefficient. An interval containing the field point splits
+    at x into two such one-sided parts, [lo, x] and [x, hi], whose sum
+    the gradient of ``dgg`` completes with the jump term of the
+    derivative kernel at x. Within the field point's own layer the case
+    is chosen per point: the interval lies left of x when ``hi <= x``,
+    right of it when ``lo >= x``, and contains it otherwise. Gradients
+    differentiate the coefficients analytically (the profile integrals
+    only move through the split point).
     """
     A = basis.stack.layer_of(x)
     xs = np.asarray(x, dtype=float)
@@ -393,8 +395,8 @@ def region_integrals(
     kj = basis.wavenumbers[j]
     ref = basis.refs[j]
 
-    def one_side(pts, interval_left_of_x, phi, dphi):
-        # G over the interval is layer j's psi_left (psi_right) times a
+    def one_side(pts, interval_left_of_x, phi, dphi, lo, hi):
+        # G over [lo, hi] is layer j's psi_left (psi_right) times a
         # coefficient set by psi_right (psi_left), passed as phi, at x
         if interval_left_of_x:
             a, b, scale = basis.a_left, basis.b_left, basis.scale_left
@@ -411,9 +413,9 @@ def region_integrals(
         return parts
 
     if j < A:
-        parts = one_side(Ellipsis, True, *basis._right(A, waves))
+        parts = one_side(Ellipsis, True, *basis._right(A, waves), lo, hi)
     elif j > A:
-        parts = one_side(Ellipsis, False, *basis._left(A, waves))
+        parts = one_side(Ellipsis, False, *basis._left(A, waves), lo, hi)
     else:
         phi_l, dphi_l = basis._left(A, waves)
         phi_r, dphi_r = basis._right(A, waves)
@@ -427,35 +429,22 @@ def region_integrals(
                 part[pts] = value
 
         if left.any():
-            fill(left, one_side(left, True, phi_r, dphi_r))
+            fill(left, one_side(left, True, phi_r, dphi_r, lo, hi))
         if right.any():
-            fill(right, one_side(right, False, phi_l, dphi_l))
+            fill(right, one_side(right, False, phi_l, dphi_l, lo, hi))
         if split.any():
             # the interval splits at each of these field points
-            pl, dpl, pr, dpr = phi_l[split], dphi_l[split], phi_r[split], dphi_r[split]
-            c_lo = -pr / w
-            cd_lo = -dpr / w
-            c_hi = -pl / w
-            cd_hi = -dpl / w
-            u = (xs[split] - ref).reshape((-1,) + (1,) * basis.omega.ndim)
-            prof_lo = _interval_sq(basis.a_left[A], basis.b_left[A], kj, lo - ref, u)
-            prof_hi = _interval_sq(basis.a_right[A], basis.b_right[A], kj, u, hi - ref)
-            values = [np.abs(c_lo) ** 2 * prof_lo + np.abs(c_hi) ** 2 * prof_hi,
-                      np.abs(cd_lo) ** 2 * prof_lo + np.abs(cd_hi) ** 2 * prof_hi]
+            xsplit = xs[split].reshape((-1,) + (1,) * basis.omega.ndim)
+            below = one_side(split, True, phi_r, dphi_r, lo, xsplit)
+            above = one_side(split, False, phi_l, dphi_l, xsplit, hi)
+            values = [p_lo + p_hi for p_lo, p_hi in zip(below, above)]
             if gradient:
-                values.append(
-                    2.0 * (cd_lo * np.conj(c_lo)).real * prof_lo
-                    + 2.0 * (cd_hi * np.conj(c_hi)).real * prof_hi
-                )
                 # the |G|^2 boundary terms at the split cancel; the |dG/dx|^2
                 # ones survive because the derivative kernel jumps across the
                 # source
-                values.append(
-                    -2.0 * (k2 * c_lo * np.conj(cd_lo)).real * prof_lo
-                    - 2.0 * (k2 * c_hi * np.conj(cd_hi)).real * prof_hi
-                    + np.abs(cd_lo) ** 2 * np.abs(pl) ** 2
-                    - np.abs(cd_hi) ** 2 * np.abs(pr) ** 2
-                )
+                values[3] = (values[3]
+                             + np.abs(dphi_r[split] / w) ** 2 * np.abs(phi_l[split]) ** 2
+                             - np.abs(dphi_l[split] / w) ** 2 * np.abs(phi_r[split]) ** 2)
             fill(split, values)
     shape = np.shape(x) + basis.omega.shape
     return RegionIntegrals(*(part.reshape(shape) for part in parts))

@@ -45,6 +45,11 @@ from .units import c, epsilon_0, hbar
 _INTERFACE_CLEARANCE = 1e-12  # meters; force probes must stay off boundaries
 
 
+def _edge_distance(x, edges):
+    """Distance from each of the points x to the nearest of ``edges``."""
+    return np.min(np.abs(np.atleast_1d(x)[:, None] - np.asarray(edges)), axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class EnergyPressureSample:
     """Spectral field fluctuations, energy density, and pressure at x (a
@@ -151,7 +156,7 @@ def _fd_residual(stack, bases, profile, x, total):
     lam = 2.0 * np.pi * c / (float(np.max(om)) * n_re)
     xs = np.atleast_1d(x)
     out = np.full(xs.shape + om.shape, np.nan)
-    dist = np.min(np.abs(xs[:, None] - np.array(_profile_edges(stack, profile))), axis=1)
+    dist = _edge_distance(xs, _profile_edges(stack, profile))
     checked = dist >= _INTERFACE_CLEARANCE
     if checked.any():
         h = lam / 1000.0

@@ -23,6 +23,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,13 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, PhotonStackError
 from .greens import solve_bases
-from .mechanics import _INTERFACE_CLEARANCE, energy_pressure, force_density, net_force
+from .mechanics import (
+    _INTERFACE_CLEARANCE,
+    _edge_distance,
+    energy_pressure,
+    force_density,
+    net_force,
+)
 from .spectral import effective_temperatures, ldos, occupation_sums
 from .stack import (
     Layer,
@@ -44,35 +51,30 @@ from .stack import (
 from .thermo import solve_self_consistent
 from .units import LDOS_UNIT, MICRON, omega_from_ev
 
-POINTWISE_QUANTITIES = (
-    "ldos_e", "ldos_m", "ldos_tot",
-    "n_e", "n_m", "n_tot",
-    "T_e", "T_m", "T_tot",
-    "u", "p", "zcf", "tcf", "ncf",
-)
-SLAB_QUANTITIES = ("slab_force",)
-QUANTITIES = POINTWISE_QUANTITIES + SLAB_QUANTITIES
+# name -> (paper-units tag, SI tag, attribute path on _PointValues); only
+# the LDOS columns differ between unit systems, and slab_force is computed
+# by the slab scan, not at points
+_QUANTITY_TABLE = {
+    "ldos_e": ("2/(pi c S)", "s/m^3", "densities.electric"),
+    "ldos_m": ("2/(pi c S)", "s/m^3", "densities.magnetic"),
+    "ldos_tot": ("2/(pi c S)", "s/m^3", "densities.total"),
+    "n_e": ("1", "1", "numbers.electric"),
+    "n_m": ("1", "1", "numbers.magnetic"),
+    "n_tot": ("1", "1", "numbers.total"),
+    "T_e": ("K", "K", "temperatures.electric"),
+    "T_m": ("K", "K", "temperatures.magnetic"),
+    "T_tot": ("K", "K", "temperatures.total"),
+    "u": ("J s/m^3", "J s/m^3", "energy.energy_density"),
+    "p": ("N s/m^2", "N s/m^2", "energy.pressure"),
+    "zcf": ("N s/m^3", "N s/m^3", "force.zero_point"),
+    "tcf": ("N s/m^3", "N s/m^3", "force.thermal"),
+    "ncf": ("N s/m^3", "N s/m^3", "force.occupation"),
+    "slab_force": ("N s/m^2", "N s/m^2", None),
+}
+QUANTITIES = tuple(_QUANTITY_TABLE)
+POINTWISE_QUANTITIES = tuple(q for q in QUANTITIES if _QUANTITY_TABLE[q][2])
 
 _FORCE_QUANTITIES = frozenset({"zcf", "tcf", "ncf"})
-
-# (paper-units tag, SI tag); only the LDOS columns differ between modes
-_UNIT_TAGS = {
-    "ldos_e": ("2/(pi c S)", "s/m^3"),
-    "ldos_m": ("2/(pi c S)", "s/m^3"),
-    "ldos_tot": ("2/(pi c S)", "s/m^3"),
-    "n_e": ("1", "1"),
-    "n_m": ("1", "1"),
-    "n_tot": ("1", "1"),
-    "T_e": ("K", "K"),
-    "T_m": ("K", "K"),
-    "T_tot": ("K", "K"),
-    "u": ("J s/m^3", "J s/m^3"),
-    "p": ("N s/m^2", "N s/m^2"),
-    "zcf": ("N s/m^3", "N s/m^3"),
-    "tcf": ("N s/m^3", "N s/m^3"),
-    "ncf": ("N s/m^3", "N s/m^3"),
-    "slab_force": ("N s/m^2", "N s/m^2"),
-}
 
 _BALANCE_DEFAULTS = {
     "slices": 16,
@@ -361,30 +363,12 @@ class _PointValues:
                              self.sums, fd_check=self.fd_check)
 
 
-_GETTERS = {
-    "ldos_e": lambda pv: pv.densities.electric,
-    "ldos_m": lambda pv: pv.densities.magnetic,
-    "ldos_tot": lambda pv: pv.densities.total,
-    "n_e": lambda pv: pv.numbers.electric,
-    "n_m": lambda pv: pv.numbers.magnetic,
-    "n_tot": lambda pv: pv.numbers.total,
-    "T_e": lambda pv: pv.temperatures.electric,
-    "T_m": lambda pv: pv.temperatures.magnetic,
-    "T_tot": lambda pv: pv.temperatures.total,
-    "u": lambda pv: pv.energy.energy_density,
-    "p": lambda pv: pv.energy.pressure,
-    "zcf": lambda pv: pv.force.zero_point,
-    "tcf": lambda pv: pv.force.thermal,
-    "ncf": lambda pv: pv.force.occupation,
-}
-
-
 def _pointwise_chunk(payload):
-    """Evaluate every position for one energy chunk, one pass per layer;
-    top-level for pickling. With ``fd_check`` the second result holds the
-    finite-difference residual per (position, energy), NaN where no check
-    was made."""
-    stack, profile, omega, xs, quantities, units, fd_check = payload
+    """Evaluate one chunk of positions over the whole energy grid, one
+    pass per layer; top-level for pickling. With ``fd_check`` the second
+    result holds the finite-difference residual per (position, energy),
+    NaN where no check was made."""
+    xs, stack, profile, omega, quantities, units, fd_check = payload
     bases = solve_bases(stack, omega)
     block = np.empty((len(xs), omega.size, len(quantities)))
     fd = np.full((len(xs), omega.size), np.nan) if fd_check else None
@@ -395,7 +379,7 @@ def _pointwise_chunk(payload):
         rows = layers == j
         pv = _PointValues(stack, bases, profile, xs[rows], forces, fd_check)
         for q_i, q in enumerate(quantities):
-            vals = _GETTERS[q](pv)
+            vals = attrgetter(_QUANTITY_TABLE[q][2])(pv)
             if q.startswith("ldos_"):
                 vals = vals / ldos_scale
             block[rows, :, q_i] = vals
@@ -468,7 +452,7 @@ def _profile(stack: LayerStack, balance: dict) -> TemperatureProfile:
 
 
 def _slab_chunk(payload):
-    template, widths, omega, balance = payload
+    widths, template, omega, balance = payload
     block = np.empty((len(widths), omega.size, 1))
     for i, w in enumerate(widths):
         stack = template.at_width(w)
@@ -500,10 +484,11 @@ def run_scan(
 ) -> ScanResult:
     """Execute a scan and write its CSV.
 
-    ``threads`` splits the work across processes (energy chunks for
-    pointwise scans, width chunks for slab scans); assembly is ordered,
-    so the output bytes do not depend on the thread count. A failed run
-    leaves no partial output file behind.
+    ``threads`` splits the positions (pointwise scans) or the widths
+    (slab scans) across processes; every process sees the whole energy
+    grid and the chunks are joined in order, so the output bytes,
+    fd-check line included, do not depend on the thread count. A failed
+    run leaves no partial output file behind.
     """
     target = output if output is not None else spec.output
     if target is None:
@@ -524,56 +509,49 @@ def run_scan(
             "solver: slices={slices} tolerance_K={tolerance_K:g} "
             "max_iterations={max_iterations} relaxation={relaxation:g}".format(**spec.balance)
         )
-    fd_max = None
-
     if spec.mode == "slab":
         template = _SlabTemplate.from_stack(stack)
-        widths_um = spec.widths.values()
-        widths_m = widths_um * MICRON
-        if widths_um[-1] * MICRON >= template.gap:
+        axis_name, axis_values = "width_um", spec.widths.values()
+        if axis_values[-1] * MICRON >= template.gap:
             raise ConfigError(
-                f"widths reach {widths_um[-1]:g} um but the wall gap is only "
+                f"widths reach {axis_values[-1]:g} um but the wall gap is only "
                 f"{template.gap / MICRON:g} um"
             )
-        payloads = [
-            (template, chunk, omega, spec.balance)
-            for chunk in _chunks(widths_m, max(1, threads))
-        ]
-        results = _run_chunks(_slab_chunk, payloads, threads)
-        data = np.concatenate([r[0] for r in results], axis=0)
-        axis_name, axis_values = "width_um", widths_um
+        worker, context = _slab_chunk, (template, omega, spec.balance)
     else:
-        xs_um = spec.positions.values()
-        xs_m = xs_um * MICRON
+        axis_name, axis_values = "x_um", spec.positions.values()
         if _FORCE_QUANTITIES & set(spec.quantities):
-            for x_um, x in zip(xs_um, xs_m):
-                if min(abs(x - b) for b in stack.interfaces) < _INTERFACE_CLEARANCE:
-                    raise ConfigError(
-                        f"position {x_um:g} um lies on a layer interface; force "
-                        "densities are undefined there (shift the grid)"
-                    )
-        profile = _profile(stack, spec.balance)
-        payloads = [
-            (stack, profile, chunk, xs_m, spec.quantities, spec.units, fd_check)
-            for chunk in _chunks(omega, max(1, threads))
-        ]
-        results = _run_chunks(_pointwise_chunk, payloads, threads)
-        data = np.concatenate([r[0] for r in results], axis=1)
-        if fd_check:
-            # a position counts as unchecked when any of its residuals is NaN
-            fd = np.concatenate([r[1] for r in results], axis=1)
-            unchecked = np.isnan(fd).any(axis=1)
-            fd_max = float(np.max(fd[~unchecked], initial=0.0))
-            meta.append(f"fd-check: max-rel-residual={fd_max:.3e} "
-                        f"unchecked={np.count_nonzero(unchecked)}")
-        axis_name, axis_values = "x_um", xs_um
+            dist = _edge_distance(axis_values * MICRON, stack.interfaces)
+            on = np.flatnonzero(dist < _INTERFACE_CLEARANCE)
+            if on.size:
+                raise ConfigError(
+                    f"position {axis_values[on[0]]:g} um lies on a layer interface; "
+                    "force densities are undefined there (shift the grid)"
+                )
+        worker = _pointwise_chunk
+        context = (stack, _profile(stack, spec.balance), omega, spec.quantities,
+                   spec.units, fd_check)
+    # each payload is one ordered chunk of the axis (in metres), then the
+    # context every chunk shares
+    payloads = [(chunk, *context)
+                for chunk in _chunks(axis_values * MICRON, max(1, threads))]
+    results = _run_chunks(worker, payloads, threads)
+    data = np.concatenate([r[0] for r in results], axis=0)
+    fd_max = None
+    if results[0][1] is not None:
+        # a position counts as unchecked when any of its residuals is NaN
+        fd = np.concatenate([r[1] for r in results], axis=0)
+        unchecked = np.isnan(fd).any(axis=1)
+        fd_max = float(np.max(fd[~unchecked], initial=0.0))
+        meta.append(f"fd-check: max-rel-residual={fd_max:.3e} "
+                    f"unchecked={np.count_nonzero(unchecked)}")
 
     if not np.isfinite(data).all():
         raise PhotonStackError("scan produced non-finite values; refusing to write")
 
     tag = 0 if spec.units == "paper" else 1
     col_units = [f"{axis_name} [um]", "E_eV [eV]"]
-    col_units += [f"{q} [{_UNIT_TAGS[q][tag]}]" for q in spec.quantities]
+    col_units += [f"{q} [{_QUANTITY_TABLE[q][tag]}]" for q in spec.quantities]
     meta.append("columns: " + ", ".join(col_units))
     meta.append("spec: " + spec.canonical_json())
 

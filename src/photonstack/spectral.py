@@ -84,23 +84,26 @@ def electric_density(basis: WaveBasis, x):
     return _mode_density(basis.omega, basis.coincident_value(x))
 
 
+def _densities(stack: LayerStack, bases: BasisPair, x, coincident):
+    """Electric, magnetic and total densities from ``coincident``, which
+    is ``WaveBasis.coincident_value`` for the densities themselves or
+    ``WaveBasis.coincident_gradient`` for their x-derivatives."""
+    om = bases.omega
+    nn = stack.layers[stack.layer_of(x)].n_at(om)
+    electric = _mode_density(om, coincident(bases.normal, x))
+    magnetic = _mode_density(om, nn * nn * coincident(bases.flipped, x))
+    return electric, magnetic, np.abs(nn) ** 2 * electric + magnetic
+
+
 def ldos(stack: LayerStack, bases: BasisPair, x) -> LdosTriplet:
     """Mode densities at x (a point or a 1-D array of points in one
     layer) from the coincident Green's functions."""
-    nn = stack.layers[stack.layer_of(x)].n_at(bases.omega)
-    electric = electric_density(bases.normal, x)
-    magnetic = _mode_density(bases.omega, nn * nn * bases.flipped.coincident_value(x))
-    total = np.abs(nn) ** 2 * electric + magnetic
-    return LdosTriplet(electric, magnetic, total, x)
+    return LdosTriplet(*_densities(stack, bases, x, WaveBasis.coincident_value), x)
 
 
 def ldos_gradient(stack: LayerStack, bases: BasisPair, x):
     """d/dx of the three mode densities at points x within one layer."""
-    om = bases.omega
-    nn = stack.layers[stack.layer_of(x)].n_at(om)
-    d_e = _mode_density(om, bases.normal.coincident_gradient(x))
-    d_m = _mode_density(om, nn * nn * bases.flipped.coincident_gradient(x))
-    return d_e, d_m, np.abs(nn) ** 2 * d_e + d_m
+    return _densities(stack, bases, x, WaveBasis.coincident_gradient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,35 +169,21 @@ def occupation_sums(
     regions = profile.source_regions(stack)
     om = basis.omega
     k0sq = (om / c) ** 2
-    shape = np.shape(x) + om.shape
-    d_e = np.zeros(shape)
-    f_e = np.zeros(shape)
-    d_m = np.zeros(shape)
-    f_m = np.zeros(shape)
-    dp_e = np.zeros(shape) if gradient else None
-    fp_e = np.zeros(shape) if gradient else None
-    dp_m = np.zeros(shape) if gradient else None
-    fp_m = np.zeros(shape) if gradient else None
+    # unfilled and occupancy-filled sums for each weight, in the field
+    # order of OccupationSums: (d_e, f_e, d_m, f_m[, primes])
+    sums = [np.zeros(np.shape(x) + om.shape) for _ in range(8 if gradient else 4)]
     for reg in regions:
         n2im = (stack.layers[reg.layer].n_at(om) ** 2).imag
         ri = region_integrals(basis, x, reg.layer, reg.lo, reg.hi, gradient=gradient)
         eta = source_occupation(om, reg.temperature)
-        we = n2im * ri.gg
-        wm = n2im * ri.dgg / k0sq
-        d_e += we
-        f_e += we * eta
-        d_m += wm
-        f_m += wm * eta
+        weights = [n2im * ri.gg, n2im * ri.dgg / k0sq]
         if gradient:
-            wep = n2im * ri.d_gg
-            wmp = n2im * ri.d_dgg / k0sq
-            dp_e += wep
-            fp_e += wep * eta
-            dp_m += wmp
-            fp_m += wmp * eta
+            weights += [n2im * ri.d_gg, n2im * ri.d_dgg / k0sq]
+        for i, weight in enumerate(weights):
+            sums[2 * i] += weight
+            sums[2 * i + 1] += weight * eta
     n_sq = np.abs(stack.layers[stack.layer_of(x)].n_at(om)) ** 2
-    return OccupationSums(x, n_sq, bool(regions), d_e, f_e, d_m, f_m,
-                          dp_e, fp_e, dp_m, fp_m)
+    return OccupationSums(x, n_sq, bool(regions), *sums)
 
 
 @dataclass(frozen=True, eq=False)

@@ -206,15 +206,6 @@ class LayerStack:
         return self.interfaces[0], self.interfaces[-1]
 
 
-def refractive_index(stack: LayerStack, x: float, omega):
-    """Complex refractive index at position x (interface points take the
-    right layer) for angular frequency omega (scalar or array, rad/s)."""
-    w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0):
-        raise ConfigError("omega must be positive")
-    return stack.layers[stack.layer_index(x)].n_at(omega)
-
-
 # ---------------------------------------------------------------------------
 # configuration ingestion
 
@@ -485,11 +476,6 @@ class TemperatureProfile:
         return cls(
             tuple(temperature if layer.lossy else None for layer in stack.layers)
         )
-
-    def replaced(self, layer: int, entry) -> "TemperatureProfile":
-        entries = list(self.entries)
-        entries[layer] = entry
-        return TemperatureProfile(tuple(entries))
 
     def validate(self, stack: LayerStack) -> None:
         if len(self.entries) != len(stack.layers):

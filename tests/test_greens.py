@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -104,6 +105,88 @@ def test_wronskian_constant_across_layers(cavity_bases):
     for w in true[1:]:
         assert np.max(np.abs(w - ref) / np.abs(ref)) < 1e-10
     assert np.array_equal(basis.true_wronskian(), true[0])
+
+
+def _mp_green(stack, omega):
+    """G of the normal basis at one frequency, from a plain transfer-matrix
+    march at 40 digits: psi and psi' continuous at every interface, no
+    renormalization, psi_left = e^{-ik(x - x_0)} in the first layer and
+    psi_right = e^{ik(x - x_last)} in the last (the basis's own
+    normalization). Returns G(x, x') and the Wronskian in each layer;
+    call both under ``mp.workdps(40)``."""
+    k = [mp.mpc(complex(layer.n_at(omega))) * mp.mpf(omega) / mp.mpf(c)
+         for layer in stack.layers]
+    edges = [mp.mpf(b) for b in stack.interfaces]
+
+    def at(sol, j, x):
+        # a solution is a per-layer list of (A, B, ref) for
+        # A e^{ik(x-ref)} + B e^{-ik(x-ref)}
+        a, b, ref = sol[j]
+        ep = mp.exp(mp.j * k[j] * (mp.mpf(x) - ref))
+        return a * ep + b / ep, mp.j * k[j] * (a * ep - b / ep)
+
+    def matched(value, slope, j, ref):
+        return (value + slope / (mp.j * k[j])) / 2, (value - slope / (mp.j * k[j])) / 2, ref
+
+    last = len(k) - 1
+    left = [(mp.mpc(0), mp.mpc(1), edges[0])]
+    for m in range(last):
+        left.append(matched(*at(left, m, edges[m]), m + 1, edges[m]))
+    right = [None] * last + [(mp.mpc(1), mp.mpc(0), edges[-1])]
+    for m in range(last - 1, -1, -1):
+        right[m] = matched(*at(right, m + 1, edges[m]), m, edges[m])
+
+    def wronskian(j):
+        (pl, dpl), (pr, dpr) = at(left, j, left[j][2]), at(right, j, left[j][2])
+        return pl * dpr - dpl * pr
+
+    w = wronskian(0)
+
+    def green(x, src):
+        lo, hi = min(x, src), max(x, src)
+        phi_l = at(left, stack.layer_index(lo), lo)[0]
+        phi_r = at(right, stack.layer_index(hi), hi)[0]
+        return complex(-phi_l * phi_r / w)
+
+    return green, [complex(wronskian(j)) for j in range(last + 1)]
+
+
+@pytest.mark.parametrize("seed, n_layers", [(0, 3), (1, 4), (2, 5), (3, 5)])
+def test_green_function_matches_high_precision_transfer_matrix(seed, n_layers):
+    """The renormalized march against an independent 40-digit one on a
+    random stack: G on both sides of the source and at it, the
+    coincident value, reciprocity and the physical Wronskian per layer."""
+    rng = np.random.default_rng(seed)
+
+    def index(min_loss):
+        return ConstantIndex(complex(rng.uniform(1.0, 3.0), rng.uniform(min_loss, 0.5)))
+
+    inner = [Layer(float(rng.uniform(0.2e-6, 3e-6)), index(0.0))
+             for _ in range(n_layers - 2)]
+    stack = LayerStack.assemble([Layer(INF, index(0.05)), *inner, Layer(INF, index(0.05))])
+    om = omega_from_ev(rng.uniform(0.05, 0.2, 3))
+    basis = solve_wave_basis(stack, om)
+    # one point in each layer, the outer ones within 1 um of the stack
+    bounds = [stack.interfaces[0] - 1e-6, *stack.interfaces, stack.interfaces[-1] + 1e-6]
+    points = [float(rng.uniform(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    scaled, log_scale = basis.layer_wronskians()
+    physical = scaled * np.exp(log_scale)
+
+    def close(got, want):
+        return abs(got - want) <= 1e-10 * abs(want)
+
+    for i, w in enumerate(om):
+        with mp.workdps(40):
+            green, wronskians = _mp_green(stack, float(w))
+            for x in points:
+                for src in points:
+                    g = basis.sample(x, src).value[i]
+                    assert close(g, green(x, src)), (x, src)
+                    assert close(g, basis.sample(src, x).value[i]), (x, src)
+                assert close(basis.coincident_value(x)[i], green(x, x)), x
+        for j, want in enumerate(wronskians):
+            assert close(physical[j][i], want), j
+            assert close(want, wronskians[0]), j
 
 
 def test_flipped_variant_equals_normal_when_homogeneous():

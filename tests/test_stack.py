@@ -14,7 +14,6 @@ from photonstack.stack import (
     TemperatureProfile,
     build_stack,
     load_stack,
-    refractive_index,
     serialize_stack,
 )
 from photonstack.units import omega_from_ev
@@ -35,16 +34,6 @@ def test_interfaces_and_layer_lookup():
     assert stack.layer_bounds(0) == (-math.inf, 0.0)
     assert stack.layer_bounds(1) == (0.0, 10e-6)
     assert stack.layer_bounds(2) == (10e-6, math.inf)
-
-
-def test_refractive_index_lookup():
-    stack = cavity_stack()
-    om = omega_from_ev(0.1)
-    assert refractive_index(stack, -1e-6, om) == 1.5 + 0.3j
-    assert refractive_index(stack, 5e-6, om) == 1.0
-    assert refractive_index(stack, 0.0, om) == 1.0
-    with pytest.raises(ConfigError):
-        refractive_index(stack, 5e-6, -om)
 
 
 def test_assemble_collects_all_problems():
@@ -262,14 +251,6 @@ def test_sliced_profile_lookup_and_validation():
         (400.0, LayerSlices((1e-6, 10e-6), (350.0,)), 300.0))
     with pytest.raises(ConfigError, match="exactly tile"):
         shifted.validate(stack)
-
-
-def test_replaced_is_functional():
-    stack = cavity_stack()
-    base = TemperatureProfile.from_stack(stack)
-    warmer = base.replaced(0, 420.0)
-    assert warmer.entries[0] == 420.0
-    assert base.entries[0] == 400.0
 
 
 @pytest.mark.parametrize("layer, fragment", [
