@@ -54,7 +54,6 @@ from .spectral import (
 from .thermo import (
     BalanceResult,
     default_balance_grid,
-    net_emission,
     solve_self_consistent,
 )
 from .mechanics import (
@@ -65,6 +64,5 @@ from .mechanics import (
     force_density,
     frequency_integrated_force,
     net_force,
-    net_force_occupation_route,
 )
 from .scan import GridSpec, ScanResult, ScanSpec, run_scan

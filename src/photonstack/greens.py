@@ -76,17 +76,6 @@ def interface_coefficients(n_left, n_right, variant: str = VARIANT_NORMAL):
 
 
 @dataclass(frozen=True, eq=False)
-class GreensSample:
-    """G and its field-point derivative at one (field, source) pair."""
-
-    value: np.ndarray
-    x_derivative: np.ndarray
-    field_point: float
-    source: float
-    variant: str
-
-
-@dataclass(frozen=True, eq=False)
 class WaveBasis:
     """The two outgoing solutions of one stack at a set of frequencies.
 
@@ -136,10 +125,6 @@ class WaveBasis:
         """Per-layer scaled Wronskians and their log-scale offsets."""
         return self.wronskian_scaled, self.scale_left + self.scale_right
 
-    def true_wronskian(self):
-        """Physical Wronskian evaluated from the first layer's amplitudes."""
-        return self.wronskian_scaled[0] * np.exp(self.scale_left[0] + self.scale_right[0])
-
     # -- Green's function ----------------------------------------------------
 
     def coincident_value(self, x):
@@ -157,22 +142,6 @@ class WaveBasis:
         phi_l, dphi_l = self._left(j, waves)
         phi_r, dphi_r = self._right(j, waves)
         return -(dphi_l * phi_r + phi_l * dphi_r) / self.wronskian_scaled[j]
-
-    def sample(self, x: float, source: float) -> GreensSample:
-        xlo, xhi = (x, source) if x <= source else (source, x)
-        ja = self.stack.layer_index(xlo)
-        jb = self.stack.layer_index(xhi)
-        phi_l, dphi_l = self._left(ja, self._waves(ja, xlo))
-        phi_r, dphi_r = self._right(jb, self._waves(jb, xhi))
-        cross = np.exp(self.scale_right[jb] - self.scale_right[ja])
-        w = self.wronskian_scaled[ja]
-        value = -phi_l * phi_r * cross / w
-        if x < source:
-            deriv = -dphi_l * phi_r * cross / w
-        else:
-            # field point at or right of the source: differentiate psi_right
-            deriv = -phi_l * dphi_r * cross / w
-        return GreensSample(value, deriv, x, source, self.variant)
 
 
 @dataclass(frozen=True)

@@ -193,22 +193,6 @@ def net_force(
     return p1 - p2
 
 
-def net_force_occupation_route(
-    stack: LayerStack,
-    bases: BasisPair,
-    profile: TemperatureProfile,
-    x1: float,
-    x2: float,
-):
-    """Equivalent force expression for probes with equal mode density
-    (mirror-symmetric structures): hbar omega rho_tot (n1 - n2)."""
-    om = bases.omega
-    rho1 = ldos(stack, bases, x1).total
-    n1 = photon_numbers(stack, bases.normal, profile, x1).total
-    n2 = photon_numbers(stack, bases.normal, profile, x2).total
-    return hbar * om * rho1 * (n1 - n2)
-
-
 @dataclass(frozen=True, eq=False)
 class IntegratedForce:
     """Frequency-integrated net force per area, thermal part and finite-

@@ -383,7 +383,7 @@ def _pointwise_chunk(payload):
             if q.startswith("ldos_"):
                 vals = vals / ldos_scale
             block[rows, :, q_i] = vals
-        if fd_check and forces:
+        if fd_check:
             fd[rows] = pv.force.fd_residual
     return block, fd
 
@@ -487,13 +487,16 @@ def run_scan(
     ``threads`` splits the positions (pointwise scans) or the widths
     (slab scans) across processes; every process sees the whole energy
     grid and the chunks are joined in order, so the output bytes,
-    fd-check line included, do not depend on the thread count. A failed
-    run leaves no partial output file behind.
+    fd-check line included, do not depend on the thread count.
+    ``fd_check`` needs a force-density quantity to check. A failed run
+    leaves no partial output file behind.
     """
     target = output if output is not None else spec.output
     if target is None:
         raise ConfigError("scan spec has no output path and none was given")
     target = Path(target)
+    if fd_check and _FORCE_QUANTITIES.isdisjoint(spec.quantities):
+        raise ConfigError("--fd-check needs a force-density quantity (zcf, tcf or ncf)")
 
     stack = build_stack(spec.stack)
     energies_ev = spec.energies.values()

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .greens import BasisPair, WaveBasis, region_integrals
-from .stack import LayerStack, TemperatureProfile
+from .stack import LayerStack, Region, TemperatureProfile
 from .units import CROSS_SECTION, LDOS_UNIT, c, hbar, k_B
 
 
@@ -154,6 +154,22 @@ class OccupationSums:
         ) / (n_sq * self.d_e + self.d_m)
 
 
+def source_weights(stack: LayerStack, basis: WaveBasis, region: Region, x, *,
+                   gradient: bool = False):
+    """Absorption-weighted propagation integrals from one source region to
+    x (a point or a 1-D array of points in one layer): Im[n^2] |G|^2 and
+    Im[n^2] |dG/dx|^2 / k0^2, then their x-derivatives with ``gradient``.
+    Only the region's layer and bounds are read."""
+    om = basis.omega
+    k0sq = (om / c) ** 2
+    n2im = (stack.layers[region.layer].n_at(om) ** 2).imag
+    ri = region_integrals(basis, x, region.layer, region.lo, region.hi, gradient=gradient)
+    weights = [n2im * ri.gg, n2im * ri.dgg / k0sq]
+    if gradient:
+        weights += [n2im * ri.d_gg, n2im * ri.d_dgg / k0sq]
+    return weights
+
+
 def occupation_sums(
     stack: LayerStack,
     basis: WaveBasis,
@@ -168,18 +184,12 @@ def occupation_sums(
     call per source region)."""
     regions = profile.source_regions(stack)
     om = basis.omega
-    k0sq = (om / c) ** 2
     # unfilled and occupancy-filled sums for each weight, in the field
     # order of OccupationSums: (d_e, f_e, d_m, f_m[, primes])
     sums = [np.zeros(np.shape(x) + om.shape) for _ in range(8 if gradient else 4)]
     for reg in regions:
-        n2im = (stack.layers[reg.layer].n_at(om) ** 2).imag
-        ri = region_integrals(basis, x, reg.layer, reg.lo, reg.hi, gradient=gradient)
         eta = source_occupation(om, reg.temperature)
-        weights = [n2im * ri.gg, n2im * ri.dgg / k0sq]
-        if gradient:
-            weights += [n2im * ri.d_gg, n2im * ri.d_dgg / k0sq]
-        for i, weight in enumerate(weights):
+        for i, weight in enumerate(source_weights(stack, basis, reg, x, gradient=gradient)):
             sums[2 * i] += weight
             sums[2 * i + 1] += weight * eta
     n_sq = np.abs(stack.layers[stack.layer_of(x)].n_at(om)) ** 2
@@ -238,21 +248,14 @@ def ldos_closure_residuals(stack: LayerStack, bases: BasisPair, x: float):
     layer. Both should agree to roundoff; a large residual flags a broken
     basis solve."""
     om = bases.omega
-    k0sq = (om / c) ** 2
-    sum_e = np.zeros(om.shape)
-    sum_m = np.zeros(om.shape)
+    sums = np.zeros((2,) + om.shape)  # electric, magnetic
     for j, layer in enumerate(stack.layers):
-        n2im = (layer.n_at(om) ** 2).imag
-        if not np.any(n2im != 0.0):
-            continue
-        lo, hi = stack.layer_bounds(j)
-        ri = region_integrals(bases.normal, x, j, lo, hi)
-        sum_e += n2im * ri.gg
-        sum_m += n2im * ri.dgg / k0sq
+        if np.any((layer.n_at(om) ** 2).imag != 0.0):
+            region = Region(j, *stack.layer_bounds(j), None)
+            sums += source_weights(stack, bases.normal, region, x)
     pref = 2.0 * om**3 / (math.pi * c**4 * CROSS_SECTION)
     surf = ldos(stack, bases, x)
-    int_e = pref * sum_e
-    int_m = pref * sum_m
+    int_e, int_m = pref * sums
     tiny = np.finfo(float).tiny
     res_e = np.abs(surf.electric - int_e) / np.maximum(np.abs(surf.electric), tiny)
     res_m = np.abs(surf.magnetic - int_m) / np.maximum(np.abs(surf.magnetic), tiny)

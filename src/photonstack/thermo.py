@@ -14,13 +14,15 @@ than enforced per frequency, which is the regime of a conduction-coupled
 slab that thermalizes each slice to a single temperature.
 
 The fixed-temperature reservoirs bound the attainable slice temperatures,
-so each root is bracketed and found by bisection. The geometry behind
-the exchange (how strongly every source region illuminates every slice
-midpoint) is evaluated once per solve, with one region-integral call per
-(self-consistent layer, source region) covering all of the layer's
-midpoints. Each sweep then bisects every slice's balance at once on a
-(slices, omega) array, and an under-relaxed update of all slices
-converges the mutual illumination between them.
+so each root is bracketed and found by bisection. The source regions
+(reservoirs and slices) come from the sliced temperature profile, as
+for every other photon-number evaluation. The geometry behind the
+exchange (how strongly every source region illuminates every slice
+midpoint) is evaluated once per solve with ``spectral.source_weights``,
+one call per (self-consistent layer, source region) covering all of the
+layer's midpoints. Each sweep then bisects every slice's balance at
+once on a (slices, omega) array, and an under-relaxed update of all
+slices converges the mutual illumination between them.
 """
 
 from __future__ import annotations
@@ -31,49 +33,16 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .errors import ConfigError, ConvergenceError
-from .greens import region_integrals, solve_wave_basis
-from .spectral import electric_density, photon_numbers, source_occupation
-from .stack import LayerSlices, LayerStack, Region, TemperatureProfile
+from .greens import solve_wave_basis
+from .spectral import electric_density, source_occupation, source_weights
+from .stack import LayerSlices, LayerStack, TemperatureProfile
 from .units import hbar, omega_from_ev
 
 
-@dataclass(frozen=True, eq=False)
-class EmissionSample:
-    """Net spectral power density handed from matter to the field at x;
-    positive while the material runs hotter than the field it sits in."""
-
-    value: np.ndarray
-    x: float
-
-
-def net_emission(
-    stack: LayerStack, basis, profile: TemperatureProfile, x: float
-) -> EmissionSample:
-    """Evaluate the net exchange rate at one point.
-
-    Lossless material exchanges nothing; a lossy layer must carry a
-    temperature (fixed or solved) to be evaluated. ``basis`` may be a
-    plain normal-variant WaveBasis or a BasisPair.
-    """
-    basis = getattr(basis, "normal", basis)
-    om = basis.omega
-    nn = stack.layers[stack.layer_index(x)].n_at(om)
-    im_n2 = (nn * nn).imag
-    if not np.any(im_n2 != 0.0):
-        return EmissionSample(np.zeros(om.shape), x)
-    temperature = profile.temperature_at(stack, x)
-    if temperature is None:
-        raise ConfigError(f"no temperature assigned at x = {x!r}")
-    rho_e = electric_density(basis, x)
-    n_e = photon_numbers(stack, basis, profile, x).electric
-    eta = source_occupation(om, temperature)
-    value = hbar * om**2 * im_n2 * rho_e * (eta - n_e)
-    return EmissionSample(value, x)
-
-
-def default_balance_grid(n: int = 256, ev_min: float = 1e-3, ev_max: float = 1.0):
-    """Logarithmic photon-energy grid, as angular frequencies."""
-    return omega_from_ev(np.geomspace(ev_min, ev_max, n))
+def default_balance_grid():
+    """The balance integrals' photon-energy grid as angular frequencies:
+    256 points spaced logarithmically from 1 meV to 1 eV."""
+    return omega_from_ev(np.geomspace(1e-3, 1.0, 256))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +88,18 @@ def _bisect_all(balance, n: int, t_lo: float, t_hi: float, tol: float):
     return roots
 
 
+def _sliced_profile(stack: LayerStack, edges: dict, temps) -> TemperatureProfile:
+    """The stack's fixed temperatures, with each self-consistent layer j
+    cut at ``edges[j]`` into slices at the matching row of ``temps``."""
+    entries = [layer.temperature for layer in stack.layers]
+    for (j, layer_edges), layer_temps in zip(edges.items(), temps):
+        entries[j] = LayerSlices(tuple(float(b) for b in layer_edges),
+                                 tuple(float(t) for t in layer_temps))
+    return TemperatureProfile(tuple(entries))
+
+
 def solve_self_consistent(
     stack: LayerStack,
-    omega_grid=None,
     *,
     slices: int = 16,
     tolerance_K: float = 1e-3,
@@ -167,33 +145,19 @@ def solve_self_consistent(
         )
     t_lo, t_hi = min(fixed), max(fixed)
 
-    om = default_balance_grid() if omega_grid is None else np.asarray(omega_grid, float)
-    if om.ndim != 1 or om.size < 2:
-        raise ConfigError("omega_grid must be a 1D grid with at least two points")
+    om = default_balance_grid()
     basis = solve_wave_basis(stack, om)
 
     t_init = 0.5 * (t_lo + t_hi)
-    fixed_regions = []
-    for j, layer in enumerate(stack.layers):
-        if layer.self_consistent or not layer.lossy:
-            continue
-        lo, hi = stack.layer_bounds(j)
-        fixed_regions.append(Region(j, lo, hi, layer.temperature))
+    slice_edges = {j: np.linspace(*stack.layer_bounds(j), slices + 1) for j in sc_layers}
+    n_slices = len(sc_layers) * slices
+    temps = np.full(n_slices, t_init)
+    initial = _sliced_profile(stack, slice_edges, temps.reshape(-1, slices))
+    # reservoirs before slices: the balance temperatures depend on this summation order
+    regions = sorted(initial.source_regions(stack),
+                     key=lambda reg: stack.layers[reg.layer].self_consistent)
 
-    slice_edges: dict[int, np.ndarray] = {}
-    slice_regions: list[Region] = []
-    for j in sc_layers:
-        lo, hi = stack.layer_bounds(j)
-        edges = np.linspace(lo, hi, slices + 1)
-        slice_edges[j] = edges
-        slice_regions += [
-            Region(j, float(a), float(b), t_init) for a, b in zip(edges[:-1], edges[1:])
-        ]
-    n_slices = len(slice_regions)
-    regions = fixed_regions + slice_regions
-    n2im = [(stack.layers[reg.layer].n_at(om) ** 2).imag for reg in regions]
-
-    # one region-integral call per (layer, source region) over all of the
+    # one source-weight call per (layer, source region) over all of the
     # layer's slice midpoints
     weights = np.empty((n_slices, len(regions), om.size))
     kernel = np.empty((n_slices, om.size))
@@ -203,13 +167,13 @@ def solve_self_consistent(
         midpoints.append(x_m)
         rows = slice(i * slices, (i + 1) * slices)
         for r, reg in enumerate(regions):
-            ri = region_integrals(basis, x_m, reg.layer, reg.lo, reg.hi)
-            weights[rows, r] = n2im[r] * ri.gg
+            weights[rows, r] = source_weights(stack, basis, reg, x_m)[0]
         n2im_m = (stack.layers[j].n_at(om) ** 2).imag
         kernel[rows] = hbar * om**2 * n2im_m * electric_density(basis, x_m)
 
     denom = weights.sum(axis=1)
-    eta_fixed = np.array([source_occupation(om, reg.temperature) for reg in fixed_regions])
+    eta_fixed = np.array([source_occupation(om, reg.temperature)
+                          for reg in regions[:-n_slices]])
 
     def field_numbers(t_slices):
         filled = np.concatenate([eta_fixed, source_occupation(om, t_slices[:, None])])
@@ -220,7 +184,6 @@ def solve_self_consistent(
         eta = source_occupation(om, t[:, None])
         return trapezoid(kernel[m] * (eta - n_e[m]), om, axis=-1)
 
-    temps = np.full(n_slices, t_init)
     history: list[float] = []
     converged = False
     iterations = 0
@@ -248,17 +211,7 @@ def solve_self_consistent(
 
     residuals = integrated_balance(temps, np.arange(n_slices), field_numbers(temps))
 
-    entries: list[float | LayerSlices | None] = [
-        layer.temperature for layer in stack.layers
-    ]
-    offset = 0
-    for j in sc_layers:
-        entries[j] = LayerSlices(
-            boundaries=tuple(float(b) for b in slice_edges[j]),
-            temperatures=tuple(float(t) for t in temps[offset : offset + slices]),
-        )
-        offset += slices
-    profile = TemperatureProfile(tuple(entries))
+    profile = _sliced_profile(stack, slice_edges, temps.reshape(-1, slices))
     profile.validate(stack)
 
     return BalanceResult(

@@ -4,16 +4,13 @@ from scipy import integrate
 
 from photonstack.errors import InterfacePointError
 from photonstack.greens import solve_bases
-from photonstack.mechanics import (
-    frequency_integrated_force,
-    net_force,
-    net_force_occupation_route,
-)
+from photonstack.mechanics import frequency_integrated_force, net_force
 from photonstack.spectral import ldos, source_occupation
 from photonstack.stack import TemperatureProfile
 from photonstack.units import hbar, omega_from_ev
 
 from conftest import cavity_stack, point_energy, point_force, slab_stack
+from oracles import net_force_occupation_route
 
 
 @pytest.fixture(scope="module")

@@ -465,6 +465,46 @@ def test_fd_check_counts_points_on_slice_boundaries(tmp_path):
     assert rows.shape == (7 * 3, 4) and np.all(np.isfinite(rows))
 
 
+@pytest.mark.parametrize("mapping", [small_slab(), small_pointwise()],
+                         ids=["slab", "pointwise_without_forces"])
+def test_cli_fd_check_without_a_force_quantity_exits_one(tmp_path, capsys, mapping):
+    """A scan with nothing for --fd-check to check is refused before any
+    work, rather than silently skipping the check (slab scans) or
+    counting every position as unchecked (pointwise scans)."""
+    spec_path = write_spec(tmp_path, "scan.yaml", mapping)
+    assert cli.main(["scan", str(spec_path), "--fd-check"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --fd-check needs a force-density quantity (zcf, tcf or ncf)"]
+    assert list(tmp_path.iterdir()) == [spec_path]
+
+
+def test_cli_lossy_layer_without_temperature_exits_one(tmp_path, capsys):
+    """A lossy layer with no temperature next to a self-consistent one is
+    a source the balance and the photon numbers both need: the balance
+    solve and a scan each stop with one line naming the layer."""
+    stack = {"layers": [
+        {"thickness": "inf", "n": "1.5+0.3i", "temperature": 400.0},
+        {"thickness": 2.0, "n": "1.2+0.1i"},
+        {"thickness": 5.0, "n": "1.1+0.1i", "temperature": "self-consistent"},
+        {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0},
+    ]}
+    config = write_spec(tmp_path, "stack.yaml", stack)
+    spec_path = write_spec(tmp_path, "scan.yaml", {
+        "stack": "stack.yaml",
+        "quantities": ["n_tot"],
+        "positions": {"start": 3.0, "stop": 5.0, "count": 2},
+        "energies": {"start": 0.1, "stop": 0.12, "count": 2},
+        "balance": {"slices": 2},
+        "output": "out.csv",
+    })
+    expected = ["error: layer 1 is lossy but has no temperature assignment"]
+    assert cli.main(["balance", str(config), "--slices", "2"]) == 1
+    assert capsys.readouterr().err.splitlines() == expected
+    assert cli.main(["scan", str(spec_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == expected
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_self_consistent_scan_records_solver_settings(tmp_path):
     mapping = {
         "stack": dict(PASSIVE),
