@@ -39,9 +39,7 @@ from .greens import (
     solve_wave_basis,
 )
 from .spectral import (
-    LdosTriplet,
-    PhotonNumberTriplet,
-    TemperatureTriplet,
+    FieldTriplet,
     effective_temperatures,
     ldos,
     ldos_closure_residuals,
@@ -61,6 +59,7 @@ from .mechanics import (
     ForceDensitySample,
     IntegratedForce,
     energy_pressure,
+    fd_residual,
     force_density,
     frequency_integrated_force,
     net_force,

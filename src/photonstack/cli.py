@@ -42,6 +42,10 @@ def _validate(args) -> int:
         for problem in str(exc).split("; "):
             print(f"invalid: {problem}")
         return 1
+    for j, layer in enumerate(stack.layers):
+        if layer.lossy and not layer.has_assignment:
+            print(f"warning: layer {j} is lossy but has no temperature; every "
+                  "scan quantity except ldos_* and every balance solve will reject it")
 
     omega = omega_from_ev(np.array([_CLOSURE_EV]))
     bases = solve_bases(stack, omega)

@@ -29,16 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .errors import InterfacePointError
+from .errors import ConfigError, InterfacePointError
 from .greens import BasisPair, solve_bases
-from .spectral import (
-    LdosTriplet,
-    OccupationSums,
-    PhotonNumberTriplet,
-    ldos,
-    ldos_gradient,
-    photon_numbers,
-)
+from .spectral import FieldTriplet, OccupationSums, ldos, ldos_gradient, photon_numbers
 from .stack import LayerSlices, LayerStack, TemperatureProfile
 from .units import c, epsilon_0, hbar
 
@@ -52,8 +45,8 @@ def _edge_distance(x, edges):
 
 @dataclass(frozen=True, eq=False)
 class EnergyPressureSample:
-    """Spectral field fluctuations, energy density, and pressure at x (a
-    point or points in one layer).
+    """Spectral field fluctuations, energy density, and pressure at a
+    point or points in one layer.
 
     ``energy_density`` and ``pressure`` are one quantity; both names are
     kept because they enter different balances.
@@ -63,11 +56,10 @@ class EnergyPressureSample:
     b_fluct: np.ndarray
     energy_density: np.ndarray
     pressure: np.ndarray
-    x: float | np.ndarray
 
 
 def energy_pressure(
-    omega, densities: LdosTriplet, numbers: PhotonNumberTriplet
+    omega, densities: FieldTriplet, numbers: FieldTriplet
 ) -> EnergyPressureSample:
     """Fluctuations, energy density, and pressure from the mode densities
     and photon numbers already evaluated at the same points."""
@@ -76,7 +68,7 @@ def energy_pressure(
         (hbar * omega / (epsilon_0 * c * c)) * densities.magnetic * (numbers.magnetic + 0.5)
     )
     u = hbar * omega * densities.total * (numbers.total + 0.5)
-    return EnergyPressureSample(e_fluct, b_fluct, u, u, densities.x)
+    return EnergyPressureSample(e_fluct, b_fluct, u, u)
 
 
 def _energy_at(stack, bases, profile, x) -> EnergyPressureSample:
@@ -86,50 +78,37 @@ def _energy_at(stack, bases, profile, x) -> EnergyPressureSample:
 
 @dataclass(frozen=True, eq=False)
 class ForceDensitySample:
-    """The three force-density terms and their sum at smooth points x;
-    fd_residual carries the finite-difference cross-check when requested."""
+    """The three force-density terms and their sum at smooth points."""
 
     zero_point: np.ndarray
     thermal: np.ndarray
     occupation: np.ndarray
     total: np.ndarray
-    x: float | np.ndarray
-    fd_residual: np.ndarray | None = None
 
 
-def _profile_edges(stack: LayerStack, profile: TemperatureProfile | None):
+def _profile_edges(stack: LayerStack, profile: TemperatureProfile):
     """Interface positions plus any interior slice boundaries; the
     occupancy gradient jumps across each of them."""
     edges = list(stack.interfaces)
-    if profile is not None:
-        for entry in profile.entries:
-            if isinstance(entry, LayerSlices):
-                edges.extend(entry.boundaries[1:-1])
+    for entry in profile.entries:
+        if isinstance(entry, LayerSlices):
+            edges.extend(entry.boundaries[1:-1])
     return sorted(edges)
 
 
 def force_density(
     stack: LayerStack,
     bases: BasisPair,
-    profile: TemperatureProfile,
-    densities: LdosTriplet,
+    densities: FieldTriplet,
     sums: OccupationSums,
-    *,
-    fd_check: bool = False,
 ) -> ForceDensitySample:
     """Analytic force-density decomposition at non-interface points.
 
     ``densities`` and ``sums`` are ``ldos`` and ``occupation_sums(...,
-    gradient=True)`` at a point or a 1-D array of points in one layer, as
-    the caller already holds them. With ``fd_check`` the sample also
-    carries the relative deviation of the summed terms from a
-    Richardson-extrapolated central difference of the energy density
-    under ``profile`` (step: local wavelength / 1000, shortened near
-    boundaries so the probes never cross one). Points closer than
-    ``_INTERFACE_CLEARANCE`` to an interface or a slice boundary leave no
-    room for a step; they are not checked and their residual is NaN.
+    gradient=True)`` at the points ``sums.x`` (a point or a 1-D array of
+    points in one layer), as the caller already holds them.
     """
-    x = densities.x
+    x = sums.x
     on = [b for b in stack.interfaces if np.any(x == b)]
     if on:
         raise InterfacePointError(
@@ -137,18 +116,23 @@ def force_density(
             "delta contribution; integrate via the pressure difference instead"
         )
     om = bases.omega
-    _, _, d_rho_tot = ldos_gradient(stack, bases, x)
+    d_rho_tot = ldos_gradient(stack, bases, x).total
     zcf = -0.5 * hbar * om * d_rho_tot
     tcf = -hbar * om * d_rho_tot * sums.numbers.total
     ncf = -hbar * om * densities.total * sums.total_number_gradient()
-    total = zcf + tcf + ncf
-    fd = None
-    if fd_check:
-        fd = _fd_residual(stack, bases, profile, x, total)
-    return ForceDensitySample(zcf, tcf, ncf, total, x, fd)
+    return ForceDensitySample(zcf, tcf, ncf, zcf + tcf + ncf)
 
 
-def _fd_residual(stack, bases, profile, x, total):
+def fd_residual(stack: LayerStack, bases: BasisPair, profile: TemperatureProfile,
+                x, total):
+    """Relative deviation of the force density ``total`` at x (a point or
+    a 1-D array of points in one layer) from a Richardson-extrapolated
+    central difference of the energy density under ``profile`` (step:
+    local wavelength / 1000, shortened near boundaries so the probes
+    never cross one). Points closer than ``_INTERFACE_CLEARANCE`` to an
+    interface or a slice boundary leave no room for a step; they are not
+    checked and their residual is NaN.
+    """
     om = bases.omega
     n_re = max(
         float(np.max(np.real(layer.n_at(om)))) for layer in stack.layers
@@ -201,8 +185,6 @@ class IntegratedForce:
 
     thermal: float
     zero_point: float
-    x1: float
-    x2: float
 
 
 def frequency_integrated_force(
@@ -214,7 +196,7 @@ def frequency_integrated_force(
 ) -> IntegratedForce:
     om = np.asarray(omega_grid, dtype=float)
     if om.ndim != 1 or om.size < 2 or np.any(np.diff(om) <= 0):
-        raise InterfacePointError("frequency grid must be 1D and increasing")
+        raise ConfigError("frequency grid must be 1D and increasing")
     bases = solve_bases(stack, om)
     rho1 = ldos(stack, bases, x1).total
     rho2 = ldos(stack, bases, x2).total
@@ -232,6 +214,4 @@ def frequency_integrated_force(
     return IntegratedForce(
         thermal=float(trapezoid(thermal_integrand, om)),
         zero_point=float(trapezoid(zero_integrand, om)),
-        x1=x1,
-        x2=x2,
     )

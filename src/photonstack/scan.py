@@ -35,6 +35,7 @@ from .mechanics import (
     _INTERFACE_CLEARANCE,
     _edge_distance,
     energy_pressure,
+    fd_residual,
     force_density,
     net_force,
 )
@@ -311,13 +312,10 @@ class ScanSpec:
 class ScanResult:
     """In-memory copy of one finished scan: data[axis, energy, quantity]."""
 
-    spec: ScanSpec
     axis_name: str
-    axis_values: np.ndarray
     energies_ev: np.ndarray
     quantities: tuple[str, ...]
     data: np.ndarray
-    metadata: tuple[str, ...]
     path: Path | None
     fd_residual_max: float | None = None
 
@@ -328,13 +326,12 @@ class _PointValues:
     call each, and every quantity is built from them. The sums carry
     field-point derivatives only when a force is wanted."""
 
-    def __init__(self, stack, bases, profile, x, forces, fd_check):
+    def __init__(self, stack, bases, profile, x, forces):
         self.stack = stack
         self.bases = bases
         self.profile = profile
         self.x = x
         self.forces = forces
-        self.fd_check = fd_check
 
     @cached_property
     def densities(self):
@@ -359,8 +356,7 @@ class _PointValues:
 
     @cached_property
     def force(self):
-        return force_density(self.stack, self.bases, self.profile, self.densities,
-                             self.sums, fd_check=self.fd_check)
+        return force_density(self.stack, self.bases, self.densities, self.sums)
 
 
 def _pointwise_chunk(payload):
@@ -377,14 +373,14 @@ def _pointwise_chunk(payload):
     layers = stack.layer_index(xs)
     for j in np.unique(layers):
         rows = layers == j
-        pv = _PointValues(stack, bases, profile, xs[rows], forces, fd_check)
+        pv = _PointValues(stack, bases, profile, xs[rows], forces)
         for q_i, q in enumerate(quantities):
             vals = attrgetter(_QUANTITY_TABLE[q][2])(pv)
             if q.startswith("ldos_"):
                 vals = vals / ldos_scale
             block[rows, :, q_i] = vals
         if fd_check:
-            fd[rows] = pv.force.fd_residual
+            fd[rows] = fd_residual(stack, bases, profile, pv.x, pv.force.total)
     return block, fd
 
 
@@ -468,10 +464,12 @@ def _chunks(values, n: int):
     return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _run_chunks(worker, payloads, threads: int):
-    if threads <= 1 or len(payloads) <= 1:
+def _run_chunks(worker, payloads):
+    """One process per payload, so a thread count above the axis length
+    forks no idle workers."""
+    if len(payloads) <= 1:
         return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
         return list(pool.map(worker, payloads))
 
 
@@ -484,9 +482,10 @@ def run_scan(
 ) -> ScanResult:
     """Execute a scan and write its CSV.
 
-    ``threads`` splits the positions (pointwise scans) or the widths
-    (slab scans) across processes; every process sees the whole energy
-    grid and the chunks are joined in order, so the output bytes,
+    ``threads`` (at least 1) splits the positions (pointwise scans) or
+    the widths (slab scans) into that many ordered chunks, at most one
+    per axis point and one process each; every process sees the whole
+    energy grid and the chunks are joined in order, so the output bytes,
     fd-check line included, do not depend on the thread count.
     ``fd_check`` needs a force-density quantity to check. A failed run
     leaves no partial output file behind.
@@ -495,6 +494,8 @@ def run_scan(
     if target is None:
         raise ConfigError("scan spec has no output path and none was given")
     target = Path(target)
+    if threads < 1:
+        raise ConfigError(f"--threads must be at least 1, not {threads}")
     if fd_check and _FORCE_QUANTITIES.isdisjoint(spec.quantities):
         raise ConfigError("--fd-check needs a force-density quantity (zcf, tcf or ncf)")
 
@@ -537,8 +538,8 @@ def run_scan(
     # each payload is one ordered chunk of the axis (in metres), then the
     # context every chunk shares
     payloads = [(chunk, *context)
-                for chunk in _chunks(axis_values * MICRON, max(1, threads))]
-    results = _run_chunks(worker, payloads, threads)
+                for chunk in _chunks(axis_values * MICRON, threads)]
+    results = _run_chunks(worker, payloads)
     data = np.concatenate([r[0] for r in results], axis=0)
     fd_max = None
     if results[0][1] is not None:
@@ -560,8 +561,7 @@ def run_scan(
 
     _write_csv(target, meta, axis_name, axis_values, energies_ev,
                spec.quantities, data)
-    return ScanResult(spec, axis_name, axis_values, energies_ev,
-                      spec.quantities, data, tuple(meta), target, fd_max)
+    return ScanResult(axis_name, energies_ev, spec.quantities, data, target, fd_max)
 
 
 def _write_csv(target: Path, meta, axis_name, axis_values, energies_ev,

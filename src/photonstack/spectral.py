@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
 from .greens import BasisPair, WaveBasis, region_integrals
 from .stack import LayerStack, Region, TemperatureProfile
-from .units import CROSS_SECTION, LDOS_UNIT, c, hbar, k_B
+from .units import CROSS_SECTION, c, hbar, k_B
 
 
 def source_occupation(omega, temperature):
@@ -53,24 +54,14 @@ def occupation_temperature(number, omega):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class LdosTriplet:
-    """Electric, magnetic, and total mode densities at x, a point or a 1-D
-    array of points in one layer (SI, states per volume per angular
-    frequency; shape x.shape + omega.shape)."""
+class FieldTriplet(NamedTuple):
+    """Electric, magnetic and total parts of one local quantity (mode
+    densities, their x-derivatives, photon numbers or effective
+    temperatures), each of shape x.shape + omega.shape."""
 
     electric: np.ndarray
     magnetic: np.ndarray
     total: np.ndarray
-    x: float | np.ndarray
-
-    def vacuum_units(self):
-        """The same densities in units of the free-space total, 2/(pi c S)."""
-        return (
-            self.electric / LDOS_UNIT,
-            self.magnetic / LDOS_UNIT,
-            self.total / LDOS_UNIT,
-        )
 
 
 def _mode_density(om, g):
@@ -84,7 +75,7 @@ def electric_density(basis: WaveBasis, x):
     return _mode_density(basis.omega, basis.coincident_value(x))
 
 
-def _densities(stack: LayerStack, bases: BasisPair, x, coincident):
+def _densities(stack: LayerStack, bases: BasisPair, x, coincident) -> FieldTriplet:
     """Electric, magnetic and total densities from ``coincident``, which
     is ``WaveBasis.coincident_value`` for the densities themselves or
     ``WaveBasis.coincident_gradient`` for their x-derivatives."""
@@ -92,16 +83,18 @@ def _densities(stack: LayerStack, bases: BasisPair, x, coincident):
     nn = stack.layers[stack.layer_of(x)].n_at(om)
     electric = _mode_density(om, coincident(bases.normal, x))
     magnetic = _mode_density(om, nn * nn * coincident(bases.flipped, x))
-    return electric, magnetic, np.abs(nn) ** 2 * electric + magnetic
+    return FieldTriplet(electric, magnetic, np.abs(nn) ** 2 * electric + magnetic)
 
 
-def ldos(stack: LayerStack, bases: BasisPair, x) -> LdosTriplet:
+def ldos(stack: LayerStack, bases: BasisPair, x) -> FieldTriplet:
     """Mode densities at x (a point or a 1-D array of points in one
-    layer) from the coincident Green's functions."""
-    return LdosTriplet(*_densities(stack, bases, x, WaveBasis.coincident_value), x)
+    layer) from the coincident Green's functions, in SI units (states per
+    volume per angular frequency); divide by ``units.LDOS_UNIT`` for
+    units of the free-space total."""
+    return _densities(stack, bases, x, WaveBasis.coincident_value)
 
 
-def ldos_gradient(stack: LayerStack, bases: BasisPair, x):
+def ldos_gradient(stack: LayerStack, bases: BasisPair, x) -> FieldTriplet:
     """d/dx of the three mode densities at points x within one layer."""
     return _densities(stack, bases, x, WaveBasis.coincident_gradient)
 
@@ -131,16 +124,16 @@ class OccupationSums:
     f_m_prime: np.ndarray | None = None
 
     @cached_property
-    def numbers(self) -> PhotonNumberTriplet:
+    def numbers(self) -> FieldTriplet:
         """n = f/d for each density; the total weights the electric sums
         by |n|^2, as the total mode density does."""
         if not self.has_sources:
             zero = np.zeros(self.d_e.shape)
-            return PhotonNumberTriplet(zero, zero.copy(), zero.copy(), self.x)
+            return FieldTriplet(zero, zero.copy(), zero.copy())
         electric = self.f_e / self.d_e
         magnetic = self.f_m / self.d_m
         total = (self.n_sq * self.f_e + self.f_m) / (self.n_sq * self.d_e + self.d_m)
-        return PhotonNumberTriplet(electric, magnetic, total, self.x)
+        return FieldTriplet(electric, magnetic, total)
 
     def total_number_gradient(self):
         """d n_tot/dx; needs the sums evaluated with ``gradient=True``."""
@@ -196,23 +189,12 @@ def occupation_sums(
     return OccupationSums(x, n_sq, bool(regions), *sums)
 
 
-@dataclass(frozen=True, eq=False)
-class PhotonNumberTriplet:
-    """Mean photon numbers of the electric, magnetic, and total mode
-    densities at x (a point or points in one layer)."""
-
-    electric: np.ndarray
-    magnetic: np.ndarray
-    total: np.ndarray
-    x: float | np.ndarray
-
-
 def photon_numbers(
     stack: LayerStack,
     basis: WaveBasis,
     profile: TemperatureProfile,
     x,
-) -> PhotonNumberTriplet:
+) -> FieldTriplet:
     """Source-resolved mean photon numbers at x.
 
     A structure with no lossy layer has no thermal sources; all three
@@ -221,25 +203,9 @@ def photon_numbers(
     return occupation_sums(stack, basis, profile, x).numbers
 
 
-@dataclass(frozen=True, eq=False)
-class TemperatureTriplet:
-    """Effective temperatures matching each photon number, in kelvin."""
-
-    electric: np.ndarray
-    magnetic: np.ndarray
-    total: np.ndarray
-    x: float | np.ndarray
-
-
-def effective_temperatures(
-    numbers: PhotonNumberTriplet, omega
-) -> TemperatureTriplet:
-    return TemperatureTriplet(
-        occupation_temperature(numbers.electric, omega),
-        occupation_temperature(numbers.magnetic, omega),
-        occupation_temperature(numbers.total, omega),
-        numbers.x,
-    )
+def effective_temperatures(numbers: FieldTriplet, omega) -> FieldTriplet:
+    """Effective temperatures in kelvin matching each photon number."""
+    return FieldTriplet._make(occupation_temperature(n, omega) for n in numbers)
 
 
 def ldos_closure_residuals(stack: LayerStack, bases: BasisPair, x: float):

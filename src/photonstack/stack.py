@@ -172,11 +172,17 @@ class LayerStack:
                         )
         if problems:
             raise ConfigError("; ".join(problems))
-        x = 0.0
         interfaces = [0.0]
-        for layer in layers[1:-1]:
-            x += layer.thickness
+        for i, layer in enumerate(layers[1:-1], start=1):
+            x = interfaces[-1] + layer.thickness
+            if x == interfaces[-1]:
+                problems.append(
+                    f"layer {i}: thickness {layer.thickness:g} m is too thin to "
+                    f"separate its interfaces at x = {x:g} m"
+                )
             interfaces.append(x)
+        if problems:
+            raise ConfigError("; ".join(problems))
         return cls(layers, tuple(interfaces), allow_lossless_bounds)
 
     def layer_index(self, x):

@@ -54,7 +54,6 @@ class BalanceResult:
     temperatures: np.ndarray
     residuals: np.ndarray
     iterations: int
-    converged: bool
     update_history: tuple[float, ...]
 
 
@@ -131,7 +130,6 @@ def solve_self_consistent(
             temperatures=np.empty(0),
             residuals=np.empty(0),
             iterations=0,
-            converged=True,
             update_history=(),
         )
     if not slices >= 1:
@@ -185,8 +183,6 @@ def solve_self_consistent(
         return trapezoid(kernel[m] * (eta - n_e[m]), om, axis=-1)
 
     history: list[float] = []
-    converged = False
-    iterations = 0
     for iterations in range(1, max_iterations + 1):
         n_e = field_numbers(temps)
         roots = _bisect_all(
@@ -201,9 +197,8 @@ def solve_self_consistent(
         step = float(np.max(np.abs(update)))
         history.append(step)
         if step < tolerance_K:
-            converged = True
             break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"balance sweep still moving {history[-1]:.3e} K after "
             f"{max_iterations} iterations (tolerance {tolerance_K:g} K)"
@@ -220,6 +215,5 @@ def solve_self_consistent(
         temperatures=temps,
         residuals=residuals,
         iterations=iterations,
-        converged=converged,
         update_history=tuple(history),
     )

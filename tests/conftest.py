@@ -17,10 +17,10 @@ def point_energy(stack, bases, profile, x):
                            photon_numbers(stack, bases.normal, profile, x))
 
 
-def point_force(stack, bases, profile, x, **kwargs):
+def point_force(stack, bases, profile, x):
     """force_density fed with freshly evaluated densities and gradient sums."""
     sums = occupation_sums(stack, bases.normal, profile, x, gradient=True)
-    return force_density(stack, bases, profile, ldos(stack, bases, x), sums, **kwargs)
+    return force_density(stack, bases, ldos(stack, bases, x), sums)
 
 
 def cavity_stack() -> LayerStack:

@@ -19,7 +19,7 @@ from photonstack.greens import (
     solve_bases,
     solve_wave_basis,
 )
-from photonstack.mechanics import _profile_edges, net_force
+from photonstack.mechanics import _profile_edges, fd_residual, net_force
 from photonstack.scan import ScanSpec, run_scan
 from photonstack.spectral import (
     effective_temperatures,
@@ -30,7 +30,7 @@ from photonstack.spectral import (
 )
 from photonstack.stack import ConstantIndex, Layer, LayerStack, TemperatureProfile
 from photonstack.thermo import solve_self_consistent
-from photonstack.units import c, omega_from_ev
+from photonstack.units import LDOS_UNIT, c, omega_from_ev
 
 from conftest import INF, cavity_stack, point_force, slab_stack
 from oracles import greens_sample, net_force_occupation_route
@@ -72,7 +72,7 @@ def test_infinite_vacuum_mode_densities():
     bases = solve_bases(stack, omega_from_ev(np.linspace(0.02, 0.24, 23)))
     dev = 0.0
     for x in (1e-6, 4.3e-6, 7e-6):
-        e, m, tot = ldos(stack, bases, x).vacuum_units()
+        e, m, tot = (d / LDOS_UNIT for d in ldos(stack, bases, x))
         dev = max(dev, float(np.abs(e - 0.5).max()),
                   float(np.abs(m - 0.5).max()),
                   float(np.abs(tot - 1.0).max()))
@@ -204,8 +204,9 @@ def test_force_decomposition_matches_gradient(balanced_passive, smooth_points):
     stack, bases, profile = balanced_passive
     worst = 0.0
     for x in smooth_points:
-        sample = point_force(stack, bases, profile, x, fd_check=True)
-        worst = max(worst, float(np.max(np.abs(sample.fd_residual))))
+        sample = point_force(stack, bases, profile, x)
+        residual = fd_residual(stack, bases, profile, x, sample.total)
+        worst = max(worst, float(np.max(np.abs(residual))))
     ok = worst < 1e-4
     msg = _report("force decomposition vs -du/dx at 100 points",
                   ok, f"worst relative residual {worst:.2e}")
@@ -354,7 +355,7 @@ def test_slab_force_routes_agree():
 def test_balance_converges_within_budget(passive_balance):
     result = passive_balance
     temps = result.temperatures
-    ok = (result.converged and result.iterations <= 100
+    ok = (result.iterations <= 100
           and result.update_history[-1] < 1e-3
           and bool(np.all((temps > 300.0) & (temps < 400.0))))
     msg = _report("balance solver on the passive cavity",

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from photonstack.errors import InterfacePointError
+from photonstack.errors import ConfigError, InterfacePointError
 from photonstack.greens import solve_bases
-from photonstack.mechanics import frequency_integrated_force, net_force
+from photonstack.mechanics import fd_residual, frequency_integrated_force, net_force
 from photonstack.spectral import ldos, source_occupation
 from photonstack.stack import TemperatureProfile
 from photonstack.units import hbar, omega_from_ev
@@ -75,8 +75,9 @@ def test_decomposition_sums_to_energy_gradient(balanced_passive):
     xs = np.array([0.2, 2.9, 5.1, 7.3, 9.8]) * 1e-6
     worst = 0.0
     for x in xs:
-        sample = point_force(stack, bases, profile, x, fd_check=True)
-        worst = max(worst, float(np.max(np.abs(sample.fd_residual))))
+        sample = point_force(stack, bases, profile, x)
+        residual = fd_residual(stack, bases, profile, x, sample.total)
+        worst = max(worst, float(np.max(np.abs(residual))))
         assert np.allclose(sample.total,
                            sample.zero_point + sample.thermal + sample.occupation)
     assert worst < 1e-4
@@ -204,6 +205,12 @@ def test_absorption_turns_pulling_into_pushing():
     pulled = net_force(clear, clear_bases,
                        TemperatureProfile.from_stack(clear), x1, 10e-6 - x1)
     assert pulled[0] < thin[0] < 0
+
+
+def test_integrated_force_rejects_a_decreasing_grid(cavity, cavity_profile):
+    om = omega_from_ev(np.array([0.2, 0.1, 0.05]))
+    with pytest.raises(ConfigError, match="frequency grid must be 1D and increasing"):
+        frequency_integrated_force(cavity, cavity_profile, 2e-6, 8e-6, om)
 
 
 def test_integrated_thermal_force_points_to_cold_wall():

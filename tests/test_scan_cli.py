@@ -153,7 +153,7 @@ _FIELDS = (
 )
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300, deadline=None, database=None, print_blob=True)
 @given(slab=st.booleans(),
        edits=st.lists(st.tuples(st.sampled_from(_FIELDS), _JSON), max_size=4),
        raw=st.none() | st.dictionaries(st.text(max_size=8), _JSON, max_size=4))
@@ -204,6 +204,43 @@ def test_thread_count_leaves_bytes_unchanged(tmp_path):
     run_scan(spec, output=serial, threads=1)
     run_scan(spec, output=parallel, threads=3)
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_pool_size_is_capped_by_the_number_of_chunks(tmp_path, monkeypatch):
+    """More threads than positions start one worker per position, not
+    one per requested thread."""
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    data = small_pointwise()
+    data["positions"] = {"start": 0.5, "stop": 9.5, "count": 3}
+    spec = ScanSpec.from_mapping(data)
+    run_scan(spec, output=tmp_path / "serial.csv")
+    monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", SerialPool)
+    run_scan(spec, output=tmp_path / "pooled.csv", threads=64)
+    assert requested == [3]
+    assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_scan_with_fewer_than_one_thread_exits_one(tmp_path, capsys, threads):
+    spec_path = write_spec(tmp_path, "scan.yaml", small_pointwise())
+    assert cli.main(["scan", str(spec_path), "--threads", threads]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --threads must be at least 1, not {threads}"]
+    assert list(tmp_path.iterdir()) == [spec_path]
 
 
 def test_slab_scan_threads_deterministic(tmp_path):
@@ -360,6 +397,24 @@ def test_cli_validate_lists_each_problem(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) >= 2
     assert all(line.startswith("invalid: ") for line in lines)
+
+
+def test_cli_validate_warns_about_a_lossy_layer_without_temperature(tmp_path, capsys):
+    """The stack is valid and LDOS-only scans of it work, so validate
+    still exits 0, but it names the layer every other scan will reject."""
+    stack = {"layers": [
+        {"thickness": "inf", "n": "1.5+0.3i", "temperature": 400.0},
+        {"thickness": 2.0, "n": "1.2+0.1i"},
+        {"thickness": 5.0, "n": "1.1+0.1i", "temperature": "self-consistent"},
+        {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0},
+    ]}
+    config = write_spec(tmp_path, "stack.yaml", stack)
+    assert cli.main(["validate", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("warning: ")] == [
+        "warning: layer 1 is lossy but has no temperature; every scan quantity "
+        "except ldos_* and every balance solve will reject it"]
+    assert "clean" in lines[-1]
 
 
 def test_cli_scan_writes_file_and_reports(tmp_path, capsys):

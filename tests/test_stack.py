@@ -281,6 +281,16 @@ def test_outer_layer_thickness_must_be_plus_inf():
         build_stack({"layers": [dict(outer, thickness=float("-inf")), inner, outer]})
 
 
+def test_build_stack_rejects_a_layer_too_thin_to_separate_its_interfaces():
+    """A 1e-20 um layer after a 5 um one adds nothing to the interface
+    position in double precision; the stack would hold a layer no point
+    can lie in."""
+    outer = {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0}
+    layers = [outer, {"thickness": 5.0, "n": 1.0}, {"thickness": 1e-20, "n": 1.0}, outer]
+    with pytest.raises(ConfigError, match="layer 2: .* too thin to separate its interfaces"):
+        build_stack({"layers": layers})
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: (st.lists(inner, max_size=3)
@@ -323,7 +333,7 @@ def _assert_valid(stack):
             assert math.isfinite(layer.temperature) and layer.temperature > 0
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300, deadline=None, database=None, print_blob=True)
 @given(edits=st.lists(
            st.tuples(st.integers(0, 4), st.sampled_from(_LAYER_FIELDS + _TABLE_FIELDS),
                      _JSON),
