@@ -7,7 +7,7 @@ temperatures, self-consistent temperature profiles of passive layers, and
 the spectral force densities acting on the structure.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     ConfigError,
@@ -30,12 +30,8 @@ from .stack import (
     serialize_stack,
 )
 from .greens import (
-    BasisPair,
-    VARIANT_FLIPPED,
-    VARIANT_NORMAL,
     WaveBasis,
     region_integrals,
-    solve_bases,
     solve_wave_basis,
 )
 from .spectral import (

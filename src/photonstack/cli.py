@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ConvergenceError, PhotonStackError
-from .greens import solve_bases
+from .greens import solve_wave_basis
 from .scan import ScanSpec, run_scan
 from .spectral import ldos_closure_residuals
 from .stack import load_stack
@@ -48,7 +48,7 @@ def _validate(args) -> int:
                   "scan quantity except ldos_* and every balance solve will reject it")
 
     omega = omega_from_ev(np.array([_CLOSURE_EV]))
-    bases = solve_bases(stack, omega)
+    basis = solve_wave_basis(stack, omega)
     lo, hi = stack.span
     points = [lo - _OUTER_DEPTH, hi + _OUTER_DEPTH]
     for j in range(1, len(stack.layers) - 1):
@@ -56,7 +56,7 @@ def _validate(args) -> int:
         points.append(0.5 * (a + b))
     clean = True
     for x in sorted(points):
-        res_e, res_m = ldos_closure_residuals(stack, bases, x)
+        res_e, res_m = ldos_closure_residuals(stack, basis, x)
         worst = float(max(res_e.max(), res_m.max()))
         if worst > _CLOSURE_TOL:
             j = stack.layer_index(x)

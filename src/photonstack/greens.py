@@ -24,10 +24,9 @@ layer and the closed-form layer integrals keep at most one factor of
 absorption lengths; that covers any micron-scale structure by a wide
 margin.
 
-The magnetic mode density calls for an auxiliary "flipped-reflection"
-variant of the basis in which every interface reflection coefficient is
-negated while transmission is kept; it matches the normal variant
-whenever all layers share one index.
+The same two solutions give the mixed derivative of G at coincidence,
+``d^2 G / dx dx' (x, x) = -psi_left'(x) psi_right'(x) / W``, from which
+the magnetic mode density is read.
 """
 
 from __future__ import annotations
@@ -41,21 +40,17 @@ from .errors import ConfigError, DegenerateBasisError, DivergentSourceError
 from .stack import LayerStack
 from .units import c
 
-VARIANT_NORMAL = "normal"
-VARIANT_FLIPPED = "flipped"
-
 _DEGENERACY_FLOOR = 1e-13
 _WRONSKIAN_DRIFT_TOL = 1e-8
 _SERIES_THRESHOLD = 1e-6
 
 
-def interface_coefficients(n_left, n_right, variant: str = VARIANT_NORMAL):
+def interface_coefficients(n_left, n_right):
     """Normal-incidence reflection and transmission amplitudes for a wave
     arriving from the left medium.
 
     Returns ``(r, t)`` with ``r = (n_left - n_right)/(n_left + n_right)``
-    and ``t = 2 n_left/(n_left + n_right)``; the flipped variant negates
-    r and keeps t.
+    and ``t = 2 n_left/(n_left + n_right)``.
     """
     nl = np.asarray(n_left, dtype=complex)
     nr = np.asarray(n_right, dtype=complex)
@@ -63,13 +58,9 @@ def interface_coefficients(n_left, n_right, variant: str = VARIANT_NORMAL):
         raise ConfigError("refractive indices must have positive real part")
     if np.any(nl.imag < 0) or np.any(nr.imag < 0):
         raise ConfigError("refractive indices must have nonnegative imaginary part")
-    if variant not in (VARIANT_NORMAL, VARIANT_FLIPPED):
-        raise ConfigError(f"unknown basis variant {variant!r}")
     denom = nl + nr
     r = (nl - nr) / denom
     t = 2.0 * nl / denom
-    if variant == VARIANT_FLIPPED:
-        r = -r
     if not r.shape:
         return complex(r), complex(t)
     return r, t
@@ -87,7 +78,6 @@ class WaveBasis:
 
     stack: LayerStack
     omega: np.ndarray
-    variant: str
     wavenumbers: np.ndarray
     refs: tuple[float, ...]
     a_left: np.ndarray
@@ -143,17 +133,13 @@ class WaveBasis:
         phi_r, dphi_r = self._right(j, waves)
         return -(dphi_l * phi_r + phi_l * dphi_r) / self.wronskian_scaled[j]
 
-
-@dataclass(frozen=True)
-class BasisPair:
-    """Normal and flipped-reflection bases solved at the same frequencies."""
-
-    normal: WaveBasis
-    flipped: WaveBasis
-
-    @property
-    def omega(self):
-        return self.normal.omega
+    def coincident_mixed(self, x):
+        """d^2 G / dx dx' at x' = x, for points within one layer."""
+        j = self.stack.layer_of(x)
+        waves = self._waves(j, x)
+        _, dphi_l = self._left(j, waves)
+        _, dphi_r = self._right(j, waves)
+        return -dphi_l * dphi_r / self.wronskian_scaled[j]
 
 
 def _renormalized(a, b):
@@ -161,7 +147,7 @@ def _renormalized(a, b):
     return a / scale, b / scale, np.log(scale)
 
 
-def solve_wave_basis(stack: LayerStack, omega, variant: str = VARIANT_NORMAL) -> WaveBasis:
+def solve_wave_basis(stack: LayerStack, omega) -> WaveBasis:
     """March the two outgoing solutions through the stack.
 
     Parameters
@@ -170,9 +156,6 @@ def solve_wave_basis(stack: LayerStack, omega, variant: str = VARIANT_NORMAL) ->
     omega : float or array_like
         Angular frequencies in rad/s; all downstream quantities broadcast
         over this shape.
-    variant : "normal" or "flipped"
-        The flipped variant negates every interface reflection (used for
-        the magnetic mode density).
 
     Raises DegenerateBasisError if the two solutions become numerically
     linearly dependent, and ConfigError for lossless outer layers unless
@@ -206,7 +189,7 @@ def solve_wave_basis(stack: LayerStack, omega, variant: str = VARIANT_NORMAL) ->
     r = np.empty((nlay - 1,) + wshape, dtype=complex)
     t = np.empty((nlay - 1,) + wshape, dtype=complex)
     for m in range(nlay - 1):
-        rm, tm = interface_coefficients(n[m], n[m + 1], variant)
+        rm, tm = interface_coefficients(n[m], n[m + 1])
         r[m] = rm
         t[m] = tm
 
@@ -261,7 +244,6 @@ def solve_wave_basis(stack: LayerStack, omega, variant: str = VARIANT_NORMAL) ->
     return WaveBasis(
         stack=stack,
         omega=om,
-        variant=variant,
         wavenumbers=k,
         refs=refs,
         a_left=a_l,
@@ -274,12 +256,8 @@ def solve_wave_basis(stack: LayerStack, omega, variant: str = VARIANT_NORMAL) ->
     )
 
 
-def solve_bases(stack: LayerStack, omega) -> BasisPair:
-    """Solve both basis variants at the same frequencies."""
-    return BasisPair(
-        normal=solve_wave_basis(stack, omega, VARIANT_NORMAL),
-        flipped=solve_wave_basis(stack, omega, VARIANT_FLIPPED),
-    )
+# perfbench/tracer.py still traces this name; it is the same function
+solve_bases = solve_wave_basis
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .errors import ConfigError, InterfacePointError
-from .greens import BasisPair, solve_bases
+from .greens import WaveBasis, solve_wave_basis
 from .spectral import FieldTriplet, OccupationSums, ldos, ldos_gradient, photon_numbers
 from .stack import LayerSlices, LayerStack, TemperatureProfile
 from .units import c, epsilon_0, hbar
@@ -71,9 +71,9 @@ def energy_pressure(
     return EnergyPressureSample(e_fluct, b_fluct, u, u)
 
 
-def _energy_at(stack, bases, profile, x) -> EnergyPressureSample:
-    return energy_pressure(bases.omega, ldos(stack, bases, x),
-                           photon_numbers(stack, bases.normal, profile, x))
+def _energy_at(stack, basis, profile, x) -> EnergyPressureSample:
+    return energy_pressure(basis.omega, ldos(stack, basis, x),
+                           photon_numbers(stack, basis, profile, x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +98,7 @@ def _profile_edges(stack: LayerStack, profile: TemperatureProfile):
 
 def force_density(
     stack: LayerStack,
-    bases: BasisPair,
+    basis: WaveBasis,
     densities: FieldTriplet,
     sums: OccupationSums,
 ) -> ForceDensitySample:
@@ -115,15 +115,15 @@ def force_density(
             f"x = {on[0]!r} lies on an interface where the force density holds a "
             "delta contribution; integrate via the pressure difference instead"
         )
-    om = bases.omega
-    d_rho_tot = ldos_gradient(stack, bases, x).total
+    om = basis.omega
+    d_rho_tot = ldos_gradient(stack, basis, x).total
     zcf = -0.5 * hbar * om * d_rho_tot
     tcf = -hbar * om * d_rho_tot * sums.numbers.total
     ncf = -hbar * om * densities.total * sums.total_number_gradient()
     return ForceDensitySample(zcf, tcf, ncf, zcf + tcf + ncf)
 
 
-def fd_residual(stack: LayerStack, bases: BasisPair, profile: TemperatureProfile,
+def fd_residual(stack: LayerStack, basis: WaveBasis, profile: TemperatureProfile,
                 x, total):
     """Relative deviation of the force density ``total`` at x (a point or
     a 1-D array of points in one layer) from a Richardson-extrapolated
@@ -133,7 +133,7 @@ def fd_residual(stack: LayerStack, bases: BasisPair, profile: TemperatureProfile
     interface or a slice boundary leave no room for a step; they are not
     checked and their residual is NaN.
     """
-    om = bases.omega
+    om = basis.omega
     n_re = max(
         float(np.max(np.real(layer.n_at(om)))) for layer in stack.layers
     )
@@ -147,8 +147,8 @@ def fd_residual(stack: LayerStack, bases: BasisPair, profile: TemperatureProfile
         h = np.where(dist < 4.0 * h, dist / 4.0, h)[checked]
         xc = xs[checked]
         def grad(step):
-            up = _energy_at(stack, bases, profile, xc + step).energy_density
-            dn = _energy_at(stack, bases, profile, xc - step).energy_density
+            up = _energy_at(stack, basis, profile, xc + step).energy_density
+            dn = _energy_at(stack, basis, profile, xc - step).energy_density
             return (up - dn) / (2.0 * step.reshape((-1,) + (1,) * om.ndim))
         coarse = grad(h)
         fine = grad(0.5 * h)
@@ -162,7 +162,7 @@ def fd_residual(stack: LayerStack, bases: BasisPair, profile: TemperatureProfile
 
 def net_force(
     stack: LayerStack,
-    bases: BasisPair,
+    basis: WaveBasis,
     profile: TemperatureProfile,
     x1: float,
     x2: float,
@@ -172,8 +172,8 @@ def net_force(
     the interface delta contributions."""
     if not x1 < x2:
         raise InterfacePointError("probe points must satisfy x1 < x2")
-    p1 = _energy_at(stack, bases, profile, x1).pressure
-    p2 = _energy_at(stack, bases, profile, x2).pressure
+    p1 = _energy_at(stack, basis, profile, x1).pressure
+    p2 = _energy_at(stack, basis, profile, x2).pressure
     return p1 - p2
 
 
@@ -197,11 +197,11 @@ def frequency_integrated_force(
     om = np.asarray(omega_grid, dtype=float)
     if om.ndim != 1 or om.size < 2 or np.any(np.diff(om) <= 0):
         raise ConfigError("frequency grid must be 1D and increasing")
-    bases = solve_bases(stack, om)
-    rho1 = ldos(stack, bases, x1).total
-    rho2 = ldos(stack, bases, x2).total
-    n1 = photon_numbers(stack, bases.normal, profile, x1).total
-    n2 = photon_numbers(stack, bases.normal, profile, x2).total
+    basis = solve_wave_basis(stack, om)
+    rho1 = ldos(stack, basis, x1).total
+    rho2 = ldos(stack, basis, x2).total
+    n1 = photon_numbers(stack, basis, profile, x1).total
+    n2 = photon_numbers(stack, basis, profile, x2).total
     thermal_integrand = hbar * om * (rho1 * n1 - rho2 * n2)
     zero_integrand = 0.5 * hbar * om * (rho1 - rho2)
     peak = float(np.max(np.abs(thermal_integrand)))

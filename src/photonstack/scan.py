@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, PhotonStackError
-from .greens import solve_bases
+from .greens import solve_wave_basis
 from .mechanics import (
     _INTERFACE_CLEARANCE,
     _edge_distance,
@@ -49,7 +49,7 @@ from .stack import (
     load_stack,
     serialize_stack,
 )
-from .thermo import solve_self_consistent
+from .thermo import check_balance_settings, solve_self_consistent
 from .units import LDOS_UNIT, MICRON, omega_from_ev
 
 # name -> (paper-units tag, SI tag, attribute path on _PointValues); only
@@ -246,12 +246,7 @@ class ScanSpec:
             balance[key] = _integer(balance[key], f"balance {key}")
         for key in ("tolerance_K", "relaxation"):
             balance[key] = _real(balance[key], f"balance {key}")
-        if balance["slices"] < 1 or balance["max_iterations"] < 1:
-            raise ConfigError("balance slices and max_iterations must be >= 1")
-        if not 0.0 < balance["tolerance_K"]:
-            raise ConfigError("balance tolerance_K must be positive")
-        if not 0.0 < balance["relaxation"] <= 1.0:
-            raise ConfigError("balance relaxation must lie in (0, 1]")
+        check_balance_settings(**balance)
 
         output = data.get("output")
         if output is not None and not isinstance(output, str):
@@ -326,20 +321,20 @@ class _PointValues:
     call each, and every quantity is built from them. The sums carry
     field-point derivatives only when a force is wanted."""
 
-    def __init__(self, stack, bases, profile, x, forces):
+    def __init__(self, stack, basis, profile, x, forces):
         self.stack = stack
-        self.bases = bases
+        self.basis = basis
         self.profile = profile
         self.x = x
         self.forces = forces
 
     @cached_property
     def densities(self):
-        return ldos(self.stack, self.bases, self.x)
+        return ldos(self.stack, self.basis, self.x)
 
     @cached_property
     def sums(self):
-        return occupation_sums(self.stack, self.bases.normal, self.profile, self.x,
+        return occupation_sums(self.stack, self.basis, self.profile, self.x,
                                gradient=self.forces)
 
     @property
@@ -348,15 +343,15 @@ class _PointValues:
 
     @cached_property
     def temperatures(self):
-        return effective_temperatures(self.numbers, self.bases.omega)
+        return effective_temperatures(self.numbers, self.basis.omega)
 
     @cached_property
     def energy(self):
-        return energy_pressure(self.bases.omega, self.densities, self.numbers)
+        return energy_pressure(self.basis.omega, self.densities, self.numbers)
 
     @cached_property
     def force(self):
-        return force_density(self.stack, self.bases, self.densities, self.sums)
+        return force_density(self.stack, self.basis, self.densities, self.sums)
 
 
 def _pointwise_chunk(payload):
@@ -365,7 +360,7 @@ def _pointwise_chunk(payload):
     result holds the finite-difference residual per (position, energy),
     NaN where no check was made."""
     xs, stack, profile, omega, quantities, units, fd_check = payload
-    bases = solve_bases(stack, omega)
+    basis = solve_wave_basis(stack, omega)
     block = np.empty((len(xs), omega.size, len(quantities)))
     fd = np.full((len(xs), omega.size), np.nan) if fd_check else None
     ldos_scale = LDOS_UNIT if units == "paper" else 1.0
@@ -373,14 +368,14 @@ def _pointwise_chunk(payload):
     layers = stack.layer_index(xs)
     for j in np.unique(layers):
         rows = layers == j
-        pv = _PointValues(stack, bases, profile, xs[rows], forces)
+        pv = _PointValues(stack, basis, profile, xs[rows], forces)
         for q_i, q in enumerate(quantities):
             vals = attrgetter(_QUANTITY_TABLE[q][2])(pv)
             if q.startswith("ldos_"):
                 vals = vals / ldos_scale
             block[rows, :, q_i] = vals
         if fd_check:
-            fd[rows] = fd_residual(stack, bases, profile, pv.x, pv.force.total)
+            fd[rows] = fd_residual(stack, basis, profile, pv.x, pv.force.total)
     return block, fd
 
 
@@ -453,9 +448,9 @@ def _slab_chunk(payload):
     for i, w in enumerate(widths):
         stack = template.at_width(w)
         profile = _profile(stack, balance)
-        bases = solve_bases(stack, omega)
+        basis = solve_wave_basis(stack, omega)
         x1, x2 = template.probes(w)
-        block[i, :, 0] = net_force(stack, bases, profile, x1, x2)
+        block[i, :, 0] = net_force(stack, basis, profile, x1, x2)
     return block, None
 
 

@@ -1,9 +1,10 @@
 """Mode densities and photon occupancies of the layered field.
 
 The electric mode density is read off the imaginary part of the Green's
-function at coincidence; the magnetic one comes from the flipped-reflection
-basis weighted by the local n^2. Their sum (electric part weighted by
-|n|^2) is the total mode density that enters energy and pressure.
+function at coincidence, the magnetic one off its mixed derivative
+d^2 G / dx dx' at coincidence over k0^2; both come from the one wave
+basis. Their sum (electric part weighted by |n|^2) is the total mode
+density that enters energy and pressure.
 
 Photon occupancies attribute the field at a point to the thermal sources
 that radiated it: each lossy region contributes in proportion to its
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .greens import BasisPair, WaveBasis, region_integrals
+from .greens import WaveBasis, region_integrals
 from .stack import LayerStack, Region, TemperatureProfile
 from .units import CROSS_SECTION, c, hbar, k_B
 
@@ -70,33 +71,39 @@ def _mode_density(om, g):
 
 
 def electric_density(basis: WaveBasis, x):
-    """Electric mode density at x (points in one layer); needs only the
-    normal basis."""
+    """Electric mode density at x (points in one layer)."""
     return _mode_density(basis.omega, basis.coincident_value(x))
 
 
-def _densities(stack: LayerStack, bases: BasisPair, x, coincident) -> FieldTriplet:
-    """Electric, magnetic and total densities from ``coincident``, which
-    is ``WaveBasis.coincident_value`` for the densities themselves or
-    ``WaveBasis.coincident_gradient`` for their x-derivatives."""
-    om = bases.omega
-    nn = stack.layers[stack.layer_of(x)].n_at(om)
-    electric = _mode_density(om, coincident(bases.normal, x))
-    magnetic = _mode_density(om, nn * nn * coincident(bases.flipped, x))
+def _densities(om, nn, g_e, g_m) -> FieldTriplet:
+    """Electric, magnetic and total densities (or their x-derivatives)
+    from the coincident Green's-function values ``g_e`` and ``g_m`` in a
+    layer of index ``nn``."""
+    electric = _mode_density(om, g_e)
+    magnetic = _mode_density(om, g_m)
     return FieldTriplet(electric, magnetic, np.abs(nn) ** 2 * electric + magnetic)
 
 
-def ldos(stack: LayerStack, bases: BasisPair, x) -> FieldTriplet:
+def ldos(stack: LayerStack, basis: WaveBasis, x) -> FieldTriplet:
     """Mode densities at x (a point or a 1-D array of points in one
-    layer) from the coincident Green's functions, in SI units (states per
-    volume per angular frequency); divide by ``units.LDOS_UNIT`` for
-    units of the free-space total."""
-    return _densities(stack, bases, x, WaveBasis.coincident_value)
+    layer) from the coincident Green's function and its mixed derivative
+    over k0^2, in SI units (states per volume per angular frequency);
+    divide by ``units.LDOS_UNIT`` for units of the free-space total."""
+    om = basis.omega
+    nn = stack.layers[stack.layer_of(x)].n_at(om)
+    return _densities(om, nn, basis.coincident_value(x),
+                      basis.coincident_mixed(x) / (om / c) ** 2)
 
 
-def ldos_gradient(stack: LayerStack, bases: BasisPair, x) -> FieldTriplet:
-    """d/dx of the three mode densities at points x within one layer."""
-    return _densities(stack, bases, x, WaveBasis.coincident_gradient)
+def ldos_gradient(stack: LayerStack, basis: WaveBasis, x) -> FieldTriplet:
+    """d/dx of the three mode densities at points x within one layer.
+    By the wave equation psi'' = -k^2 psi, d/dx of psi_left' psi_right'
+    is -k^2 d/dx of psi_left psi_right, so the magnetic gradient is
+    -n^2 times the electric coincident gradient."""
+    om = basis.omega
+    nn = stack.layers[stack.layer_of(x)].n_at(om)
+    grad = basis.coincident_gradient(x)
+    return _densities(om, nn, grad, -nn * nn * grad)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,19 +215,19 @@ def effective_temperatures(numbers: FieldTriplet, omega) -> FieldTriplet:
     return FieldTriplet._make(occupation_temperature(n, omega) for n in numbers)
 
 
-def ldos_closure_residuals(stack: LayerStack, bases: BasisPair, x: float):
+def ldos_closure_residuals(stack: LayerStack, basis: WaveBasis, x: float):
     """Relative mismatch between the coincident-Green's-function mode
     densities and their source-integral forms, summed over every lossy
     layer. Both should agree to roundoff; a large residual flags a broken
     basis solve."""
-    om = bases.omega
+    om = basis.omega
     sums = np.zeros((2,) + om.shape)  # electric, magnetic
     for j, layer in enumerate(stack.layers):
         if np.any((layer.n_at(om) ** 2).imag != 0.0):
             region = Region(j, *stack.layer_bounds(j), None)
-            sums += source_weights(stack, bases.normal, region, x)
+            sums += source_weights(stack, basis, region, x)
     pref = 2.0 * om**3 / (math.pi * c**4 * CROSS_SECTION)
-    surf = ldos(stack, bases, x)
+    surf = ldos(stack, basis, x)
     int_e, int_m = pref * sums
     tiny = np.finfo(float).tiny
     res_e = np.abs(surf.electric - int_e) / np.maximum(np.abs(surf.electric), tiny)

@@ -57,6 +57,18 @@ class BalanceResult:
     update_history: tuple[float, ...]
 
 
+def check_balance_settings(slices, tolerance_K, max_iterations, relaxation):
+    """Raise ConfigError unless the balance settings are usable: at least
+    one slice and one iteration, a positive finite tolerance, and a
+    relaxation in (0, 1]."""
+    if not (slices >= 1 and max_iterations >= 1):
+        raise ConfigError("balance slices and max_iterations must be >= 1")
+    if not 0.0 < tolerance_K < np.inf:
+        raise ConfigError("balance tolerance_K must be positive and finite")
+    if not 0.0 < relaxation <= 1.0:
+        raise ConfigError("balance relaxation must lie in (0, 1]")
+
+
 def _bisect_all(balance, n: int, t_lo: float, t_hi: float, tol: float):
     """Roots of n monotonically increasing balance functions on [t_lo,
     t_hi], each clamped to the bracket when its root lies outside it.
@@ -65,7 +77,10 @@ def _bisect_all(balance, n: int, t_lo: float, t_hi: float, tol: float):
     temperatures ``t``. All brackets are halved in lockstep, but each one
     keeps its own early exits and stops once narrower than ``tol``, so
     every root is exactly what a bisection of that function alone finds.
+    A ``tol`` below a few ulps of ``t_hi`` is raised to that, since such
+    a bracket cannot be halved any further.
     """
+    tol = max(tol, 4.0 * np.spacing(t_hi))
     roots = np.full(n, t_lo)
     if t_hi - t_lo <= tol:
         return roots
@@ -120,8 +135,10 @@ def solve_self_consistent(
     of a slice-by-slice bisection. The update is applied with
     under-relaxation; convergence is declared when the largest applied
     update falls below ``tolerance_K``, and exceeding ``max_iterations``
-    raises ConvergenceError.
+    raises ConvergenceError. Settings out of range (see
+    ``check_balance_settings``) raise ConfigError.
     """
+    check_balance_settings(slices, tolerance_K, max_iterations, relaxation)
     sc_layers = [j for j, layer in enumerate(stack.layers) if layer.self_consistent]
     if not sc_layers:
         return BalanceResult(
@@ -132,8 +149,6 @@ def solve_self_consistent(
             iterations=0,
             update_history=(),
         )
-    if not slices >= 1:
-        raise ConfigError("slices must be a positive integer")
     fixed = [
         layer.temperature for layer in stack.layers if layer.temperature is not None
     ]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from photonstack.greens import solve_bases
+from photonstack.greens import solve_wave_basis
 from photonstack.mechanics import energy_pressure, force_density
 from photonstack.spectral import ldos, occupation_sums, photon_numbers
 from photonstack.stack import ConstantIndex, Layer, LayerStack, TemperatureProfile
@@ -11,16 +11,16 @@ from photonstack.units import omega_from_ev
 INF = float("inf")
 
 
-def point_energy(stack, bases, profile, x):
+def point_energy(stack, basis, profile, x):
     """energy_pressure fed with freshly evaluated densities and numbers."""
-    return energy_pressure(bases.omega, ldos(stack, bases, x),
-                           photon_numbers(stack, bases.normal, profile, x))
+    return energy_pressure(basis.omega, ldos(stack, basis, x),
+                           photon_numbers(stack, basis, profile, x))
 
 
-def point_force(stack, bases, profile, x):
+def point_force(stack, basis, profile, x):
     """force_density fed with freshly evaluated densities and gradient sums."""
-    sums = occupation_sums(stack, bases.normal, profile, x, gradient=True)
-    return force_density(stack, bases, ldos(stack, bases, x), sums)
+    sums = occupation_sums(stack, basis, profile, x, gradient=True)
+    return force_density(stack, basis, ldos(stack, basis, x), sums)
 
 
 def cavity_stack() -> LayerStack:
@@ -75,8 +75,8 @@ def cavity_omega():
 
 
 @pytest.fixture(scope="session")
-def cavity_bases(cavity, cavity_omega):
-    return solve_bases(cavity, cavity_omega)
+def cavity_basis(cavity, cavity_omega):
+    return solve_wave_basis(cavity, cavity_omega)
 
 
 @pytest.fixture(scope="session")

@@ -40,13 +40,13 @@ def true_wronskian(basis):
     return basis.wronskian_scaled[0] * np.exp(basis.scale_left[0] + basis.scale_right[0])
 
 
-def net_force_occupation_route(stack, bases, profile, x1: float, x2: float):
+def net_force_occupation_route(stack, basis, profile, x1: float, x2: float):
     """Equivalent force expression for probes with equal mode density
     (mirror-symmetric structures): hbar omega rho_tot (n1 - n2)."""
-    om = bases.omega
-    rho1 = ldos(stack, bases, x1).total
-    n1 = photon_numbers(stack, bases.normal, profile, x1).total
-    n2 = photon_numbers(stack, bases.normal, profile, x2).total
+    om = basis.omega
+    rho1 = ldos(stack, basis, x1).total
+    n1 = photon_numbers(stack, basis, profile, x1).total
+    n2 = photon_numbers(stack, basis, profile, x2).total
     return hbar * om * rho1 * (n1 - n2)
 
 
@@ -54,8 +54,7 @@ def net_emission(stack, basis, profile, x: float) -> np.ndarray:
     """Net spectral power density handed from matter to the field at x,
     q = hbar omega^2 Im[n^2] rho_e (eta(T) - n_e); positive while the
     material runs hotter than the field it sits in. Lossless material
-    exchanges nothing. ``basis`` may be a WaveBasis or a BasisPair."""
-    basis = getattr(basis, "normal", basis)
+    exchanges nothing."""
     om = basis.omega
     nn = stack.layers[stack.layer_index(x)].n_at(om)
     im_n2 = (nn * nn).imag

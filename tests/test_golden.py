@@ -19,18 +19,20 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # key: a bundled config name (a scan) or "balance" and a config name,
 # followed by the extra CLI arguments of the run
 SHA256 = {
-    "cavity_field_map": "aae9a84378fb590bb0c145e2aa8976ebe3df5df07c2716a67c9789f67938619c",
-    "passive_cavity_forces": "ea71688c6834c75a6c372756934a19437acb96ce4b9470345a89d6146b4734c3",
+    "cavity_field_map": "badb3940a70b720a9aad5d8f76b2e6e7d91c2efaf35c40cba73e1af47bcf7917",
+    "cavity_field_map --units si":
+        "099ffbdd94a52fbd7ad84eeef252907a38da6868203262346a807ce9dbbbab82",
+    "passive_cavity_forces": "4cd644a9593f7c98f03afed24bdd3b11c7f4a50ee6389c4d8535ac0b58f73338",
     # the fd-check line is part of the promise that --threads moves no byte
     "passive_cavity_forces --fd-check":
-        "2ce82cf7ed2fe8deaa856977daa27749c1ad009e0f0185ee734be526e0d5a510",
+        "ad33824c9123337c625ee13446fc8a8becf12e0843dccbd112f1b5d42146eec4",
     "passive_cavity_forces --fd-check --threads 2":
-        "2ce82cf7ed2fe8deaa856977daa27749c1ad009e0f0185ee734be526e0d5a510",
-    "transparent_slab_force": "8c523340499b9e3e8c5f67bcdc610a293250bb1b6a6ba7ebd1f05b5210cc05a4",
-    "absorbing_slab_force": "bb410af58d88dd84e168dbbe30c7376063234234b9db921425a2e7d8eef02406",
-    "balance passive_cavity": "2f8e26838059aef1b50cfec86ad1e88d79587e80e19d77413e2952634ec03c2f",
+        "ad33824c9123337c625ee13446fc8a8becf12e0843dccbd112f1b5d42146eec4",
+    "transparent_slab_force": "f386e0395cbc8c64d1bc761ee195f9d0013dc9ee8814be9699dc0a4207b5856b",
+    "absorbing_slab_force": "c049983c804bf03de7574fe231ce288b8bdbac1a4c9154e1bdd8bbe5fa9d4949",
+    "balance passive_cavity": "38dcbf70f2f31fd7ea30e85df36a87759c7382d18877c47e06ed7077acd3c10b",
     "balance passive_cavity --slices 32":
-        "c57ac863e7302e4800b9b754ccd70bfbab1b83730caf2326e8b03081fbe99936",
+        "0d4151ab9d39840fedab1d0797eb321ac84ea8a823a60f540516e513b51af248",
 }
 
 

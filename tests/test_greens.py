@@ -4,14 +4,7 @@ import pytest
 from scipy import integrate
 
 from photonstack.errors import ConfigError, DivergentSourceError
-from photonstack.greens import (
-    VARIANT_FLIPPED,
-    VARIANT_NORMAL,
-    interface_coefficients,
-    region_integrals,
-    solve_bases,
-    solve_wave_basis,
-)
+from photonstack.greens import interface_coefficients, region_integrals, solve_wave_basis
 from photonstack.stack import ConstantIndex, Layer, LayerStack
 from photonstack.units import c, omega_from_ev
 
@@ -98,23 +91,22 @@ def test_reciprocity_between_field_and_source():
         assert np.max(np.abs(a - b) / np.abs(a)) < 1e-8
 
 
-def test_wronskian_constant_across_layers(cavity_bases):
-    basis = cavity_bases.normal
-    scaled, log_scale = basis.layer_wronskians()
+def test_wronskian_constant_across_layers(cavity_basis):
+    scaled, log_scale = cavity_basis.layer_wronskians()
     true = scaled * np.exp(log_scale)
     ref = true[0]
     for w in true[1:]:
         assert np.max(np.abs(w - ref) / np.abs(ref)) < 1e-10
-    assert np.array_equal(true_wronskian(basis), true[0])
+    assert np.array_equal(true_wronskian(cavity_basis), true[0])
 
 
 def _mp_green(stack, omega):
-    """G of the normal basis at one frequency, from a plain transfer-matrix
-    march at 40 digits: psi and psi' continuous at every interface, no
+    """G at one frequency, from a plain transfer-matrix march at 40
+    digits: psi and psi' continuous at every interface, no
     renormalization, psi_left = e^{-ik(x - x_0)} in the first layer and
     psi_right = e^{ik(x - x_last)} in the last (the basis's own
-    normalization). Returns G(x, x') and the Wronskian in each layer;
-    call both under ``mp.workdps(40)``."""
+    normalization). Returns G(x, x'), d^2 G / dx dx' at x' = x and the
+    Wronskian in each layer; call them under ``mp.workdps(40)``."""
     k = [mp.mpc(complex(layer.n_at(omega))) * mp.mpf(omega) / mp.mpf(c)
          for layer in stack.layers]
     edges = [mp.mpf(b) for b in stack.interfaces]
@@ -149,14 +141,19 @@ def _mp_green(stack, omega):
         phi_r = at(right, stack.layer_index(hi), hi)[0]
         return complex(-phi_l * phi_r / w)
 
-    return green, [complex(wronskian(j)) for j in range(last + 1)]
+    def mixed(x):
+        j = stack.layer_index(x)
+        return complex(-at(left, j, x)[1] * at(right, j, x)[1] / w)
+
+    return green, mixed, [complex(wronskian(j)) for j in range(last + 1)]
 
 
 @pytest.mark.parametrize("seed, n_layers", [(0, 3), (1, 4), (2, 5), (3, 5)])
 def test_green_function_matches_high_precision_transfer_matrix(seed, n_layers):
     """The renormalized march against an independent 40-digit one on a
     random stack: G on both sides of the source and at it, the
-    coincident value, reciprocity and the physical Wronskian per layer."""
+    coincident value and mixed derivative, reciprocity and the physical
+    Wronskian per layer."""
     rng = np.random.default_rng(seed)
 
     def index(min_loss):
@@ -178,47 +175,33 @@ def test_green_function_matches_high_precision_transfer_matrix(seed, n_layers):
 
     for i, w in enumerate(om):
         with mp.workdps(40):
-            green, wronskians = _mp_green(stack, float(w))
+            green, mixed, wronskians = _mp_green(stack, float(w))
             for x in points:
                 for src in points:
                     g = greens_sample(basis, x, src).value[i]
                     assert close(g, green(x, src)), (x, src)
                     assert close(g, greens_sample(basis, src, x).value[i]), (x, src)
                 assert close(basis.coincident_value(x)[i], green(x, x)), x
+                assert close(basis.coincident_mixed(x)[i], mixed(x)), x
         for j, want in enumerate(wronskians):
             assert close(physical[j][i], want), j
             assert close(want, wronskians[0]), j
 
 
-def test_flipped_variant_equals_normal_when_homogeneous():
-    stack = uniform_stack(1.8 + 0.2j)
-    om = omega_from_ev(np.array([0.07, 0.19]))
-    normal = solve_wave_basis(stack, om, VARIANT_NORMAL)
-    flipped = solve_wave_basis(stack, om, VARIANT_FLIPPED)
-    for x, src in [(1e-6, 6e-6), (-2e-6, 9e-6), (3e-6, 3e-6)]:
-        a = greens_sample(normal, x, src).value
-        b = greens_sample(flipped, x, src).value
-        assert np.max(np.abs(a - b) / np.abs(a)) < 1e-12
-
-
 def test_interface_coefficients_satisfy_scalar_matching():
     n_l, n_r = 1.5 + 0.3j, 2.5 + 0.5j
-    r, t = interface_coefficients(n_l, n_r, VARIANT_NORMAL)
+    r, t = interface_coefficients(n_l, n_r)
     assert r == pytest.approx((n_l - n_r) / (n_l + n_r))
     assert t == pytest.approx(2 * n_l / (n_l + n_r))
     assert t == pytest.approx(1 + r)
-    rf, tf = interface_coefficients(n_l, n_r, VARIANT_FLIPPED)
-    assert rf == pytest.approx(-r)
-    assert tf == pytest.approx(t)
 
 
-def test_green_function_continuous_across_interfaces(cavity_bases):
-    basis = cavity_bases.normal
+def test_green_function_continuous_across_interfaces(cavity_basis):
     src = 5e-6
     for b in (0.0, 10e-6):
         eps = 1e-12
-        lo = greens_sample(basis, b - eps, src).value
-        hi = greens_sample(basis, b + eps, src).value
+        lo = greens_sample(cavity_basis, b - eps, src).value
+        hi = greens_sample(cavity_basis, b + eps, src).value
         assert np.max(np.abs(lo - hi) / np.abs(lo)) < 1e-4
 
 
@@ -302,21 +285,20 @@ def test_region_integral_gradients_match_finite_differences():
         assert abs(got.d_dgg[0] - fd_dgg) / scale_dgg < 1e-5
 
 
-def test_random_point_region_closure(cavity_bases, cavity):
+def test_random_point_region_closure(cavity_basis, cavity):
     """Summing |G|^2 integrals over all source regions, weighted by each
     layer's Im[k^2], reproduces Im G(x, x) exactly."""
-    basis = cavity_bases.normal
-    om = cavity_bases.omega
+    om = cavity_basis.omega
     for _ in range(10):
         x = RNG.uniform(-8e-6, 18e-6)
         total = np.zeros(om.shape)
         for j in range(3):
-            k2im = (basis.wavenumbers[j] ** 2).imag
+            k2im = (cavity_basis.wavenumbers[j] ** 2).imag
             lo, hi = cavity.layer_bounds(j)
             if np.all(k2im == 0.0):
                 continue
-            total += k2im * region_integrals(basis, x, j, lo, hi).gg
-        im_g = basis.coincident_value(x).imag
+            total += k2im * region_integrals(cavity_basis, x, j, lo, hi).gg
+        im_g = cavity_basis.coincident_value(x).imag
         assert np.max(np.abs(total - im_g) / np.abs(im_g)) < 1e-10
 
 
@@ -338,14 +320,6 @@ def test_omega_validation():
         solve_wave_basis(stack, 0.0)
     with pytest.raises(ConfigError):
         solve_wave_basis(stack, np.array([1e14, -1e14]))
-
-
-def test_solve_bases_carries_both_variants(cavity):
-    om = omega_from_ev(np.array([0.1]))
-    pair = solve_bases(cavity, om)
-    assert pair.normal.variant == VARIANT_NORMAL
-    assert pair.flipped.variant == VARIANT_FLIPPED
-    assert np.array_equal(pair.omega, om)
 
 
 @pytest.mark.parametrize("gradient", [False, True])

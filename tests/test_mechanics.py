@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from photonstack.errors import ConfigError, InterfacePointError
-from photonstack.greens import solve_bases
+from photonstack.greens import solve_wave_basis
 from photonstack.mechanics import fd_residual, frequency_integrated_force, net_force
 from photonstack.spectral import ldos, source_occupation
 from photonstack.stack import TemperatureProfile
@@ -16,33 +16,33 @@ from oracles import net_force_occupation_route
 @pytest.fixture(scope="module")
 def balanced_passive(passive_cavity, passive_balance):
     om = omega_from_ev(np.linspace(0.02, 0.24, 17))
-    return passive_cavity, solve_bases(passive_cavity, om), passive_balance.profile
+    return passive_cavity, solve_wave_basis(passive_cavity, om), passive_balance.profile
 
 
 # --- energy density and pressure -------------------------------------------
 
-def test_equilibrium_energy_density_formula(cavity, cavity_bases):
+def test_equilibrium_energy_density_formula(cavity, cavity_basis):
     """At thermal equilibrium u reduces to hbar omega rho_tot (eta + 1/2)
     with the analytic occupancy."""
     profile = TemperatureProfile.uniform(cavity, 350.0)
-    om = cavity_bases.omega
+    om = cavity_basis.omega
     eta = source_occupation(om, 350.0)
     for x in (-2e-6, 4e-6, 12e-6):
-        sample = point_energy(cavity, cavity_bases, profile, x)
-        rho_tot = ldos(cavity, cavity_bases, x).total
+        sample = point_energy(cavity, cavity_basis, profile, x)
+        rho_tot = ldos(cavity, cavity_basis, x).total
         want = hbar * om * rho_tot * (eta + 0.5)
         assert np.max(np.abs(sample.energy_density - want) / want) < 1e-6
         assert np.array_equal(sample.pressure, sample.energy_density)
 
 
 def test_field_fluctuations_continuous_energy_density_not(
-        cavity, cavity_bases, cavity_profile):
+        cavity, cavity_basis, cavity_profile):
     """The quadrature fluctuation fields are continuous at the interfaces
     (their eps-offset jumps shrink linearly with eps) while the energy
     density holds a finite step at the n2 wall."""
     def jumps(b, eps):
-        lo = point_energy(cavity, cavity_bases, cavity_profile, b - eps)
-        hi = point_energy(cavity, cavity_bases, cavity_profile, b + eps)
+        lo = point_energy(cavity, cavity_basis, cavity_profile, b - eps)
+        hi = point_energy(cavity, cavity_basis, cavity_profile, b + eps)
         out = []
         for f in ("e_fluct", "b_fluct", "energy_density"):
             a, z = getattr(lo, f), getattr(hi, f)
@@ -63,20 +63,20 @@ def test_field_fluctuations_continuous_energy_density_not(
 
 # --- force-density decomposition -------------------------------------------
 
-def test_interface_point_rejected(cavity, cavity_bases, cavity_profile):
+def test_interface_point_rejected(cavity, cavity_basis, cavity_profile):
     with pytest.raises(InterfacePointError):
-        point_force(cavity, cavity_bases, cavity_profile, 0.0)
+        point_force(cavity, cavity_basis, cavity_profile, 0.0)
 
 
 def test_decomposition_sums_to_energy_gradient(balanced_passive):
     """zcf + tcf + ncf equals -du/dx, checked against a Richardson
     finite difference away from interfaces and slice edges."""
-    stack, bases, profile = balanced_passive
+    stack, basis, profile = balanced_passive
     xs = np.array([0.2, 2.9, 5.1, 7.3, 9.8]) * 1e-6
     worst = 0.0
     for x in xs:
-        sample = point_force(stack, bases, profile, x)
-        residual = fd_residual(stack, bases, profile, x, sample.total)
+        sample = point_force(stack, basis, profile, x)
+        residual = fd_residual(stack, basis, profile, x, sample.total)
         worst = max(worst, float(np.max(np.abs(residual))))
         assert np.allclose(sample.total,
                            sample.zero_point + sample.thermal + sample.occupation)
@@ -84,55 +84,55 @@ def test_decomposition_sums_to_energy_gradient(balanced_passive):
 
 
 def test_occupation_force_nonnegative_in_passive_layer(balanced_passive):
-    stack, bases, profile = balanced_passive
+    stack, basis, profile = balanced_passive
     for x in np.array([0.2, 1.7, 3.4, 6.6, 8.3, 9.8]) * 1e-6:
-        sample = point_force(stack, bases, profile, x)
+        sample = point_force(stack, basis, profile, x)
         assert np.all(sample.occupation >= 0.0)
 
 
-def test_occupation_force_vanishes_in_vacuum_gap(cavity, cavity_bases, cavity_profile):
+def test_occupation_force_vanishes_in_vacuum_gap(cavity, cavity_basis, cavity_profile):
     """In lossless media the photon numbers are position-independent, so
     the occupation term carries no force.  Inside the gap every component
     is roundoff-small, so the reference scale comes from the wall."""
-    wall = point_force(cavity, cavity_bases, cavity_profile, -0.5e-6)
+    wall = point_force(cavity, cavity_basis, cavity_profile, -0.5e-6)
     scale = np.abs(wall.zero_point).max()
     assert scale > 0.0
     for x in (2.3e-6, 6.8e-6):
-        sample = point_force(cavity, cavity_bases, cavity_profile, x)
+        sample = point_force(cavity, cavity_basis, cavity_profile, x)
         assert np.abs(sample.occupation).max() < 1e-12 * scale
 
 
 def test_force_density_integrates_to_pressure_difference(
-        cavity, cavity_bases, cavity_profile):
+        cavity, cavity_basis, cavity_profile):
     """Within one layer the decomposition integrates to p(a) - p(b)."""
     a, b = -3e-6, -1e-6
     om_index = 11
 
     def total(x):
-        return point_force(cavity, cavity_bases, cavity_profile,
+        return point_force(cavity, cavity_basis, cavity_profile,
                            float(x)).total[om_index]
 
     integral, _ = integrate.quad(total, a, b, epsabs=0, epsrel=1e-9, limit=200)
-    pa = point_energy(cavity, cavity_bases, cavity_profile, a).pressure[om_index]
-    pb = point_energy(cavity, cavity_bases, cavity_profile, b).pressure[om_index]
+    pa = point_energy(cavity, cavity_basis, cavity_profile, a).pressure[om_index]
+    pb = point_energy(cavity, cavity_basis, cavity_profile, b).pressure[om_index]
     assert abs(integral - (pa - pb)) / abs(pa - pb) < 1e-6
 
 
 # --- net force on a slab ---------------------------------------------------
 
-def test_probe_order_validated(cavity, cavity_bases, cavity_profile):
+def test_probe_order_validated(cavity, cavity_basis, cavity_profile):
     with pytest.raises(InterfacePointError):
-        net_force(cavity, cavity_bases, cavity_profile, 7e-6, 2e-6)
+        net_force(cavity, cavity_basis, cavity_profile, 7e-6, 2e-6)
 
 
 def test_pressure_and_occupation_routes_agree():
     stack = slab_stack(2.5e-6, 1.5)
     om = omega_from_ev(np.linspace(0.02, 0.24, 12))
-    bases = solve_bases(stack, om)
+    basis = solve_wave_basis(stack, om)
     profile = TemperatureProfile.from_stack(stack)
     x1, x2 = 0.25 * 7.5e-6, 10e-6 - 0.25 * 7.5e-6
-    f_p = net_force(stack, bases, profile, x1, x2)
-    f_n = net_force_occupation_route(stack, bases, profile, x1, x2)
+    f_p = net_force(stack, basis, profile, x1, x2)
+    f_n = net_force_occupation_route(stack, basis, profile, x1, x2)
     scale = np.abs(f_p).max()
     assert np.max(np.abs(f_p - f_n)) < 1e-10 * scale
 
@@ -142,10 +142,10 @@ def test_equal_reservoirs_give_zero_force():
     forces = {}
     for t_right, key in ((300.0, "driven"), (400.0, "balanced")):
         stack = slab_stack(2.0e-6, 1.5, t_left=400.0, t_right=t_right)
-        bases = solve_bases(stack, om)
+        basis = solve_wave_basis(stack, om)
         profile = TemperatureProfile.from_stack(stack)
         x1, x2 = 0.25 * 8e-6, 10e-6 - 0.25 * 8e-6
-        forces[key] = net_force(stack, bases, profile, x1, x2)
+        forces[key] = net_force(stack, basis, profile, x1, x2)
     peak = np.abs(forces["driven"]).max()
     assert np.abs(forces["balanced"]).max() < 1e-12 * peak
 
@@ -155,10 +155,10 @@ def test_force_fades_with_vanishing_slab():
     mags = []
     for w in (0.5e-6, 0.1e-6, 0.02e-6):
         stack = slab_stack(w, 1.5)
-        bases = solve_bases(stack, om)
+        basis = solve_wave_basis(stack, om)
         profile = TemperatureProfile.from_stack(stack)
         x1 = 0.25 * (10e-6 - w)
-        mags.append(abs(net_force(stack, bases, profile, x1, 10e-6 - x1)[0]))
+        mags.append(abs(net_force(stack, basis, profile, x1, 10e-6 - x1)[0]))
     assert mags[0] > mags[1] > mags[2]
 
 
@@ -167,10 +167,10 @@ def test_transparent_slab_feels_pulling_force_somewhere():
     profile_found = False
     for w in (1e-6, 2.5e-6, 4e-6, 5e-6):
         stack = slab_stack(w, 1.5)
-        bases = solve_bases(stack, om)
+        basis = solve_wave_basis(stack, om)
         profile = TemperatureProfile.from_stack(stack)
         x1 = 0.25 * (10e-6 - w)
-        f = net_force(stack, bases, profile, x1, 10e-6 - x1)
+        f = net_force(stack, basis, profile, x1, 10e-6 - x1)
         if np.any(f < 0):
             profile_found = True
     assert profile_found
@@ -186,23 +186,23 @@ def test_absorption_turns_pulling_into_pushing():
 
     stack = slab_stack(3e-6, 1.5 + 0.3j, self_consistent=True)
     profile = solve_self_consistent(stack, slices=8).profile
-    bases = solve_bases(stack, om)
+    basis = solve_wave_basis(stack, om)
     x1 = 0.25 * 7e-6
-    thick = net_force(stack, bases, profile, x1, 10e-6 - x1)
+    thick = net_force(stack, basis, profile, x1, 10e-6 - x1)
     assert np.all(thick > 0)
 
     stack = slab_stack(1e-6, 1.5 + 0.3j, self_consistent=True)
     profile = solve_self_consistent(stack, slices=8).profile
-    bases = solve_bases(stack, om)
+    basis = solve_wave_basis(stack, om)
     x1 = 0.25 * 9e-6
-    thin = net_force(stack, bases, profile, x1, 10e-6 - x1)
+    thin = net_force(stack, basis, profile, x1, 10e-6 - x1)
     assert np.all(thin[1:] > 0)
     assert thin[0] < 0
     assert abs(thin[0]) < 0.1 * np.abs(thin).max()
 
     clear = slab_stack(1e-6, 1.5)
-    clear_bases = solve_bases(clear, om)
-    pulled = net_force(clear, clear_bases,
+    clear_basis = solve_wave_basis(clear, om)
+    pulled = net_force(clear, clear_basis,
                        TemperatureProfile.from_stack(clear), x1, 10e-6 - x1)
     assert pulled[0] < thin[0] < 0
 

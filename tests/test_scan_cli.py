@@ -105,6 +105,8 @@ def test_grid_validation_errors(mapping, fragment):
     (lambda s: s.update(units="cgs"), "units"),
     (lambda s: s.update(balance={"slices": 8, "seed": 1}), "balance keys"),
     (lambda s: s.update(balance={"relaxation": 1.5}), "relaxation"),
+    (lambda s: s.update(balance={"tolerance_K": 0.0}), "tolerance_K"),
+    (lambda s: s.update(balance={"max_iterations": 0}), "max_iterations"),
     (lambda s: s.update(flavor="mild"), "unknown scan keys"),
 ])
 def test_spec_validation_errors(mutate, fragment):

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 from photonstack.errors import ConfigError, ConvergenceError
-from photonstack.greens import region_integrals, solve_bases, solve_wave_basis
+from photonstack.greens import region_integrals, solve_wave_basis
 from photonstack.spectral import electric_density, source_occupation
 from photonstack.stack import (
     ConstantIndex,
@@ -12,6 +12,7 @@ from photonstack.stack import (
     LayerStack,
     TemperatureProfile,
 )
+from photonstack import thermo
 from photonstack.thermo import default_balance_grid, solve_self_consistent
 from photonstack.units import ev_from_omega, hbar, omega_from_ev
 
@@ -31,32 +32,32 @@ def test_default_grid_is_logarithmic():
 
 # --- pointwise exchange ----------------------------------------------------
 
-def test_no_exchange_in_lossless_material(cavity, cavity_bases, cavity_profile):
-    sample = net_emission(cavity, cavity_bases, cavity_profile, 5e-6)
-    assert np.array_equal(sample, np.zeros(cavity_bases.omega.shape))
+def test_no_exchange_in_lossless_material(cavity, cavity_basis, cavity_profile):
+    sample = net_emission(cavity, cavity_basis, cavity_profile, 5e-6)
+    assert np.array_equal(sample, np.zeros(cavity_basis.omega.shape))
 
 
-def test_equilibrium_exchange_vanishes(cavity, cavity_bases, cavity_profile):
+def test_equilibrium_exchange_vanishes(cavity, cavity_basis, cavity_profile):
     eq = TemperatureProfile.uniform(cavity, 350.0)
     for x in (-2e-6, 11e-6):
-        sample = net_emission(cavity, cavity_bases, eq, x)
+        sample = net_emission(cavity, cavity_basis, eq, x)
         # eta - n_e cancels to roundoff when every source sits at 350 K;
         # the 400/300 K profile at the same point sets the honest scale
-        driven = net_emission(cavity, cavity_bases, cavity_profile, x)
+        driven = net_emission(cavity, cavity_basis, cavity_profile, x)
         assert np.abs(sample).max() < 1e-8 * np.abs(driven).max()
 
 
-def test_hot_reservoir_is_net_emitter(cavity, cavity_bases, cavity_profile):
-    hot = net_emission(cavity, cavity_bases, cavity_profile, -0.5e-6)
-    cold = net_emission(cavity, cavity_bases, cavity_profile, 10.5e-6)
+def test_hot_reservoir_is_net_emitter(cavity, cavity_basis, cavity_profile):
+    hot = net_emission(cavity, cavity_basis, cavity_profile, -0.5e-6)
+    cold = net_emission(cavity, cavity_basis, cavity_profile, 10.5e-6)
     assert np.all(hot > 0)
     assert np.all(cold < 0)
 
 
-def test_missing_temperature_raises(cavity, cavity_bases):
+def test_missing_temperature_raises(cavity, cavity_basis):
     profile = TemperatureProfile((None, None, 300.0))
     with pytest.raises(ConfigError, match="no temperature assigned"):
-        net_emission(cavity, cavity_bases, profile, -1e-6)
+        net_emission(cavity, cavity_basis, profile, -1e-6)
 
 
 # --- self-consistent solve -------------------------------------------------
@@ -145,6 +146,42 @@ def test_single_slice_balance_shows_profile_curvature(passive_cavity):
 def test_convergence_failure_raises(passive_cavity):
     with pytest.raises(ConvergenceError):
         solve_self_consistent(passive_cavity, max_iterations=1)
+
+
+@pytest.mark.parametrize("settings, fragment", [
+    ({"max_iterations": 0}, "max_iterations"),
+    ({"slices": 0}, "slices"),
+    ({"tolerance_K": 0.0}, "tolerance_K"),
+    ({"tolerance_K": float("nan")}, "tolerance_K"),
+    ({"tolerance_K": float("inf")}, "tolerance_K"),
+    ({"relaxation": 0.0}, "relaxation"),
+    ({"relaxation": 1.5}, "relaxation"),
+])
+def test_out_of_range_settings_raise_config_error(passive_cavity, monkeypatch,
+                                                  settings, fragment):
+    def started(*args, **kwargs):
+        raise AssertionError("the balance sweep started")
+
+    # a solve that got past the settings check would bisect, possibly forever
+    monkeypatch.setattr(thermo, "_bisect_all", started)
+    with pytest.raises(ConfigError, match=fragment):
+        solve_self_consistent(passive_cavity, **settings)
+
+
+def test_bisection_stops_at_float_resolution():
+    """A bracket a few ulps wide cannot be halved, so a tolerance below
+    that still ends the bisection, at the root."""
+    calls = 0
+
+    def balance(t, m):
+        nonlocal calls
+        calls += 1
+        if calls > 200:
+            raise AssertionError("bisection does not stop")
+        return t - 350.0
+
+    roots = thermo._bisect_all(balance, 1, 300.0, 400.0, 1e-20)
+    assert abs(roots[0] - 350.0) < 1e-12
 
 
 def _scalar_balance(stack, slices, tolerance_K=1e-3, relaxation=0.5):
