@@ -27,7 +27,7 @@ from .greens import solve_wave_basis
 from .scan import ScanSpec, run_scan
 from .spectral import ldos_closure_residuals
 from .stack import load_stack
-from .thermo import solve_self_consistent
+from .thermo import BALANCE_DEFAULTS, solve_self_consistent
 from .units import MICRON, omega_from_ev
 
 _CLOSURE_EV = 0.11
@@ -138,8 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("balance", help="solve self-consistent temperatures")
     p.add_argument("config", help="stack YAML file")
-    p.add_argument("--slices", type=int, default=16,
-                   help="slices per self-consistent layer (default 16)")
+    p.add_argument("--slices", type=int, default=BALANCE_DEFAULTS["slices"],
+                   help="slices per self-consistent layer (default %(default)s)")
     p.add_argument("--output", help="write CSV here instead of stdout")
     p.set_defaults(handler=_balance)
     return parser

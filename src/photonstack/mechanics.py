@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import ConfigError, InterfacePointError
 from .greens import WaveBasis, solve_wave_basis
@@ -212,6 +211,6 @@ def frequency_integrated_force(
             stacklevel=2,
         )
     return IntegratedForce(
-        thermal=float(trapezoid(thermal_integrand, om)),
-        zero_point=float(trapezoid(zero_integrand, om)),
+        thermal=float(np.trapezoid(thermal_integrand, om)),
+        zero_point=float(np.trapezoid(zero_integrand, om)),
     )

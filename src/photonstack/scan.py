@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -44,12 +43,14 @@ from .stack import (
     Layer,
     LayerStack,
     TemperatureProfile,
+    _integer,
     _read_yaml,
+    _real,
     build_stack,
     load_stack,
     serialize_stack,
 )
-from .thermo import check_balance_settings, solve_self_consistent
+from .thermo import BALANCE_DEFAULTS, check_balance_settings, solve_self_consistent
 from .units import LDOS_UNIT, MICRON, omega_from_ev
 
 # name -> (paper-units tag, SI tag, attribute path on _PointValues); only
@@ -77,28 +78,6 @@ POINTWISE_QUANTITIES = tuple(q for q in QUANTITIES if _QUANTITY_TABLE[q][2])
 
 _FORCE_QUANTITIES = frozenset({"zcf", "tcf", "ncf"})
 
-_BALANCE_DEFAULTS = {
-    "slices": 16,
-    "tolerance_K": 1e-3,
-    "max_iterations": 100,
-    "relaxation": 0.5,
-}
-
-
-def _integer(value, where: str) -> int:
-    # int() would truncate 2.7 and accept True or "16"
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{where} must be an integer, not {value!r}")
-    return int(value)
-
-
-def _real(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where} must be a number, not {value!r}") from None
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Inclusive 1D grid; log scale spaces points geometrically."""
@@ -114,7 +93,7 @@ class GridSpec:
             raise ConfigError(f"{where}: grid must be a mapping")
         unknown = set(data) - {"start", "stop", "count", "scale"}
         if unknown:
-            raise ConfigError(f"{where}: unknown grid keys {sorted(unknown)}")
+            raise ConfigError(f"{where}: unknown grid keys {sorted(unknown, key=str)}")
         missing = {"start", "stop", "count"} - set(data)
         if missing:
             raise ConfigError(
@@ -164,7 +143,7 @@ class ScanSpec:
     positions: GridSpec | None = None
     widths: GridSpec | None = None
     units: str = "paper"
-    balance: dict = dataclasses.field(default_factory=lambda: dict(_BALANCE_DEFAULTS))
+    balance: dict = dataclasses.field(default_factory=lambda: dict(BALANCE_DEFAULTS))
     output: str | None = None
 
     @property
@@ -177,7 +156,7 @@ class ScanSpec:
             raise ConfigError("scan spec must be a mapping")
         unknown = set(data) - _SPEC_KEYS
         if unknown:
-            raise ConfigError(f"unknown scan keys {sorted(unknown)}")
+            raise ConfigError(f"unknown scan keys {sorted(unknown, key=str)}")
 
         raw_stack = data.get("stack")
         base = Path(base_dir) if base_dir is not None else None
@@ -233,20 +212,10 @@ class ScanSpec:
         if units not in ("paper", "si"):
             raise ConfigError("units must be 'paper' or 'si'")
 
-        balance = dict(_BALANCE_DEFAULTS)
-        if "balance" in data:
-            overrides = data["balance"]
-            if not isinstance(overrides, dict):
-                raise ConfigError("balance settings must be a mapping")
-            unknown = set(overrides) - set(_BALANCE_DEFAULTS)
-            if unknown:
-                raise ConfigError(f"unknown balance keys {sorted(unknown)}")
-            balance.update(overrides)
-        for key in ("slices", "max_iterations"):
-            balance[key] = _integer(balance[key], f"balance {key}")
-        for key in ("tolerance_K", "relaxation"):
-            balance[key] = _real(balance[key], f"balance {key}")
-        check_balance_settings(**balance)
+        balance = data.get("balance", {})
+        if not isinstance(balance, dict):
+            raise ConfigError("balance settings must be a mapping")
+        balance = check_balance_settings(balance)
 
         output = data.get("output")
         if output is not None and not isinstance(output, str):

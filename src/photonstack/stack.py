@@ -16,6 +16,7 @@ data), and an optional ``temperature`` (kelvin, ``self-consistent``, or
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +25,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, MissingTemperatureError
+from .units import MICRON, ev_from_omega, omega_from_ev
 
 SELF_CONSISTENT = "self-consistent"
 
@@ -222,6 +224,20 @@ def _to_float(raw, where: str) -> float:
         raise ConfigError(f"{where}: number out of range") from None
 
 
+def _integer(value, where: str) -> int:
+    # int() would truncate 2.7 and accept True or "16"
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{where} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _real(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} must be a number, not {value!r}") from None
+
+
 def _parse_complex(raw, where: str) -> complex:
     if isinstance(raw, bool):
         raise ConfigError(f"{where}: refractive index must be a number or a string")
@@ -241,8 +257,6 @@ def _parse_complex(raw, where: str) -> complex:
 
 
 def _load_index_table(path: Path, where: str) -> TabulatedIndex:
-    from .units import omega_from_ev
-
     try:
         text = path.read_text()
     except (OSError, ValueError) as exc:  # ValueError: NUL in the path, undecodable text
@@ -276,8 +290,6 @@ def _load_index_table(path: Path, where: str) -> TabulatedIndex:
 
 
 def _table_from_mapping(data, where: str) -> TabulatedIndex:
-    from .units import omega_from_ev
-
     keys = set(data)
     if keys != set(_TABLE_COLUMNS):
         raise ConfigError(f"{where}: inline table needs keys {_TABLE_COLUMNS}")
@@ -302,11 +314,9 @@ def _parse_layer(i: int, entry, base_dir: Path | None) -> Layer:
         raise ConfigError(f"{where}: each layer must be a mapping")
     unknown = set(entry) - _LAYER_KEYS
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
     if "thickness" not in entry or "n" not in entry:
         raise ConfigError(f"{where}: 'thickness' and 'n' are required")
-
-    from .units import MICRON
 
     raw_t = entry["thickness"]
     if isinstance(raw_t, str) and raw_t.strip().lower() == "inf":
@@ -322,7 +332,7 @@ def _parse_layer(i: int, entry, base_dir: Path | None) -> Layer:
     if isinstance(raw_n, dict):
         unknown = set(raw_n) - {"table"} - set(_TABLE_COLUMNS)
         if unknown:
-            raise ConfigError(f"{where}: unknown index keys {sorted(unknown)}")
+            raise ConfigError(f"{where}: unknown index keys {sorted(unknown, key=str)}")
         if "table" in raw_n:
             if len(raw_n) != 1:
                 raise ConfigError(f"{where}: 'table' cannot mix with inline columns")
@@ -363,7 +373,7 @@ def build_stack(config, *, base_dir: Path | str | None = None) -> LayerStack:
         raise ConfigError("stack config must be a mapping")
     unknown = set(config) - _TOP_KEYS
     if unknown:
-        raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
+        raise ConfigError(f"unknown top-level keys {sorted(unknown, key=str)}")
     entries = config.get("layers")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("config needs a nonempty 'layers' list")
@@ -408,8 +418,6 @@ def serialize_stack(stack: LayerStack, name: str | None = None) -> dict:
     Tabulated indices are emitted inline so the result is self-contained;
     numeric values round-trip through repr.
     """
-    from .units import MICRON, ev_from_omega
-
     out_layers = []
     for layer in stack.layers:
         entry: dict = {}
@@ -515,9 +523,12 @@ class TemperatureProfile:
     def source_regions(self, stack: LayerStack) -> list[Region]:
         """Enumerate uniform-temperature emitting regions, left to right.
 
-        Raises MissingTemperatureError if a lossy layer has no assignment:
-        photon-number integrals need every emitter's temperature.
+        Raises ConfigError if the profile does not fit the stack (see
+        ``validate``), and MissingTemperatureError if a lossy layer has no
+        assignment: photon-number integrals need every emitter's
+        temperature.
         """
+        self.validate(stack)
         regions: list[Region] = []
         for j, layer in enumerate(stack.layers):
             entry = self.entries[j]

@@ -30,12 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import ConfigError, ConvergenceError
 from .greens import solve_wave_basis
 from .spectral import electric_density, source_occupation, source_weights
-from .stack import LayerSlices, LayerStack, TemperatureProfile
+from .stack import LayerSlices, LayerStack, TemperatureProfile, _integer, _real
 from .units import hbar, omega_from_ev
 
 
@@ -57,16 +56,37 @@ class BalanceResult:
     update_history: tuple[float, ...]
 
 
-def check_balance_settings(slices, tolerance_K, max_iterations, relaxation):
-    """Raise ConfigError unless the balance settings are usable: at least
-    one slice and one iteration, a positive finite tolerance, and a
-    relaxation in (0, 1]."""
+BALANCE_DEFAULTS = {
+    "slices": 16,
+    "tolerance_K": 1e-3,
+    "max_iterations": 100,
+    "relaxation": 0.5,
+}
+
+
+def check_balance_settings(settings) -> dict:
+    """The complete balance settings, in the order of BALANCE_DEFAULTS:
+    ``settings`` over the defaults, with integer slices and
+    max_iterations and real tolerance_K and relaxation. Raise ConfigError
+    for an unknown key, a value of the wrong type, or one out of range:
+    fewer than one slice or iteration, a tolerance that is not positive
+    and finite, or a relaxation outside (0, 1]."""
+    unknown = set(settings) - set(BALANCE_DEFAULTS)
+    if unknown:
+        raise ConfigError(f"unknown balance keys {sorted(unknown, key=str)}")
+    merged = {**BALANCE_DEFAULTS, **settings}
+    slices = _integer(merged["slices"], "balance slices")
+    max_iterations = _integer(merged["max_iterations"], "balance max_iterations")
+    tolerance_K = _real(merged["tolerance_K"], "balance tolerance_K")
+    relaxation = _real(merged["relaxation"], "balance relaxation")
     if not (slices >= 1 and max_iterations >= 1):
         raise ConfigError("balance slices and max_iterations must be >= 1")
     if not 0.0 < tolerance_K < np.inf:
         raise ConfigError("balance tolerance_K must be positive and finite")
     if not 0.0 < relaxation <= 1.0:
         raise ConfigError("balance relaxation must lie in (0, 1]")
+    return {"slices": slices, "tolerance_K": tolerance_K,
+            "max_iterations": max_iterations, "relaxation": relaxation}
 
 
 def _bisect_all(balance, n: int, t_lo: float, t_hi: float, tol: float):
@@ -112,17 +132,12 @@ def _sliced_profile(stack: LayerStack, edges: dict, temps) -> TemperatureProfile
     return TemperatureProfile(tuple(entries))
 
 
-def solve_self_consistent(
-    stack: LayerStack,
-    *,
-    slices: int = 16,
-    tolerance_K: float = 1e-3,
-    max_iterations: int = 100,
-    relaxation: float = 0.5,
-) -> BalanceResult:
+def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     """Find slice temperatures that zero each slice's integrated exchange.
 
-    Every layer marked self-consistent is divided into ``slices`` uniform
+    ``settings`` override BALANCE_DEFAULTS: ``slices`` per layer,
+    ``tolerance_K``, ``max_iterations`` and ``relaxation``. Every layer
+    marked self-consistent is divided into ``slices`` uniform
     slices. The geometry factors (absorption-weighted propagation
     integrals from every source region to every slice midpoint, and the
     per-midpoint emission kernel) are computed once, one region-integral
@@ -135,10 +150,11 @@ def solve_self_consistent(
     of a slice-by-slice bisection. The update is applied with
     under-relaxation; convergence is declared when the largest applied
     update falls below ``tolerance_K``, and exceeding ``max_iterations``
-    raises ConvergenceError. Settings out of range (see
+    raises ConvergenceError. Unusable settings (see
     ``check_balance_settings``) raise ConfigError.
     """
-    check_balance_settings(slices, tolerance_K, max_iterations, relaxation)
+    slices, tolerance_K, max_iterations, relaxation = (
+        check_balance_settings(settings).values())
     sc_layers = [j for j, layer in enumerate(stack.layers) if layer.self_consistent]
     if not sc_layers:
         return BalanceResult(
@@ -195,7 +211,7 @@ def solve_self_consistent(
     def integrated_balance(t, m, n_e):
         # net exchange of slices m at temperatures t, over the (m, omega) grid
         eta = source_occupation(om, t[:, None])
-        return trapezoid(kernel[m] * (eta - n_e[m]), om, axis=-1)
+        return np.trapezoid(kernel[m] * (eta - n_e[m]), om, axis=-1)
 
     history: list[float] = []
     for iterations in range(1, max_iterations + 1):
@@ -221,11 +237,8 @@ def solve_self_consistent(
 
     residuals = integrated_balance(temps, np.arange(n_slices), field_numbers(temps))
 
-    profile = _sliced_profile(stack, slice_edges, temps.reshape(-1, slices))
-    profile.validate(stack)
-
     return BalanceResult(
-        profile=profile,
+        profile=_sliced_profile(stack, slice_edges, temps.reshape(-1, slices)),
         slice_positions=tuple(float(x) for x in np.concatenate(midpoints)),
         temperatures=temps,
         residuals=residuals,

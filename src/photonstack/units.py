@@ -8,8 +8,6 @@ them is 2/(pi c S).
 """
 
 import numpy as np
-from scipy.constants import c, e, epsilon_0, hbar
-from scipy.constants import k as k_B
 
 __all__ = [
     "c",
@@ -23,6 +21,13 @@ __all__ = [
     "omega_from_ev",
     "ev_from_omega",
 ]
+
+# SI 2019 exact values, except epsilon_0 (CODATA 2022)
+c = 299792458.0                        # speed of light, m/s
+e = 1.602176634e-19                    # elementary charge, C
+k_B = 1.380649e-23                     # Boltzmann constant, J/K
+hbar = 6.62607015e-34 / (2 * np.pi)    # reduced Planck constant, J s
+epsilon_0 = 8.8541878188e-12           # vacuum permittivity, F/m
 
 EV = e            # J per electron volt
 MICRON = 1e-6     # m per micrometer

@@ -1,7 +1,7 @@
 """Byte-level pins of the bundled scan outputs and of the balance CLI.
 
-The hashes are tied to the numpy/scipy build they were recorded with
-(numpy 2.4.6, scipy 1.17.1, x86-64): another build may round the last
+The hashes are tied to the numpy build they were recorded with
+(numpy 2.4.6, x86-64): another build may round the last
 bit of an exp, expm1 or summation differently, which moves a 9-digit
 CSV field now and then. On such a build a mismatch alone is no defect;
 re-record the hashes from the parent commit before comparing.

@@ -1,15 +1,21 @@
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.constants
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import photonstack
 import photonstack.mechanics as mechanics_mod
 import photonstack.scan as scan_mod
-from photonstack import cli
+from photonstack import cli, units
 from photonstack.errors import ConfigError
 from photonstack.scan import GridSpec, ScanSpec, read_scan_csv, run_scan
+from photonstack.thermo import BALANCE_DEFAULTS
 from photonstack.units import LDOS_UNIT
 
 
@@ -86,6 +92,7 @@ def test_grid_values_linear_and_log():
     ({"start": 0.0, "stop": 1.0, "count": 4, "scale": "log"}, "start > 0"),
     ({"start": 0.0, "stop": 1.0, "count": 4, "scale": "cubic"}, "linear"),
     ({"start": 0.0, "stop": 1.0, "count": 4, "step": 2}, "unknown grid keys"),
+    ({"start": 0.0, "stop": 1.0, "count": 4, "step": 2, 1: 2}, "unknown grid keys"),
 ])
 def test_grid_validation_errors(mapping, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -104,10 +111,12 @@ def test_grid_validation_errors(mapping, fragment):
      "slab_force"),
     (lambda s: s.update(units="cgs"), "units"),
     (lambda s: s.update(balance={"slices": 8, "seed": 1}), "balance keys"),
+    (lambda s: s.update(balance={1: 2, "seed": 1}), "unknown balance keys"),
     (lambda s: s.update(balance={"relaxation": 1.5}), "relaxation"),
     (lambda s: s.update(balance={"tolerance_K": 0.0}), "tolerance_K"),
     (lambda s: s.update(balance={"max_iterations": 0}), "max_iterations"),
     (lambda s: s.update(flavor="mild"), "unknown scan keys"),
+    (lambda s: s.update({1: 2, "flavor": "mild"}), "scan keys"),
 ])
 def test_spec_validation_errors(mutate, fragment):
     data = small_pointwise()
@@ -151,7 +160,7 @@ _FIELDS = (
     [(key,) for key in sorted(scan_mod._SPEC_KEYS)]
     + [(grid, key) for grid in ("positions", "energies", "widths")
        for key in ("start", "stop", "count", "scale")]
-    + [("balance", key) for key in sorted(scan_mod._BALANCE_DEFAULTS)]
+    + [("balance", key) for key in sorted(BALANCE_DEFAULTS)]
 )
 
 
@@ -592,3 +601,26 @@ def test_cli_balance_emits_slice_temperatures(tmp_path, capsys):
     assert np.all((data[:, 0] > 0.0) & (data[:, 0] < 10.0))
     assert np.all((data[:, 1] > 300.0) & (data[:, 1] < 400.0))
     assert np.all(np.diff(data[:, 1]) < 0.0)
+
+
+# --- runtime dependencies --------------------------------------------------
+
+def test_cli_import_loads_no_scipy():
+    """The package runs on numpy and PyYAML alone; scipy is a test oracle."""
+    src = Path(photonstack.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import photonstack.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_constants_are_the_si_definitions():
+    assert units.c == 299792458.0
+    assert units.e == 1.602176634e-19
+    assert units.k_B == 1.380649e-23
+    assert units.hbar == 6.62607015e-34 / (2 * np.pi)
+    assert units.epsilon_0 == 8.8541878188e-12
+    # exact in every CODATA release since the 2019 SI redefinition
+    assert (units.c, units.e, units.k_B, units.hbar) == (
+        scipy.constants.c, scipy.constants.e, scipy.constants.k, scipy.constants.hbar)

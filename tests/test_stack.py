@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from photonstack.errors import ConfigError, MissingTemperatureError
+from photonstack.greens import solve_wave_basis
+from photonstack.spectral import photon_numbers
 from photonstack.stack import (
     ConstantIndex,
     Layer,
@@ -120,6 +122,13 @@ def test_build_stack_parse_errors_name_the_field():
         build_stack({"layers": [base, {"thickness": 5.0, "n": "one"}, base]})
     with pytest.raises(ConfigError, match="layer 1: unknown keys"):
         build_stack({"layers": [base, {"thickness": 5.0, "n": 1.0, "temp": 3}, base]})
+    # YAML keys need not be strings; listing them must not compare int with str
+    with pytest.raises(ConfigError, match="layer 1: unknown keys"):
+        build_stack({"layers": [base, {"thickness": 5.0, "n": 1.0, 1: 3, "temp": 3}, base]})
+    with pytest.raises(ConfigError, match="layer 1: unknown index keys"):
+        build_stack({"layers": [base, {"thickness": 5.0, "n": {1: 3, "x": 3}}, base]})
+    with pytest.raises(ConfigError, match="unknown top-level keys"):
+        build_stack({"layers": [base, base], 1: 3, "x": 3})
     with pytest.raises(ConfigError, match="layer 1: temperature"):
         build_stack({"layers": [base, {"thickness": 5.0, "n": "1.0+0.1i",
                                        "temperature": "warm"}, base]})
@@ -251,6 +260,27 @@ def test_sliced_profile_lookup_and_validation():
         (400.0, LayerSlices((1e-6, 10e-6), (350.0,)), 300.0))
     with pytest.raises(ConfigError, match="exactly tile"):
         shifted.validate(stack)
+
+
+@pytest.mark.parametrize("entries, fragment", [
+    ((400.0, LayerSlices((0.0, 10e-6), (350.0, 340.0)), 300.0), "slice boundaries"),
+    ((400.0, LayerSlices((0.0, 4e-6), (350.0,)), 300.0), "exactly tile"),
+    ((400.0, LayerSlices((0.0, 6e-6, 4e-6, 10e-6), (350.0, 340.0, 330.0)), 300.0),
+     "exactly tile"),
+    ((400.0, LayerSlices((0.0, 10e-6), (350.0,))), "profile length"),
+], ids=["count_mismatch", "partial_cover", "overlapping", "short"])
+def test_photon_numbers_reject_a_profile_that_does_not_fit(entries, fragment):
+    """A hand-built profile is checked where its source regions are read,
+    so no photon number is computed from a profile that leaves part of a
+    layer dark, counts a part twice or runs past the stack."""
+    stack = LayerStack.assemble([
+        Layer(INF, ConstantIndex(1.5 + 0.3j), 400.0),
+        Layer(10e-6, ConstantIndex(1.1 + 0.1j), self_consistent=True),
+        Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),
+    ])
+    basis = solve_wave_basis(stack, omega_from_ev(np.array([0.05, 0.1])))
+    with pytest.raises(ConfigError, match=fragment):
+        photon_numbers(stack, basis, TemperatureProfile(entries), 5e-6)
 
 
 @pytest.mark.parametrize("layer, fragment", [

@@ -156,6 +156,14 @@ def test_convergence_failure_raises(passive_cavity):
     ({"tolerance_K": float("inf")}, "tolerance_K"),
     ({"relaxation": 0.0}, "relaxation"),
     ({"relaxation": 1.5}, "relaxation"),
+    # library calls get the scan spec's type checks and messages
+    ({"slices": 2.5}, "balance slices must be an integer"),
+    ({"slices": "4"}, "balance slices must be an integer"),
+    ({"slices": True}, "balance slices must be an integer"),
+    ({"max_iterations": 2.5}, "balance max_iterations must be an integer"),
+    ({"tolerance_K": "fine"}, "balance tolerance_K must be a number"),
+    ({"relaxation": None}, "balance relaxation must be a number"),
+    ({"slice": 4}, "unknown balance keys"),
 ])
 def test_out_of_range_settings_raise_config_error(passive_cavity, monkeypatch,
                                                   settings, fragment):
@@ -164,8 +172,16 @@ def test_out_of_range_settings_raise_config_error(passive_cavity, monkeypatch,
 
     # a solve that got past the settings check would bisect, possibly forever
     monkeypatch.setattr(thermo, "_bisect_all", started)
-    with pytest.raises(ConfigError, match=fragment):
+    with pytest.raises(ConfigError, match=fragment) as info:
         solve_self_consistent(passive_cavity, **settings)
+    assert "\n" not in str(info.value)
+
+
+def test_settings_are_completed_and_coerced_like_a_spec():
+    # PyYAML reads 1e-3 (no dot) as a string; the library reads it the same way
+    assert thermo.check_balance_settings({"tolerance_K": "1e-3", "slices": np.int64(8)}) == {
+        "slices": 8, "tolerance_K": 1e-3, "max_iterations": 100, "relaxation": 0.5}
+    assert thermo.check_balance_settings({}) == thermo.BALANCE_DEFAULTS
 
 
 def test_bisection_stops_at_float_resolution():
@@ -187,7 +203,8 @@ def test_bisection_stops_at_float_resolution():
 def _scalar_balance(stack, slices, tolerance_K=1e-3, relaxation=0.5):
     """Reference solve, one slice and one source region at a time: the
     weights from per-midpoint region integrals and every slice bisected
-    on its own with scalar trapezoid integrals."""
+    on its own with scalar trapezoid integrals (scipy's, against the
+    solver's np.trapezoid)."""
     om = default_balance_grid()
     basis = solve_wave_basis(stack, om)
     fixed = [layer.temperature for layer in stack.layers if layer.temperature is not None]
