@@ -186,12 +186,8 @@ def solve_wave_basis(stack: LayerStack, omega) -> WaveBasis:
     # in-layer distance from the reference point to the layer's right interface
     deltas = [0.0] + [layers[j].thickness for j in range(1, nlay - 1)] + [0.0]
 
-    r = np.empty((nlay - 1,) + wshape, dtype=complex)
-    t = np.empty((nlay - 1,) + wshape, dtype=complex)
-    for m in range(nlay - 1):
-        rm, tm = interface_coefficients(n[m], n[m + 1])
-        r[m] = rm
-        t[m] = tm
+    # r[m], t[m]: the interface between layers m and m + 1
+    r, t = interface_coefficients(n[:-1], n[1:])
 
     a_l = np.zeros((nlay,) + wshape, dtype=complex)
     b_l = np.zeros((nlay,) + wshape, dtype=complex)

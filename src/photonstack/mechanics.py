@@ -25,12 +25,20 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, InterfacePointError
 from .greens import WaveBasis, solve_wave_basis
-from .spectral import FieldTriplet, OccupationSums, ldos, ldos_gradient, photon_numbers
+from .spectral import (
+    FieldTriplet,
+    OccupationSums,
+    effective_temperatures,
+    ldos,
+    ldos_gradient,
+    occupation_sums,
+)
 from .stack import LayerSlices, LayerStack, TemperatureProfile
 from .units import c, epsilon_0, hbar
 
@@ -68,11 +76,6 @@ def energy_pressure(
     )
     u = hbar * omega * densities.total * (numbers.total + 0.5)
     return EnergyPressureSample(e_fluct, b_fluct, u, u)
-
-
-def _energy_at(stack, basis, profile, x) -> EnergyPressureSample:
-    return energy_pressure(basis.omega, ldos(stack, basis, x),
-                           photon_numbers(stack, basis, profile, x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +125,47 @@ def force_density(
     return ForceDensitySample(zcf, tcf, ncf, zcf + tcf + ncf)
 
 
+class PointField:
+    """Lazy evaluation at x (a point or a 1-D array of points in one
+    layer) under ``profile``: the mode densities and the occupation sums
+    are computed at most once, in one call each, and every quantity is
+    built from them. The sums carry field-point derivatives only with
+    ``gradient``, which ``force`` needs."""
+
+    def __init__(self, stack: LayerStack, basis: WaveBasis,
+                 profile: TemperatureProfile, x, *, gradient: bool = False):
+        self.stack = stack
+        self.basis = basis
+        self.profile = profile
+        self.x = x
+        self.gradient = gradient
+
+    @cached_property
+    def densities(self) -> FieldTriplet:
+        return ldos(self.stack, self.basis, self.x)
+
+    @cached_property
+    def sums(self) -> OccupationSums:
+        return occupation_sums(self.stack, self.basis, self.profile, self.x,
+                               gradient=self.gradient)
+
+    @property
+    def numbers(self) -> FieldTriplet:
+        return self.sums.numbers
+
+    @cached_property
+    def temperatures(self) -> FieldTriplet:
+        return effective_temperatures(self.numbers, self.basis.omega)
+
+    @cached_property
+    def energy(self) -> EnergyPressureSample:
+        return energy_pressure(self.basis.omega, self.densities, self.numbers)
+
+    @cached_property
+    def force(self) -> ForceDensitySample:
+        return force_density(self.stack, self.basis, self.densities, self.sums)
+
+
 def fd_residual(stack: LayerStack, basis: WaveBasis, profile: TemperatureProfile,
                 x, total):
     """Relative deviation of the force density ``total`` at x (a point or
@@ -146,8 +190,8 @@ def fd_residual(stack: LayerStack, basis: WaveBasis, profile: TemperatureProfile
         h = np.where(dist < 4.0 * h, dist / 4.0, h)[checked]
         xc = xs[checked]
         def grad(step):
-            up = _energy_at(stack, basis, profile, xc + step).energy_density
-            dn = _energy_at(stack, basis, profile, xc - step).energy_density
+            up = PointField(stack, basis, profile, xc + step).energy.energy_density
+            dn = PointField(stack, basis, profile, xc - step).energy.energy_density
             return (up - dn) / (2.0 * step.reshape((-1,) + (1,) * om.ndim))
         coarse = grad(h)
         fine = grad(0.5 * h)
@@ -171,8 +215,8 @@ def net_force(
     the interface delta contributions."""
     if not x1 < x2:
         raise InterfacePointError("probe points must satisfy x1 < x2")
-    p1 = _energy_at(stack, basis, profile, x1).pressure
-    p2 = _energy_at(stack, basis, profile, x2).pressure
+    p1 = PointField(stack, basis, profile, x1).energy.pressure
+    p2 = PointField(stack, basis, profile, x2).energy.pressure
     return p1 - p2
 
 
@@ -197,10 +241,10 @@ def frequency_integrated_force(
     if om.ndim != 1 or om.size < 2 or np.any(np.diff(om) <= 0):
         raise ConfigError("frequency grid must be 1D and increasing")
     basis = solve_wave_basis(stack, om)
-    rho1 = ldos(stack, basis, x1).total
-    rho2 = ldos(stack, basis, x2).total
-    n1 = photon_numbers(stack, basis, profile, x1).total
-    n2 = photon_numbers(stack, basis, profile, x2).total
+    at1 = PointField(stack, basis, profile, x1)
+    at2 = PointField(stack, basis, profile, x2)
+    rho1, rho2 = at1.densities.total, at2.densities.total
+    n1, n2 = at1.numbers.total, at2.numbers.total
     thermal_integrand = hbar * om * (rho1 * n1 - rho2 * n2)
     zero_integrand = 0.5 * hbar * om * (rho1 - rho2)
     peak = float(np.max(np.abs(thermal_integrand)))

@@ -21,7 +21,6 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 
@@ -32,17 +31,14 @@ from .errors import ConfigError, PhotonStackError
 from .greens import solve_wave_basis
 from .mechanics import (
     _INTERFACE_CLEARANCE,
+    PointField,
     _edge_distance,
-    energy_pressure,
     fd_residual,
-    force_density,
     net_force,
 )
-from .spectral import effective_temperatures, ldos, occupation_sums
 from .stack import (
     Layer,
     LayerStack,
-    TemperatureProfile,
     _integer,
     _read_yaml,
     _real,
@@ -53,7 +49,7 @@ from .stack import (
 from .thermo import BALANCE_DEFAULTS, check_balance_settings, solve_self_consistent
 from .units import LDOS_UNIT, MICRON, omega_from_ev
 
-# name -> (paper-units tag, SI tag, attribute path on _PointValues); only
+# name -> (paper-units tag, SI tag, attribute path on PointField); only
 # the LDOS columns differ between unit systems, and slab_force is computed
 # by the slab scan, not at points
 _QUANTITY_TABLE = {
@@ -284,45 +280,6 @@ class ScanResult:
     fd_residual_max: float | None = None
 
 
-class _PointValues:
-    """Lazy evaluation at a 1-D array of positions in one layer: the mode
-    densities and the occupation sums are computed at most once, in one
-    call each, and every quantity is built from them. The sums carry
-    field-point derivatives only when a force is wanted."""
-
-    def __init__(self, stack, basis, profile, x, forces):
-        self.stack = stack
-        self.basis = basis
-        self.profile = profile
-        self.x = x
-        self.forces = forces
-
-    @cached_property
-    def densities(self):
-        return ldos(self.stack, self.basis, self.x)
-
-    @cached_property
-    def sums(self):
-        return occupation_sums(self.stack, self.basis, self.profile, self.x,
-                               gradient=self.forces)
-
-    @property
-    def numbers(self):
-        return self.sums.numbers
-
-    @cached_property
-    def temperatures(self):
-        return effective_temperatures(self.numbers, self.basis.omega)
-
-    @cached_property
-    def energy(self):
-        return energy_pressure(self.basis.omega, self.densities, self.numbers)
-
-    @cached_property
-    def force(self):
-        return force_density(self.stack, self.basis, self.densities, self.sums)
-
-
 def _pointwise_chunk(payload):
     """Evaluate one chunk of positions over the whole energy grid, one
     pass per layer; top-level for pickling. With ``fd_check`` the second
@@ -337,7 +294,7 @@ def _pointwise_chunk(payload):
     layers = stack.layer_index(xs)
     for j in np.unique(layers):
         rows = layers == j
-        pv = _PointValues(stack, basis, profile, xs[rows], forces)
+        pv = PointField(stack, basis, profile, xs[rows], gradient=forces)
         for q_i, q in enumerate(quantities):
             vals = attrgetter(_QUANTITY_TABLE[q][2])(pv)
             if q.startswith("ldos_"):
@@ -404,19 +361,12 @@ class _SlabTemplate:
         return quarter, self.gap - quarter
 
 
-def _profile(stack: LayerStack, balance: dict) -> TemperatureProfile:
-    """The stack's fixed temperatures, with self-consistent layers solved."""
-    if any(layer.self_consistent for layer in stack.layers):
-        return solve_self_consistent(stack, **balance).profile
-    return TemperatureProfile.from_stack(stack)
-
-
 def _slab_chunk(payload):
     widths, template, omega, balance = payload
     block = np.empty((len(widths), omega.size, 1))
     for i, w in enumerate(widths):
         stack = template.at_width(w)
-        profile = _profile(stack, balance)
+        profile = solve_self_consistent(stack, **balance).profile
         basis = solve_wave_basis(stack, omega)
         x1, x2 = template.probes(w)
         block[i, :, 0] = net_force(stack, basis, profile, x1, x2)
@@ -497,8 +447,8 @@ def run_scan(
                     "force densities are undefined there (shift the grid)"
                 )
         worker = _pointwise_chunk
-        context = (stack, _profile(stack, spec.balance), omega, spec.quantities,
-                   spec.units, fd_check)
+        context = (stack, solve_self_consistent(stack, **spec.balance).profile, omega,
+                   spec.quantities, spec.units, fd_check)
     # each payload is one ordered chunk of the axis (in metres), then the
     # context every chunk shares
     payloads = [(chunk, *context)

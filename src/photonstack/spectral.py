@@ -217,19 +217,16 @@ def effective_temperatures(numbers: FieldTriplet, omega) -> FieldTriplet:
 
 def ldos_closure_residuals(stack: LayerStack, basis: WaveBasis, x: float):
     """Relative mismatch between the coincident-Green's-function mode
-    densities and their source-integral forms, summed over every lossy
-    layer. Both should agree to roundoff; a large residual flags a broken
-    basis solve."""
+    densities and their source-integral forms: the unfilled sums that the
+    photon numbers divide by, over every source region of the stack at a
+    uniform temperature. Both should agree to roundoff; a large residual
+    flags a broken basis solve or an absorber missing from the sources."""
     om = basis.omega
-    sums = np.zeros((2,) + om.shape)  # electric, magnetic
-    for j, layer in enumerate(stack.layers):
-        if np.any((layer.n_at(om) ** 2).imag != 0.0):
-            region = Region(j, *stack.layer_bounds(j), None)
-            sums += source_weights(stack, basis, region, x)
+    # the unfilled sums do not depend on the temperature
+    sums = occupation_sums(stack, basis, TemperatureProfile.uniform(stack, 300.0), x)
     pref = 2.0 * om**3 / (math.pi * c**4 * CROSS_SECTION)
     surf = ldos(stack, basis, x)
-    int_e, int_m = pref * sums
     tiny = np.finfo(float).tiny
-    res_e = np.abs(surf.electric - int_e) / np.maximum(np.abs(surf.electric), tiny)
-    res_m = np.abs(surf.magnetic - int_m) / np.maximum(np.abs(surf.magnetic), tiny)
+    res_e = np.abs(surf.electric - pref * sums.d_e) / np.maximum(np.abs(surf.electric), tiny)
+    res_m = np.abs(surf.magnetic - pref * sums.d_m) / np.maximum(np.abs(surf.magnetic), tiny)
     return res_e, res_m

@@ -43,9 +43,9 @@ class ConstantIndex:
     def at(self, omega):
         return complex(self.value)
 
-    def loss_floor(self) -> float:
-        # smallest Im[n^2] over the validity range
-        return (self.value * self.value).imag
+    def losses(self) -> np.ndarray:
+        # Im[n^2], the same at every frequency
+        return np.array([(self.value * self.value).imag])
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +71,12 @@ class TabulatedIndex:
         )
         return out if out.shape else complex(out)
 
-    def loss_floor(self) -> float:
-        # Im[n^2] = 2 Re[n] Im[n] is quadratic between nodes with its
-        # extrema on the nodes, so the node minimum bounds the segment.
-        return float(np.min((self.values * self.values).imag))
+    def losses(self) -> np.ndarray:
+        # Im[n^2] = 2 Re[n] Im[n] at the nodes; between two nodes it is a
+        # product of two nonnegative linear functions, so its minimum
+        # there is a node value and it vanishes on a segment only if it
+        # vanishes at both ends.
+        return (self.values * self.values).imag
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,9 @@ class Layer:
 
     @property
     def lossy(self) -> bool:
-        return self.index.loss_floor() > 0.0
+        """Whether the layer absorbs, and so emits, at some frequency of
+        its index model: Im[n^2] > 0 at any node."""
+        return bool(np.any(self.index.losses() > 0.0))
 
     @property
     def has_assignment(self) -> bool:
@@ -134,7 +138,7 @@ def _check_layer(i: int, layer: Layer, last: int, problems: list[str]) -> None:
     if layer.has_assignment and not layer.lossy:
         problems.append(
             f"layer {i}: a temperature assignment requires a lossy medium "
-            "(Im[n^2] > 0); only lossy layers emit"
+            "(Im[n^2] > 0), since only lossy layers emit"
         )
     if layer.self_consistent and layer.semi_infinite:
         problems.append(f"layer {i}: a semi-infinite layer cannot be self-consistent")
@@ -167,10 +171,10 @@ class LayerStack:
                 _check_layer(i, layer, last, problems)
             if not allow_lossless_bounds:
                 for i in (0, last):
-                    if not layers[i].lossy:
+                    if not np.all(layers[i].index.losses() > 0.0):
                         problems.append(
-                            f"layer {i}: outer layers must be lossy so that "
-                            "photon-number integrals converge"
+                            f"layer {i}: outer layers must be lossy at every "
+                            "energy so that photon-number integrals converge"
                         )
         if problems:
             raise ConfigError("; ".join(problems))
@@ -463,6 +467,12 @@ class Region:
     temperature: float
 
 
+def _kelvin(t) -> bool:
+    """Whether t is usable as a temperature: a finite positive real
+    number (a bool or a numeric string is not)."""
+    return isinstance(t, numbers.Real) and not isinstance(t, bool) and 0 < t < math.inf
+
+
 @dataclass(frozen=True)
 class TemperatureProfile:
     """Per-layer thermal state: a fixed kelvin value, a sliced interior
@@ -504,10 +514,12 @@ class TemperatureProfile:
                     raise ConfigError(f"layer {j}: slice boundaries do not match")
                 if b[0] != lo or b[-1] != hi or np.any(np.diff(b) <= 0):
                     raise ConfigError(f"layer {j}: slices must exactly tile the layer")
-                if any(not t > 0 for t in entry.temperatures):
-                    raise ConfigError(f"layer {j}: slice temperatures must be positive")
-            elif not entry > 0:
-                raise ConfigError(f"layer {j}: temperature must be positive")
+                if not all(map(_kelvin, entry.temperatures)):
+                    raise ConfigError(
+                        f"layer {j}: slice temperatures must be finite positive numbers")
+            elif not _kelvin(entry):
+                raise ConfigError(f"layer {j}: temperature must be a finite positive "
+                                  f"number, not {entry!r}")
 
     def temperature_at(self, stack: LayerStack, x: float) -> float | None:
         j = stack.layer_index(x)

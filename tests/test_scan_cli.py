@@ -407,7 +407,8 @@ def test_cli_validate_lists_each_problem(tmp_path, capsys):
     assert cli.main(["validate", str(config)]) == 1
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) >= 2
-    assert all(line.startswith("invalid: ") for line in lines)
+    # one line per problem, each naming its layer
+    assert all(line.startswith("invalid: layer ") for line in lines)
 
 
 def test_cli_validate_warns_about_a_lossy_layer_without_temperature(tmp_path, capsys):
@@ -426,6 +427,58 @@ def test_cli_validate_warns_about_a_lossy_layer_without_temperature(tmp_path, ca
         "warning: layer 1 is lossy but has no temperature; every scan quantity "
         "except ldos_* and every balance solve will reject it"]
     assert "clean" in lines[-1]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["hot_cold_cavity", "passive_cavity",
+                                  "transparent_slab", "absorbing_slab"])
+def test_cli_validate_is_clean_on_every_bundled_stack(name, capsys):
+    assert cli.main(["validate", str(CONFIGS / f"{name}.yaml")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and "clean" in lines[0]
+
+
+# lossless at its first node, lossy at the other two: it absorbs at 0.11 eV
+PARTLY_LOSSY = {"layers": [
+    {"thickness": "inf", "n": "1.5+0.3i", "temperature": 400.0},
+    {"thickness": 2.0, "n": 1.0},
+    {"thickness": 3.0, "n": {"E_eV": [0.01, 0.05, 0.3], "n_re": [1.5, 1.5, 1.5],
+                             "n_im": [0.0, 0.2, 0.2]}},
+    {"thickness": 2.0, "n": 1.0},
+    {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0},
+]}
+
+
+def test_a_partly_lossy_table_is_a_source(tmp_path, capsys):
+    """A tabulated layer that absorbs at some of its nodes emits: it takes
+    a temperature, validate asks for one, the closure check counts it,
+    and it enters the photon numbers."""
+    config = write_spec(tmp_path, "bare.yaml", PARTLY_LOSSY)
+    assert cli.main(["validate", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("warning: layer 2 is lossy but has no temperature")
+    assert len(lines) == 2 and "clean" in lines[1]
+
+    hot = {"layers": [dict(layer) for layer in PARTLY_LOSSY["layers"]]}
+    hot["layers"][2]["temperature"] = 350.0
+    config = write_spec(tmp_path, "hot.yaml", hot)
+    assert cli.main(["validate", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and "clean" in lines[0]
+
+    stack = photonstack.build_stack(hot)
+    assert [layer.lossy for layer in stack.layers] == [True, False, True, False, True]
+    om = units.omega_from_ev(np.linspace(0.02, 0.25, 12))
+    basis = photonstack.solve_wave_basis(stack, om)
+    profile = photonstack.TemperatureProfile.uniform(stack, 300.0)
+    assert profile.entries[2] == 300.0
+    bose = photonstack.source_occupation(om, 300.0)
+    for x in (-1e-6, 1e-6, 3.5e-6, 6e-6, 8e-6):
+        nums = photonstack.photon_numbers(stack, basis, profile, x)
+        for n in nums:
+            np.testing.assert_allclose(n, bose, rtol=1e-9)
 
 
 def test_cli_scan_writes_file_and_reports(tmp_path, capsys):

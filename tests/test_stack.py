@@ -61,6 +61,12 @@ def test_outer_layers_must_be_lossy():
         LayerStack.assemble(layers)
     stack = LayerStack.assemble(layers, allow_lossless_bounds=True)
     assert stack.allow_lossless_bounds
+    # a table lossless at one node makes a source, but not a half-space
+    partly = TabulatedIndex(omega_from_ev(np.array([0.01, 0.05, 0.3])),
+                            np.array([1.5, 1.5 + 0.2j, 1.5 + 0.2j]))
+    layers[0] = Layer(INF, partly, 400.0)
+    with pytest.raises(ConfigError, match="outer layers must be lossy"):
+        LayerStack.assemble(layers)
 
 
 def test_gain_media_rejected():
@@ -95,7 +101,7 @@ def test_tabulated_index_interpolation_and_bounds():
     tab = TabulatedIndex(om, np.array([1.5 + 0.1j, 1.7 + 0.3j, 1.9 + 0.5j]))
     mid = tab.at(omega_from_ev(0.15))
     assert mid == pytest.approx(1.8 + 0.4j)
-    assert tab.loss_floor() == pytest.approx(((1.5 + 0.1j) ** 2).imag)
+    assert min(tab.losses()) == pytest.approx(((1.5 + 0.1j) ** 2).imag)
     with pytest.raises(ConfigError, match="does not cover"):
         tab.at(omega_from_ev(0.3))
 
@@ -268,19 +274,28 @@ def test_sliced_profile_lookup_and_validation():
     ((400.0, LayerSlices((0.0, 6e-6, 4e-6, 10e-6), (350.0, 340.0, 330.0)), 300.0),
      "exactly tile"),
     ((400.0, LayerSlices((0.0, 10e-6), (350.0,))), "profile length"),
-], ids=["count_mismatch", "partial_cover", "overlapping", "short"])
+    ((400.0, None, "300"), "positive number"),
+    ((400.0, None, True), "positive number"),
+    ((math.inf, None, 300.0), "positive number"),
+    ((400.0, LayerSlices((0.0, 10e-6), ("350",)), 300.0), "positive numbers"),
+], ids=["count_mismatch", "partial_cover", "overlapping", "short",
+        "string_temperature", "bool_temperature", "infinite_temperature",
+        "string_slice_temperature"])
 def test_photon_numbers_reject_a_profile_that_does_not_fit(entries, fragment):
     """A hand-built profile is checked where its source regions are read,
     so no photon number is computed from a profile that leaves part of a
-    layer dark, counts a part twice or runs past the stack."""
+    layer dark, counts a part twice, runs past the stack or holds a
+    temperature that is not a finite positive number; the error is one
+    line."""
     stack = LayerStack.assemble([
         Layer(INF, ConstantIndex(1.5 + 0.3j), 400.0),
         Layer(10e-6, ConstantIndex(1.1 + 0.1j), self_consistent=True),
         Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),
     ])
     basis = solve_wave_basis(stack, omega_from_ev(np.array([0.05, 0.1])))
-    with pytest.raises(ConfigError, match=fragment):
+    with pytest.raises(ConfigError, match=fragment) as info:
         photon_numbers(stack, basis, TemperatureProfile(entries), 5e-6)
+    assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize("layer, fragment", [
