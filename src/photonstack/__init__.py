@@ -30,6 +30,7 @@ from .stack import (
     serialize_stack,
 )
 from .greens import (
+    FieldPoints,
     WaveBasis,
     region_integrals,
     solve_wave_basis,
@@ -51,9 +52,7 @@ from .thermo import (
     solve_self_consistent,
 )
 from .mechanics import (
-    EnergyPressureSample,
     ForceDensitySample,
-    IntegratedForce,
     energy_pressure,
     fd_residual,
     force_density,

@@ -56,12 +56,12 @@ def _validate(args) -> int:
         points.append(0.5 * (a + b))
     clean = True
     for x in sorted(points):
-        res_e, res_m = ldos_closure_residuals(stack, basis, x)
-        worst = float(max(res_e.max(), res_m.max()))
-        if worst > _CLOSURE_TOL:
-            j = stack.layer_index(x)
+        at = basis.at(x)
+        res_e, res_m = ldos_closure_residuals(at)
+        worst = float(np.max(np.maximum(res_e, res_m)))
+        if not worst <= _CLOSURE_TOL:
             print(
-                f"invalid: layer {j}: greens-closure residual {worst:.2e} "
+                f"invalid: layer {at.layer}: greens-closure residual {worst:.2e} "
                 f"at x = {x / MICRON:g} um exceeds {_CLOSURE_TOL:g}"
             )
             clean = False

@@ -88,58 +88,59 @@ class WaveBasis:
     scale_right: np.ndarray
     wronskian_scaled: np.ndarray
 
-    # -- solution evaluation -------------------------------------------------
-
-    def _waves(self, j: int, x):
-        """e^{+ik(x-ref)} and e^{-ik(x-ref)} in layer j at x (a point or a
-        1-D array of points), each shaped x.shape + omega.shape."""
-        u = np.asarray(x, dtype=float) - self.refs[j]
-        u = u.reshape(u.shape + (1,) * self.omega.ndim)
+    def at(self, x) -> FieldPoints:
+        """Both solutions and their derivatives at x (a point or a 1-D
+        array of points within one layer), in that layer's scaling."""
+        j = self.stack.layer_of(x)
+        xs = np.asarray(x, dtype=float)
+        u = (xs - self.refs[j]).reshape(xs.shape + (1,) * self.omega.ndim)
         kk = self.wavenumbers[j]
-        return np.exp(1j * kk * u), np.exp(-1j * kk * u)
+        ep, em = np.exp(1j * kk * u), np.exp(-1j * kk * u)
 
-    def _solution(self, a, b, j: int, waves):
-        ep, em = waves
-        kk = self.wavenumbers[j]
-        phi = a[j] * ep + b[j] * em
-        dphi = 1j * kk * (a[j] * ep - b[j] * em)
-        return phi, dphi
+        def solution(a, b):
+            return a[j] * ep + b[j] * em, 1j * kk * (a[j] * ep - b[j] * em)
 
-    def _left(self, j: int, waves):
-        return self._solution(self.a_left, self.b_left, j, waves)
+        return FieldPoints(self, xs, j, *solution(self.a_left, self.b_left),
+                           *solution(self.a_right, self.b_right),
+                           self.wronskian_scaled[j])
 
-    def _right(self, j: int, waves):
-        return self._solution(self.a_right, self.b_right, j, waves)
 
-    def layer_wronskians(self):
-        """Per-layer scaled Wronskians and their log-scale offsets."""
-        return self.wronskian_scaled, self.scale_left + self.scale_right
+@dataclass(frozen=True, eq=False)
+class FieldPoints:
+    """One set of field points x within layer ``layer`` of ``basis``:
+    ``psi_left``, ``psi_right`` and their x-derivatives there, each of
+    shape x.shape + omega.shape and scaled like that layer's amplitudes,
+    and the layer's scaled Wronskian ``w``. Every pointwise quantity is
+    built from this record; ``WaveBasis.at`` makes it."""
 
-    # -- Green's function ----------------------------------------------------
+    basis: WaveBasis
+    x: np.ndarray
+    layer: int
+    phi_l: np.ndarray
+    dphi_l: np.ndarray
+    phi_r: np.ndarray
+    dphi_r: np.ndarray
+    w: np.ndarray
 
-    def coincident_value(self, x):
-        """G(x, x) at a point or a 1-D array of points within one layer."""
-        j = self.stack.layer_of(x)
-        waves = self._waves(j, x)
-        phi_l, _ = self._left(j, waves)
-        phi_r, _ = self._right(j, waves)
-        return -phi_l * phi_r / self.wronskian_scaled[j]
+    @property
+    def n(self):
+        """Refractive index of the points' layer at the basis frequencies."""
+        return self.basis.stack.layers[self.layer].n_at(self.basis.omega)
 
-    def coincident_gradient(self, x):
-        """d/dx of G(x, x) along the diagonal, at points within one layer."""
-        j = self.stack.layer_of(x)
-        waves = self._waves(j, x)
-        phi_l, dphi_l = self._left(j, waves)
-        phi_r, dphi_r = self._right(j, waves)
-        return -(dphi_l * phi_r + phi_l * dphi_r) / self.wronskian_scaled[j]
+    @property
+    def coincident_value(self):
+        """G(x, x)."""
+        return -self.phi_l * self.phi_r / self.w
 
-    def coincident_mixed(self, x):
-        """d^2 G / dx dx' at x' = x, for points within one layer."""
-        j = self.stack.layer_of(x)
-        waves = self._waves(j, x)
-        _, dphi_l = self._left(j, waves)
-        _, dphi_r = self._right(j, waves)
-        return -dphi_l * dphi_r / self.wronskian_scaled[j]
+    @property
+    def coincident_gradient(self):
+        """d/dx of G(x, x) along the diagonal."""
+        return -(self.dphi_l * self.phi_r + self.phi_l * self.dphi_r) / self.w
+
+    @property
+    def coincident_mixed(self):
+        """d^2 G / dx dx' at x' = x."""
+        return -self.dphi_l * self.dphi_r / self.w
 
 
 def _renormalized(a, b):
@@ -307,14 +308,13 @@ def _interval_sq(a, b, kk, t1, t2):
 
 
 def region_integrals(
-    basis: WaveBasis, x, j: int, lo: float, hi: float, *, gradient: bool = False
+    points: FieldPoints, j: int, lo: float, hi: float, *, gradient: bool = False
 ) -> RegionIntegrals:
-    """Closed-form source integrals over the part of layer j in [lo, hi].
+    """Closed-form source integrals over the part of layer j in [lo, hi],
+    seen from the field points ``points``.
 
-    ``x`` is one field point or a 1-D array of field points that all lie
-    in one layer; every result has shape ``x.shape + omega.shape``, and
-    each point's entries are exactly those a call with that point alone
-    returns.
+    Every result has shape x.shape + omega.shape, and each point's
+    entries are exactly those a call with that point alone returns.
 
     For a source interval on one side of the field point, G restricted to
     that interval is a fixed two-exponential profile times an x-dependent
@@ -328,12 +328,7 @@ def region_integrals(
     differentiate the coefficients analytically (the profile integrals
     only move through the split point).
     """
-    A = basis.stack.layer_of(x)
-    xs = np.asarray(x, dtype=float)
-    if j == A:
-        xs = np.atleast_1d(xs)  # the per-point masks below need an axis
-    waves = basis._waves(A, xs)
-    w = basis.wronskian_scaled[A]
+    basis, A, w = points.basis, points.layer, points.w
     k2 = basis.wavenumbers[A] ** 2
     kj = basis.wavenumbers[j]
     ref = basis.refs[j]
@@ -356,12 +351,15 @@ def region_integrals(
         return parts
 
     if j < A:
-        parts = one_side(Ellipsis, True, *basis._right(A, waves), lo, hi)
+        parts = one_side(Ellipsis, True, points.phi_r, points.dphi_r, lo, hi)
     elif j > A:
-        parts = one_side(Ellipsis, False, *basis._left(A, waves), lo, hi)
+        parts = one_side(Ellipsis, False, points.phi_l, points.dphi_l, lo, hi)
     else:
-        phi_l, dphi_l = basis._left(A, waves)
-        phi_r, dphi_r = basis._right(A, waves)
+        # the per-point masks below need an axis
+        xs = np.atleast_1d(points.x)
+        phi_l, dphi_l, phi_r, dphi_r = (
+            v.reshape(xs.shape + basis.omega.shape)
+            for v in (points.phi_l, points.dphi_l, points.phi_r, points.dphi_r))
         left = hi <= xs
         right = ~left & (lo >= xs)
         split = ~(left | right)
@@ -389,5 +387,5 @@ def region_integrals(
                              + np.abs(dphi_r[split] / w) ** 2 * np.abs(phi_l[split]) ** 2
                              - np.abs(dphi_l[split] / w) ** 2 * np.abs(phi_r[split]) ** 2)
             fill(split, values)
-    shape = np.shape(x) + basis.omega.shape
+    shape = points.x.shape + basis.omega.shape
     return RegionIntegrals(*(part.reshape(shape) for part in parts))

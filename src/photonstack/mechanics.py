@@ -1,4 +1,4 @@
-"""Field fluctuations, energy density, pressure, and Casimir force terms.
+"""Energy density, pressure, and Casimir force terms.
 
 Spectral energy density and pressure share one expression,
 ``hbar omega rho_tot (n_tot + 1/2)``; the force density is its negative
@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, InterfacePointError
-from .greens import WaveBasis, solve_wave_basis
+from .greens import FieldPoints, WaveBasis, solve_wave_basis
 from .spectral import (
     FieldTriplet,
     OccupationSums,
@@ -40,7 +40,7 @@ from .spectral import (
     occupation_sums,
 )
 from .stack import LayerSlices, LayerStack, TemperatureProfile
-from .units import c, epsilon_0, hbar
+from .units import c, hbar
 
 _INTERFACE_CLEARANCE = 1e-12  # meters; force probes must stay off boundaries
 
@@ -50,32 +50,11 @@ def _edge_distance(x, edges):
     return np.min(np.abs(np.atleast_1d(x)[:, None] - np.asarray(edges)), axis=1)
 
 
-@dataclass(frozen=True, eq=False)
-class EnergyPressureSample:
-    """Spectral field fluctuations, energy density, and pressure at a
-    point or points in one layer.
-
-    ``energy_density`` and ``pressure`` are one quantity; both names are
-    kept because they enter different balances.
-    """
-
-    e_fluct: np.ndarray
-    b_fluct: np.ndarray
-    energy_density: np.ndarray
-    pressure: np.ndarray
-
-
-def energy_pressure(
-    omega, densities: FieldTriplet, numbers: FieldTriplet
-) -> EnergyPressureSample:
-    """Fluctuations, energy density, and pressure from the mode densities
-    and photon numbers already evaluated at the same points."""
-    e_fluct = (hbar * omega / epsilon_0) * densities.electric * (numbers.electric + 0.5)
-    b_fluct = (
-        (hbar * omega / (epsilon_0 * c * c)) * densities.magnetic * (numbers.magnetic + 0.5)
-    )
-    u = hbar * omega * densities.total * (numbers.total + 0.5)
-    return EnergyPressureSample(e_fluct, b_fluct, u, u)
+def energy_pressure(omega, densities: FieldTriplet, numbers: FieldTriplet):
+    """Spectral energy density from the mode densities and photon numbers
+    already evaluated at the same points; in 1D the pressure is the same
+    array."""
+    return hbar * omega * densities.total * (numbers.total + 0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,27 +77,21 @@ def _profile_edges(stack: LayerStack, profile: TemperatureProfile):
     return sorted(edges)
 
 
-def force_density(
-    stack: LayerStack,
-    basis: WaveBasis,
-    densities: FieldTriplet,
-    sums: OccupationSums,
-) -> ForceDensitySample:
+def force_density(points: FieldPoints, densities: FieldTriplet,
+                  sums: OccupationSums) -> ForceDensitySample:
     """Analytic force-density decomposition at non-interface points.
 
     ``densities`` and ``sums`` are ``ldos`` and ``occupation_sums(...,
-    gradient=True)`` at the points ``sums.x`` (a point or a 1-D array of
-    points in one layer), as the caller already holds them.
+    gradient=True)`` at ``points``, as the caller already holds them.
     """
-    x = sums.x
-    on = [b for b in stack.interfaces if np.any(x == b)]
+    on = [b for b in points.basis.stack.interfaces if np.any(points.x == b)]
     if on:
         raise InterfacePointError(
             f"x = {on[0]!r} lies on an interface where the force density holds a "
             "delta contribution; integrate via the pressure difference instead"
         )
-    om = basis.omega
-    d_rho_tot = ldos_gradient(stack, basis, x).total
+    om = points.basis.omega
+    d_rho_tot = ldos_gradient(points).total
     zcf = -0.5 * hbar * om * d_rho_tot
     tcf = -hbar * om * d_rho_tot * sums.numbers.total
     ncf = -hbar * om * densities.total * sums.total_number_gradient()
@@ -127,27 +100,25 @@ def force_density(
 
 class PointField:
     """Lazy evaluation at x (a point or a 1-D array of points in one
-    layer) under ``profile``: the mode densities and the occupation sums
-    are computed at most once, in one call each, and every quantity is
-    built from them. The sums carry field-point derivatives only with
-    ``gradient``, which ``force`` needs."""
+    layer) under ``profile``: the field-point record ``points`` is built
+    once, the mode densities and the occupation sums are computed from it
+    at most once each, and every quantity is built from them. The sums
+    carry field-point derivatives only with ``gradient``, which ``force``
+    needs."""
 
-    def __init__(self, stack: LayerStack, basis: WaveBasis,
-                 profile: TemperatureProfile, x, *, gradient: bool = False):
-        self.stack = stack
-        self.basis = basis
+    def __init__(self, basis: WaveBasis, profile: TemperatureProfile, x, *,
+                 gradient: bool = False):
+        self.points = basis.at(x)
         self.profile = profile
-        self.x = x
         self.gradient = gradient
 
     @cached_property
     def densities(self) -> FieldTriplet:
-        return ldos(self.stack, self.basis, self.x)
+        return ldos(self.points)
 
     @cached_property
     def sums(self) -> OccupationSums:
-        return occupation_sums(self.stack, self.basis, self.profile, self.x,
-                               gradient=self.gradient)
+        return occupation_sums(self.points, self.profile, gradient=self.gradient)
 
     @property
     def numbers(self) -> FieldTriplet:
@@ -155,19 +126,19 @@ class PointField:
 
     @cached_property
     def temperatures(self) -> FieldTriplet:
-        return effective_temperatures(self.numbers, self.basis.omega)
+        return effective_temperatures(self.numbers, self.points.basis.omega)
 
     @cached_property
-    def energy(self) -> EnergyPressureSample:
-        return energy_pressure(self.basis.omega, self.densities, self.numbers)
+    def energy(self):
+        """Spectral energy density, which is also the pressure."""
+        return energy_pressure(self.points.basis.omega, self.densities, self.numbers)
 
     @cached_property
     def force(self) -> ForceDensitySample:
-        return force_density(self.stack, self.basis, self.densities, self.sums)
+        return force_density(self.points, self.densities, self.sums)
 
 
-def fd_residual(stack: LayerStack, basis: WaveBasis, profile: TemperatureProfile,
-                x, total):
+def fd_residual(basis: WaveBasis, profile: TemperatureProfile, x, total):
     """Relative deviation of the force density ``total`` at x (a point or
     a 1-D array of points in one layer) from a Richardson-extrapolated
     central difference of the energy density under ``profile`` (step:
@@ -178,20 +149,20 @@ def fd_residual(stack: LayerStack, basis: WaveBasis, profile: TemperatureProfile
     """
     om = basis.omega
     n_re = max(
-        float(np.max(np.real(layer.n_at(om)))) for layer in stack.layers
+        float(np.max(np.real(layer.n_at(om)))) for layer in basis.stack.layers
     )
     lam = 2.0 * np.pi * c / (float(np.max(om)) * n_re)
     xs = np.atleast_1d(x)
     out = np.full(xs.shape + om.shape, np.nan)
-    dist = _edge_distance(xs, _profile_edges(stack, profile))
+    dist = _edge_distance(xs, _profile_edges(basis.stack, profile))
     checked = dist >= _INTERFACE_CLEARANCE
     if checked.any():
         h = lam / 1000.0
         h = np.where(dist < 4.0 * h, dist / 4.0, h)[checked]
         xc = xs[checked]
         def grad(step):
-            up = PointField(stack, basis, profile, xc + step).energy.energy_density
-            dn = PointField(stack, basis, profile, xc - step).energy.energy_density
+            up = PointField(basis, profile, xc + step).energy
+            dn = PointField(basis, profile, xc - step).energy
             return (up - dn) / (2.0 * step.reshape((-1,) + (1,) * om.ndim))
         coarse = grad(h)
         fine = grad(0.5 * h)
@@ -203,31 +174,13 @@ def fd_residual(stack: LayerStack, basis: WaveBasis, profile: TemperatureProfile
     return out.reshape(np.shape(x) + om.shape)
 
 
-def net_force(
-    stack: LayerStack,
-    basis: WaveBasis,
-    profile: TemperatureProfile,
-    x1: float,
-    x2: float,
-):
+def net_force(basis: WaveBasis, profile: TemperatureProfile, x1: float, x2: float):
     """Spectral force per unit area on the material between two smooth
     probe points, positive toward +x; the pressure-difference form keeps
     the interface delta contributions."""
     if not x1 < x2:
         raise InterfacePointError("probe points must satisfy x1 < x2")
-    p1 = PointField(stack, basis, profile, x1).energy.pressure
-    p2 = PointField(stack, basis, profile, x2).energy.pressure
-    return p1 - p2
-
-
-@dataclass(frozen=True, eq=False)
-class IntegratedForce:
-    """Frequency-integrated net force per area, thermal part and finite-
-    grid zero-point part reported separately (the latter has no cutoff
-    and grows with the grid's upper edge)."""
-
-    thermal: float
-    zero_point: float
+    return PointField(basis, profile, x1).energy - PointField(basis, profile, x2).energy
 
 
 def frequency_integrated_force(
@@ -236,17 +189,18 @@ def frequency_integrated_force(
     x1: float,
     x2: float,
     omega_grid,
-) -> IntegratedForce:
+) -> float:
+    """Thermal net force per unit area on the material between two smooth
+    probe points, integrated over ``omega_grid``. The zero-point part has
+    no cutoff, so it is not integrated."""
     om = np.asarray(omega_grid, dtype=float)
     if om.ndim != 1 or om.size < 2 or np.any(np.diff(om) <= 0):
         raise ConfigError("frequency grid must be 1D and increasing")
     basis = solve_wave_basis(stack, om)
-    at1 = PointField(stack, basis, profile, x1)
-    at2 = PointField(stack, basis, profile, x2)
-    rho1, rho2 = at1.densities.total, at2.densities.total
-    n1, n2 = at1.numbers.total, at2.numbers.total
-    thermal_integrand = hbar * om * (rho1 * n1 - rho2 * n2)
-    zero_integrand = 0.5 * hbar * om * (rho1 - rho2)
+    at1 = PointField(basis, profile, x1)
+    at2 = PointField(basis, profile, x2)
+    thermal_integrand = hbar * om * (at1.densities.total * at1.numbers.total
+                                     - at2.densities.total * at2.numbers.total)
     peak = float(np.max(np.abs(thermal_integrand)))
     if peak > 0 and abs(float(thermal_integrand[-1])) > 1e-6 * peak:
         warnings.warn(
@@ -254,7 +208,4 @@ def frequency_integrated_force(
             "edge; widen the frequency grid",
             stacklevel=2,
         )
-    return IntegratedForce(
-        thermal=float(np.trapezoid(thermal_integrand, om)),
-        zero_point=float(np.trapezoid(zero_integrand, om)),
-    )
+    return float(np.trapezoid(thermal_integrand, om))

@@ -62,8 +62,8 @@ _QUANTITY_TABLE = {
     "T_e": ("K", "K", "temperatures.electric"),
     "T_m": ("K", "K", "temperatures.magnetic"),
     "T_tot": ("K", "K", "temperatures.total"),
-    "u": ("J s/m^3", "J s/m^3", "energy.energy_density"),
-    "p": ("N s/m^2", "N s/m^2", "energy.pressure"),
+    "u": ("J s/m^3", "J s/m^3", "energy"),
+    "p": ("N s/m^2", "N s/m^2", "energy"),
     "zcf": ("N s/m^3", "N s/m^3", "force.zero_point"),
     "tcf": ("N s/m^3", "N s/m^3", "force.thermal"),
     "ncf": ("N s/m^3", "N s/m^3", "force.occupation"),
@@ -294,14 +294,14 @@ def _pointwise_chunk(payload):
     layers = stack.layer_index(xs)
     for j in np.unique(layers):
         rows = layers == j
-        pv = PointField(stack, basis, profile, xs[rows], gradient=forces)
+        pv = PointField(basis, profile, xs[rows], gradient=forces)
         for q_i, q in enumerate(quantities):
             vals = attrgetter(_QUANTITY_TABLE[q][2])(pv)
             if q.startswith("ldos_"):
                 vals = vals / ldos_scale
             block[rows, :, q_i] = vals
         if fd_check:
-            fd[rows] = fd_residual(stack, basis, profile, pv.x, pv.force.total)
+            fd[rows] = fd_residual(basis, profile, pv.points.x, pv.force.total)
     return block, fd
 
 
@@ -369,7 +369,7 @@ def _slab_chunk(payload):
         profile = solve_self_consistent(stack, **balance).profile
         basis = solve_wave_basis(stack, omega)
         x1, x2 = template.probes(w)
-        block[i, :, 0] = net_force(stack, basis, profile, x1, x2)
+        block[i, :, 0] = net_force(basis, profile, x1, x2)
     return block, None
 
 
@@ -464,8 +464,12 @@ def run_scan(
         meta.append(f"fd-check: max-rel-residual={fd_max:.3e} "
                     f"unchecked={np.count_nonzero(unchecked)}")
 
-    if not np.isfinite(data).all():
-        raise PhotonStackError("scan produced non-finite values; refusing to write")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        a, e, q = bad[0]
+        raise PhotonStackError(
+            f"scan produced a non-finite {spec.quantities[q]} at {axis_name} = "
+            f"{axis_values[a]:g}, E_eV = {energies_ev[e]:g}; refusing to write")
 
     tag = 0 if spec.units == "paper" else 1
     col_units = [f"{axis_name} [um]", "E_eV [eV]"]

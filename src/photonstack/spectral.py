@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .greens import WaveBasis, region_integrals
-from .stack import LayerStack, Region, TemperatureProfile
+from .greens import FieldPoints, region_integrals
+from .stack import Region, TemperatureProfile
 from .units import CROSS_SECTION, c, hbar, k_B
 
 
@@ -70,9 +70,9 @@ def _mode_density(om, g):
     return 2.0 * om / (math.pi * c * c * CROSS_SECTION) * g.imag
 
 
-def electric_density(basis: WaveBasis, x):
-    """Electric mode density at x (points in one layer)."""
-    return _mode_density(basis.omega, basis.coincident_value(x))
+def electric_density(points: FieldPoints):
+    """Electric mode density at the field points."""
+    return _mode_density(points.basis.omega, points.coincident_value)
 
 
 def _densities(om, nn, g_e, g_m) -> FieldTriplet:
@@ -84,26 +84,24 @@ def _densities(om, nn, g_e, g_m) -> FieldTriplet:
     return FieldTriplet(electric, magnetic, np.abs(nn) ** 2 * electric + magnetic)
 
 
-def ldos(stack: LayerStack, basis: WaveBasis, x) -> FieldTriplet:
-    """Mode densities at x (a point or a 1-D array of points in one
-    layer) from the coincident Green's function and its mixed derivative
-    over k0^2, in SI units (states per volume per angular frequency);
-    divide by ``units.LDOS_UNIT`` for units of the free-space total."""
-    om = basis.omega
-    nn = stack.layers[stack.layer_of(x)].n_at(om)
-    return _densities(om, nn, basis.coincident_value(x),
-                      basis.coincident_mixed(x) / (om / c) ** 2)
+def ldos(points: FieldPoints) -> FieldTriplet:
+    """Mode densities at the field points from the coincident Green's
+    function and its mixed derivative over k0^2, in SI units (states per
+    volume per angular frequency); divide by ``units.LDOS_UNIT`` for
+    units of the free-space total."""
+    om = points.basis.omega
+    return _densities(om, points.n, points.coincident_value,
+                      points.coincident_mixed / (om / c) ** 2)
 
 
-def ldos_gradient(stack: LayerStack, basis: WaveBasis, x) -> FieldTriplet:
-    """d/dx of the three mode densities at points x within one layer.
+def ldos_gradient(points: FieldPoints) -> FieldTriplet:
+    """d/dx of the three mode densities at the field points.
     By the wave equation psi'' = -k^2 psi, d/dx of psi_left' psi_right'
     is -k^2 d/dx of psi_left psi_right, so the magnetic gradient is
     -n^2 times the electric coincident gradient."""
-    om = basis.omega
-    nn = stack.layers[stack.layer_of(x)].n_at(om)
-    grad = basis.coincident_gradient(x)
-    return _densities(om, nn, grad, -nn * nn * grad)
+    nn = points.n
+    grad = points.coincident_gradient
+    return _densities(points.basis.omega, nn, grad, -nn * nn * grad)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +116,6 @@ class OccupationSums:
     is zero.
     """
 
-    x: float | np.ndarray
     n_sq: np.ndarray
     has_sources: bool
     d_e: np.ndarray
@@ -154,60 +151,46 @@ class OccupationSums:
         ) / (n_sq * self.d_e + self.d_m)
 
 
-def source_weights(stack: LayerStack, basis: WaveBasis, region: Region, x, *,
-                   gradient: bool = False):
+def source_weights(points: FieldPoints, region: Region, *, gradient: bool = False):
     """Absorption-weighted propagation integrals from one source region to
-    x (a point or a 1-D array of points in one layer): Im[n^2] |G|^2 and
-    Im[n^2] |dG/dx|^2 / k0^2, then their x-derivatives with ``gradient``.
-    Only the region's layer and bounds are read."""
-    om = basis.omega
+    the field points: Im[n^2] |G|^2 and Im[n^2] |dG/dx|^2 / k0^2, then
+    their x-derivatives with ``gradient``. Only the region's layer and
+    bounds are read."""
+    om = points.basis.omega
     k0sq = (om / c) ** 2
-    n2im = (stack.layers[region.layer].n_at(om) ** 2).imag
-    ri = region_integrals(basis, x, region.layer, region.lo, region.hi, gradient=gradient)
+    n2im = (points.basis.stack.layers[region.layer].n_at(om) ** 2).imag
+    ri = region_integrals(points, region.layer, region.lo, region.hi, gradient=gradient)
     weights = [n2im * ri.gg, n2im * ri.dgg / k0sq]
     if gradient:
         weights += [n2im * ri.d_gg, n2im * ri.d_dgg / k0sq]
     return weights
 
 
-def occupation_sums(
-    stack: LayerStack,
-    basis: WaveBasis,
-    profile: TemperatureProfile,
-    x,
-    *,
-    gradient: bool = False,
-) -> OccupationSums:
+def occupation_sums(points: FieldPoints, profile: TemperatureProfile, *,
+                    gradient: bool = False) -> OccupationSums:
     """Accumulate the per-region propagation integrals that weight each
-    source's occupancy, optionally with analytic x-derivatives, at a
-    point or a 1-D array of points in one layer (one region-integral
-    call per source region)."""
-    regions = profile.source_regions(stack)
-    om = basis.omega
+    source's occupancy at the field points, optionally with analytic
+    x-derivatives (one region-integral call per source region)."""
+    regions = profile.source_regions(points.basis.stack)
+    om = points.basis.omega
     # unfilled and occupancy-filled sums for each weight, in the field
     # order of OccupationSums: (d_e, f_e, d_m, f_m[, primes])
-    sums = [np.zeros(np.shape(x) + om.shape) for _ in range(8 if gradient else 4)]
+    sums = [np.zeros(points.x.shape + om.shape) for _ in range(8 if gradient else 4)]
     for reg in regions:
         eta = source_occupation(om, reg.temperature)
-        for i, weight in enumerate(source_weights(stack, basis, reg, x, gradient=gradient)):
+        for i, weight in enumerate(source_weights(points, reg, gradient=gradient)):
             sums[2 * i] += weight
             sums[2 * i + 1] += weight * eta
-    n_sq = np.abs(stack.layers[stack.layer_of(x)].n_at(om)) ** 2
-    return OccupationSums(x, n_sq, bool(regions), *sums)
+    return OccupationSums(np.abs(points.n) ** 2, bool(regions), *sums)
 
 
-def photon_numbers(
-    stack: LayerStack,
-    basis: WaveBasis,
-    profile: TemperatureProfile,
-    x,
-) -> FieldTriplet:
-    """Source-resolved mean photon numbers at x.
+def photon_numbers(points: FieldPoints, profile: TemperatureProfile) -> FieldTriplet:
+    """Source-resolved mean photon numbers at the field points.
 
     A structure with no lossy layer has no thermal sources; all three
     numbers are then zero.
     """
-    return occupation_sums(stack, basis, profile, x).numbers
+    return occupation_sums(points, profile).numbers
 
 
 def effective_temperatures(numbers: FieldTriplet, omega) -> FieldTriplet:
@@ -215,17 +198,17 @@ def effective_temperatures(numbers: FieldTriplet, omega) -> FieldTriplet:
     return FieldTriplet._make(occupation_temperature(n, omega) for n in numbers)
 
 
-def ldos_closure_residuals(stack: LayerStack, basis: WaveBasis, x: float):
+def ldos_closure_residuals(points: FieldPoints):
     """Relative mismatch between the coincident-Green's-function mode
     densities and their source-integral forms: the unfilled sums that the
     photon numbers divide by, over every source region of the stack at a
     uniform temperature. Both should agree to roundoff; a large residual
     flags a broken basis solve or an absorber missing from the sources."""
-    om = basis.omega
+    om = points.basis.omega
     # the unfilled sums do not depend on the temperature
-    sums = occupation_sums(stack, basis, TemperatureProfile.uniform(stack, 300.0), x)
+    sums = occupation_sums(points, TemperatureProfile.uniform(points.basis.stack, 300.0))
     pref = 2.0 * om**3 / (math.pi * c**4 * CROSS_SECTION)
-    surf = ldos(stack, basis, x)
+    surf = ldos(points)
     tiny = np.finfo(float).tiny
     res_e = np.abs(surf.electric - pref * sums.d_e) / np.maximum(np.abs(surf.electric), tiny)
     res_m = np.abs(surf.magnetic - pref * sums.d_m) / np.maximum(np.abs(surf.magnetic), tiny)

@@ -521,17 +521,6 @@ class TemperatureProfile:
                 raise ConfigError(f"layer {j}: temperature must be a finite positive "
                                   f"number, not {entry!r}")
 
-    def temperature_at(self, stack: LayerStack, x: float) -> float | None:
-        j = stack.layer_index(x)
-        entry = self.entries[j]
-        if entry is None:
-            return None
-        if isinstance(entry, LayerSlices):
-            i = bisect_right(entry.boundaries, float(x)) - 1
-            i = min(max(i, 0), len(entry.temperatures) - 1)
-            return entry.temperatures[i]
-        return float(entry)
-
     def source_regions(self, stack: LayerStack) -> list[Region]:
         """Enumerate uniform-temperature emitting regions, left to right.
 

@@ -19,10 +19,11 @@ so each root is bracketed and found by bisection. The source regions
 for every other photon-number evaluation. The geometry behind the
 exchange (how strongly every source region illuminates every slice
 midpoint) is evaluated once per solve with ``spectral.source_weights``,
-one call per (self-consistent layer, source region) covering all of the
-layer's midpoints. Each sweep then bisects every slice's balance at
-once on a (slices, omega) array, and an under-relaxed update of all
-slices converges the mutual illumination between them.
+from one field-point record per self-consistent layer covering all of
+its midpoints, one call per (self-consistent layer, source region).
+Each sweep then bisects every slice's balance at once on a (slices,
+omega) array, and an under-relaxed update of all slices converges the
+mutual illumination between them.
 """
 
 from __future__ import annotations
@@ -186,19 +187,19 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     regions = sorted(initial.source_regions(stack),
                      key=lambda reg: stack.layers[reg.layer].self_consistent)
 
-    # one source-weight call per (layer, source region) over all of the
-    # layer's slice midpoints
+    # one field-point record per layer over all of its slice midpoints,
+    # and one source-weight call per (layer, source region)
     weights = np.empty((n_slices, len(regions), om.size))
     kernel = np.empty((n_slices, om.size))
     midpoints = []
     for i, j in enumerate(sc_layers):
         x_m = 0.5 * (slice_edges[j][:-1] + slice_edges[j][1:])
         midpoints.append(x_m)
+        points = basis.at(x_m)
         rows = slice(i * slices, (i + 1) * slices)
         for r, reg in enumerate(regions):
-            weights[rows, r] = source_weights(stack, basis, reg, x_m)[0]
-        n2im_m = (stack.layers[j].n_at(om) ** 2).imag
-        kernel[rows] = hbar * om**2 * n2im_m * electric_density(basis, x_m)
+            weights[rows, r] = source_weights(points, reg)[0]
+        kernel[rows] = hbar * om**2 * (points.n ** 2).imag * electric_density(points)
 
     denom = weights.sum(axis=1)
     eta_fixed = np.array([source_occupation(om, reg.temperature)

@@ -11,16 +11,17 @@ from photonstack.units import omega_from_ev
 INF = float("inf")
 
 
-def point_energy(stack, basis, profile, x):
+def point_energy(basis, profile, x):
     """energy_pressure fed with freshly evaluated densities and numbers."""
-    return energy_pressure(basis.omega, ldos(stack, basis, x),
-                           photon_numbers(stack, basis, profile, x))
+    points = basis.at(x)
+    return energy_pressure(basis.omega, ldos(points), photon_numbers(points, profile))
 
 
-def point_force(stack, basis, profile, x):
+def point_force(basis, profile, x):
     """force_density fed with freshly evaluated densities and gradient sums."""
-    sums = occupation_sums(stack, basis, profile, x, gradient=True)
-    return force_density(stack, basis, ldos(stack, basis, x), sums)
+    points = basis.at(x)
+    sums = occupation_sums(points, profile, gradient=True)
+    return force_density(points, ldos(points), sums)
 
 
 def cavity_stack() -> LayerStack:

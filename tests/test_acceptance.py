@@ -46,7 +46,7 @@ def test_closure_identity_at_random_points(cavity):
         x = float(rng.uniform(-20e-6, 30e-6))
         ev = float(rng.uniform(0.02, 0.24))
         basis = solve_wave_basis(cavity, omega_from_ev(np.array([ev])))
-        res_e, res_m = ldos_closure_residuals(cavity, basis, x)
+        res_e, res_m = ldos_closure_residuals(basis.at(x))
         worst = max(worst, float(res_e.max()), float(res_m.max()))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 10.0
@@ -67,7 +67,7 @@ def test_infinite_vacuum_mode_densities():
     basis = solve_wave_basis(stack, omega_from_ev(np.linspace(0.02, 0.24, 23)))
     dev = 0.0
     for x in (1e-6, 4.3e-6, 7e-6):
-        e, m, tot = (d / LDOS_UNIT for d in ldos(stack, basis, x))
+        e, m, tot = (d / LDOS_UNIT for d in ldos(basis.at(x)))
         dev = max(dev, float(np.abs(e - 0.5).max()),
                   float(np.abs(m - 0.5).max()),
                   float(np.abs(tot - 1.0).max()))
@@ -85,7 +85,7 @@ def test_uniform_temperature_collapse(cavity, cavity_basis):
     eta = source_occupation(om, 350.0)
     n_dev = t_dev = 0.0
     for x in (-2e-6, 1.5e-6, 5e-6, 8.5e-6, 12e-6):
-        nums = photon_numbers(cavity, cavity_basis, profile, x)
+        nums = photon_numbers(cavity_basis.at(x), profile)
         for comp in (nums.electric, nums.magnetic, nums.total):
             n_dev = max(n_dev, float(np.max(np.abs(comp - eta) / eta)))
         temps = effective_temperatures(nums, om)
@@ -105,9 +105,8 @@ def test_gap_density_and_temperature_are_flat(cavity, cavity_basis, cavity_profi
     rho = np.empty((xs.size, om.size))
     t_tot = np.empty_like(rho)
     for i, x in enumerate(xs):
-        rho[i] = ldos(cavity, cavity_basis, float(x)).total
-        nums = photon_numbers(cavity, cavity_basis, cavity_profile,
-                              float(x))
+        rho[i] = ldos(cavity_basis.at(float(x))).total
+        nums = photon_numbers(cavity_basis.at(float(x)), cavity_profile)
         t_tot[i] = effective_temperatures(nums, om).total
     spread_rho = float(np.max((rho.max(0) - rho.min(0)) / rho.mean(0)))
     spread_t = float(np.max((t_tot.max(0) - t_tot.min(0)) / t_tot.mean(0)))
@@ -121,7 +120,7 @@ def test_gap_fringe_spacing_at_resonance(cavity):
     om = omega_from_ev(np.array([0.118]))
     basis = solve_wave_basis(cavity, om)
     xs = np.linspace(0.25e-6, 9.75e-6, 4001)
-    rho_e = np.array([ldos(cavity, basis, float(x)).electric[0] for x in xs])
+    rho_e = np.array([ldos(basis.at(float(x))).electric[0] for x in xs])
     interior = np.nonzero((rho_e[1:-1] > rho_e[:-2]) & (rho_e[1:-1] >= rho_e[2:]))[0] + 1
     spacings = np.diff(xs[interior]) / 1e-6
     expected = 0.5 * (2 * np.pi * c / om[0]) / 1e-6
@@ -136,7 +135,7 @@ def test_strongest_fringe_energies(cavity):
     evs = np.arange(0.02, 0.2401, 0.001)
     basis = solve_wave_basis(cavity, omega_from_ev(evs))
     xs = np.linspace(0.25e-6, 9.75e-6, 191)
-    rho_e = np.array([ldos(cavity, basis, float(x)).electric for x in xs])
+    rho_e = np.array([ldos(basis.at(float(x))).electric for x in xs])
     amp = rho_e.max(axis=0) - rho_e.min(axis=0)
     peaks = [i for i in range(1, evs.size - 1)
              if amp[i] > amp[i - 1] and amp[i] >= amp[i + 1]]
@@ -154,7 +153,7 @@ def test_deep_medium_temperature_saturation(cavity, cavity_profile):
     basis = solve_wave_basis(cavity, om)
     temps = {}
     for tag, x in (("left", -60e-6), ("right", 70e-6)):
-        nums = photon_numbers(cavity, basis, cavity_profile, x)
+        nums = photon_numbers(basis.at(x), cavity_profile)
         temps[tag] = float(effective_temperatures(nums, om).electric[0])
     ok = abs(temps["left"] - 400.0) < 1.0 and abs(temps["right"] - 300.0) < 1.0
     msg = _report("deep-medium temperature saturation",
@@ -199,8 +198,8 @@ def test_force_decomposition_matches_gradient(balanced_passive, smooth_points):
     stack, basis, profile = balanced_passive
     worst = 0.0
     for x in smooth_points:
-        sample = point_force(stack, basis, profile, x)
-        residual = fd_residual(stack, basis, profile, x, sample.total)
+        sample = point_force(basis, profile, x)
+        residual = fd_residual(basis, profile, x, sample.total)
         worst = max(worst, float(np.max(np.abs(residual))))
     ok = worst < 1e-4
     msg = _report("force decomposition vs -du/dx at 100 points",
@@ -212,7 +211,7 @@ def test_occupation_force_never_negative(balanced_passive, smooth_points):
     stack, basis, profile = balanced_passive
     low = np.inf
     for x in smooth_points:
-        low = min(low, float(point_force(stack, basis, profile, x).occupation.min()))
+        low = min(low, float(point_force(basis, profile, x).occupation.min()))
     ok = low >= 0.0
     msg = _report("occupation force nonnegative", ok, f"minimum {low:.3e}")
     assert ok, msg
@@ -223,7 +222,7 @@ def test_force_component_energy_trends(balanced_passive, smooth_points):
     om = basis.omega
     comps = {"zcf": [], "tcf": [], "ncf": []}
     for x in smooth_points:
-        sample = point_force(stack, basis, profile, x)
+        sample = point_force(basis, profile, x)
         comps["zcf"].append(np.abs(sample.zero_point))
         comps["tcf"].append(np.abs(sample.thermal))
         comps["ncf"].append(np.abs(sample.occupation))
@@ -257,7 +256,7 @@ def _slab_forces(width, index, *, self_consistent=False, t_left=400.0,
         profile = TemperatureProfile.from_stack(stack)
     basis = solve_wave_basis(stack, omega_from_ev(_SLAB_EVS))
     x1 = 0.25 * (10e-6 - width)
-    return net_force(stack, basis, profile, x1, 10e-6 - x1)
+    return net_force(basis, profile, x1, 10e-6 - x1)
 
 
 def test_slab_force_vanishes_with_width():
@@ -336,8 +335,8 @@ def test_slab_force_routes_agree():
             profile = TemperatureProfile.from_stack(stack)
         basis = solve_wave_basis(stack, omega_from_ev(_SLAB_EVS))
         x1 = 0.25 * (10e-6 - width)
-        f_p = net_force(stack, basis, profile, x1, 10e-6 - x1)
-        f_n = net_force_occupation_route(stack, basis, profile, x1, 10e-6 - x1)
+        f_p = net_force(basis, profile, x1, 10e-6 - x1)
+        f_n = net_force_occupation_route(basis, profile, x1, 10e-6 - x1)
         worst = max(worst, float(np.max(np.abs(f_p - f_n)) / np.abs(f_p).max()))
     ok = worst < 1e-10
     msg = _report("pressure-difference and occupation-difference routes",
@@ -382,8 +381,8 @@ def test_balance_slice_refinement(passive_cavity, passive_balance):
 # --- propagator invariants --------------------------------------------------
 
 def test_propagator_invariants(cavity, cavity_basis):
-    scaled, log_scale = cavity_basis.layer_wronskians()
-    true = scaled * np.exp(log_scale)
+    true = cavity_basis.wronskian_scaled * np.exp(
+        cavity_basis.scale_left + cavity_basis.scale_right)
     w_dev = float(np.max(np.abs(true - true[0]) / np.abs(true[0])))
 
     r_dev = 0.0

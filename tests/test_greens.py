@@ -47,7 +47,7 @@ def test_vacuum_green_function_with_lossless_bounds():
     want = 1j * np.exp(1j * k0 * 2e-6) / (2 * k0)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
     # coincident value: Im G(x,x) = 1/(2 k0)
-    coin = basis.coincident_value(4e-6)
+    coin = basis.at(4e-6).coincident_value
     assert np.max(np.abs(coin.imag - 1 / (2 * k0)) * 2 * k0) < 1e-12
 
 
@@ -92,8 +92,13 @@ def test_reciprocity_between_field_and_source():
 
 
 def test_wronskian_constant_across_layers(cavity_basis):
-    scaled, log_scale = cavity_basis.layer_wronskians()
-    true = scaled * np.exp(log_scale)
+    """The physical Wronskian read off a field-point record in each layer
+    is one constant."""
+    true = []
+    for x in (-1e-6, 5e-6, 11e-6):
+        at = cavity_basis.at(x)
+        log_scale = cavity_basis.scale_left[at.layer] + cavity_basis.scale_right[at.layer]
+        true.append(at.w * np.exp(log_scale))
     ref = true[0]
     for w in true[1:]:
         assert np.max(np.abs(w - ref) / np.abs(ref)) < 1e-10
@@ -167,8 +172,7 @@ def test_green_function_matches_high_precision_transfer_matrix(seed, n_layers):
     # one point in each layer, the outer ones within 1 um of the stack
     bounds = [stack.interfaces[0] - 1e-6, *stack.interfaces, stack.interfaces[-1] + 1e-6]
     points = [float(rng.uniform(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
-    scaled, log_scale = basis.layer_wronskians()
-    physical = scaled * np.exp(log_scale)
+    physical = basis.wronskian_scaled * np.exp(basis.scale_left + basis.scale_right)
 
     def close(got, want):
         return abs(got - want) <= 1e-10 * abs(want)
@@ -181,8 +185,9 @@ def test_green_function_matches_high_precision_transfer_matrix(seed, n_layers):
                     g = greens_sample(basis, x, src).value[i]
                     assert close(g, green(x, src)), (x, src)
                     assert close(g, greens_sample(basis, src, x).value[i]), (x, src)
-                assert close(basis.coincident_value(x)[i], green(x, x)), x
-                assert close(basis.coincident_mixed(x)[i], mixed(x)), x
+                at = basis.at(x)
+                assert close(at.coincident_value[i], green(x, x)), x
+                assert close(at.coincident_mixed[i], mixed(x)), x
         for j, want in enumerate(wronskians):
             assert close(physical[j][i], want), j
             assert close(want, wronskians[0]), j
@@ -234,7 +239,7 @@ def test_region_integrals_match_quadrature_finite(x):
         (2, 11e-6, 15e-6),        # inside the right medium
     ]
     for j, lo, hi in cases:
-        got = region_integrals(basis, x, j, lo, hi)
+        got = region_integrals(basis.at(x), j, lo, hi)
         want_gg, want_dgg = _quad_integrals(basis, x, j, lo, hi)
         assert abs(got.gg[0] - want_gg) / want_gg < 1e-8
         assert abs(got.dgg[0] - want_dgg) / want_dgg < 1e-8
@@ -249,7 +254,7 @@ def test_region_integrals_semi_infinite_tails():
     x = 5e-6
     for j, edge in ((0, 0.0), (2, 10e-6)):
         lo, hi = stack.layer_bounds(j)
-        got = region_integrals(basis, x, j, lo, hi)
+        got = region_integrals(basis.at(x), j, lo, hi)
         kappa = basis.wavenumbers[j].imag
         s = greens_sample(basis, x, edge)
         want_gg = np.abs(s.value) ** 2 / (2 * kappa)
@@ -264,7 +269,7 @@ def test_lossless_tail_raises():
     basis = solve_wave_basis(stack, om)
     lo, hi = stack.layer_bounds(2)
     with pytest.raises(DivergentSourceError):
-        region_integrals(basis, 4e-6, 2, lo, hi)
+        region_integrals(basis.at(4e-6), 2, lo, hi)
 
 
 def test_region_integral_gradients_match_finite_differences():
@@ -274,9 +279,9 @@ def test_region_integral_gradients_match_finite_differences():
     x = 4.7e-6
     h = 2e-10
     for j, lo, hi in [(0, -INF, 0.0), (1, 0.0, 10e-6), (2, 10e-6, INF)]:
-        got = region_integrals(basis, x, j, lo, hi, gradient=True)
-        plus = region_integrals(basis, x + h, j, lo, hi)
-        minus = region_integrals(basis, x - h, j, lo, hi)
+        got = region_integrals(basis.at(x), j, lo, hi, gradient=True)
+        plus = region_integrals(basis.at(x + h), j, lo, hi)
+        minus = region_integrals(basis.at(x - h), j, lo, hi)
         fd_gg = (plus.gg[0] - minus.gg[0]) / (2 * h)
         fd_dgg = (plus.dgg[0] - minus.dgg[0]) / (2 * h)
         scale_gg = max(abs(fd_gg), abs(got.d_gg[0]))
@@ -297,8 +302,8 @@ def test_random_point_region_closure(cavity_basis, cavity):
             lo, hi = cavity.layer_bounds(j)
             if np.all(k2im == 0.0):
                 continue
-            total += k2im * region_integrals(cavity_basis, x, j, lo, hi).gg
-        im_g = cavity_basis.coincident_value(x).imag
+            total += k2im * region_integrals(cavity_basis.at(x), j, lo, hi).gg
+        im_g = cavity_basis.at(x).coincident_value.imag
         assert np.max(np.abs(total - im_g) / np.abs(im_g)) < 1e-10
 
 
@@ -345,9 +350,9 @@ def test_region_integrals_on_point_arrays_equal_per_point_calls(gradient):
     fields = ("gg", "dgg", "d_gg", "d_dgg") if gradient else ("gg", "dgg")
     for xs in point_sets:
         for j, lo, hi in regions:
-            batched = region_integrals(basis, xs, j, lo, hi, gradient=gradient)
+            batched = region_integrals(basis.at(xs), j, lo, hi, gradient=gradient)
             for i, x in enumerate(xs):
-                single = region_integrals(basis, float(x), j, lo, hi, gradient=gradient)
+                single = region_integrals(basis.at(float(x)), j, lo, hi, gradient=gradient)
                 for f in fields:
                     assert getattr(batched, f).shape == xs.shape + om.shape
                     assert np.array_equal(getattr(batched, f)[i], getattr(single, f)), (
@@ -357,4 +362,4 @@ def test_region_integrals_on_point_arrays_equal_per_point_calls(gradient):
 def test_region_integrals_reject_points_in_several_layers():
     basis = solve_wave_basis(cavity_stack(), omega_from_ev(np.array([0.11])))
     with pytest.raises(ValueError, match="one layer"):
-        region_integrals(basis, np.array([-1e-6, 1e-6]), 1, 0.0, 10e-6)
+        region_integrals(basis.at(np.array([-1e-6, 1e-6])), 1, 0.0, 10e-6)

@@ -5,7 +5,7 @@ from scipy import integrate
 from photonstack.errors import ConfigError, InterfacePointError
 from photonstack.greens import solve_wave_basis
 from photonstack.mechanics import fd_residual, frequency_integrated_force, net_force
-from photonstack.spectral import ldos, source_occupation
+from photonstack.spectral import ldos, photon_numbers, source_occupation
 from photonstack.stack import TemperatureProfile
 from photonstack.units import hbar, omega_from_ev
 
@@ -28,26 +28,27 @@ def test_equilibrium_energy_density_formula(cavity, cavity_basis):
     om = cavity_basis.omega
     eta = source_occupation(om, 350.0)
     for x in (-2e-6, 4e-6, 12e-6):
-        sample = point_energy(cavity, cavity_basis, profile, x)
-        rho_tot = ldos(cavity, cavity_basis, x).total
+        sample = point_energy(cavity_basis, profile, x)
+        rho_tot = ldos(cavity_basis.at(x)).total
         want = hbar * om * rho_tot * (eta + 0.5)
-        assert np.max(np.abs(sample.energy_density - want) / want) < 1e-6
-        assert np.array_equal(sample.pressure, sample.energy_density)
+        assert np.max(np.abs(sample - want) / want) < 1e-6
 
 
 def test_field_fluctuations_continuous_energy_density_not(
         cavity, cavity_basis, cavity_profile):
-    """The quadrature fluctuation fields are continuous at the interfaces
-    (their eps-offset jumps shrink linearly with eps) while the energy
-    density holds a finite step at the n2 wall."""
+    """The quadrature fluctuation fields, rho_e (n_e + 1/2) and
+    rho_m (n_m + 1/2) up to constant factors, are continuous at the
+    interfaces (their eps-offset jumps shrink linearly with eps) while the
+    energy density holds a finite step at the n2 wall."""
+    def fields(x):
+        points = cavity_basis.at(x)
+        rho, n = ldos(points), photon_numbers(points, cavity_profile)
+        return (rho.electric * (n.electric + 0.5), rho.magnetic * (n.magnetic + 0.5),
+                point_energy(cavity_basis, cavity_profile, x))
+
     def jumps(b, eps):
-        lo = point_energy(cavity, cavity_basis, cavity_profile, b - eps)
-        hi = point_energy(cavity, cavity_basis, cavity_profile, b + eps)
-        out = []
-        for f in ("e_fluct", "b_fluct", "energy_density"):
-            a, z = getattr(lo, f), getattr(hi, f)
-            out.append(np.max(np.abs(a - z) / np.abs(a)))
-        return out
+        return [np.max(np.abs(a - z) / np.abs(a))
+                for a, z in zip(fields(b - eps), fields(b + eps))]
 
     for b in (0.0, 10e-6):
         fine = jumps(b, 1e-12)
@@ -65,7 +66,7 @@ def test_field_fluctuations_continuous_energy_density_not(
 
 def test_interface_point_rejected(cavity, cavity_basis, cavity_profile):
     with pytest.raises(InterfacePointError):
-        point_force(cavity, cavity_basis, cavity_profile, 0.0)
+        point_force(cavity_basis, cavity_profile, 0.0)
 
 
 def test_decomposition_sums_to_energy_gradient(balanced_passive):
@@ -75,8 +76,8 @@ def test_decomposition_sums_to_energy_gradient(balanced_passive):
     xs = np.array([0.2, 2.9, 5.1, 7.3, 9.8]) * 1e-6
     worst = 0.0
     for x in xs:
-        sample = point_force(stack, basis, profile, x)
-        residual = fd_residual(stack, basis, profile, x, sample.total)
+        sample = point_force(basis, profile, x)
+        residual = fd_residual(basis, profile, x, sample.total)
         worst = max(worst, float(np.max(np.abs(residual))))
         assert np.allclose(sample.total,
                            sample.zero_point + sample.thermal + sample.occupation)
@@ -86,7 +87,7 @@ def test_decomposition_sums_to_energy_gradient(balanced_passive):
 def test_occupation_force_nonnegative_in_passive_layer(balanced_passive):
     stack, basis, profile = balanced_passive
     for x in np.array([0.2, 1.7, 3.4, 6.6, 8.3, 9.8]) * 1e-6:
-        sample = point_force(stack, basis, profile, x)
+        sample = point_force(basis, profile, x)
         assert np.all(sample.occupation >= 0.0)
 
 
@@ -94,11 +95,11 @@ def test_occupation_force_vanishes_in_vacuum_gap(cavity, cavity_basis, cavity_pr
     """In lossless media the photon numbers are position-independent, so
     the occupation term carries no force.  Inside the gap every component
     is roundoff-small, so the reference scale comes from the wall."""
-    wall = point_force(cavity, cavity_basis, cavity_profile, -0.5e-6)
+    wall = point_force(cavity_basis, cavity_profile, -0.5e-6)
     scale = np.abs(wall.zero_point).max()
     assert scale > 0.0
     for x in (2.3e-6, 6.8e-6):
-        sample = point_force(cavity, cavity_basis, cavity_profile, x)
+        sample = point_force(cavity_basis, cavity_profile, x)
         assert np.abs(sample.occupation).max() < 1e-12 * scale
 
 
@@ -109,12 +110,11 @@ def test_force_density_integrates_to_pressure_difference(
     om_index = 11
 
     def total(x):
-        return point_force(cavity, cavity_basis, cavity_profile,
-                           float(x)).total[om_index]
+        return point_force(cavity_basis, cavity_profile, float(x)).total[om_index]
 
     integral, _ = integrate.quad(total, a, b, epsabs=0, epsrel=1e-9, limit=200)
-    pa = point_energy(cavity, cavity_basis, cavity_profile, a).pressure[om_index]
-    pb = point_energy(cavity, cavity_basis, cavity_profile, b).pressure[om_index]
+    pa = point_energy(cavity_basis, cavity_profile, a)[om_index]
+    pb = point_energy(cavity_basis, cavity_profile, b)[om_index]
     assert abs(integral - (pa - pb)) / abs(pa - pb) < 1e-6
 
 
@@ -122,7 +122,7 @@ def test_force_density_integrates_to_pressure_difference(
 
 def test_probe_order_validated(cavity, cavity_basis, cavity_profile):
     with pytest.raises(InterfacePointError):
-        net_force(cavity, cavity_basis, cavity_profile, 7e-6, 2e-6)
+        net_force(cavity_basis, cavity_profile, 7e-6, 2e-6)
 
 
 def test_pressure_and_occupation_routes_agree():
@@ -131,8 +131,8 @@ def test_pressure_and_occupation_routes_agree():
     basis = solve_wave_basis(stack, om)
     profile = TemperatureProfile.from_stack(stack)
     x1, x2 = 0.25 * 7.5e-6, 10e-6 - 0.25 * 7.5e-6
-    f_p = net_force(stack, basis, profile, x1, x2)
-    f_n = net_force_occupation_route(stack, basis, profile, x1, x2)
+    f_p = net_force(basis, profile, x1, x2)
+    f_n = net_force_occupation_route(basis, profile, x1, x2)
     scale = np.abs(f_p).max()
     assert np.max(np.abs(f_p - f_n)) < 1e-10 * scale
 
@@ -145,7 +145,7 @@ def test_equal_reservoirs_give_zero_force():
         basis = solve_wave_basis(stack, om)
         profile = TemperatureProfile.from_stack(stack)
         x1, x2 = 0.25 * 8e-6, 10e-6 - 0.25 * 8e-6
-        forces[key] = net_force(stack, basis, profile, x1, x2)
+        forces[key] = net_force(basis, profile, x1, x2)
     peak = np.abs(forces["driven"]).max()
     assert np.abs(forces["balanced"]).max() < 1e-12 * peak
 
@@ -158,7 +158,7 @@ def test_force_fades_with_vanishing_slab():
         basis = solve_wave_basis(stack, om)
         profile = TemperatureProfile.from_stack(stack)
         x1 = 0.25 * (10e-6 - w)
-        mags.append(abs(net_force(stack, basis, profile, x1, 10e-6 - x1)[0]))
+        mags.append(abs(net_force(basis, profile, x1, 10e-6 - x1)[0]))
     assert mags[0] > mags[1] > mags[2]
 
 
@@ -170,7 +170,7 @@ def test_transparent_slab_feels_pulling_force_somewhere():
         basis = solve_wave_basis(stack, om)
         profile = TemperatureProfile.from_stack(stack)
         x1 = 0.25 * (10e-6 - w)
-        f = net_force(stack, basis, profile, x1, 10e-6 - x1)
+        f = net_force(basis, profile, x1, 10e-6 - x1)
         if np.any(f < 0):
             profile_found = True
     assert profile_found
@@ -188,22 +188,22 @@ def test_absorption_turns_pulling_into_pushing():
     profile = solve_self_consistent(stack, slices=8).profile
     basis = solve_wave_basis(stack, om)
     x1 = 0.25 * 7e-6
-    thick = net_force(stack, basis, profile, x1, 10e-6 - x1)
+    thick = net_force(basis, profile, x1, 10e-6 - x1)
     assert np.all(thick > 0)
 
     stack = slab_stack(1e-6, 1.5 + 0.3j, self_consistent=True)
     profile = solve_self_consistent(stack, slices=8).profile
     basis = solve_wave_basis(stack, om)
     x1 = 0.25 * 9e-6
-    thin = net_force(stack, basis, profile, x1, 10e-6 - x1)
+    thin = net_force(basis, profile, x1, 10e-6 - x1)
     assert np.all(thin[1:] > 0)
     assert thin[0] < 0
     assert abs(thin[0]) < 0.1 * np.abs(thin).max()
 
     clear = slab_stack(1e-6, 1.5)
     clear_basis = solve_wave_basis(clear, om)
-    pulled = net_force(clear, clear_basis,
-                       TemperatureProfile.from_stack(clear), x1, 10e-6 - x1)
+    pulled = net_force(clear_basis, TemperatureProfile.from_stack(clear),
+                       x1, 10e-6 - x1)
     assert pulled[0] < thin[0] < 0
 
 
@@ -219,7 +219,5 @@ def test_integrated_thermal_force_points_to_cold_wall():
     profile = solve_self_consistent(stack, slices=8).profile
     om = omega_from_ev(np.geomspace(0.005, 0.8, 64))
     x1 = 0.25 * 7.5e-6
-    result = frequency_integrated_force(stack, profile, x1, 10e-6 - x1, om)
-    assert result.thermal > 0.0
-    assert np.isfinite(result.zero_point)
+    assert frequency_integrated_force(stack, profile, x1, 10e-6 - x1, om) > 0.0
 

@@ -10,10 +10,11 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import photonstack
+import photonstack.greens as greens_mod
 import photonstack.mechanics as mechanics_mod
 import photonstack.scan as scan_mod
 from photonstack import cli, units
-from photonstack.errors import ConfigError
+from photonstack.errors import ConfigError, PhotonStackError
 from photonstack.scan import GridSpec, ScanSpec, read_scan_csv, run_scan
 from photonstack.thermo import BALANCE_DEFAULTS
 from photonstack.units import LDOS_UNIT
@@ -312,25 +313,44 @@ def test_writer_bytes_for_zeros_tiny_and_large_values(tmp_path):
 
 
 def test_each_position_is_evaluated_once(tmp_path, monkeypatch):
-    """A scan asking for every pointwise quantity computes the mode
-    densities and the occupation sums once per position, in one call for
-    all positions of a layer."""
+    """A scan asking for every pointwise quantity builds one field-point
+    record per layer chunk and computes the mode densities and the
+    occupation sums from it once, in one call for all positions of the
+    layer; a balance solve builds one record per self-consistent layer."""
     calls = {}
-    x_arg = {"ldos": 2, "occupation_sums": 3, "photon_numbers": 3}
+    original_at = greens_mod.WaveBasis.at
+
+    def counted_at(self, x):
+        calls.setdefault("at", []).append(np.size(x))
+        return original_at(self, x)
+    monkeypatch.setattr(greens_mod.WaveBasis, "at", counted_at)
     for mod in (scan_mod, mechanics_mod):
         for name in ("ldos", "occupation_sums", "photon_numbers"):
             original = getattr(mod, name, None)
             if original is None:
                 continue
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls.setdefault(_name, []).append(np.size(args[x_arg[_name]]))
-                return _original(*args, **kwargs)
+            def counted(points, *args, _name=name, _original=original, **kwargs):
+                calls.setdefault(_name, []).append(points.x.size)
+                return _original(points, *args, **kwargs)
             monkeypatch.setattr(mod, name, counted)
     data = small_pointwise()
     data["quantities"] = list(scan_mod.POINTWISE_QUANTITIES)
+    # one position in each wall, four in the gap
+    data["positions"] = {"start": -1.5, "stop": 11.5, "count": 6}
     run_scan(ScanSpec.from_mapping(data), output=tmp_path / "all.csv")
-    assert calls == {"ldos": [6], "occupation_sums": [6]}
+    assert calls == {"at": [1, 4, 1], "ldos": [1, 4, 1], "occupation_sums": [1, 4, 1]}
+
+    calls.clear()
+    two_layers = photonstack.build_stack({"layers": [
+        {"thickness": "inf", "n": "1.5+0.3i", "temperature": 400.0},
+        {"thickness": 2.0, "n": "1.1+0.1i", "temperature": "self-consistent"},
+        {"thickness": 1.0, "n": 1.0},
+        {"thickness": 3.0, "n": "1.2+0.2i", "temperature": "self-consistent"},
+        {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0},
+    ]})
+    photonstack.solve_self_consistent(two_layers, slices=4)
+    assert calls == {"at": [4, 4]}
 
 
 def test_missing_spec_metadata_is_an_error(tmp_path):
@@ -372,6 +392,31 @@ def test_scan_without_output_path_is_rejected():
     spec = ScanSpec.from_mapping(data)
     with pytest.raises(ConfigError, match="output"):
         run_scan(spec)
+
+
+def test_non_finite_refusal_names_where(tmp_path):
+    """A 50 um absorber overflows the photon numbers in the gap behind it
+    at high energies; the refusal names the first failing position,
+    energy and quantity, and no file is written."""
+    data = {
+        "stack": {"layers": [
+            {"thickness": "inf", "n": "1.5+0.3i", "temperature": 400.0},
+            {"thickness": 50.0, "n": "2+0.5i", "temperature": 350.0},
+            {"thickness": 10.0, "n": 1.0},
+            {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0},
+        ]},
+        "quantities": ["n_tot"],
+        "positions": {"start": 51.0, "stop": 59.0, "count": 5},
+        "energies": {"start": 1.0, "stop": 5.0, "count": 5},
+    }
+    target = tmp_path / "nan.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(PhotonStackError) as err:
+            run_scan(ScanSpec.from_mapping(data), output=target)
+    assert str(err.value) == ("scan produced a non-finite n_tot at x_um = 51, "
+                              "E_eV = 3; refusing to write")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_replace_leaves_no_files(tmp_path, monkeypatch):
@@ -440,6 +485,25 @@ def test_cli_validate_is_clean_on_every_bundled_stack(name, capsys):
     assert len(lines) == 1 and "clean" in lines[0]
 
 
+def test_cli_validate_rejects_a_nan_closure_residual(tmp_path, capsys):
+    """A 5 mm absorber overflows the source integrals at the closure
+    energy, so every residual is NaN; NaN is no pass."""
+    stack = {"layers": [
+        {"thickness": "inf", "n": "1.5+0.3i", "temperature": 400.0},
+        {"thickness": 10.0, "n": 1.0},
+        {"thickness": 5000.0, "n": "2+0.5i", "temperature": 350.0},
+        {"thickness": 10.0, "n": 1.0},
+        {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0},
+    ]}
+    config = write_spec(tmp_path, "thick.yaml", stack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert cli.main(["validate", str(config)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("invalid: layer ") for line in lines)
+    assert "greens-closure residual nan" in lines[0]
+
+
 # lossless at its first node, lossy at the other two: it absorbs at 0.11 eV
 PARTLY_LOSSY = {"layers": [
     {"thickness": "inf", "n": "1.5+0.3i", "temperature": 400.0},
@@ -476,7 +540,7 @@ def test_a_partly_lossy_table_is_a_source(tmp_path, capsys):
     assert profile.entries[2] == 300.0
     bose = photonstack.source_occupation(om, 300.0)
     for x in (-1e-6, 1e-6, 3.5e-6, 6e-6, 8e-6):
-        nums = photonstack.photon_numbers(stack, basis, profile, x)
+        nums = photonstack.photon_numbers(basis.at(x), profile)
         for n in nums:
             np.testing.assert_allclose(n, bose, rtol=1e-9)
 

@@ -80,7 +80,7 @@ def test_infinite_vacuum_mode_densities():
         allow_lossless_bounds=True,
     )
     basis = solve_wave_basis(stack, omega_from_ev(np.linspace(0.02, 0.24, 12)))
-    e, m, tot = (d / LDOS_UNIT for d in ldos(stack, basis, 3e-6))
+    e, m, tot = (d / LDOS_UNIT for d in ldos(basis.at(3e-6)))
     assert np.max(np.abs(e - 0.5)) < 1e-9
     assert np.max(np.abs(m - 0.5)) < 1e-9
     assert np.max(np.abs(tot - 1.0)) < 1e-9
@@ -88,11 +88,11 @@ def test_infinite_vacuum_mode_densities():
 
 def test_total_density_constant_in_gap(cavity_basis, cavity):
     xs = np.linspace(0.5e-6, 9.5e-6, 41)
-    tot = np.array([ldos(cavity, cavity_basis, x).total for x in xs])
+    tot = np.array([ldos(cavity_basis.at(x)).total for x in xs])
     spread = (tot.max(axis=0) - tot.min(axis=0)) / tot.mean(axis=0)
     assert np.max(spread) < 1e-10
     # while the electric part oscillates by orders more
-    ele = np.array([ldos(cavity, cavity_basis, x).electric for x in xs])
+    ele = np.array([ldos(cavity_basis.at(x)).electric for x in xs])
     osc = (ele.max(axis=0) - ele.min(axis=0)) / ele.mean(axis=0)
     assert np.max(osc) > 0.1
 
@@ -101,8 +101,8 @@ def test_electric_peaks_sit_on_magnetic_minima(cavity):
     om = omega_from_ev(np.array([0.118]))
     basis = solve_wave_basis(cavity, om)
     xs = np.linspace(0.2e-6, 9.8e-6, 301)
-    e = np.array([ldos(cavity, basis, x).electric[0] for x in xs])
-    m = np.array([ldos(cavity, basis, x).magnetic[0] for x in xs])
+    e = np.array([ldos(basis.at(x)).electric[0] for x in xs])
+    m = np.array([ldos(basis.at(x)).magnetic[0] for x in xs])
     assert np.argmax(e) == np.argmin(m)
     # constant total forces exact anticorrelation of the oscillations
     r = np.corrcoef(e, m)[0, 1]
@@ -112,9 +112,9 @@ def test_electric_peaks_sit_on_magnetic_minima(cavity):
 def test_ldos_gradient_matches_finite_difference(cavity_basis, cavity):
     h = 1e-10
     for x in (3.3e-6, -1.7e-6, 12.4e-6):
-        d_e, d_m, d_tot = ldos_gradient(cavity, cavity_basis, x)
-        hi = ldos(cavity, cavity_basis, x + h)
-        lo = ldos(cavity, cavity_basis, x - h)
+        d_e, d_m, d_tot = ldos_gradient(cavity_basis.at(x))
+        hi = ldos(cavity_basis.at(x + h))
+        lo = ldos(cavity_basis.at(x - h))
         fd_e = (hi.electric - lo.electric) / (2 * h)
         fd_m = (hi.magnetic - lo.magnetic) / (2 * h)
         fd_tot = (hi.total - lo.total) / (2 * h)
@@ -127,7 +127,7 @@ def test_ldos_gradient_matches_finite_difference(cavity_basis, cavity):
 
 def test_closure_residuals_are_roundoff(cavity_basis, cavity):
     for x in (-2e-6, 4.1e-6, 15e-6):
-        res_e, res_m = ldos_closure_residuals(cavity, cavity_basis, x)
+        res_e, res_m = ldos_closure_residuals(cavity_basis.at(x))
         assert np.max(res_e) < 1e-10
         assert np.max(res_m) < 1e-10
 
@@ -142,7 +142,7 @@ def test_equilibrium_numbers_collapse_to_reservoir_occupancy(cavity, cavity_basi
     om = cavity_basis.omega
     eta = source_occupation(om, 350.0)
     for x in (-3e-6, 2e-6, 8e-6, 13e-6):
-        nums = photon_numbers(cavity, cavity_basis, profile, x)
+        nums = photon_numbers(cavity_basis.at(x), profile)
         for got in (nums.electric, nums.magnetic, nums.total):
             assert np.max(np.abs(got - eta) / eta) < 1e-6
         temps = effective_temperatures(nums, om)
@@ -155,7 +155,7 @@ def test_nonequilibrium_numbers_bounded_by_reservoirs(cavity, cavity_basis, cavi
     lo = source_occupation(om, 300.0)
     hi = source_occupation(om, 400.0)
     for x in (-1e-6, 1e-6, 5e-6, 9e-6, 12e-6):
-        nums = photon_numbers(cavity, cavity_basis, cavity_profile, x)
+        nums = photon_numbers(cavity_basis.at(x), cavity_profile)
         assert np.all(nums.total >= lo * (1 - 1e-12))
         assert np.all(nums.total <= hi * (1 + 1e-12))
 
@@ -163,10 +163,8 @@ def test_nonequilibrium_numbers_bounded_by_reservoirs(cavity, cavity_basis, cavi
 def test_total_number_constant_in_gap_while_electric_oscillates(
         cavity, cavity_basis, cavity_profile):
     xs = np.linspace(0.5e-6, 9.5e-6, 31)
-    tot = np.array([photon_numbers(cavity, cavity_basis,
-                                   cavity_profile, x).total for x in xs])
-    ele = np.array([photon_numbers(cavity, cavity_basis,
-                                   cavity_profile, x).electric for x in xs])
+    tot = np.array([photon_numbers(cavity_basis.at(x), cavity_profile).total for x in xs])
+    ele = np.array([photon_numbers(cavity_basis.at(x), cavity_profile).electric for x in xs])
     tot_spread = (tot.max(axis=0) - tot.min(axis=0)) / tot.mean(axis=0)
     ele_spread = (ele.max(axis=0) - ele.min(axis=0)) / ele.mean(axis=0)
     assert np.max(tot_spread) < 1e-6
@@ -177,8 +175,8 @@ def test_electric_temperature_saturates_deep_in_reservoirs(cavity):
     om = omega_from_ev(np.array([0.118]))
     basis = solve_wave_basis(cavity, om)
     profile = TemperatureProfile.from_stack(cavity)
-    deep_left = photon_numbers(cavity, basis, profile, -60e-6)
-    deep_right = photon_numbers(cavity, basis, profile, 70e-6)
+    deep_left = photon_numbers(basis.at(-60e-6), profile)
+    deep_right = photon_numbers(basis.at(70e-6), profile)
     t_left = effective_temperatures(deep_left, om).electric[0]
     t_right = effective_temperatures(deep_right, om).electric[0]
     assert abs(t_left - 400.0) < 1.0
@@ -189,9 +187,8 @@ def test_gradient_sums_give_bitwise_equal_numbers(cavity, cavity_basis, cavity_p
     """Scans read u and p off the gradient sums when forces are requested;
     they must match the plain photon numbers bit for bit."""
     for x in (-3e-6, 4e-6, 13e-6):
-        plain = photon_numbers(cavity, cavity_basis, cavity_profile, x)
-        sums = occupation_sums(cavity, cavity_basis, cavity_profile, x,
-                               gradient=True)
+        plain = photon_numbers(cavity_basis.at(x), cavity_profile)
+        sums = occupation_sums(cavity_basis.at(x), cavity_profile, gradient=True)
         for name in ("electric", "magnetic", "total"):
             assert np.array_equal(getattr(sums.numbers, name), getattr(plain, name))
 
@@ -205,7 +202,7 @@ def test_sourceless_structure_has_zero_numbers():
     )
     basis = solve_wave_basis(stack, omega_from_ev(np.array([0.1])))
     profile = TemperatureProfile.from_stack(stack)
-    nums = photon_numbers(stack, basis, profile, 2e-6)
+    nums = photon_numbers(basis.at(2e-6), profile)
     assert np.array_equal(nums.electric, np.zeros(1))
     assert np.array_equal(nums.total, np.zeros(1))
     temps = effective_temperatures(nums, basis.omega)

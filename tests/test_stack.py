@@ -21,6 +21,7 @@ from photonstack.stack import (
 from photonstack.units import omega_from_ev
 
 from conftest import INF, cavity_stack
+from oracles import temperature_at
 
 
 def test_interfaces_and_layer_lookup():
@@ -212,9 +213,9 @@ def test_profile_from_stack_and_uniform():
     stack = cavity_stack()
     profile = TemperatureProfile.from_stack(stack)
     assert profile.entries == (400.0, None, 300.0)
-    assert profile.temperature_at(stack, -1e-6) == 400.0
-    assert profile.temperature_at(stack, 5e-6) is None
-    assert profile.temperature_at(stack, 11e-6) == 300.0
+    assert temperature_at(profile, stack, -1e-6) == 400.0
+    assert temperature_at(profile, stack, 5e-6) is None
+    assert temperature_at(profile, stack, 11e-6) == 300.0
 
     eq = TemperatureProfile.uniform(stack, 350.0)
     assert eq.entries == (350.0, None, 350.0)
@@ -253,8 +254,8 @@ def test_sliced_profile_lookup_and_validation():
     )
     profile = TemperatureProfile((400.0, slices, 300.0))
     profile.validate(stack)
-    assert profile.temperature_at(stack, 1e-6) == 380.0
-    assert profile.temperature_at(stack, 9.9e-6) == 320.0
+    assert temperature_at(profile, stack, 1e-6) == 380.0
+    assert temperature_at(profile, stack, 9.9e-6) == 320.0
     regions = profile.source_regions(stack)
     assert len(regions) == 6
     assert [r.temperature for r in regions[1:5]] == [380.0, 360.0, 340.0, 320.0]
@@ -294,7 +295,7 @@ def test_photon_numbers_reject_a_profile_that_does_not_fit(entries, fragment):
     ])
     basis = solve_wave_basis(stack, omega_from_ev(np.array([0.05, 0.1])))
     with pytest.raises(ConfigError, match=fragment) as info:
-        photon_numbers(stack, basis, TemperatureProfile(entries), 5e-6)
+        photon_numbers(basis.at(5e-6), TemperatureProfile(entries))
     assert "\n" not in str(info.value)
 
 

@@ -33,23 +33,23 @@ def test_default_grid_is_logarithmic():
 # --- pointwise exchange ----------------------------------------------------
 
 def test_no_exchange_in_lossless_material(cavity, cavity_basis, cavity_profile):
-    sample = net_emission(cavity, cavity_basis, cavity_profile, 5e-6)
+    sample = net_emission(cavity_basis, cavity_profile, 5e-6)
     assert np.array_equal(sample, np.zeros(cavity_basis.omega.shape))
 
 
 def test_equilibrium_exchange_vanishes(cavity, cavity_basis, cavity_profile):
     eq = TemperatureProfile.uniform(cavity, 350.0)
     for x in (-2e-6, 11e-6):
-        sample = net_emission(cavity, cavity_basis, eq, x)
+        sample = net_emission(cavity_basis, eq, x)
         # eta - n_e cancels to roundoff when every source sits at 350 K;
         # the 400/300 K profile at the same point sets the honest scale
-        driven = net_emission(cavity, cavity_basis, cavity_profile, x)
+        driven = net_emission(cavity_basis, cavity_profile, x)
         assert np.abs(sample).max() < 1e-8 * np.abs(driven).max()
 
 
 def test_hot_reservoir_is_net_emitter(cavity, cavity_basis, cavity_profile):
-    hot = net_emission(cavity, cavity_basis, cavity_profile, -0.5e-6)
-    cold = net_emission(cavity, cavity_basis, cavity_profile, 10.5e-6)
+    hot = net_emission(cavity_basis, cavity_profile, -0.5e-6)
+    cold = net_emission(cavity_basis, cavity_profile, 10.5e-6)
     assert np.all(hot > 0)
     assert np.all(cold < 0)
 
@@ -57,7 +57,7 @@ def test_hot_reservoir_is_net_emitter(cavity, cavity_basis, cavity_profile):
 def test_missing_temperature_raises(cavity, cavity_basis):
     profile = TemperatureProfile((None, None, 300.0))
     with pytest.raises(ConfigError, match="no temperature assigned"):
-        net_emission(cavity, cavity_basis, profile, -1e-6)
+        net_emission(cavity_basis, profile, -1e-6)
 
 
 # --- self-consistent solve -------------------------------------------------
@@ -122,8 +122,8 @@ def test_solved_profile_zeroes_integrated_exchange(passive_balance, passive_cavi
     unbalanced = TemperatureProfile(
         (400.0, 350.0, 300.0))
     for x in np.array(passive_balance.slice_positions)[[0, 7, 15]]:
-        solved = trapezoid(net_emission(passive_cavity, basis, profile, x), om)
-        flat = trapezoid(net_emission(passive_cavity, basis, unbalanced, x), om)
+        solved = trapezoid(net_emission(basis, profile, x), om)
+        flat = trapezoid(net_emission(basis, unbalanced, x), om)
         assert abs(solved) < 2e-3 * abs(flat)
 
 
@@ -137,9 +137,9 @@ def test_single_slice_balance_shows_profile_curvature(passive_cavity):
     om = default_balance_grid()
     basis = solve_wave_basis(passive_cavity, om)
     q_edge = trapezoid(
-        net_emission(passive_cavity, basis, result.profile, 0.3e-6), om)
+        net_emission(basis, result.profile, 0.3e-6), om)
     q_mid = trapezoid(
-        net_emission(passive_cavity, basis, result.profile, 5.0e-6), om)
+        net_emission(basis, result.profile, 5.0e-6), om)
     assert abs(q_edge) > 10 * abs(q_mid)
 
 
@@ -221,9 +221,9 @@ def _scalar_balance(stack, slices, tolerance_K=1e-3, relaxation=0.5):
                 midpoints.append((j, float(0.5 * (edges[m] + edges[m + 1]))))
                 regions.append((j, float(edges[m]), float(edges[m + 1]), None))
     n2im = lambda j: (stack.layers[j].n_at(om) ** 2).imag  # noqa: E731
-    weights = np.array([[n2im(r[0]) * region_integrals(basis, x, r[0], r[1], r[2]).gg
+    weights = np.array([[n2im(r[0]) * region_integrals(basis.at(x), r[0], r[1], r[2]).gg
                          for r in regions] for _, x in midpoints])
-    kernel = np.array([hbar * om**2 * n2im(j) * electric_density(basis, x)
+    kernel = np.array([hbar * om**2 * n2im(j) * electric_density(basis.at(x))
                        for j, x in midpoints])
     denom = weights.sum(axis=1)
     eta_fixed = [source_occupation(om, r[3]) for r in regions[:n_fixed]]
