@@ -322,9 +322,10 @@ def region_integrals(
     squared coefficient. An interval containing the field point splits
     at x into two such one-sided parts, [lo, x] and [x, hi], whose sum
     the gradient of ``dgg`` completes with the jump term of the
-    derivative kernel at x. Within the field point's own layer the case
-    is chosen per point: the interval lies left of x when ``hi <= x``,
-    right of it when ``lo >= x``, and contains it otherwise. Gradients
+    derivative kernel at x. The case is chosen per point: the interval
+    lies left of x when ``hi <= x`` (always so for an earlier layer),
+    right of it when ``lo >= x`` (a later layer), and contains it
+    otherwise. Gradients
     differentiate the coefficients analytically (the profile integrals
     only move through the split point).
     """
@@ -350,42 +351,37 @@ def region_integrals(
             parts.append(-2.0 * (k2 * coeff * np.conj(dcoeff)).real * prof)
         return parts
 
-    if j < A:
-        parts = one_side(Ellipsis, True, points.phi_r, points.dphi_r, lo, hi)
-    elif j > A:
-        parts = one_side(Ellipsis, False, points.phi_l, points.dphi_l, lo, hi)
-    else:
-        # the per-point masks below need an axis
-        xs = np.atleast_1d(points.x)
-        phi_l, dphi_l, phi_r, dphi_r = (
-            v.reshape(xs.shape + basis.omega.shape)
-            for v in (points.phi_l, points.dphi_l, points.phi_r, points.dphi_r))
-        left = hi <= xs
-        right = ~left & (lo >= xs)
-        split = ~(left | right)
-        parts = [np.empty(phi_l.shape) for _ in range(4 if gradient else 2)]
+    # the per-point masks below need an axis
+    xs = np.atleast_1d(points.x)
+    phi_l, dphi_l, phi_r, dphi_r = (
+        v.reshape(xs.shape + basis.omega.shape)
+        for v in (points.phi_l, points.dphi_l, points.phi_r, points.dphi_r))
+    left = hi <= xs
+    right = ~left & (lo >= xs)
+    split = ~(left | right)
+    parts = [np.empty(phi_l.shape) for _ in range(4 if gradient else 2)]
 
-        def fill(pts, values):
-            for part, value in zip(parts, values):
-                part[pts] = value
+    def fill(pts, values):
+        for part, value in zip(parts, values):
+            part[pts] = value
 
-        if left.any():
-            fill(left, one_side(left, True, phi_r, dphi_r, lo, hi))
-        if right.any():
-            fill(right, one_side(right, False, phi_l, dphi_l, lo, hi))
-        if split.any():
-            # the interval splits at each of these field points
-            xsplit = xs[split].reshape((-1,) + (1,) * basis.omega.ndim)
-            below = one_side(split, True, phi_r, dphi_r, lo, xsplit)
-            above = one_side(split, False, phi_l, dphi_l, xsplit, hi)
-            values = [p_lo + p_hi for p_lo, p_hi in zip(below, above)]
-            if gradient:
-                # the |G|^2 boundary terms at the split cancel; the |dG/dx|^2
-                # ones survive because the derivative kernel jumps across the
-                # source
-                values[3] = (values[3]
-                             + np.abs(dphi_r[split] / w) ** 2 * np.abs(phi_l[split]) ** 2
-                             - np.abs(dphi_l[split] / w) ** 2 * np.abs(phi_r[split]) ** 2)
-            fill(split, values)
+    if left.any():
+        fill(left, one_side(left, True, phi_r, dphi_r, lo, hi))
+    if right.any():
+        fill(right, one_side(right, False, phi_l, dphi_l, lo, hi))
+    if split.any():
+        # the interval splits at each of these field points
+        xsplit = xs[split].reshape((-1,) + (1,) * basis.omega.ndim)
+        below = one_side(split, True, phi_r, dphi_r, lo, xsplit)
+        above = one_side(split, False, phi_l, dphi_l, xsplit, hi)
+        values = [p_lo + p_hi for p_lo, p_hi in zip(below, above)]
+        if gradient:
+            # the |G|^2 boundary terms at the split cancel; the |dG/dx|^2
+            # ones survive because the derivative kernel jumps across the
+            # source
+            values[3] = (values[3]
+                         + np.abs(dphi_r[split] / w) ** 2 * np.abs(phi_l[split]) ** 2
+                         - np.abs(dphi_l[split] / w) ** 2 * np.abs(phi_r[split]) ** 2)
+        fill(split, values)
     shape = points.x.shape + basis.omega.shape
     return RegionIntegrals(*(part.reshape(shape) for part in parts))

@@ -39,7 +39,10 @@ from .mechanics import (
 from .stack import (
     Layer,
     LayerStack,
-    _integer,
+    _brief,
+    _count,
+    _mapping,
+    _read_text,
     _read_yaml,
     _real,
     build_stack,
@@ -85,24 +88,14 @@ class GridSpec:
 
     @classmethod
     def from_mapping(cls, data, where: str) -> "GridSpec":
-        if not isinstance(data, dict):
-            raise ConfigError(f"{where}: grid must be a mapping")
-        unknown = set(data) - {"start", "stop", "count", "scale"}
-        if unknown:
-            raise ConfigError(f"{where}: unknown grid keys {sorted(unknown, key=str)}")
-        missing = {"start", "stop", "count"} - set(data)
-        if missing:
-            raise ConfigError(
-                f"{where}: grid needs start/stop/count (missing {sorted(missing)})"
-            )
+        _mapping(data, {"start", "stop", "count", "scale"}, "grid", where,
+                 required=("start", "stop", "count"))
         start = _real(data["start"], f"{where}: start")
         stop = _real(data["stop"], f"{where}: stop")
-        count = _integer(data["count"], f"{where}: count")
+        count = _count(data["count"], f"{where}: count")
         scale = data.get("scale", "linear")
         if scale not in ("linear", "log"):
             raise ConfigError(f"{where}: scale must be 'linear' or 'log'")
-        if count < 1:
-            raise ConfigError(f"{where}: count must be >= 1")
         if count > 1 and not stop > start:
             raise ConfigError(f"{where}: stop must exceed start")
         if count == 1 and stop != start:
@@ -148,12 +141,7 @@ class ScanSpec:
 
     @classmethod
     def from_mapping(cls, data, *, base_dir=None) -> "ScanSpec":
-        if not isinstance(data, dict):
-            raise ConfigError("scan spec must be a mapping")
-        unknown = set(data) - _SPEC_KEYS
-        if unknown:
-            raise ConfigError(f"unknown scan keys {sorted(unknown, key=str)}")
-
+        _mapping(data, _SPEC_KEYS, "scan", required=("stack", "quantities", "energies"))
         raw_stack = data.get("stack")
         base = Path(base_dir) if base_dir is not None else None
         if isinstance(raw_stack, str):
@@ -172,13 +160,11 @@ class ScanSpec:
             raise ConfigError("scan spec needs a nonempty 'quantities' list")
         bad = [q for q in quantities if q not in QUANTITIES]
         if bad:
-            raise ConfigError(f"unknown quantities {bad}; valid: {list(QUANTITIES)}")
+            raise ConfigError(f"unknown quantities {_brief(bad)}; valid: {list(QUANTITIES)}")
         if len(set(quantities)) != len(quantities):
             raise ConfigError("duplicate quantities in scan spec")
         quantities = tuple(quantities)
 
-        if "energies" not in data:
-            raise ConfigError("scan spec needs an 'energies' grid (eV)")
         energies = GridSpec.from_mapping(data["energies"], "energies")
         if energies.start <= 0.0:
             raise ConfigError("energies: photon energies must be positive")
@@ -208,10 +194,7 @@ class ScanSpec:
         if units not in ("paper", "si"):
             raise ConfigError("units must be 'paper' or 'si'")
 
-        balance = data.get("balance", {})
-        if not isinstance(balance, dict):
-            raise ConfigError("balance settings must be a mapping")
-        balance = check_balance_settings(balance)
+        balance = check_balance_settings(data.get("balance", {}))
 
         output = data.get("output")
         if output is not None and not isinstance(output, str):
@@ -230,22 +213,17 @@ class ScanSpec:
     @classmethod
     def from_metadata(cls, csv_path) -> "ScanSpec":
         """Rebuild the spec embedded in a scan's own metadata block."""
-        p = Path(csv_path)
-        try:
-            lines = p.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise ConfigError(f"cannot read scan output {p}: {exc}") from None
-        for line in lines:
+        for line in _read_text(csv_path, "scan output").splitlines():
             if not line.startswith("#"):
                 break
             body = line.lstrip("#").strip()
             if body.startswith("spec: "):
                 try:
                     data = json.loads(body[len("spec: "):])
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"corrupt spec metadata in {p}: {exc}") from None
+                except ValueError as exc:  # bad JSON, or an integer too long to convert
+                    raise ConfigError(f"corrupt spec metadata in {csv_path}: {exc}") from None
                 return cls.from_mapping(data)
-        raise ConfigError(f"no spec metadata block found in {p}")
+        raise ConfigError(f"no spec metadata block found in {csv_path}")
 
     def canonical_mapping(self) -> dict:
         out = {
@@ -374,7 +352,8 @@ def _slab_chunk(payload):
 
 
 def _chunks(values, n: int):
-    bounds = np.linspace(0, len(values), n + 1).astype(int)
+    # more chunks than values would only add empty ones
+    bounds = np.linspace(0, len(values), min(n, len(values)) + 1).astype(int)
     return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
@@ -508,15 +487,17 @@ def _write_csv(target: Path, meta, axis_name, axis_values, energies_ev,
 def read_scan_csv(path):
     """Read back a scan CSV: (metadata lines, header columns, float array)."""
     meta, header, rows = [], None, []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
+    try:
+        for line in _read_text(path, "scan output").splitlines():
             if line.startswith("#"):
                 meta.append(line.lstrip("#").strip())
             elif header is None:
                 header = line.split(",")
             elif line:
                 rows.append([float(v) for v in line.split(",")])
+        data = np.array(rows)
+    except ValueError:  # a cell that is not a number, or rows of unequal length
+        raise ConfigError(f"{path}: malformed data row") from None
     if header is None:
         raise ConfigError(f"{path} has no header row")
-    return meta, header, np.array(rows)
+    return meta, header, data

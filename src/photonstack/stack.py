@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -107,6 +109,13 @@ class Layer:
         return self.temperature is not None or self.self_consistent
 
 
+def _kelvin(t) -> bool:
+    """The one temperature rule: t is a positive real number (a bool or a
+    numeric string is not) within the finite float range."""
+    return (not isinstance(t, bool) and isinstance(t, numbers.Real)
+            and 0 < t <= sys.float_info.max)
+
+
 def _check_layer(i: int, layer: Layer, last: int, problems: list[str]) -> None:
     outer = i == 0 or i == last
     if outer:
@@ -133,7 +142,7 @@ def _check_layer(i: int, layer: Layer, last: int, problems: list[str]) -> None:
             )
     if layer.temperature is not None and layer.self_consistent:
         problems.append(f"layer {i}: temperature cannot be both fixed and self-consistent")
-    if layer.temperature is not None and not 0 < layer.temperature < math.inf:
+    if layer.temperature is not None and not _kelvin(layer.temperature):
         problems.append(f"layer {i}: temperature must be positive and finite")
     if layer.has_assignment and not layer.lossy:
         problems.append(
@@ -219,152 +228,155 @@ class LayerStack:
 
 
 # ---------------------------------------------------------------------------
-# configuration ingestion
+# configuration ingestion: one helper per input rule, shared by every reader
 
-def _to_float(raw, where: str) -> float:
+# the most float64 values an array can hold; numpy refuses more outright
+_MAX_COUNT = np.iinfo(np.intp).max // 8
+
+
+def _brief(value) -> str:
+    # reprlib bounds a repr's length, but an integer past 4300 digits raises
     try:
-        return float(raw)
-    except OverflowError:  # integers beyond the float range
-        raise ConfigError(f"{where}: number out of range") from None
+        return reprlib.repr(value)
+    except ValueError:
+        return type(value).__name__
+
+
+def _read_text(path, what: str) -> str:
+    """The one file read: the text of ``path`` decoded as UTF-8, or a
+    one-line ConfigError naming ``what`` and the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: NUL in the path, undecodable text
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _mapping(data, keys, what: str = "", where: str = "", required=()) -> dict:
+    """``data``, checked to be a mapping with no key outside ``keys`` and
+    every key of ``required``; the one-line ConfigError leads with
+    ``where`` and names the kind of mapping, ``what``."""
+    head, kind = (f"{where}: " if where else ""), (f"{what} " if what else "")
+    if not isinstance(data, dict):
+        raise ConfigError(f"{head}expected a {kind}mapping, not {_brief(data)}")
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ConfigError(f"{head}unknown {kind}keys {_brief(sorted(unknown, key=_brief))}")
+    missing = [k for k in required if k not in data]
+    if missing:
+        raise ConfigError(f"{head}{kind}needs {'/'.join(required)} (missing {missing})")
+    return data
 
 
 def _integer(value, where: str) -> int:
     # int() would truncate 2.7 and accept True or "16"
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{where} must be an integer, not {value!r}")
+        raise ConfigError(f"{where} must be an integer, not {_brief(value)}")
     return int(value)
 
 
+def _count(value, where: str) -> int:
+    """A positive integer that can size an array."""
+    count = _integer(value, where)
+    if not 1 <= count <= _MAX_COUNT:
+        raise ConfigError(f"{where} must be >= 1" if count < 1
+                          else f"{where} is more than an array can hold")
+    return count
+
+
 def _real(value, where: str) -> float:
+    """float(value), for a number or a numeric string such as the 1e-3
+    that PyYAML leaves unconverted."""
     try:
         return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where} must be a number, not {value!r}") from None
+    except OverflowError:  # integers beyond the float range
+        raise ConfigError(f"{where}: number out of range") from None
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, not {_brief(value)}") from None
+
+
+def _yaml_number(raw, where: str, expected: str, words=()):
+    """A YAML number (not a bool) as a float, or the one of ``words`` that
+    the string ``raw`` spells in any case."""
+    if isinstance(raw, str) and raw.strip().lower() in words:
+        return raw.strip().lower()
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        return _real(raw, where)
+    raise ConfigError(f"{where} must be {expected}")
 
 
 def _parse_complex(raw, where: str) -> complex:
-    if isinstance(raw, bool):
-        raise ConfigError(f"{where}: refractive index must be a number or a string")
-    if isinstance(raw, (int, float)):
-        return complex(_to_float(raw, where))
-    if isinstance(raw, str):
-        text = raw.strip().replace(" ", "")
-        if text.endswith("i"):
-            text = text[:-1] + "j"
-        try:
-            return complex(text)
-        except ValueError:
-            raise ConfigError(
-                f"{where}: cannot parse complex index {raw!r}; use e.g. 1.5+0.3i"
-            ) from None
-    raise ConfigError(f"{where}: unsupported index value {raw!r}")
+    if not isinstance(raw, str):
+        return complex(_yaml_number(raw, f"{where}: refractive index",
+                                    "a number or a string"))
+    text = raw.strip().replace(" ", "")
+    if text.endswith("i"):
+        text = text[:-1] + "j"
+    try:
+        return complex(text)
+    except ValueError:
+        raise ConfigError(
+            f"{where}: cannot parse complex index {_brief(raw)}; use e.g. 1.5+0.3i"
+        ) from None
+
+
+def _index_table(columns, where: str, origin: str = "") -> TabulatedIndex:
+    """The tabulated index of three columns (E_eV, n_re, n_im): equal-length
+    numeric lists of at least two rows, with strictly increasing energies."""
+    try:
+        if not all(isinstance(c, list) for c in columns):
+            raise TypeError
+        energies, re, im = (np.array([float(v) for v in c], dtype=float) for c in columns)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: index table entries must be numeric lists") from None
+    if not len(energies) == len(re) == len(im) >= 2:
+        raise ConfigError(f"{where}: index table columns must match and have >= 2 rows")
+    if np.any(np.diff(energies) <= 0):
+        raise ConfigError(f"{where}: table energies must be strictly increasing")
+    return TabulatedIndex(np.asarray(omega_from_ev(energies)), re + 1j * im, origin)
 
 
 def _load_index_table(path: Path, where: str) -> TabulatedIndex:
-    try:
-        text = path.read_text()
-    except (OSError, ValueError) as exc:  # ValueError: NUL in the path, undecodable text
-        raise ConfigError(f"{where}: cannot read index table {path}: {exc}") from None
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path, "index table").splitlines() if ln.strip()]
     if not lines or tuple(s.strip() for s in lines[0].split(",")) != _TABLE_COLUMNS:
         raise ConfigError(
             f"{where}: index table {path} must start with header "
             + ",".join(_TABLE_COLUMNS)
         )
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ConfigError(f"{where}: malformed table row {ln!r} in {path}")
-        try:
-            rows.append(tuple(float(p) for p in parts))
-        except ValueError:
-            raise ConfigError(f"{where}: malformed table row {ln!r} in {path}") from None
-    if len(rows) < 2:
-        raise ConfigError(f"{where}: index table {path} needs at least two rows")
-    arr = np.array(rows, dtype=float)
-    energies = arr[:, 0]
-    if np.any(np.diff(energies) <= 0):
-        raise ConfigError(f"{where}: table energies must be strictly increasing")
-    return TabulatedIndex(
-        omega=np.asarray(omega_from_ev(energies)),
-        values=arr[:, 1] + 1j * arr[:, 2],
-        origin=str(path),
-    )
-
-
-def _table_from_mapping(data, where: str) -> TabulatedIndex:
-    keys = set(data)
-    if keys != set(_TABLE_COLUMNS):
-        raise ConfigError(f"{where}: inline table needs keys {_TABLE_COLUMNS}")
-    try:
-        if not all(isinstance(data[k], list) for k in _TABLE_COLUMNS):
-            raise TypeError
-        energies = np.asarray([float(v) for v in data["E_eV"]], dtype=float)
-        re = np.asarray([float(v) for v in data["n_re"]], dtype=float)
-        im = np.asarray([float(v) for v in data["n_im"]], dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}: inline table entries must be numeric lists") from None
-    if not (len(energies) == len(re) == len(im)) or len(energies) < 2:
-        raise ConfigError(f"{where}: inline table columns must match and have >= 2 rows")
-    if np.any(np.diff(energies) <= 0):
-        raise ConfigError(f"{where}: table energies must be strictly increasing")
-    return TabulatedIndex(omega=np.asarray(omega_from_ev(energies)), values=re + 1j * im)
+    rows = [ln.split(",") for ln in lines[1:]]
+    for ln, row in zip(lines[1:], rows):
+        if len(row) != 3:
+            raise ConfigError(f"{where}: malformed table row {_brief(ln)} in {path}")
+    return _index_table([[row[k] for row in rows] for k in range(3)], where, str(path))
 
 
 def _parse_layer(i: int, entry, base_dir: Path | None) -> Layer:
     where = f"layer {i}"
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: each layer must be a mapping")
-    unknown = set(entry) - _LAYER_KEYS
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
-    if "thickness" not in entry or "n" not in entry:
-        raise ConfigError(f"{where}: 'thickness' and 'n' are required")
+    _mapping(entry, _LAYER_KEYS, where=where, required=("thickness", "n"))
 
-    raw_t = entry["thickness"]
-    if isinstance(raw_t, str) and raw_t.strip().lower() == "inf":
-        thickness = math.inf
-    elif isinstance(raw_t, (int, float)) and not isinstance(raw_t, bool):
-        thickness = _to_float(raw_t, f"{where}: thickness")
-        if thickness != math.inf:
-            thickness *= MICRON
-    else:
-        raise ConfigError(f"{where}: thickness must be a number in um or 'inf'")
+    thickness = _yaml_number(entry["thickness"], f"{where}: thickness",
+                             "a number in um or 'inf'", ("inf",))
+    thickness = math.inf if thickness == "inf" else thickness * MICRON
 
     raw_n = entry["n"]
-    if isinstance(raw_n, dict):
-        unknown = set(raw_n) - {"table"} - set(_TABLE_COLUMNS)
-        if unknown:
-            raise ConfigError(f"{where}: unknown index keys {sorted(unknown, key=str)}")
-        if "table" in raw_n:
-            if len(raw_n) != 1:
-                raise ConfigError(f"{where}: 'table' cannot mix with inline columns")
-            if not isinstance(raw_n["table"], str):
-                raise ConfigError(f"{where}: 'table' must be a file path")
-            path = Path(raw_n["table"])
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            index = _load_index_table(path, where)
-        else:
-            index = _table_from_mapping(raw_n, where)
-    else:
+    if not isinstance(raw_n, dict):
         index = ConstantIndex(_parse_complex(raw_n, where))
-
-    temperature = None
-    self_consistent = False
-    raw_T = entry.get("temperature")
-    if raw_T is None or (isinstance(raw_T, str) and raw_T.strip().lower() == "none"):
-        pass
-    elif isinstance(raw_T, str) and raw_T.strip().lower() == SELF_CONSISTENT:
-        self_consistent = True
-    elif isinstance(raw_T, (int, float)) and not isinstance(raw_T, bool):
-        temperature = _to_float(raw_T, f"{where}: temperature")
+    elif "table" not in _mapping(raw_n, {"table", *_TABLE_COLUMNS}, "index", where):
+        index = _index_table([raw_n.get(k) for k in _TABLE_COLUMNS], where)
+    elif len(raw_n) != 1:
+        raise ConfigError(f"{where}: 'table' cannot mix with inline columns")
+    elif not isinstance(raw_n["table"], str):
+        raise ConfigError(f"{where}: 'table' must be a file path")
     else:
-        raise ConfigError(
-            f"{where}: temperature must be kelvin, '{SELF_CONSISTENT}', or 'none'"
-        )
-    return Layer(thickness, index, temperature, self_consistent)
+        path = Path(raw_n["table"])
+        if base_dir is not None and not path.is_absolute():
+            path = base_dir / path
+        index = _load_index_table(path, where)
+
+    t = entry.get("temperature")
+    if t is not None:
+        t = _yaml_number(t, f"{where}: temperature",
+                         f"kelvin, '{SELF_CONSISTENT}', or 'none'", ("none", SELF_CONSISTENT))
+    return Layer(thickness, index, None if isinstance(t, str) else t, t == SELF_CONSISTENT)
 
 
 def build_stack(config, *, base_dir: Path | str | None = None) -> LayerStack:
@@ -373,12 +385,7 @@ def build_stack(config, *, base_dir: Path | str | None = None) -> LayerStack:
     ``base_dir`` resolves relative index-table paths. All validation
     problems are reported together in a single ConfigError.
     """
-    if not isinstance(config, dict):
-        raise ConfigError("stack config must be a mapping")
-    unknown = set(config) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level keys {sorted(unknown, key=str)}")
-    entries = config.get("layers")
+    entries = _mapping(config, _TOP_KEYS, "top-level").get("layers")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("config needs a nonempty 'layers' list")
     base = Path(base_dir) if base_dir is not None else None
@@ -390,11 +397,7 @@ def _read_yaml(path: Path, what: str):
     """Parse a YAML file; unreadable or malformed files give a one-line
     ConfigError naming the problem and, when known, its line and column."""
     try:
-        text = path.read_text()
-    except (OSError, ValueError) as exc:  # ValueError: NUL in the path, undecodable text
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
-    try:
-        return yaml.safe_load(text)
+        return yaml.safe_load(_read_text(path, what))
     except ValueError as exc:  # an integer literal too long to convert
         raise ConfigError(f"invalid YAML in {path}: {exc}") from None
     except yaml.YAMLError as exc:
@@ -467,12 +470,6 @@ class Region:
     temperature: float
 
 
-def _kelvin(t) -> bool:
-    """Whether t is usable as a temperature: a finite positive real
-    number (a bool or a numeric string is not)."""
-    return isinstance(t, numbers.Real) and not isinstance(t, bool) and 0 < t < math.inf
-
-
 @dataclass(frozen=True)
 class TemperatureProfile:
     """Per-layer thermal state: a fixed kelvin value, a sliced interior
@@ -495,11 +492,10 @@ class TemperatureProfile:
     @classmethod
     def uniform(cls, stack: LayerStack, temperature: float) -> "TemperatureProfile":
         """Assign one temperature to every lossy layer (thermal equilibrium)."""
-        if not temperature > 0:
-            raise ConfigError("temperature must be positive")
-        return cls(
-            tuple(temperature if layer.lossy else None for layer in stack.layers)
-        )
+        if not _kelvin(temperature):
+            raise ConfigError("temperature must be a finite positive number, "
+                              f"not {_brief(temperature)}")
+        return cls(tuple(temperature if layer.lossy else None for layer in stack.layers))
 
     def validate(self, stack: LayerStack) -> None:
         if len(self.entries) != len(stack.layers):
@@ -519,7 +515,7 @@ class TemperatureProfile:
                         f"layer {j}: slice temperatures must be finite positive numbers")
             elif not _kelvin(entry):
                 raise ConfigError(f"layer {j}: temperature must be a finite positive "
-                                  f"number, not {entry!r}")
+                                  f"number, not {_brief(entry)}")
 
     def source_regions(self, stack: LayerStack) -> list[Region]:
         """Enumerate uniform-temperature emitting regions, left to right.

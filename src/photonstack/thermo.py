@@ -35,7 +35,8 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError
 from .greens import solve_wave_basis
 from .spectral import electric_density, source_occupation, source_weights
-from .stack import LayerSlices, LayerStack, TemperatureProfile, _integer, _real
+from .stack import (LayerSlices, LayerStack, TemperatureProfile, _count, _integer,
+                    _mapping, _real)
 from .units import hbar, omega_from_ev
 
 
@@ -70,18 +71,16 @@ def check_balance_settings(settings) -> dict:
     ``settings`` over the defaults, with integer slices and
     max_iterations and real tolerance_K and relaxation. Raise ConfigError
     for an unknown key, a value of the wrong type, or one out of range:
-    fewer than one slice or iteration, a tolerance that is not positive
-    and finite, or a relaxation outside (0, 1]."""
-    unknown = set(settings) - set(BALANCE_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown balance keys {sorted(unknown, key=str)}")
-    merged = {**BALANCE_DEFAULTS, **settings}
-    slices = _integer(merged["slices"], "balance slices")
+    fewer than one slice or iteration, more slices than an array can
+    hold, a tolerance that is not positive and finite, or a relaxation
+    outside (0, 1]."""
+    merged = {**BALANCE_DEFAULTS, **_mapping(settings, BALANCE_DEFAULTS, "balance")}
+    slices = _count(merged["slices"], "balance slices")
     max_iterations = _integer(merged["max_iterations"], "balance max_iterations")
     tolerance_K = _real(merged["tolerance_K"], "balance tolerance_K")
     relaxation = _real(merged["relaxation"], "balance relaxation")
-    if not (slices >= 1 and max_iterations >= 1):
-        raise ConfigError("balance slices and max_iterations must be >= 1")
+    if max_iterations < 1:
+        raise ConfigError("balance max_iterations must be >= 1")
     if not 0.0 < tolerance_K < np.inf:
         raise ConfigError("balance tolerance_K must be positive and finite")
     if not 0.0 < relaxation <= 1.0:
