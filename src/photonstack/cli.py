@@ -158,6 +158,9 @@ def main(argv=None) -> int:
     except PhotonStackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; reduce grid counts or balance slices", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -325,7 +325,7 @@ def region_integrals(
     derivative kernel at x. The case is chosen per point: the interval
     lies left of x when ``hi <= x`` (always so for an earlier layer),
     right of it when ``lo >= x`` (a later layer), and contains it
-    otherwise. Gradients
+    otherwise (with no mask copy when all points lie on one side). Gradients
     differentiate the coefficients analytically (the profile integrals
     only move through the split point).
     """
@@ -356,6 +356,7 @@ def region_integrals(
     phi_l, dphi_l, phi_r, dphi_r = (
         v.reshape(xs.shape + basis.omega.shape)
         for v in (points.phi_l, points.dphi_l, points.phi_r, points.dphi_r))
+    shape = points.x.shape + basis.omega.shape
     left = hi <= xs
     right = ~left & (lo >= xs)
     split = ~(left | right)
@@ -365,10 +366,11 @@ def region_integrals(
         for part, value in zip(parts, values):
             part[pts] = value
 
-    if left.any():
-        fill(left, one_side(left, True, phi_r, dphi_r, lo, hi))
-    if right.any():
-        fill(right, one_side(right, False, phi_l, dphi_l, lo, hi))
+    for pts, side in ((left, (True, phi_r, dphi_r)), (right, (False, phi_l, dphi_l))):
+        if pts.all():
+            return RegionIntegrals(*(p.reshape(shape) for p in one_side(..., *side, lo, hi)))
+        if pts.any():
+            fill(pts, one_side(pts, *side, lo, hi))
     if split.any():
         # the interval splits at each of these field points
         xsplit = xs[split].reshape((-1,) + (1,) * basis.omega.ndim)
@@ -383,5 +385,4 @@ def region_integrals(
                          + np.abs(dphi_r[split] / w) ** 2 * np.abs(phi_l[split]) ** 2
                          - np.abs(dphi_l[split] / w) ** 2 * np.abs(phi_r[split]) ** 2)
         fill(split, values)
-    shape = points.x.shape + basis.omega.shape
     return RegionIntegrals(*(part.reshape(shape) for part in parts))

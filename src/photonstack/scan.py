@@ -465,19 +465,18 @@ def _write_csv(target: Path, meta, axis_name, axis_values, energies_ev,
                quantities, data) -> None:
     tmp = target.with_name(target.name + ".part")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+        with open(tmp, "wb") as f:
             for line in meta:
-                f.write(f"# {line}\n")
-            f.write(",".join([axis_name, "E_eV", *quantities]) + "\n")
-            # one axis value's rows at a time keeps the memory flat; adding
-            # 0.0 turns -0.0 into 0.0, which %.9g writes as "0"
-            block = np.empty((len(energies_ev), 2 + len(quantities)))
-            block[:, 1] = energies_ev
-            for a, values in zip(axis_values, data):
-                block[:, 0] = a
-                block[:, 2:] = values
-                block += 0.0
-                np.savetxt(f, block, fmt="%.9g", delimiter=",")
+                f.write(f"# {line}\n".encode())
+            f.write((",".join([axis_name, "E_eV", *quantities]) + "\n").encode())
+            # each cell is C-printf %.9g of value + 0.0 (-0.0 reads "0"); one
+            # bytes % per axis block (a str % raised the peak RSS by ~2 MB)
+            rows = [b",%.9g" % e + b",%.9g" * len(quantities)
+                    for e in (energies_ev + 0.0).tolist()]
+            for a, values in zip((axis_values + 0.0).tolist(), data):
+                a = b"%.9g" % a
+                block = a + (b"\n" + a).join(rows) + b"\n"
+                f.write(block % tuple((values + 0.0).ravel().tolist()))
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)

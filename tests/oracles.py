@@ -78,3 +78,20 @@ def net_emission(basis, profile, x: float) -> np.ndarray:
     n_e = photon_numbers(basis.at(x), profile).electric
     eta = source_occupation(om, temperature)
     return hbar * om**2 * im_n2 * electric_density(basis.at(x)) * (eta - n_e)
+
+
+def savetxt_csv(path, meta, axis_name, axis_values, energies_ev, quantities, data):
+    """The scan CSV as np.savetxt wrote it: the metadata lines, the header,
+    then each axis value's rows as one float64 block with -0.0 turned
+    into 0.0 by adding 0.0."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for line in meta:
+            f.write(f"# {line}\n")
+        f.write(",".join([axis_name, "E_eV", *quantities]) + "\n")
+        block = np.empty((len(energies_ev), 2 + len(quantities)))
+        block[:, 1] = energies_ev
+        for a, values in zip(axis_values, data):
+            block[:, 0] = a
+            block[:, 2:] = values
+            block += 0.0
+            np.savetxt(f, block, fmt="%.9g", delimiter=",")

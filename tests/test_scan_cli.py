@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.constants
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import photonstack
 import photonstack.greens as greens_mod
@@ -18,6 +18,8 @@ from photonstack.errors import ConfigError, PhotonStackError
 from photonstack.scan import GridSpec, ScanSpec, read_scan_csv, run_scan
 from photonstack.thermo import BALANCE_DEFAULTS
 from photonstack.units import LDOS_UNIT
+
+from oracles import savetxt_csv
 
 
 CAVITY = {
@@ -310,6 +312,70 @@ def test_writer_bytes_for_zeros_tiny_and_large_values(tmp_path):
         b"2.5,0,123456.789,0,0.1\n"
         b"2.5,0.125,0,-1e-07,6.02214076e+23\n"
     )
+
+
+# zeros of both signs, subnormals, the ends of the float range, integral
+# floats and values that round up at the ninth significant digit
+_EDGE_CELLS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e-308, -1e-308,
+               1e308, -1e308, 1.7976931348623157e308, 3.0, -42.0, 1e16,
+               999999999.5, -999999999.5, 9999999995.0, 0.999999999951]
+_CELLS = st.one_of(st.sampled_from(_EDGE_CELLS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _scan_tables(draw):
+    n_a, n_e, n_q = (draw(st.integers(1, n)) for n in (4, 5, 4))
+
+    def cells(n):
+        return np.array(draw(st.lists(_CELLS, min_size=n, max_size=n)))
+
+    return cells(n_a), cells(n_e), cells(n_a * n_e * n_q).reshape(n_a, n_e, n_q)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_scan_tables())
+@example(table=(np.array([-0.0]), np.array([999999999.5]), np.array([[[-5e-324]]])))
+def test_writer_bytes_equal_the_savetxt_reference(tmp_path, table):
+    axis, energies, data = table
+    quantities = tuple(f"q{i}" for i in range(data.shape[2]))
+    args = (["head", "spec: {}"], "x_um", axis, energies, quantities, data)
+    scan_mod._write_csv(tmp_path / "new.csv", *args)
+    savetxt_csv(tmp_path / "ref.csv", *args)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class _Unformattable:
+    """A cell that survives adding 0.0 but that %.9g cannot print."""
+
+    def __add__(self, other):
+        return self
+
+
+@pytest.mark.parametrize("failure, error", [("replace", RuntimeError),
+                                            ("format", TypeError)])
+def test_a_failed_write_keeps_the_old_file_and_no_part_file(tmp_path, monkeypatch,
+                                                            failure, error):
+    """run_scan's promise: a failed run leaves no partial output behind;
+    an existing target keeps its bytes whether the final rename fails or
+    a cell fails to format in the middle of the second axis block."""
+    def refuse(src, dst):
+        raise RuntimeError("rename refused")
+
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old bytes\n")
+    with pytest.raises(error):
+        if failure == "replace":
+            monkeypatch.setattr(scan_mod.os, "replace", refuse)
+            run_scan(ScanSpec.from_mapping(small_pointwise()), output=target)
+        else:
+            data = np.ones((3, 4, 2), dtype=object)
+            data[1, 2, 0] = _Unformattable()
+            scan_mod._write_csv(target, ["head"], "x_um", np.arange(3.0),
+                                np.arange(4.0), ("a", "b"), data)
+    assert target.read_bytes() == b"old bytes\n"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_each_position_is_evaluated_once(tmp_path, monkeypatch):
@@ -607,6 +673,21 @@ def test_cli_scan_unwritable_output_exits_three(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert cli.main(["scan", str(spec_path), "--output", str(missing)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, solver", [("scan", "run_scan"),
+                                             ("balance", "solve_self_consistent")])
+def test_cli_out_of_memory_gives_one_line(tmp_path, capsys, monkeypatch, command, solver):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, solver, exhausted)
+    path = write_spec(tmp_path, "in.yaml",
+                      small_pointwise() if command == "scan" else PASSIVE)
+    assert cli.main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert "grid counts" in err and "balance slices" in err
 
 
 def test_cli_scan_nonconvergent_balance_exits_two(tmp_path, capsys):
