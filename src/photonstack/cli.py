@@ -17,14 +17,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ConvergenceError, PhotonStackError
 from .greens import solve_wave_basis
-from .scan import ScanSpec, run_scan
+from .scan import ScanSpec, _write_file, run_scan
 from .spectral import ldos_closure_residuals
 from .stack import load_stack
 from .thermo import BALANCE_DEFAULTS, solve_self_consistent
@@ -106,7 +105,7 @@ def _balance(args) -> int:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write_file(args.output, [text.encode()])
         print(f"wrote {args.output}: {len(result.temperatures)} slice temperatures")
     return 0
 

@@ -159,8 +159,7 @@ def solve_wave_basis(stack: LayerStack, omega) -> WaveBasis:
         over this shape.
 
     Raises DegenerateBasisError if the two solutions become numerically
-    linearly dependent, and ConfigError for lossless outer layers unless
-    the stack was assembled with ``allow_lossless_bounds``.
+    linearly dependent.
     """
     om = np.asarray(omega, dtype=float)
     if np.any(om <= 0) or not np.all(np.isfinite(om)):
@@ -172,18 +171,9 @@ def solve_wave_basis(stack: LayerStack, omega) -> WaveBasis:
     n = np.empty((nlay,) + wshape, dtype=complex)
     for j, layer in enumerate(layers):
         n[j] = layer.n_at(om)
-    if not stack.allow_lossless_bounds:
-        for j in (0, nlay - 1):
-            if np.any((n[j] * n[j]).imag <= 0):
-                raise ConfigError(
-                    f"layer {j}: outer layer must be lossy at every requested "
-                    "frequency (Im[n^2] > 0)"
-                )
 
     k = n * (om / c)
-    refs = tuple(
-        stack.interfaces[0] if j == 0 else stack.interfaces[j - 1] for j in range(nlay)
-    )
+    refs = (stack.interfaces[0], *stack.interfaces)
     # in-layer distance from the reference point to the layer's right interface
     deltas = [0.0] + [layers[j].thickness for j in range(1, nlay - 1)] + [0.0]
 

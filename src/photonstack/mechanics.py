@@ -174,12 +174,16 @@ def fd_residual(basis: WaveBasis, profile: TemperatureProfile, x, total):
     return out.reshape(np.shape(x) + om.shape)
 
 
+def _check_probe_order(x1: float, x2: float) -> None:
+    if not x1 < x2:
+        raise InterfacePointError("probe points must satisfy x1 < x2")
+
+
 def net_force(basis: WaveBasis, profile: TemperatureProfile, x1: float, x2: float):
     """Spectral force per unit area on the material between two smooth
     probe points, positive toward +x; the pressure-difference form keeps
     the interface delta contributions."""
-    if not x1 < x2:
-        raise InterfacePointError("probe points must satisfy x1 < x2")
+    _check_probe_order(x1, x2)
     return PointField(basis, profile, x1).energy - PointField(basis, profile, x2).energy
 
 
@@ -193,6 +197,7 @@ def frequency_integrated_force(
     """Thermal net force per unit area on the material between two smooth
     probe points, integrated over ``omega_grid``. The zero-point part has
     no cutoff, so it is not integrated."""
+    _check_probe_order(x1, x2)
     om = np.asarray(omega_grid, dtype=float)
     if om.ndim != 1 or om.size < 2 or np.any(np.diff(om) <= 0):
         raise ConfigError("frequency grid must be 1D and increasing")

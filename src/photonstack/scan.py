@@ -41,6 +41,7 @@ from .stack import (
     LayerStack,
     _brief,
     _count,
+    _integer,
     _mapping,
     _read_text,
     _read_yaml,
@@ -92,6 +93,8 @@ class GridSpec:
                  required=("start", "stop", "count"))
         start = _real(data["start"], f"{where}: start")
         stop = _real(data["stop"], f"{where}: stop")
+        if not np.all(np.isfinite([start, stop])):
+            raise ConfigError(f"{where}: start and stop must be finite")
         count = _count(data["count"], f"{where}: count")
         scale = data.get("scale", "linear")
         if scale not in ("linear", "log"):
@@ -312,10 +315,6 @@ class _SlabTemplate:
         return cls(left, right, host_l, slab, gap)
 
     def at_width(self, width: float) -> LayerStack:
-        if not 0.0 <= width < self.gap:
-            raise ConfigError(
-                f"slab width {width / MICRON:g} um must lie in [0, {self.gap / MICRON:g}) um"
-            )
         if width == 0.0:
             layers = [
                 self.wall_left,
@@ -331,7 +330,7 @@ class _SlabTemplate:
                 dataclasses.replace(self.host, thickness=side),
                 self.wall_right,
             ]
-        return LayerStack.assemble(layers)
+        return LayerStack(layers)
 
     def probes(self, width: float) -> tuple[float, float]:
         # midpoints of the two host segments, measured from the left wall
@@ -387,7 +386,7 @@ def run_scan(
     if target is None:
         raise ConfigError("scan spec has no output path and none was given")
     target = Path(target)
-    if threads < 1:
+    if _integer(threads, "--threads") < 1:
         raise ConfigError(f"--threads must be at least 1, not {threads}")
     if fd_check and _FORCE_QUANTITIES.isdisjoint(spec.quantities):
         raise ConfigError("--fd-check needs a force-density quantity (zcf, tcf or ncf)")
@@ -461,26 +460,34 @@ def run_scan(
     return ScanResult(axis_name, energies_ev, spec.quantities, data, target, fd_max)
 
 
-def _write_csv(target: Path, meta, axis_name, axis_values, energies_ev,
-               quantities, data) -> None:
-    tmp = target.with_name(target.name + ".part")
+def _write_file(target, chunks) -> None:
+    """The one file write: ``chunks`` (bytes) go to ``target`` through a
+    ``.part`` file; on any failure it is removed and ``target`` is kept."""
+    tmp = Path(f"{target}.part")
     try:
         with open(tmp, "wb") as f:
-            for line in meta:
-                f.write(f"# {line}\n".encode())
-            f.write((",".join([axis_name, "E_eV", *quantities]) + "\n").encode())
-            # each cell is C-printf %.9g of value + 0.0 (-0.0 reads "0"); one
-            # bytes % per axis block (a str % raised the peak RSS by ~2 MB)
-            rows = [b",%.9g" % e + b",%.9g" * len(quantities)
-                    for e in (energies_ev + 0.0).tolist()]
-            for a, values in zip((axis_values + 0.0).tolist(), data):
-                a = b"%.9g" % a
-                block = a + (b"\n" + a).join(rows) + b"\n"
-                f.write(block % tuple((values + 0.0).ravel().tolist()))
+            f.writelines(chunks)
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_csv(target: Path, meta, axis_name, axis_values, energies_ev,
+               quantities, data) -> None:
+    def chunks():
+        yield "".join(f"# {line}\n" for line in meta).encode()
+        yield (",".join([axis_name, "E_eV", *quantities]) + "\n").encode()
+        # each cell is C-printf %.9g of value + 0.0 (-0.0 reads "0"); one
+        # bytes % per axis block (a str % raised the peak RSS by ~2 MB)
+        rows = [b",%.9g" % e + b",%.9g" * len(quantities)
+                for e in (energies_ev + 0.0).tolist()]
+        for a, values in zip((axis_values + 0.0).tolist(), data):
+            a = b"%.9g" % a
+            block = a + (b"\n" + a).join(rows) + b"\n"
+            yield block % tuple((values + 0.0).ravel().tolist())
+
+    _write_file(target, chunks())
 
 
 def read_scan_csv(path):

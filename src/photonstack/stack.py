@@ -19,7 +19,6 @@ import math
 import numbers
 import reprlib
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -155,7 +154,8 @@ def _check_layer(i: int, layer: Layer, last: int, problems: list[str]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LayerStack:
-    """An ordered, validated sequence of layers with interface positions.
+    """An ordered sequence of layers with interface positions; building one
+    validates it and raises one ConfigError listing every problem.
 
     ``interfaces[m]`` separates layer m from layer m+1; the first entry
     is the coordinate origin. ``allow_lossless_bounds`` relaxes the
@@ -165,22 +165,21 @@ class LayerStack:
     """
 
     layers: tuple[Layer, ...]
-    interfaces: tuple[float, ...]
-    allow_lossless_bounds: bool = False
+    allow_lossless_bounds: bool = field(default=False, kw_only=True)
+    interfaces: tuple[float, ...] = field(init=False)
 
-    @classmethod
-    def assemble(cls, layers, *, allow_lossless_bounds: bool = False) -> "LayerStack":
-        layers = tuple(layers)
+    def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))
         problems: list[str] = []
-        if len(layers) < 2:
+        if len(self.layers) < 2:
             problems.append("a stack needs at least two layers")
         else:
-            last = len(layers) - 1
-            for i, layer in enumerate(layers):
+            last = len(self.layers) - 1
+            for i, layer in enumerate(self.layers):
                 _check_layer(i, layer, last, problems)
-            if not allow_lossless_bounds:
+            if not self.allow_lossless_bounds:
                 for i in (0, last):
-                    if not np.all(layers[i].index.losses() > 0.0):
+                    if not np.all(self.layers[i].index.losses() > 0.0):
                         problems.append(
                             f"layer {i}: outer layers must be lossy at every "
                             "energy so that photon-number integrals converge"
@@ -188,7 +187,7 @@ class LayerStack:
         if problems:
             raise ConfigError("; ".join(problems))
         interfaces = [0.0]
-        for i, layer in enumerate(layers[1:-1], start=1):
+        for i, layer in enumerate(self.layers[1:-1], start=1):
             x = interfaces[-1] + layer.thickness
             if x == interfaces[-1]:
                 problems.append(
@@ -198,24 +197,20 @@ class LayerStack:
             interfaces.append(x)
         if problems:
             raise ConfigError("; ".join(problems))
-        return cls(layers, tuple(interfaces), allow_lossless_bounds)
+        object.__setattr__(self, "interfaces", tuple(interfaces))
 
     def layer_index(self, x):
         """Index of the layer holding x; for an array of points, an integer
         array of the same shape."""
-        if isinstance(x, np.ndarray) and x.ndim:
-            return np.searchsorted(self.interfaces, x, side="right")
-        return bisect_right(self.interfaces, float(x))
+        return np.searchsorted(self.interfaces, x, side="right")
 
     def layer_of(self, x) -> int:
         """Index of the one layer holding every point of x (a point or a
         1-D array of points); raises ValueError if they span several."""
         found = self.layer_index(x)
-        if not isinstance(found, np.ndarray):
-            return found
-        if found.size == 0 or found.min() != found.max():
+        if np.size(found) == 0 or np.min(found) != np.max(found):
             raise ValueError("field points must lie within one layer")
-        return int(found[0])
+        return int(np.min(found))
 
     def layer_bounds(self, j: int) -> tuple[float, float]:
         lo = -math.inf if j == 0 else self.interfaces[j - 1]
@@ -390,7 +385,7 @@ def build_stack(config, *, base_dir: Path | str | None = None) -> LayerStack:
         raise ConfigError("config needs a nonempty 'layers' list")
     base = Path(base_dir) if base_dir is not None else None
     layers = [_parse_layer(i, e, base) for i, e in enumerate(entries)]
-    return LayerStack.assemble(layers)
+    return LayerStack(layers)
 
 
 def _read_yaml(path: Path, what: str):

@@ -26,7 +26,7 @@ def point_force(basis, profile, x):
 
 def cavity_stack() -> LayerStack:
     """Hot and cold lossy half-spaces around a 10 um vacuum gap."""
-    return LayerStack.assemble([
+    return LayerStack([
         Layer(INF, ConstantIndex(1.5 + 0.3j), 400.0),
         Layer(10e-6, ConstantIndex(1.0)),
         Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),
@@ -35,7 +35,7 @@ def cavity_stack() -> LayerStack:
 
 def passive_cavity_stack() -> LayerStack:
     """Same reservoirs with a weakly lossy medium filling the gap."""
-    return LayerStack.assemble([
+    return LayerStack([
         Layer(INF, ConstantIndex(1.5 + 0.3j), 400.0),
         Layer(10e-6, ConstantIndex(1.1 + 0.1j), self_consistent=True),
         Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),
@@ -49,13 +49,13 @@ def slab_stack(width: float, slab_index: complex, *,
     width; width 0 collapses to the bare cavity."""
     wall = ConstantIndex(2.5 + 0.5j)
     if width == 0.0:
-        return LayerStack.assemble([
+        return LayerStack([
             Layer(INF, wall, t_left),
             Layer(total, ConstantIndex(1.0)),
             Layer(INF, wall, t_right),
         ])
     side = 0.5 * (total - width)
-    return LayerStack.assemble([
+    return LayerStack([
         Layer(INF, wall, t_left),
         Layer(side, ConstantIndex(1.0)),
         Layer(width, ConstantIndex(slab_index),

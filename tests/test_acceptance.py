@@ -58,7 +58,7 @@ def test_closure_identity_at_random_points(cavity):
 # --- free-space baseline ----------------------------------------------------
 
 def test_infinite_vacuum_mode_densities():
-    stack = LayerStack.assemble(
+    stack = LayerStack(
         [Layer(INF, ConstantIndex(1.0)),
          Layer(8e-6, ConstantIndex(1.0)),
          Layer(INF, ConstantIndex(1.0))],

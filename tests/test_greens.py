@@ -15,7 +15,7 @@ RNG = np.random.default_rng(20260211)
 
 
 def uniform_stack(n: complex, width: float = 8e-6) -> LayerStack:
-    return LayerStack.assemble(
+    return LayerStack(
         [Layer(INF, ConstantIndex(n), 350.0 if (n * n).imag > 0 else None),
          Layer(width, ConstantIndex(n)),
          Layer(INF, ConstantIndex(n), 350.0 if (n * n).imag > 0 else None)],
@@ -166,7 +166,7 @@ def test_green_function_matches_high_precision_transfer_matrix(seed, n_layers):
 
     inner = [Layer(float(rng.uniform(0.2e-6, 3e-6)), index(0.0))
              for _ in range(n_layers - 2)]
-    stack = LayerStack.assemble([Layer(INF, index(0.05)), *inner, Layer(INF, index(0.05))])
+    stack = LayerStack([Layer(INF, index(0.05)), *inner, Layer(INF, index(0.05))])
     om = omega_from_ev(rng.uniform(0.05, 0.2, 3))
     basis = solve_wave_basis(stack, om)
     # one point in each layer, the outer ones within 1 um of the stack
@@ -308,15 +308,17 @@ def test_random_point_region_closure(cavity_basis, cavity):
 
 
 def test_lossless_outer_rejected_per_frequency():
-    stack = LayerStack.assemble(
+    stack = LayerStack(
         [Layer(INF, ConstantIndex(1.0)),
          Layer(5e-6, ConstantIndex(1.5)),
          Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0)],
         allow_lossless_bounds=True,
     )
-    rebuilt = LayerStack(stack.layers, stack.interfaces, allow_lossless_bounds=False)
-    with pytest.raises(ConfigError, match="outer layer must be lossy"):
-        solve_wave_basis(rebuilt, omega_from_ev(0.1))
+    # the outer-loss rule is checked once, when a stack is built: the flagged
+    # stack solves, and its layers do not build without the flag
+    solve_wave_basis(stack, omega_from_ev(0.1))
+    with pytest.raises(ConfigError, match="outer layers must be lossy"):
+        LayerStack(stack.layers)
 
 
 def test_omega_validation():
@@ -332,7 +334,7 @@ def test_region_integrals_on_point_arrays_equal_per_point_calls(gradient):
     """Batched field points give bit-for-bit the per-point results, for
     source intervals left of, containing, and right of each point, for
     points exactly on slice boundaries, and in semi-infinite layers."""
-    stack = LayerStack.assemble([
+    stack = LayerStack([
         Layer(INF, ConstantIndex(1.5 + 0.3j), 400.0),
         Layer(10e-6, ConstantIndex(1.1 + 0.1j), 350.0),
         Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),

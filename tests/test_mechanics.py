@@ -121,8 +121,11 @@ def test_force_density_integrates_to_pressure_difference(
 # --- net force on a slab ---------------------------------------------------
 
 def test_probe_order_validated(cavity, cavity_basis, cavity_profile):
-    with pytest.raises(InterfacePointError):
+    with pytest.raises(InterfacePointError, match="x1 < x2"):
         net_force(cavity_basis, cavity_profile, 7e-6, 2e-6)
+    with pytest.raises(InterfacePointError, match="x1 < x2"):
+        frequency_integrated_force(cavity, cavity_profile, 7e-6, 2e-6,
+                                   omega_from_ev(np.linspace(0.02, 0.3, 8)))
 
 
 def test_pressure_and_occupation_routes_agree():

@@ -1,6 +1,7 @@
 """The input contract: every file the package reads goes through one UTF-8
-reader, and every malformed input (file, mapping, number, temperature or
-count) gives a one-line ConfigError that names it."""
+reader, every file it writes through one writer, and every malformed input
+(file, mapping, number, temperature or count) gives a one-line ConfigError
+that names it."""
 
 import ast
 import math
@@ -16,7 +17,7 @@ import photonstack
 import photonstack.scan as scan_mod
 from photonstack import cli
 from photonstack.errors import ConfigError
-from photonstack.scan import ScanSpec, read_scan_csv
+from photonstack.scan import ScanSpec, read_scan_csv, run_scan
 from photonstack.stack import TemperatureProfile, build_stack
 from photonstack.thermo import solve_self_consistent
 
@@ -96,6 +97,21 @@ _CASES = {
         "temperature must be a finite positive number")
        for name, t in [("string", "300"), ("none", None), ("bool", True),
                        ("inf", math.inf)]},
+    **{f"threads_{name}": (
+        lambda d, n=n: lambda: run_scan(ScanSpec.from_mapping(_spec()),
+                                        output=d / "out.csv", threads=n),
+        "--threads must be an integer")
+       for name, n in [("float", 2.5), ("string", "2"), ("none", None)]},
+    "positions_infinite_stop": (
+        lambda d: lambda: ScanSpec.from_mapping(_spec(positions__stop=math.inf)),
+        "positions: start and stop must be finite"),
+    "energies_infinite_stop": (
+        lambda d: lambda: ScanSpec.from_mapping(_spec(energies__stop=math.inf)),
+        "energies: start and stop must be finite"),
+    "positions_nan_single_point": (
+        lambda d: lambda: ScanSpec.from_mapping(
+            _spec(positions={"start": math.nan, "stop": math.nan, "count": 1})),
+        "positions: start and stop must be finite"),
     "scan_huge_position_count": (
         lambda d: ["scan", str(_write(d / "s.yaml", yaml.safe_dump(
             _spec(positions__count=HUGE))))],
@@ -178,9 +194,9 @@ def _opens_for_reading(call: ast.Call) -> bool:
     return not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax"))
 
 
-def _reading_sites():
-    """(module, function, call) for every call in the package that reads
-    a file or parses YAML, with the function that makes it."""
+def _call_sites(wanted):
+    """(module, function, call) for every call in the package for which
+    ``wanted(name, call)`` holds, with the function that makes it."""
     sites = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -194,8 +210,7 @@ def _reading_sites():
                 continue
             name = (node.func.attr if isinstance(node.func, ast.Attribute)
                     else getattr(node.func, "id", ""))
-            if (name in _FILE_READS | _YAML_PARSES
-                    or name == "open" and _opens_for_reading(node)):
+            if wanted(name, node):
                 sites.add((path.stem, owners.get(node, "<module>"), name))
     return sites
 
@@ -204,5 +219,19 @@ def test_one_function_reads_files():
     """Only ``stack._read_text`` reads a file, and only ``stack._read_yaml``
     parses YAML (the text ``_read_text`` returned), so every input shares
     one decoding and one error path."""
-    assert _reading_sites() == {("stack", "_read_text", "read_text"),
-                                ("stack", "_read_yaml", "safe_load")}
+    def reads(name, call):
+        return (name in _FILE_READS | _YAML_PARSES
+                or name == "open" and _opens_for_reading(call))
+
+    assert _call_sites(reads) == {("stack", "_read_text", "read_text"),
+                                  ("stack", "_read_yaml", "safe_load")}
+
+
+def test_one_function_writes_files():
+    """Only ``scan._write_file`` opens a file for writing, so the scan CSV
+    and ``balance --output`` share one .part-and-rename write."""
+    def writes(name, call):
+        return (name in {"write_text", "write_bytes"}
+                or name == "open" and not _opens_for_reading(call))
+
+    assert _call_sites(writes) == {("scan", "_write_file", "open")}

@@ -675,6 +675,22 @@ def test_cli_scan_unwritable_output_exits_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_balance_failed_write_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    """balance --output writes through the scan's writer: a refused rename
+    exits 3, the old file keeps its bytes and no .part file is left."""
+    def refuse(src, dst):
+        raise PermissionError("rename refused")
+
+    config = write_spec(tmp_path, "in.yaml", PASSIVE)
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old bytes\n")
+    monkeypatch.setattr(scan_mod.os, "replace", refuse)
+    assert cli.main(["balance", str(config), "--slices", "2", "--output", str(target)]) == 3
+    assert "rename refused" in capsys.readouterr().err
+    assert target.read_bytes() == b"old bytes\n"
+    assert sorted(tmp_path.iterdir()) == [config, target]
+
+
 @pytest.mark.parametrize("command, solver", [("scan", "run_scan"),
                                              ("balance", "solve_self_consistent")])
 def test_cli_out_of_memory_gives_one_line(tmp_path, capsys, monkeypatch, command, solver):

@@ -73,7 +73,7 @@ def test_nan_occupancy_stays_nan_not_zero_kelvin():
 def test_infinite_vacuum_mode_densities():
     """Free space: electric and magnetic halves are 0.5 each in units of
     the total vacuum density 2/(pi c S)."""
-    stack = LayerStack.assemble(
+    stack = LayerStack(
         [Layer(INF, ConstantIndex(1.0)),
          Layer(8e-6, ConstantIndex(1.0)),
          Layer(INF, ConstantIndex(1.0))],
@@ -194,7 +194,7 @@ def test_gradient_sums_give_bitwise_equal_numbers(cavity, cavity_basis, cavity_p
 
 
 def test_sourceless_structure_has_zero_numbers():
-    stack = LayerStack.assemble(
+    stack = LayerStack(
         [Layer(INF, ConstantIndex(1.0)),
          Layer(5e-6, ConstantIndex(1.5)),
          Layer(INF, ConstantIndex(1.0))],

@@ -41,7 +41,7 @@ def test_interfaces_and_layer_lookup():
 
 def test_assemble_collects_all_problems():
     with pytest.raises(ConfigError) as err:
-        LayerStack.assemble([
+        LayerStack([
             Layer(5e-6, ConstantIndex(1.5), None),
             Layer(-1e-6, ConstantIndex(1.0)),
             Layer(INF, ConstantIndex(2.5 + 0.5j), -10.0),
@@ -59,20 +59,20 @@ def test_outer_layers_must_be_lossy():
         Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),
     ]
     with pytest.raises(ConfigError, match="outer layers must be lossy"):
-        LayerStack.assemble(layers)
-    stack = LayerStack.assemble(layers, allow_lossless_bounds=True)
+        LayerStack(layers)
+    stack = LayerStack(layers, allow_lossless_bounds=True)
     assert stack.allow_lossless_bounds
     # a table lossless at one node makes a source, but not a half-space
     partly = TabulatedIndex(omega_from_ev(np.array([0.01, 0.05, 0.3])),
                             np.array([1.5, 1.5 + 0.2j, 1.5 + 0.2j]))
     layers[0] = Layer(INF, partly, 400.0)
     with pytest.raises(ConfigError, match="outer layers must be lossy"):
-        LayerStack.assemble(layers)
+        LayerStack(layers)
 
 
 def test_gain_media_rejected():
     with pytest.raises(ConfigError, match="nonnegative"):
-        LayerStack.assemble([
+        LayerStack([
             Layer(INF, ConstantIndex(1.5 - 0.3j), 400.0),
             Layer(5e-6, ConstantIndex(1.0)),
             Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),
@@ -81,7 +81,7 @@ def test_gain_media_rejected():
 
 def test_assignment_on_transparent_layer_rejected():
     with pytest.raises(ConfigError, match="requires a lossy medium"):
-        LayerStack.assemble([
+        LayerStack([
             Layer(INF, ConstantIndex(1.5 + 0.3j), 400.0),
             Layer(5e-6, ConstantIndex(1.0), 350.0),
             Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),
@@ -90,7 +90,7 @@ def test_assignment_on_transparent_layer_rejected():
 
 def test_self_consistent_semi_infinite_rejected():
     with pytest.raises(ConfigError, match="self-consistent"):
-        LayerStack.assemble([
+        LayerStack([
             Layer(INF, ConstantIndex(1.5 + 0.3j), self_consistent=True),
             Layer(5e-6, ConstantIndex(1.0)),
             Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),
@@ -166,7 +166,7 @@ def test_serialize_round_trip():
 def test_serialize_round_trip_tabulated():
     om = omega_from_ev(np.array([0.05, 0.10, 0.20]))
     tab = TabulatedIndex(om, np.array([1.5 + 0.1j, 1.7 + 0.3j, 1.9 + 0.5j]))
-    stack = LayerStack.assemble([
+    stack = LayerStack([
         Layer(INF, ConstantIndex(1.5 + 0.3j), 400.0),
         Layer(5e-6, tab, 350.0),
         Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),
@@ -223,7 +223,7 @@ def test_profile_from_stack_and_uniform():
 
 
 def test_profile_requires_solved_self_consistent():
-    stack = LayerStack.assemble([
+    stack = LayerStack([
         Layer(INF, ConstantIndex(1.5 + 0.3j), 400.0),
         Layer(10e-6, ConstantIndex(1.1 + 0.1j), self_consistent=True),
         Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),
@@ -243,7 +243,7 @@ def test_source_regions_enumerate_lossy_layers():
 
 
 def test_sliced_profile_lookup_and_validation():
-    stack = LayerStack.assemble([
+    stack = LayerStack([
         Layer(INF, ConstantIndex(1.5 + 0.3j), 400.0),
         Layer(10e-6, ConstantIndex(1.1 + 0.1j), self_consistent=True),
         Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),
@@ -288,7 +288,7 @@ def test_photon_numbers_reject_a_profile_that_does_not_fit(entries, fragment):
     layer dark, counts a part twice, runs past the stack or holds a
     temperature that is not a finite positive number; the error is one
     line."""
-    stack = LayerStack.assemble([
+    stack = LayerStack([
         Layer(INF, ConstantIndex(1.5 + 0.3j), 400.0),
         Layer(10e-6, ConstantIndex(1.1 + 0.1j), self_consistent=True),
         Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),

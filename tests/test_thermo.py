@@ -70,7 +70,7 @@ def test_solver_without_passive_layers_is_trivial(cavity):
 
 
 def test_solver_needs_a_reservoir():
-    stack = LayerStack.assemble(
+    stack = LayerStack(
         [Layer(INF, ConstantIndex(1.5 + 0.3j)),
          Layer(10e-6, ConstantIndex(1.1 + 0.1j), self_consistent=True),
          Layer(INF, ConstantIndex(2.5 + 0.5j))],
@@ -80,7 +80,7 @@ def test_solver_needs_a_reservoir():
 
 
 def test_equilibrium_reservoirs_give_flat_profile():
-    stack = LayerStack.assemble([
+    stack = LayerStack([
         Layer(INF, ConstantIndex(1.5 + 0.3j), 350.0),
         Layer(10e-6, ConstantIndex(1.1 + 0.1j), self_consistent=True),
         Layer(INF, ConstantIndex(2.5 + 0.5j), 350.0),
