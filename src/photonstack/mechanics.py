@@ -39,7 +39,7 @@ from .spectral import (
     ldos_gradient,
     occupation_sums,
 )
-from .stack import LayerSlices, LayerStack, TemperatureProfile
+from .stack import TemperatureProfile
 from .units import c, hbar
 
 _INTERFACE_CLEARANCE = 1e-12  # meters; force probes must stay off boundaries
@@ -65,16 +65,6 @@ class ForceDensitySample:
     thermal: np.ndarray
     occupation: np.ndarray
     total: np.ndarray
-
-
-def _profile_edges(stack: LayerStack, profile: TemperatureProfile):
-    """Interface positions plus any interior slice boundaries; the
-    occupancy gradient jumps across each of them."""
-    edges = list(stack.interfaces)
-    for entry in profile.entries:
-        if isinstance(entry, LayerSlices):
-            edges.extend(entry.boundaries[1:-1])
-    return sorted(edges)
 
 
 def force_density(points: FieldPoints, densities: FieldTriplet,
@@ -154,7 +144,7 @@ def fd_residual(basis: WaveBasis, profile: TemperatureProfile, x, total):
     lam = 2.0 * np.pi * c / (float(np.max(om)) * n_re)
     xs = np.atleast_1d(x)
     out = np.full(xs.shape + om.shape, np.nan)
-    dist = _edge_distance(xs, _profile_edges(basis.stack, profile))
+    dist = _edge_distance(xs, profile.edges)
     checked = dist >= _INTERFACE_CLEARANCE
     if checked.any():
         h = lam / 1000.0
@@ -187,21 +177,16 @@ def net_force(basis: WaveBasis, profile: TemperatureProfile, x1: float, x2: floa
     return PointField(basis, profile, x1).energy - PointField(basis, profile, x2).energy
 
 
-def frequency_integrated_force(
-    stack: LayerStack,
-    profile: TemperatureProfile,
-    x1: float,
-    x2: float,
-    omega_grid,
-) -> float:
-    """Thermal net force per unit area on the material between two smooth
-    probe points, integrated over ``omega_grid``. The zero-point part has
-    no cutoff, so it is not integrated."""
+def frequency_integrated_force(profile: TemperatureProfile, x1: float, x2: float,
+                               omega_grid) -> float:
+    """Thermal net force per unit area on the material of ``profile.stack``
+    between two smooth probe points, integrated over ``omega_grid``. The
+    zero-point part has no cutoff, so it is not integrated."""
     _check_probe_order(x1, x2)
     om = np.asarray(omega_grid, dtype=float)
     if om.ndim != 1 or om.size < 2 or np.any(np.diff(om) <= 0):
         raise ConfigError("frequency grid must be 1D and increasing")
-    basis = solve_wave_basis(stack, om)
+    basis = solve_wave_basis(profile.stack, om)
     at1 = PointField(basis, profile, x1)
     at2 = PointField(basis, profile, x2)
     thermal_integrand = hbar * om * (at1.densities.total * at1.numbers.total

@@ -95,6 +95,8 @@ class GridSpec:
         stop = _real(data["stop"], f"{where}: stop")
         if not np.all(np.isfinite([start, stop])):
             raise ConfigError(f"{where}: start and stop must be finite")
+        if not np.isfinite(stop - start):
+            raise ConfigError(f"{where}: the span stop - start must be finite")
         count = _count(data["count"], f"{where}: count")
         scale = data.get("scale", "linear")
         if scale not in ("linear", "log"):
@@ -266,13 +268,13 @@ def _pointwise_chunk(payload):
     pass per layer; top-level for pickling. With ``fd_check`` the second
     result holds the finite-difference residual per (position, energy),
     NaN where no check was made."""
-    xs, stack, profile, omega, quantities, units, fd_check = payload
-    basis = solve_wave_basis(stack, omega)
+    xs, profile, omega, quantities, units, fd_check = payload
+    basis = solve_wave_basis(profile.stack, omega)
     block = np.empty((len(xs), omega.size, len(quantities)))
     fd = np.full((len(xs), omega.size), np.nan) if fd_check else None
     ldos_scale = LDOS_UNIT if units == "paper" else 1.0
     forces = not _FORCE_QUANTITIES.isdisjoint(quantities)
-    layers = stack.layer_index(xs)
+    layers = basis.stack.layer_index(xs)
     for j in np.unique(layers):
         rows = layers == j
         pv = PointField(basis, profile, xs[rows], gradient=forces)
@@ -425,7 +427,7 @@ def run_scan(
                     "force densities are undefined there (shift the grid)"
                 )
         worker = _pointwise_chunk
-        context = (stack, solve_self_consistent(stack, **spec.balance).profile, omega,
+        context = (solve_self_consistent(stack, **spec.balance).profile, omega,
                    spec.quantities, spec.units, fd_check)
     # each payload is one ordered chunk of the axis (in metres), then the
     # context every chunk shares

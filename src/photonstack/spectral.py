@@ -170,8 +170,12 @@ def occupation_sums(points: FieldPoints, profile: TemperatureProfile, *,
                     gradient: bool = False) -> OccupationSums:
     """Accumulate the per-region propagation integrals that weight each
     source's occupancy at the field points, optionally with analytic
-    x-derivatives (one region-integral call per source region)."""
-    regions = profile.source_regions(points.basis.stack)
+    x-derivatives (one region-integral call per source region). The
+    profile must be built on the stack of the points' basis."""
+    if profile.stack is not points.basis.stack:
+        raise ConfigError("the temperature profile belongs to another stack "
+                          "than the field points' wave basis")
+    regions = profile.regions
     om = points.basis.omega
     # unfilled and occupancy-filled sums for each weight, in the field
     # order of OccupationSums: (d_e, f_e, d_m, f_m[, primes])

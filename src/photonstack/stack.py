@@ -20,6 +20,7 @@ import numbers
 import reprlib
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +45,10 @@ class ConstantIndex:
     def at(self, omega):
         return complex(self.value)
 
-    def losses(self) -> np.ndarray:
-        # Im[n^2], the same at every frequency
-        return np.array([(self.value * self.value).imag])
+    @property
+    def values(self) -> np.ndarray:
+        """The index as a one-node table, the shape of TabulatedIndex.values."""
+        return np.array([complex(self.value)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,13 +74,6 @@ class TabulatedIndex:
         )
         return out if out.shape else complex(out)
 
-    def losses(self) -> np.ndarray:
-        # Im[n^2] = 2 Re[n] Im[n] at the nodes; between two nodes it is a
-        # product of two nonnegative linear functions, so its minimum
-        # there is a node value and it vanishes on a segment only if it
-        # vanishes at both ends.
-        return (self.values * self.values).imag
-
 
 @dataclass(frozen=True)
 class Layer:
@@ -98,10 +93,19 @@ class Layer:
         return self.thickness == math.inf
 
     @property
+    def losses(self) -> np.ndarray:
+        """Im[n^2] = 2 Re[n] Im[n] at the index model's nodes. Between two
+        nodes it is a product of two nonnegative linear functions, so its
+        minimum there is a node value and it vanishes on a segment only if
+        it vanishes at both ends."""
+        n = self.index.values
+        return (n * n).imag
+
+    @property
     def lossy(self) -> bool:
         """Whether the layer absorbs, and so emits, at some frequency of
         its index model: Im[n^2] > 0 at any node."""
-        return bool(np.any(self.index.losses() > 0.0))
+        return bool(np.any(self.losses > 0.0))
 
     @property
     def has_assignment(self) -> bool:
@@ -115,6 +119,10 @@ def _kelvin(t) -> bool:
             and 0 < t <= sys.float_info.max)
 
 
+_EMITTERS_ONLY = ("a temperature assignment requires a lossy medium (Im[n^2] > 0), "
+                  "since only lossy layers emit")
+
+
 def _check_layer(i: int, layer: Layer, last: int, problems: list[str]) -> None:
     outer = i == 0 or i == last
     if outer:
@@ -123,31 +131,21 @@ def _check_layer(i: int, layer: Layer, last: int, problems: list[str]) -> None:
     else:
         if not (layer.thickness > 0 and math.isfinite(layer.thickness)):
             problems.append(f"layer {i}: interior thickness must be finite and > 0")
-    if isinstance(layer.index, ConstantIndex):
-        v = complex(layer.index.value)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            problems.append(f"layer {i}: refractive index must be finite")
-        if v.real <= 0:
-            problems.append(f"layer {i}: Re[n] must be positive (passive media)")
-        if v.imag < 0:
-            problems.append(f"layer {i}: Im[n] must be nonnegative (passive media)")
-    else:
-        tab = layer.index
-        if not (np.all(np.isfinite(tab.omega)) and np.all(np.isfinite(tab.values))):
-            problems.append(f"layer {i}: tabulated energies and index must be finite")
-        if np.any(tab.values.real <= 0) or np.any(tab.values.imag < 0):
-            problems.append(
-                f"layer {i}: tabulated index must have Re[n] > 0 and Im[n] >= 0"
-            )
+    index = layer.index
+    if isinstance(index, TabulatedIndex) and not np.all(np.isfinite(index.omega)):
+        problems.append(f"layer {i}: tabulated energies must be finite")
+    n = index.values
+    if not np.all(np.isfinite(n)):
+        problems.append(f"layer {i}: refractive index must be finite")
+    if np.any(n.real <= 0) or np.any(n.imag < 0):
+        problems.append(f"layer {i}: refractive index must have Re[n] > 0 and "
+                        "Im[n] nonnegative (passive media)")
     if layer.temperature is not None and layer.self_consistent:
         problems.append(f"layer {i}: temperature cannot be both fixed and self-consistent")
     if layer.temperature is not None and not _kelvin(layer.temperature):
         problems.append(f"layer {i}: temperature must be positive and finite")
     if layer.has_assignment and not layer.lossy:
-        problems.append(
-            f"layer {i}: a temperature assignment requires a lossy medium "
-            "(Im[n^2] > 0), since only lossy layers emit"
-        )
+        problems.append(f"layer {i}: {_EMITTERS_ONLY}")
     if layer.self_consistent and layer.semi_infinite:
         problems.append(f"layer {i}: a semi-infinite layer cannot be self-consistent")
 
@@ -179,7 +177,7 @@ class LayerStack:
                 _check_layer(i, layer, last, problems)
             if not self.allow_lossless_bounds:
                 for i in (0, last):
-                    if not np.all(self.layers[i].index.losses() > 0.0):
+                    if not np.all(self.layers[i].losses > 0.0):
                         problems.append(
                             f"layer {i}: outer layers must be lossy at every "
                             "energy so that photon-number integrals converge"
@@ -467,22 +465,57 @@ class Region:
 
 @dataclass(frozen=True)
 class TemperatureProfile:
-    """Per-layer thermal state: a fixed kelvin value, a sliced interior
-    profile, or None for layers that do not emit."""
+    """The thermal state of one stack, per layer: a fixed kelvin value, a
+    sliced interior profile, or None. Building one checks it against the
+    stack and raises a one-line ConfigError for an entry list of the wrong
+    length, a temperature that is not a finite positive number, slices
+    that do not tile their layer, or an entry on a layer that does not
+    emit; no invalid profile exists.
 
+    ``edges`` lists the interfaces and the interior slice boundaries, in
+    order: the occupancy gradient jumps across each of them.
+    """
+
+    stack: LayerStack
     entries: tuple[float | LayerSlices | None, ...]
+    edges: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
+        if len(self.entries) != len(self.stack.layers):
+            raise ConfigError("profile length does not match the stack")
+        edges = list(self.stack.interfaces)
+        for j, (layer, entry) in enumerate(zip(self.stack.layers, self.entries)):
+            if entry is None:
+                continue
+            if not layer.lossy:
+                raise ConfigError(f"layer {j}: {_EMITTERS_ONLY}")
+            if isinstance(entry, LayerSlices):
+                b = entry.boundaries
+                if len(b) != len(entry.temperatures) + 1:
+                    raise ConfigError(f"layer {j}: slice boundaries do not match")
+                if (b[0], b[-1]) != self.stack.layer_bounds(j) or np.any(np.diff(b) <= 0):
+                    raise ConfigError(f"layer {j}: slices must exactly tile the layer")
+                if not all(map(_kelvin, entry.temperatures)):
+                    raise ConfigError(
+                        f"layer {j}: slice temperatures must be finite positive numbers")
+                edges.extend(b[1:-1])
+            elif not _kelvin(entry):
+                raise ConfigError(f"layer {j}: temperature must be a finite positive "
+                                  f"number, not {_brief(entry)}")
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     @classmethod
     def from_stack(cls, stack: LayerStack) -> "TemperatureProfile":
-        entries: list[float | LayerSlices | None] = []
+        """The stack's own fixed temperatures; a layer still marked
+        self-consistent raises MissingTemperatureError."""
         for i, layer in enumerate(stack.layers):
             if layer.self_consistent:
                 raise MissingTemperatureError(
                     f"layer {i} is marked {SELF_CONSISTENT}; run the balance "
                     "solver to resolve its temperature first"
                 )
-            entries.append(layer.temperature)
-        return cls(tuple(entries))
+        return cls(stack, [layer.temperature for layer in stack.layers])
 
     @classmethod
     def uniform(cls, stack: LayerStack, temperature: float) -> "TemperatureProfile":
@@ -490,52 +523,35 @@ class TemperatureProfile:
         if not _kelvin(temperature):
             raise ConfigError("temperature must be a finite positive number, "
                               f"not {_brief(temperature)}")
-        return cls(tuple(temperature if layer.lossy else None for layer in stack.layers))
+        return cls(stack, [temperature if layer.lossy else None for layer in stack.layers])
 
-    def validate(self, stack: LayerStack) -> None:
-        if len(self.entries) != len(stack.layers):
-            raise ConfigError("profile length does not match the stack")
-        for j, entry in enumerate(self.entries):
-            if entry is None:
-                continue
-            if isinstance(entry, LayerSlices):
-                lo, hi = stack.layer_bounds(j)
-                b = entry.boundaries
-                if len(b) != len(entry.temperatures) + 1:
-                    raise ConfigError(f"layer {j}: slice boundaries do not match")
-                if b[0] != lo or b[-1] != hi or np.any(np.diff(b) <= 0):
-                    raise ConfigError(f"layer {j}: slices must exactly tile the layer")
-                if not all(map(_kelvin, entry.temperatures)):
-                    raise ConfigError(
-                        f"layer {j}: slice temperatures must be finite positive numbers")
-            elif not _kelvin(entry):
-                raise ConfigError(f"layer {j}: temperature must be a finite positive "
-                                  f"number, not {_brief(entry)}")
+    @classmethod
+    def sliced(cls, stack: LayerStack, edges: dict, temps) -> "TemperatureProfile":
+        """The stack's fixed temperatures, with each self-consistent layer j
+        cut at ``edges[j]`` into slices at the matching row of ``temps``."""
+        entries = [layer.temperature for layer in stack.layers]
+        for (j, layer_edges), layer_temps in zip(edges.items(), temps):
+            entries[j] = LayerSlices(tuple(float(b) for b in layer_edges),
+                                     tuple(float(t) for t in layer_temps))
+        return cls(stack, entries)
 
-    def source_regions(self, stack: LayerStack) -> list[Region]:
-        """Enumerate uniform-temperature emitting regions, left to right.
+    @cached_property
+    def regions(self) -> tuple[Region, ...]:
+        """The uniform-temperature emitting regions, left to right.
 
-        Raises ConfigError if the profile does not fit the stack (see
-        ``validate``), and MissingTemperatureError if a lossy layer has no
-        assignment: photon-number integrals need every emitter's
-        temperature.
+        Raises MissingTemperatureError if a lossy layer has no entry:
+        photon-number integrals need every emitter's temperature, but the
+        mode densities of such a stack do not.
         """
-        self.validate(stack)
         regions: list[Region] = []
-        for j, layer in enumerate(stack.layers):
-            entry = self.entries[j]
-            if not layer.lossy:
-                continue
-            if entry is None:
-                raise MissingTemperatureError(
-                    f"layer {j} is lossy but has no temperature assignment"
-                )
-            lo, hi = stack.layer_bounds(j)
+        for j, (layer, entry) in enumerate(zip(self.stack.layers, self.entries)):
             if isinstance(entry, LayerSlices):
-                for i, t in enumerate(entry.temperatures):
-                    regions.append(
-                        Region(j, entry.boundaries[i], entry.boundaries[i + 1], float(t))
-                    )
-            else:
-                regions.append(Region(j, lo, hi, float(entry)))
-        return regions
+                b = entry.boundaries
+                regions.extend(Region(j, b[i], b[i + 1], float(t))
+                               for i, t in enumerate(entry.temperatures))
+            elif entry is not None:
+                regions.append(Region(j, *self.stack.layer_bounds(j), float(entry)))
+            elif layer.lossy:
+                raise MissingTemperatureError(
+                    f"layer {j} is lossy but has no temperature assignment")
+        return tuple(regions)

@@ -35,8 +35,7 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError
 from .greens import solve_wave_basis
 from .spectral import electric_density, source_occupation, source_weights
-from .stack import (LayerSlices, LayerStack, TemperatureProfile, _count, _integer,
-                    _mapping, _real)
+from .stack import LayerStack, TemperatureProfile, _count, _integer, _mapping, _real
 from .units import hbar, omega_from_ev
 
 
@@ -122,16 +121,6 @@ def _bisect_all(balance, n: int, t_lo: float, t_hi: float, tol: float):
     return roots
 
 
-def _sliced_profile(stack: LayerStack, edges: dict, temps) -> TemperatureProfile:
-    """The stack's fixed temperatures, with each self-consistent layer j
-    cut at ``edges[j]`` into slices at the matching row of ``temps``."""
-    entries = [layer.temperature for layer in stack.layers]
-    for (j, layer_edges), layer_temps in zip(edges.items(), temps):
-        entries[j] = LayerSlices(tuple(float(b) for b in layer_edges),
-                                 tuple(float(t) for t in layer_temps))
-    return TemperatureProfile(tuple(entries))
-
-
 def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     """Find slice temperatures that zero each slice's integrated exchange.
 
@@ -181,9 +170,9 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     slice_edges = {j: np.linspace(*stack.layer_bounds(j), slices + 1) for j in sc_layers}
     n_slices = len(sc_layers) * slices
     temps = np.full(n_slices, t_init)
-    initial = _sliced_profile(stack, slice_edges, temps.reshape(-1, slices))
+    initial = TemperatureProfile.sliced(stack, slice_edges, temps.reshape(-1, slices))
     # reservoirs before slices: the balance temperatures depend on this summation order
-    regions = sorted(initial.source_regions(stack),
+    regions = sorted(initial.regions,
                      key=lambda reg: stack.layers[reg.layer].self_consistent)
 
     # one field-point record per layer over all of its slice midpoints,
@@ -238,7 +227,7 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     residuals = integrated_balance(temps, np.arange(n_slices), field_numbers(temps))
 
     return BalanceResult(
-        profile=_sliced_profile(stack, slice_edges, temps.reshape(-1, slices)),
+        profile=TemperatureProfile.sliced(stack, slice_edges, temps.reshape(-1, slices)),
         slice_positions=tuple(float(x) for x in np.concatenate(midpoints)),
         temperatures=temps,
         residuals=residuals,

@@ -49,10 +49,10 @@ def net_force_occupation_route(basis, profile, x1: float, x2: float):
     return hbar * om * rho1 * (n1 - n2)
 
 
-def temperature_at(profile, stack, x: float) -> float | None:
+def temperature_at(profile, x: float) -> float | None:
     """The profile's temperature at x: its layer's fixed value, the slice
     holding x, or None for a layer that does not emit."""
-    entry = profile.entries[stack.layer_index(x)]
+    entry = profile.entries[profile.stack.layer_index(x)]
     if entry is None:
         return None
     if isinstance(entry, LayerSlices):
@@ -72,7 +72,7 @@ def net_emission(basis, profile, x: float) -> np.ndarray:
     im_n2 = (nn * nn).imag
     if not np.any(im_n2 != 0.0):
         return np.zeros(om.shape)
-    temperature = temperature_at(profile, stack, x)
+    temperature = temperature_at(profile, x)
     if temperature is None:
         raise ConfigError(f"no temperature assigned at x = {x!r}")
     n_e = photon_numbers(basis.at(x), profile).electric

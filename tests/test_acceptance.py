@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from photonstack.greens import solve_wave_basis
-from photonstack.mechanics import _profile_edges, fd_residual, net_force
+from photonstack.mechanics import fd_residual, net_force
 from photonstack.scan import ScanSpec, run_scan
 from photonstack.spectral import (
     effective_temperatures,
@@ -183,8 +183,8 @@ def balanced_passive(passive_cavity, passive_balance):
 
 @pytest.fixture(scope="module")
 def smooth_points(balanced_passive):
-    stack, _, profile = balanced_passive
-    edges = np.array(_profile_edges(stack, profile))
+    _, _, profile = balanced_passive
+    edges = np.array(profile.edges)
     rng = np.random.default_rng(7)
     points = []
     while len(points) < 100:

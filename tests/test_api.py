@@ -1,6 +1,7 @@
 """Shape of the public API: every pointwise function reads the stack
-through the wave basis (``basis.stack``) or the field-point record built
-from it, so a stack and a basis passed side by side cannot disagree."""
+through the wave basis (``basis.stack``), the field-point record built
+from it or the temperature profile (``profile.stack``), so a stack passed
+beside a basis or a profile cannot disagree with it."""
 
 import inspect
 
@@ -32,4 +33,10 @@ def test_public_callables_are_found():
 def test_no_function_takes_both_a_stack_and_a_basis():
     both = [name for name, fn in _public_callables()
             if {"stack", "basis"} <= set(inspect.signature(fn).parameters)]
+    assert both == []
+
+
+def test_no_function_takes_both_a_stack_and_a_profile():
+    both = [name for name, fn in _public_callables()
+            if {"stack", "profile"} <= set(inspect.signature(fn).parameters)]
     assert both == []

@@ -120,11 +120,11 @@ def test_force_density_integrates_to_pressure_difference(
 
 # --- net force on a slab ---------------------------------------------------
 
-def test_probe_order_validated(cavity, cavity_basis, cavity_profile):
+def test_probe_order_validated(cavity_basis, cavity_profile):
     with pytest.raises(InterfacePointError, match="x1 < x2"):
         net_force(cavity_basis, cavity_profile, 7e-6, 2e-6)
     with pytest.raises(InterfacePointError, match="x1 < x2"):
-        frequency_integrated_force(cavity, cavity_profile, 7e-6, 2e-6,
+        frequency_integrated_force(cavity_profile, 7e-6, 2e-6,
                                    omega_from_ev(np.linspace(0.02, 0.3, 8)))
 
 
@@ -210,10 +210,10 @@ def test_absorption_turns_pulling_into_pushing():
     assert pulled[0] < thin[0] < 0
 
 
-def test_integrated_force_rejects_a_decreasing_grid(cavity, cavity_profile):
+def test_integrated_force_rejects_a_decreasing_grid(cavity_profile):
     om = omega_from_ev(np.array([0.2, 0.1, 0.05]))
     with pytest.raises(ConfigError, match="frequency grid must be 1D and increasing"):
-        frequency_integrated_force(cavity, cavity_profile, 2e-6, 8e-6, om)
+        frequency_integrated_force(cavity_profile, 2e-6, 8e-6, om)
 
 
 def test_integrated_thermal_force_points_to_cold_wall():
@@ -222,5 +222,5 @@ def test_integrated_thermal_force_points_to_cold_wall():
     profile = solve_self_consistent(stack, slices=8).profile
     om = omega_from_ev(np.geomspace(0.005, 0.8, 64))
     x1 = 0.25 * 7.5e-6
-    assert frequency_integrated_force(stack, profile, x1, 10e-6 - x1, om) > 0.0
+    assert frequency_integrated_force(profile, x1, 10e-6 - x1, om) > 0.0
 

@@ -108,6 +108,10 @@ _CASES = {
     "energies_infinite_stop": (
         lambda d: lambda: ScanSpec.from_mapping(_spec(energies__stop=math.inf)),
         "energies: start and stop must be finite"),
+    "positions_overflowing_span": (
+        lambda d: lambda: ScanSpec.from_mapping(
+            _spec(positions={"start": -1.0e308, "stop": 1.0e308, "count": 3})),
+        "positions: the span stop - start must be finite"),
     "positions_nan_single_point": (
         lambda d: lambda: ScanSpec.from_mapping(
             _spec(positions={"start": math.nan, "stop": math.nan, "count": 1})),
@@ -225,6 +229,19 @@ def test_one_function_reads_files():
 
     assert _call_sites(reads) == {("stack", "_read_text", "read_text"),
                                   ("stack", "_read_yaml", "safe_load")}
+
+
+def test_only_stack_knows_the_profile_entry_format():
+    """``LayerSlices`` is named only in ``stack`` (and re-exported by the
+    package), so every other module reads a profile through its
+    ``regions`` and ``edges``."""
+    named = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # a Name's id, an Attribute's attr, an import alias's or a def's name
+            if "LayerSlices" in {getattr(node, k, None) for k in ("id", "attr", "name")}:
+                named.add(path.stem)
+    assert named == {"stack", "__init__"}
 
 
 def test_one_function_writes_files():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from photonstack.errors import ConfigError, MissingTemperatureError
 from photonstack.greens import solve_wave_basis
+from photonstack.mechanics import PointField, net_force
 from photonstack.spectral import photon_numbers
 from photonstack.stack import (
     ConstantIndex,
@@ -20,7 +21,7 @@ from photonstack.stack import (
 )
 from photonstack.units import omega_from_ev
 
-from conftest import INF, cavity_stack
+from conftest import INF, cavity_stack, passive_cavity_stack
 from oracles import temperature_at
 
 
@@ -102,7 +103,7 @@ def test_tabulated_index_interpolation_and_bounds():
     tab = TabulatedIndex(om, np.array([1.5 + 0.1j, 1.7 + 0.3j, 1.9 + 0.5j]))
     mid = tab.at(omega_from_ev(0.15))
     assert mid == pytest.approx(1.8 + 0.4j)
-    assert min(tab.losses()) == pytest.approx(((1.5 + 0.1j) ** 2).imag)
+    assert min(Layer(5e-6, tab).losses) == pytest.approx(((1.5 + 0.1j) ** 2).imag)
     with pytest.raises(ConfigError, match="does not cover"):
         tab.at(omega_from_ev(0.3))
 
@@ -213,13 +214,13 @@ def test_profile_from_stack_and_uniform():
     stack = cavity_stack()
     profile = TemperatureProfile.from_stack(stack)
     assert profile.entries == (400.0, None, 300.0)
-    assert temperature_at(profile, stack, -1e-6) == 400.0
-    assert temperature_at(profile, stack, 5e-6) is None
-    assert temperature_at(profile, stack, 11e-6) == 300.0
+    assert temperature_at(profile, -1e-6) == 400.0
+    assert temperature_at(profile, 5e-6) is None
+    assert temperature_at(profile, 11e-6) == 300.0
 
     eq = TemperatureProfile.uniform(stack, 350.0)
     assert eq.entries == (350.0, None, 350.0)
-    eq.validate(stack)
+    assert eq.stack is stack and eq.edges == stack.interfaces
 
 
 def test_profile_requires_solved_self_consistent():
@@ -235,7 +236,7 @@ def test_profile_requires_solved_self_consistent():
 def test_source_regions_enumerate_lossy_layers():
     stack = cavity_stack()
     profile = TemperatureProfile.from_stack(stack)
-    regions = profile.source_regions(stack)
+    regions = profile.regions
     assert [r.layer for r in regions] == [0, 2]
     assert regions[0].hi == 0.0 and math.isinf(regions[0].lo)
     assert regions[1].lo == 10e-6 and math.isinf(regions[1].hi)
@@ -252,50 +253,75 @@ def test_sliced_profile_lookup_and_validation():
         boundaries=tuple(np.linspace(0.0, 10e-6, 5)),
         temperatures=(380.0, 360.0, 340.0, 320.0),
     )
-    profile = TemperatureProfile((400.0, slices, 300.0))
-    profile.validate(stack)
-    assert temperature_at(profile, stack, 1e-6) == 380.0
-    assert temperature_at(profile, stack, 9.9e-6) == 320.0
-    regions = profile.source_regions(stack)
+    profile = TemperatureProfile(stack, (400.0, slices, 300.0))
+    assert temperature_at(profile, 1e-6) == 380.0
+    assert temperature_at(profile, 9.9e-6) == 320.0
+    regions = profile.regions
     assert len(regions) == 6
     assert [r.temperature for r in regions[1:5]] == [380.0, 360.0, 340.0, 320.0]
+    assert profile.edges == (0.0, *slices.boundaries[1:-1], 10e-6)
 
-    bad = TemperatureProfile((400.0, LayerSlices((0.0, 10e-6), (350.0, 340.0)), 300.0))
     with pytest.raises(ConfigError, match="slice boundaries"):
-        bad.validate(stack)
-    shifted = TemperatureProfile(
-        (400.0, LayerSlices((1e-6, 10e-6), (350.0,)), 300.0))
+        TemperatureProfile(
+            stack, (400.0, LayerSlices((0.0, 10e-6), (350.0, 340.0)), 300.0))
     with pytest.raises(ConfigError, match="exactly tile"):
-        shifted.validate(stack)
+        TemperatureProfile(stack, (400.0, LayerSlices((1e-6, 10e-6), (350.0,)), 300.0))
 
 
-@pytest.mark.parametrize("entries, fragment", [
-    ((400.0, LayerSlices((0.0, 10e-6), (350.0, 340.0)), 300.0), "slice boundaries"),
-    ((400.0, LayerSlices((0.0, 4e-6), (350.0,)), 300.0), "exactly tile"),
-    ((400.0, LayerSlices((0.0, 6e-6, 4e-6, 10e-6), (350.0, 340.0, 330.0)), 300.0),
+def test_profile_reports_a_lossy_layer_without_temperature_on_read():
+    """A lossy layer left without a temperature still makes a profile,
+    since mode densities need none; reading its source regions raises."""
+    stack = cavity_stack()
+    profile = TemperatureProfile(stack, (None, None, 300.0))
+    with pytest.raises(MissingTemperatureError, match="layer 0"):
+        profile.regions
+
+
+@pytest.mark.parametrize("make_stack, entries, fragment", [
+    (passive_cavity_stack, (400.0, LayerSlices((0.0, 10e-6), (350.0, 340.0)), 300.0),
+     "slice boundaries"),
+    (passive_cavity_stack, (400.0, LayerSlices((0.0, 4e-6), (350.0,)), 300.0),
      "exactly tile"),
-    ((400.0, LayerSlices((0.0, 10e-6), (350.0,))), "profile length"),
-    ((400.0, None, "300"), "positive number"),
-    ((400.0, None, True), "positive number"),
-    ((math.inf, None, 300.0), "positive number"),
-    ((400.0, LayerSlices((0.0, 10e-6), ("350",)), 300.0), "positive numbers"),
+    (passive_cavity_stack,
+     (400.0, LayerSlices((0.0, 6e-6, 4e-6, 10e-6), (350.0, 340.0, 330.0)), 300.0),
+     "exactly tile"),
+    (passive_cavity_stack, (400.0, LayerSlices((0.0, 10e-6), (350.0,))), "profile length"),
+    (passive_cavity_stack, (400.0, None, "300"), "positive number"),
+    (passive_cavity_stack, (400.0, None, True), "positive number"),
+    (passive_cavity_stack, (math.inf, None, 300.0), "positive number"),
+    (passive_cavity_stack, (400.0, LayerSlices((0.0, 10e-6), ("350",)), 300.0),
+     "positive numbers"),
+    (cavity_stack, (400.0, 5000.0, 300.0), "layer 1: a temperature assignment requires"),
+    (cavity_stack, (400.0, LayerSlices((0.0, 5e-6, 10e-6), (1.0, 9000.0)), 300.0),
+     "layer 1: a temperature assignment requires"),
 ], ids=["count_mismatch", "partial_cover", "overlapping", "short",
         "string_temperature", "bool_temperature", "infinite_temperature",
-        "string_slice_temperature"])
-def test_photon_numbers_reject_a_profile_that_does_not_fit(entries, fragment):
-    """A hand-built profile is checked where its source regions are read,
-    so no photon number is computed from a profile that leaves part of a
-    layer dark, counts a part twice, runs past the stack or holds a
-    temperature that is not a finite positive number; the error is one
-    line."""
-    stack = LayerStack([
-        Layer(INF, ConstantIndex(1.5 + 0.3j), 400.0),
-        Layer(10e-6, ConstantIndex(1.1 + 0.1j), self_consistent=True),
-        Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),
-    ])
-    basis = solve_wave_basis(stack, omega_from_ev(np.array([0.05, 0.1])))
+        "string_slice_temperature", "lossless_layer_temperature",
+        "lossless_layer_slices"])
+def test_photon_numbers_reject_a_profile_that_does_not_fit(make_stack, entries, fragment):
+    """A hand-built profile is checked when it is built, so no photon
+    number is computed from a profile that leaves part of a layer dark,
+    counts a part twice, runs past the stack, holds a temperature that is
+    not a finite positive number or gives one to a layer that does not
+    emit (which no source region would read); the error is one line."""
     with pytest.raises(ConfigError, match=fragment) as info:
-        photon_numbers(basis.at(5e-6), TemperatureProfile(entries))
+        TemperatureProfile(make_stack(), entries)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda basis, profile: photon_numbers(basis.at(5e-6), profile),
+    lambda basis, profile: net_force(basis, profile, 2e-6, 8e-6),
+    lambda basis, profile: PointField(basis, profile, 5e-6).temperatures,
+], ids=["photon_numbers", "net_force", "PointField_temperatures"])
+def test_a_profile_of_another_stack_is_rejected(evaluate):
+    """Two equal stacks are still two stacks: a profile is read only with
+    field points of its own stack, so a basis solved for an edited copy
+    never meets a profile built for the original."""
+    basis = solve_wave_basis(cavity_stack(), omega_from_ev(np.array([0.05, 0.1])))
+    profile = TemperatureProfile.from_stack(cavity_stack())
+    with pytest.raises(ConfigError, match="another stack") as info:
+        evaluate(basis, profile)
     assert "\n" not in str(info.value)
 
 

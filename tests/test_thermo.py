@@ -55,7 +55,7 @@ def test_hot_reservoir_is_net_emitter(cavity, cavity_basis, cavity_profile):
 
 
 def test_missing_temperature_raises(cavity, cavity_basis):
-    profile = TemperatureProfile((None, None, 300.0))
+    profile = TemperatureProfile(cavity, (None, None, 300.0))
     with pytest.raises(ConfigError, match="no temperature assigned"):
         net_emission(cavity_basis, profile, -1e-6)
 
@@ -107,7 +107,7 @@ def test_passive_cavity_profile_entry_is_sliced(passive_balance, passive_cavity)
     assert isinstance(entry, LayerSlices)
     assert entry.boundaries[0] == 0.0
     assert entry.boundaries[-1] == pytest.approx(10e-6)
-    passive_balance.profile.validate(passive_cavity)
+    assert passive_balance.profile.stack is passive_cavity
     # slice positions are the midpoints of the tiling
     mids = 0.5 * (np.array(entry.boundaries[:-1]) + np.array(entry.boundaries[1:]))
     assert np.allclose(np.array(passive_balance.slice_positions), mids)
@@ -119,8 +119,7 @@ def test_solved_profile_zeroes_integrated_exchange(passive_balance, passive_cavi
     om = default_balance_grid()
     basis = solve_wave_basis(passive_cavity, om)
     profile = passive_balance.profile
-    unbalanced = TemperatureProfile(
-        (400.0, 350.0, 300.0))
+    unbalanced = TemperatureProfile(passive_cavity, (400.0, 350.0, 300.0))
     for x in np.array(passive_balance.slice_positions)[[0, 7, 15]]:
         solved = trapezoid(net_emission(basis, profile, x), om)
         flat = trapezoid(net_emission(basis, unbalanced, x), om)
