@@ -4,34 +4,29 @@ Conventions
 -----------
 G solves ``G'' + (omega n(x)/c)^2 G = -delta(x - x')`` with outgoing-wave
 behavior in both semi-infinite outer layers (time dependence e^{-i omega t},
-so e^{+ikx} travels right). It is assembled from two homogeneous solutions:
-
-* ``psi_left``: purely left-going in the first layer,
-* ``psi_right``: purely right-going in the last layer,
-
-as ``G(x, x') = -psi_left(x_<) psi_right(x_>) / W`` with the Wronskian
-``W = psi_left psi_right' - psi_left' psi_right``, a constant across the
-structure. In a uniform medium this reduces to ``i e^{ik|x-x'|} / (2k)``.
+so e^{+ikx} travels right). With ``psi_left`` purely left-going in the
+first layer and ``psi_right`` purely right-going in the last, ``G(x, x') =
+-psi_left(x_<) psi_right(x_>) / W``, where the Wronskian ``W = psi_left
+psi_right' - psi_left' psi_right`` is constant across the structure; in a
+uniform medium G is ``i e^{ik|x-x'|} / (2k)``. The mixed derivative at
+coincidence, ``-psi_left'(x) psi_right'(x) / W``, gives the magnetic mode
+density.
 
 Within each layer a solution is stored as an amplitude pair (a, b) of
 ``a e^{ik(x-ref)} + b e^{-ik(x-ref)}`` about a per-layer reference point,
 together with a real log-scale factor: the physical solution is
 ``exp(scale) * (a e^{...} + b e^{...})``. Amplitudes are renormalized at
-every interface crossing, so the transfer march never overflows no matter
-how optically thick the layers are. Pointwise evaluation deep inside a
-layer and the closed-form layer integrals keep at most one factor of
-``exp(2 Im[k] * span)``, which bounds usable spans to a few hundred
-absorption lengths; that covers any micron-scale structure by a wide
-margin.
-
-The same two solutions give the mixed derivative of G at coincidence,
-``d^2 G / dx dx' (x, x) = -psi_left'(x) psi_right'(x) / W``, from which
-the magnetic mode density is read.
+every interface crossing, so the transfer march never overflows. Source
+integrals need no quadrature: ``psi'' = -k^2 psi`` gives Green's identity
+``d/dx Im(psi* psi') = -Im(k^2) |psi|^2`` in each layer, so a region's
+integral of ``Im[k^2] |psi|^2`` is the drop of that flux between its
+edges. Pointwise values deep inside a layer keep one factor of
+``exp(Im[k] * span)`` and the flux its square, which bounds usable spans
+to a few hundred absorption lengths.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +37,6 @@ from .units import c
 
 _DEGENERACY_FLOOR = 1e-13
 _WRONSKIAN_DRIFT_TOL = 1e-8
-_SERIES_THRESHOLD = 1e-6
 
 
 def interface_coefficients(n_left, n_right):
@@ -93,16 +87,26 @@ class WaveBasis:
         array of points within one layer), in that layer's scaling."""
         j = self.stack.layer_of(x)
         xs = np.asarray(x, dtype=float)
+        waves = self._waves(j, xs)
+        return FieldPoints(self, xs, j, *self._solution(True, j, waves),
+                           *self._solution(False, j, waves), self.wronskian_scaled[j])
+
+    def _waves(self, j: int, xs: np.ndarray, shift=None):
+        """e^{+-ik(x - ref)} (times e^shift) of layer j at the points xs,
+        shape xs.shape + omega.shape."""
         u = (xs - self.refs[j]).reshape(xs.shape + (1,) * self.omega.ndim)
         kk = self.wavenumbers[j]
-        ep, em = np.exp(1j * kk * u), np.exp(-1j * kk * u)
+        if shift is None:
+            return np.exp(1j * kk * u), np.exp(-1j * kk * u)
+        return np.exp(1j * kk * u + shift), np.exp(-1j * kk * u + shift)
 
-        def solution(a, b):
-            return a[j] * ep + b[j] * em, 1j * kk * (a[j] * ep - b[j] * em)
-
-        return FieldPoints(self, xs, j, *solution(self.a_left, self.b_left),
-                           *solution(self.a_right, self.b_right),
-                           self.wronskian_scaled[j])
+    def _solution(self, left: bool, j: int, waves):
+        """psi_left (or psi_right) of layer j and its x-derivative from the
+        plane waves of ``_waves``, in that layer's scaling."""
+        a, b = (self.a_left, self.b_left) if left else (self.a_right, self.b_right)
+        ep, em = waves
+        kk = self.wavenumbers[j]
+        return a[j] * ep + b[j] * em, 1j * kk * (a[j] * ep - b[j] * em)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,131 +252,69 @@ solve_bases = solve_wave_basis
 
 
 # ---------------------------------------------------------------------------
-# closed-form source integrals
+# source integrals from edge fluxes
+
+def _flux(psi, dpsi, k0sq):
+    """Im(psi* psi') / k0^2 (psi' divided first, against overflow)."""
+    return (np.conj(psi) * (dpsi / k0sq)).imag
+
 
 @dataclass(frozen=True, eq=False)
 class RegionIntegrals:
-    """Integrals of |G|^2 and |dG/dx|^2 over one source region, with
-    optional derivatives with respect to the field point."""
+    """Im[n_j^2] times the integral of |psi|^2 over each region of layer j:
+    ``left`` for psi_left (regions left of the points), ``right`` for
+    psi_right, None for a side not seen. A weight is one times |c|^2, c =
+    psi/W at the points (times e^shift). For points in layer j, ``below``
+    counts the regions wholly left of each point, ``inside`` marks points
+    inside region ``below``, and ``split_left``/``split_right`` are its
+    parts left and right of the point (zero elsewhere)."""
 
-    gg: np.ndarray
-    dgg: np.ndarray
-    d_gg: np.ndarray | None = None
-    d_dgg: np.ndarray | None = None
-
-
-def _exp_int(alpha, t1, t2):
-    # int_{t1}^{t2} e^{alpha t} dt for finite bounds (scalars or arrays
-    # broadcasting against alpha); series below the cancellation
-    # threshold, exact form otherwise
-    span = t2 - t1
-    z = alpha * span
-    small = np.abs(z) < _SERIES_THRESHOLD
-    zsafe = np.where(small, 1.0, z)
-    ec = np.where(small, 1.0 + z * 0.5 + z * z / 6.0, (np.exp(zsafe) - 1.0) / zsafe)
-    return np.exp(alpha * t1) * span * ec
+    left: np.ndarray | None
+    right: np.ndarray | None
+    shift: np.ndarray | None = None
+    below: np.ndarray | None = None
+    inside: np.ndarray | None = None
+    split_left: np.ndarray | None = None
+    split_right: np.ndarray | None = None
 
 
-def _interval_sq(a, b, kk, t1, t2):
-    """Integral of |a e^{ikt} + b e^{-ikt}|^2 over [t1, t2]. One bound may
-    be an array of finite bounds shaped to broadcast against kk; an
-    infinite bound is a scalar, and the coefficient growing toward it must
-    vanish."""
-    kappa = kk.imag
-    if np.isscalar(t1) and t1 == -math.inf:
-        if np.any(a != 0):
-            raise DivergentSourceError("left tail carries a growing wave component")
-        if np.any(kappa <= 0):
-            raise DivergentSourceError("semi-infinite source layer must be lossy")
-        return np.abs(b) ** 2 * np.exp(2.0 * kappa * t2) / (2.0 * kappa)
-    if np.isscalar(t2) and t2 == math.inf:
-        if np.any(b != 0):
-            raise DivergentSourceError("right tail carries a growing wave component")
-        if np.any(kappa <= 0):
-            raise DivergentSourceError("semi-infinite source layer must be lossy")
-        return np.abs(a) ** 2 * np.exp(-2.0 * kappa * t1) / (2.0 * kappa)
-    out = np.abs(a) ** 2 * _exp_int(-2.0 * kappa + 0j, t1, t2)
-    out = out + np.abs(b) ** 2 * _exp_int(2.0 * kappa + 0j, t1, t2)
-    out = out + 2.0 * a * np.conj(b) * _exp_int(2j * kk.real, t1, t2)
-    return out.real
-
-
-def region_integrals(
-    points: FieldPoints, j: int, lo: float, hi: float, *, gradient: bool = False
-) -> RegionIntegrals:
-    """Closed-form source integrals over the part of layer j in [lo, hi],
-    seen from the field points ``points``.
-
-    Every result has shape x.shape + omega.shape, and each point's
-    entries are exactly those a call with that point alone returns.
-
-    For a source interval on one side of the field point, G restricted to
-    that interval is a fixed two-exponential profile times an x-dependent
-    coefficient, so each integral is the profile integral times the
-    squared coefficient. An interval containing the field point splits
-    at x into two such one-sided parts, [lo, x] and [x, hi], whose sum
-    the gradient of ``dgg`` completes with the jump term of the
-    derivative kernel at x. The case is chosen per point: the interval
-    lies left of x when ``hi <= x`` (always so for an earlier layer),
-    right of it when ``lo >= x`` (a later layer), and contains it
-    otherwise (with no mask copy when all points lie on one side). Gradients
-    differentiate the coefficients analytically (the profile integrals
-    only move through the split point).
+def region_integrals(points: FieldPoints, j: int, edges) -> RegionIntegrals:
+    """Source integrals over the regions of layer j between consecutive
+    ``edges`` (increasing; the ends may be infinite), seen from ``points``:
+    each is the flux drop ``(F(lo) - F(hi)) / k0^2``, ``F = Im(psi* psi')``,
+    with F = 0 at a decaying tail (a lossless one raises
+    DivergentSourceError) and zero where layer j is lossless. A region lies
+    left of a point when ``hi <= x``, right of it when ``lo >= x``; a point
+    inside one splits it with F(x) from ``points``. Another layer's psi
+    reaches the points' scaling through e^(scale[j] - scale[A]): psi_left
+    grows to the right, so its edge waves take the factor in their
+    exponent; psi_right decays, so the coefficients take it (``shift``).
     """
-    basis, A, w = points.basis, points.layer, points.w
-    k2 = basis.wavenumbers[A] ** 2
+    basis, A, om = points.basis, points.layer, points.basis.omega
     kj = basis.wavenumbers[j]
-    ref = basis.refs[j]
+    e = np.asarray(edges, dtype=float)
+    tail = np.isinf(e)
+    if tail.any() and np.any(kj.imag <= 0):
+        raise DivergentSourceError("semi-infinite source layer must be lossy")
+    k0sq, lossy = (om / c) ** 2, kj.imag > 0
 
-    def one_side(pts, interval_left_of_x, phi, dphi, lo, hi):
-        # G over [lo, hi] is layer j's psi_left (psi_right) times a
-        # coefficient set by psi_right (psi_left), passed as phi, at x
-        if interval_left_of_x:
-            a, b, scale = basis.a_left, basis.b_left, basis.scale_left
-        else:
-            a, b, scale = basis.a_right, basis.b_right, basis.scale_right
-        s = np.exp(scale[j] - scale[A])
-        coeff = -phi[pts] * s / w
-        dcoeff = -dphi[pts] * s / w
-        prof = _interval_sq(a[j], b[j], kj, lo - ref, hi - ref)
-        parts = [np.abs(coeff) ** 2 * prof, np.abs(dcoeff) ** 2 * prof]
-        if gradient:
-            parts.append(2.0 * (dcoeff * np.conj(coeff)).real * prof)
-            parts.append(-2.0 * (k2 * coeff * np.conj(dcoeff)).real * prof)
-        return parts
+    def per_region(left, waves):
+        f = np.zeros(e.shape + om.shape)
+        f[~tail] = _flux(*basis._solution(left, j, waves), k0sq)
+        return np.where(lossy, f[:-1] - f[1:], 0.0), f
 
-    # the per-point masks below need an axis
-    xs = np.atleast_1d(points.x)
-    phi_l, dphi_l, phi_r, dphi_r = (
-        v.reshape(xs.shape + basis.omega.shape)
-        for v in (points.phi_l, points.dphi_l, points.phi_r, points.dphi_r))
-    shape = points.x.shape + basis.omega.shape
-    left = hi <= xs
-    right = ~left & (lo >= xs)
-    split = ~(left | right)
-    parts = [np.empty(phi_l.shape) for _ in range(4 if gradient else 2)]
-
-    def fill(pts, values):
-        for part, value in zip(parts, values):
-            part[pts] = value
-
-    for pts, side in ((left, (True, phi_r, dphi_r)), (right, (False, phi_l, dphi_l))):
-        if pts.all():
-            return RegionIntegrals(*(p.reshape(shape) for p in one_side(..., *side, lo, hi)))
-        if pts.any():
-            fill(pts, one_side(pts, *side, lo, hi))
-    if split.any():
-        # the interval splits at each of these field points
-        xsplit = xs[split].reshape((-1,) + (1,) * basis.omega.ndim)
-        below = one_side(split, True, phi_r, dphi_r, lo, xsplit)
-        above = one_side(split, False, phi_l, dphi_l, xsplit, hi)
-        values = [p_lo + p_hi for p_lo, p_hi in zip(below, above)]
-        if gradient:
-            # the |G|^2 boundary terms at the split cancel; the |dG/dx|^2
-            # ones survive because the derivative kernel jumps across the
-            # source
-            values[3] = (values[3]
-                         + np.abs(dphi_r[split] / w) ** 2 * np.abs(phi_l[split]) ** 2
-                         - np.abs(dphi_l[split] / w) ** 2 * np.abs(phi_r[split]) ** 2)
-        fill(split, values)
-    return RegionIntegrals(*(part.reshape(shape) for part in parts))
+    if j < A:
+        shift = basis.scale_left[j] - basis.scale_left[A]
+        return RegionIntegrals(per_region(True, basis._waves(j, e[~tail], shift))[0], None)
+    waves = basis._waves(j, e[~tail])
+    if j > A:
+        return RegionIntegrals(None, per_region(False, waves)[0],
+                               basis.scale_right[j] - basis.scale_right[A])
+    (q_left, f_left), (q_right, f_right) = per_region(True, waves), per_region(False, waves)
+    below = np.searchsorted(e[1:], points.x, side="right")
+    inside = np.searchsorted(e[:-1], points.x, side="left") > below
+    cut = np.reshape(inside, inside.shape + (1,) * om.ndim) & lossy
+    at = np.minimum(below, e.size - 2)
+    split_left = np.where(cut, f_left[at] - _flux(points.phi_l, points.dphi_l, k0sq), 0.0)
+    split_right = np.where(cut, _flux(points.phi_r, points.dphi_r, k0sq) - f_right[at + 1], 0.0)
+    return RegionIntegrals(q_left, q_right, None, below, inside, split_left, split_right)

@@ -9,16 +9,11 @@ spatial derivative away from interfaces, split into three named pieces:
 * occupation-gradient: ``-hbar omega rho_tot d(n_tot)/dx``.
 
 The last piece vanishes at thermal equilibrium; the first two trade off
-against each other through the mode-density gradient.
-
-All spatial derivatives are closed-form (the mode densities through the
-coincident Green's-function gradient, the occupancies through the
-analytic derivatives of the source integrals), so the decomposition sums
-exactly to the energy-density gradient at smooth points. Interfaces
-carry delta-function force contributions that pointwise evaluation
-cannot see; net forces on a body therefore always use the pressure
-difference between two smooth probe points, which includes them
-implicitly.
+through the mode-density gradient. All spatial derivatives are analytic,
+so the pieces sum exactly to the energy-density gradient at smooth
+points. Interfaces carry delta-function force contributions that
+pointwise evaluation cannot see, so net forces on a body use the pressure
+difference between two smooth probe points, which includes them.
 """
 
 from __future__ import annotations

@@ -1,18 +1,15 @@
 """Mode densities and photon occupancies of the layered field.
 
-The electric mode density is read off the imaginary part of the Green's
-function at coincidence, the magnetic one off its mixed derivative
-d^2 G / dx dx' at coincidence over k0^2; both come from the one wave
-basis. Their sum (electric part weighted by |n|^2) is the total mode
-density that enters energy and pressure.
+The electric mode density is Im G at coincidence, the magnetic one its
+mixed derivative d^2 G / dx dx' over k0^2; their sum (electric part
+weighted by |n|^2) is the total that enters energy and pressure.
 
 Photon occupancies attribute the field at a point to the thermal sources
-that radiated it: each lossy region contributes in proportion to its
-absorption-weighted propagation integral, filled at the Bose-Einstein
-occupancy of its own temperature. Equal source temperatures collapse all
-three occupancies to the common Bose-Einstein value; between sources at
-different temperatures they interpolate, and the matching effective
-temperatures are frequency dependent.
+that radiated it: each lossy region contributes its absorption-weighted
+propagation integral (read off edge fluxes, see ``greens``), filled at
+the Bose-Einstein occupancy of its own temperature. Equal temperatures
+collapse all three occupancies to that value; between sources they
+interpolate, with frequency-dependent effective temperatures.
 """
 
 from __future__ import annotations
@@ -20,13 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
 from .greens import FieldPoints, region_integrals
-from .stack import Region, TemperatureProfile
+from .stack import TemperatureProfile
 from .units import CROSS_SECTION, c, hbar, k_B
 
 
@@ -151,41 +149,123 @@ class OccupationSums:
         ) / (n_sq * self.d_e + self.d_m)
 
 
-def source_weights(points: FieldPoints, region: Region, *, gradient: bool = False):
-    """Absorption-weighted propagation integrals from one source region to
-    the field points: Im[n^2] |G|^2 and Im[n^2] |dG/dx|^2 / k0^2, then
-    their x-derivatives with ``gradient``. Only the region's layer and
-    bounds are read."""
-    om = points.basis.omega
-    k0sq = (om / c) ** 2
-    n2im = (points.basis.stack.layers[region.layer].n_at(om) ** 2).imag
-    ri = region_integrals(points, region.layer, region.lo, region.hi, gradient=gradient)
-    weights = [n2im * ri.gg, n2im * ri.dgg / k0sq]
-    if gradient:
-        weights += [n2im * ri.d_gg, n2im * ri.d_dgg / k0sq]
-    return weights
+def _layer_runs(regions):
+    """Each run of consecutive regions of one layer (which tile it left to
+    right), with their edges."""
+    for j, run in groupby(regions, key=lambda reg: reg.layer):
+        run = tuple(run)
+        yield j, run, (run[0].lo, *(reg.hi for reg in run))
+
+
+def _field_factors(points: FieldPoints, left: bool, count: int, shift):
+    """The first ``count`` of |c|^2, |c'|^2/k0^2, 2Re(c' c*) and
+    -2Re(k^2 c c'*)/k0^2 with c = phi e^shift / w and c' from phi': psi_right
+    at the points for regions left of them (``left``), else psi_left."""
+    phi, dphi = (points.phi_r, points.dphi_r) if left else (points.phi_l, points.dphi_l)
+    if shift is None:
+        cc, dd = phi / points.w, dphi / points.w
+    else:
+        scale = np.exp(shift) / points.w
+        cc, dd = phi * scale, dphi * scale
+    k0sq = (points.basis.omega / c) ** 2
+    factors = [np.abs(cc) ** 2, np.abs(dd) ** 2 / k0sq]
+    if count > 2:
+        k2 = points.basis.wavenumbers[points.layer] ** 2
+        factors += [2.0 * (dd * np.conj(cc)).real, -2.0 * (k2 * cc * np.conj(dd)).real / k0sq]
+    return factors[:count]
+
+
+def _running(q, eta):
+    """Running sums of the integrals q and of q * eta, from zero."""
+    return [np.concatenate([np.zeros((1,) + q.shape[1:]), np.cumsum(v, axis=0)])
+            for v in (q, q * eta)]
+
+
+def region_weights(points: FieldPoints, regions, out) -> None:
+    """Fill ``out[:, r]`` (shape (points, regions) + omega.shape) with
+    Im[n^2] times the integral of |G|^2 over ``regions[r]`` from each of
+    the field points (a 1-D array), one column at a time. Each layer's
+    regions must be consecutive and left to right."""
+    col = 0
+    for j, run, edges in _layer_runs(regions):
+        ri = region_integrals(points, j, edges)
+        c_left, c_right = (None if q is None else _field_factors(points, left, 1, ri.shift)[0]
+                           for left, q in ((True, ri.left), (False, ri.right)))
+        for r in range(len(run)):
+            if ri.below is None:
+                out[:, col + r] = c_left * ri.left[r] if c_right is None else c_right * ri.right[r]
+                continue
+            left, split = (np.reshape(m, m.shape + (1,) * points.basis.omega.ndim)
+                           for m in (ri.below > r, (ri.below == r) & ri.inside))
+            out[:, col + r] = np.where(split, c_left * ri.split_left + c_right * ri.split_right,
+                                       np.where(left, c_left * ri.left[r], c_right * ri.right[r]))
+        col += len(run)
 
 
 def occupation_sums(points: FieldPoints, profile: TemperatureProfile, *,
                     gradient: bool = False) -> OccupationSums:
-    """Accumulate the per-region propagation integrals that weight each
-    source's occupancy at the field points, optionally with analytic
-    x-derivatives (one region-integral call per source region). The
-    profile must be built on the stack of the points' basis."""
+    """Accumulate the source weights and the occupancy-filled ones at the
+    field points, optionally with analytic x-derivatives; the profile must
+    be built on the stack of the points' basis. A weight is a point factor
+    (``_field_factors``) that depends only on the side of its region,
+    times a region integral. So the integrals are summed first, from one
+    ``region_integrals`` call per source layer (whole layers, then the
+    points' own layer up to each point), and each sum is one product per
+    side, and per later layer with its scale shift. The region a point
+    splits is weighted per point, with the derivative kernel's jump
+    across the source."""
     if profile.stack is not points.basis.stack:
         raise ConfigError("the temperature profile belongs to another stack "
                           "than the field points' wave basis")
-    regions = profile.regions
     om = points.basis.omega
-    # unfilled and occupancy-filled sums for each weight, in the field
-    # order of OccupationSums: (d_e, f_e, d_m, f_m[, primes])
-    sums = [np.zeros(points.x.shape + om.shape) for _ in range(8 if gradient else 4)]
-    for reg in regions:
-        eta = source_occupation(om, reg.temperature)
-        for i, weight in enumerate(source_weights(points, reg, gradient=gradient)):
-            sums[2 * i] += weight
-            sums[2 * i + 1] += weight * eta
-    return OccupationSums(np.abs(points.n) ** 2, bool(regions), *sums)
+    count = 4 if gradient else 2
+    # occupancies relative to the hottest source's, applied last so none underflows alone
+    hottest = max((r.temperature for r in profile.regions), default=None)
+    hottest = 1.0 if hottest is None else source_occupation(om, hottest)
+    hottest = np.where(hottest > 0.0, hottest, 1.0)
+    # per side the (unfilled, filled) sums of unshifted factors; groups
+    # get (side, shift, unfilled, filled) of each later layer
+    near, groups, own = {True: [], False: []}, [], None
+    for j, run, edges in _layer_runs(profile.regions):
+        eta = source_occupation(om, np.reshape([reg.temperature for reg in run],
+                                               (-1,) + (1,) * om.ndim)) / hottest
+        ri = region_integrals(points, j, edges)
+        if ri.below is not None:
+            own = ri, eta
+            near[True].append([v[ri.below] for v in _running(ri.left, eta)])
+            above = len(run) - ri.below - ri.inside
+            near[False].append([v[above] for v in _running(ri.right[::-1], eta[::-1])])
+        elif ri.shift is None:
+            near[True].append([v[-1] for v in _running(ri.left, eta)])
+        else:
+            groups.append((False, ri.shift, *[v[-1] for v in _running(ri.right, eta)]))
+    groups[:0] = [(left, None, *map(sum, zip(*sides))) for left, sides in near.items() if sides]
+    sums = [np.zeros(points.x.shape + om.shape) for _ in range(2 * count)]
+    unshifted = {}
+    for left, shift, d, f in groups:
+        factors = _field_factors(points, left, count, shift)
+        if shift is None:
+            unshifted[left] = factors
+        for i, factor in enumerate(factors):
+            sums[2 * i] += factor * d
+            sums[2 * i + 1] += factor * f
+    if own is not None:
+        ri, eta = own
+        parts = [a * ri.split_left + b * ri.split_right
+                 for a, b in zip(unshifted[True], unshifted[False])]
+        if gradient:
+            w = points.w
+            jump = (np.abs(points.dphi_r / w) ** 2 * np.abs(points.phi_l) ** 2
+                    - np.abs(points.dphi_l / w) ** 2 * np.abs(points.phi_r) ** 2)
+            cut = np.reshape(ri.inside, np.shape(ri.inside) + (1,) * om.ndim)
+            parts[3] = parts[3] + np.where(cut, (points.n ** 2).imag * jump / (om / c) ** 2, 0.0)
+        eta_x = eta[np.minimum(ri.below, len(eta) - 1)]
+        for i, part in enumerate(parts):
+            sums[2 * i] += part
+            sums[2 * i + 1] += part * eta_x
+    for filled in sums[1::2]:
+        filled *= hottest
+    return OccupationSums(np.abs(points.n) ** 2, bool(profile.regions), *sums)
 
 
 def photon_numbers(points: FieldPoints, profile: TemperatureProfile) -> FieldTriplet:

@@ -6,24 +6,15 @@ number at its location; the net spectral exchange rate is
 
     q(x, omega) = hbar omega^2 Im[n^2] rho_e(x) (eta(T, omega) - n_e(x)).
 
-Layers marked self-consistent are assigned the temperature profile that
-balances this exchange: each layer is cut into uniform slices, and every
-slice temperature is driven to the root of its frequency-integrated net
-exchange. The balance is integrated over a photon-energy grid rather
-than enforced per frequency, which is the regime of a conduction-coupled
-slab that thermalizes each slice to a single temperature.
-
-The fixed-temperature reservoirs bound the attainable slice temperatures,
-so each root is bracketed and found by bisection. The source regions
-(reservoirs and slices) come from the sliced temperature profile, as
-for every other photon-number evaluation. The geometry behind the
-exchange (how strongly every source region illuminates every slice
-midpoint) is evaluated once per solve with ``spectral.source_weights``,
-from one field-point record per self-consistent layer covering all of
-its midpoints, one call per (self-consistent layer, source region).
-Each sweep then bisects every slice's balance at once on a (slices,
-omega) array, and an under-relaxed update of all slices converges the
-mutual illumination between them.
+Layers marked self-consistent are cut into uniform slices, and every
+slice temperature is driven to the root of its net exchange integrated
+over a photon-energy grid (a conduction-coupled slab thermalizes each
+slice to one temperature). The reservoirs bracket each root, which
+bisection finds. ``spectral.region_weights`` fills in once per solve how
+strongly each source region of the sliced profile illuminates each slice
+midpoint; each sweep bisects all slice balances at once on a (slices,
+omega) array, and an under-relaxed update converges their mutual
+illumination.
 """
 
 from __future__ import annotations
@@ -34,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 from .greens import solve_wave_basis
-from .spectral import electric_density, source_occupation, source_weights
+from .spectral import electric_density, region_weights, source_occupation
 from .stack import LayerStack, TemperatureProfile, _count, _integer, _mapping, _real
 from .units import hbar, omega_from_ev
 
@@ -124,22 +115,15 @@ def _bisect_all(balance, n: int, t_lo: float, t_hi: float, tol: float):
 def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     """Find slice temperatures that zero each slice's integrated exchange.
 
-    ``settings`` override BALANCE_DEFAULTS: ``slices`` per layer,
-    ``tolerance_K``, ``max_iterations`` and ``relaxation``. Every layer
-    marked self-consistent is divided into ``slices`` uniform
-    slices. The geometry factors (absorption-weighted propagation
-    integrals from every source region to every slice midpoint, and the
-    per-midpoint emission kernel) are computed once, one region-integral
-    call per (layer, source region) over all midpoints of the layer. Each
-    iteration reweights them with the current occupancies and bisects
-    all slice balances in lockstep between the coldest and hottest
-    reservoir: one trapezoid over a (slices, omega) array per step, with
-    each slice keeping its own clamping to the bracket and its own stop
-    at a bracket of ``0.1 * tolerance_K``, so the roots are exactly those
-    of a slice-by-slice bisection. The update is applied with
-    under-relaxation; convergence is declared when the largest applied
-    update falls below ``tolerance_K``, and exceeding ``max_iterations``
-    raises ConvergenceError. Unusable settings (see
+    ``settings`` override BALANCE_DEFAULTS: ``slices`` per self-consistent
+    layer, ``tolerance_K``, ``max_iterations`` and ``relaxation``. Each
+    iteration fills the midpoints' source weights with the current
+    occupancies and bisects all slice balances in lockstep between the
+    coldest and hottest reservoir, each with its own clamping and its own
+    stop at a bracket of ``0.1 * tolerance_K`` (so the roots are those of
+    a slice-by-slice bisection). The update is under-relaxed; the solve
+    converges once the largest update is below ``tolerance_K``, or raises
+    ConvergenceError after ``max_iterations``; unusable settings (see
     ``check_balance_settings``) raise ConfigError.
     """
     slices, tolerance_K, max_iterations, relaxation = (
@@ -176,7 +160,7 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
                      key=lambda reg: stack.layers[reg.layer].self_consistent)
 
     # one field-point record per layer over all of its slice midpoints,
-    # and one source-weight call per (layer, source region)
+    # whose rows of the weight matrix are filled in place
     weights = np.empty((n_slices, len(regions), om.size))
     kernel = np.empty((n_slices, om.size))
     midpoints = []
@@ -185,8 +169,7 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
         midpoints.append(x_m)
         points = basis.at(x_m)
         rows = slice(i * slices, (i + 1) * slices)
-        for r, reg in enumerate(regions):
-            weights[rows, r] = source_weights(points, reg)[0]
+        region_weights(points, regions, weights[rows])
         kernel[rows] = hbar * om**2 * (points.n ** 2).imag * electric_density(points)
 
     denom = weights.sum(axis=1)

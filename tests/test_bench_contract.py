@@ -67,6 +67,9 @@ def test_the_tracer_sees_every_pointwise_evaluation(monkeypatch, tmp_path):
     expected = {f"{owner}.{name}" for owner in ("spectral", "mechanics")
                 for name in tracer_mod.TRACED[owner]} - {"spectral.photon_numbers"}
     assert expected - {span.name for span in tracer.spans} == set()
+    # the source weights read the edge fluxes once per source layer
+    assert ("greens.region_integrals", "spectral") in {(span.name, span.caller)
+                                                       for span in tracer.spans}
 
 
 def test_scan_result_has_the_fields_the_harness_reads(tmp_path):

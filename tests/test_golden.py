@@ -19,20 +19,20 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # key: a bundled config name (a scan) or "balance" and a config name,
 # followed by the extra CLI arguments of the run
 SHA256 = {
-    "cavity_field_map": "badb3940a70b720a9aad5d8f76b2e6e7d91c2efaf35c40cba73e1af47bcf7917",
+    "cavity_field_map": "d73b2dbc09d2e08aea71ffcdfd84463185a3ff90c4b588f78ecb78b928989af4",
     "cavity_field_map --units si":
-        "099ffbdd94a52fbd7ad84eeef252907a38da6868203262346a807ce9dbbbab82",
-    "passive_cavity_forces": "4cd644a9593f7c98f03afed24bdd3b11c7f4a50ee6389c4d8535ac0b58f73338",
+        "00c47cefa71f4ef129083055ee7d1c50aa4b8f62ab5d252636431c8f2a24daf2",
+    "passive_cavity_forces": "c656bba56cecb85c6ef8306ce37976f7c0c42e210852e302a2fc858c3b8dde26",
     # the fd-check line is part of the promise that --threads moves no byte
     "passive_cavity_forces --fd-check":
-        "ad33824c9123337c625ee13446fc8a8becf12e0843dccbd112f1b5d42146eec4",
+        "5cf6200950ffd3aed55445386753b01f4c603783a1b2e0d27c10d812da48d879",
     "passive_cavity_forces --fd-check --threads 2":
-        "ad33824c9123337c625ee13446fc8a8becf12e0843dccbd112f1b5d42146eec4",
-    "transparent_slab_force": "f386e0395cbc8c64d1bc761ee195f9d0013dc9ee8814be9699dc0a4207b5856b",
-    "absorbing_slab_force": "c049983c804bf03de7574fe231ce288b8bdbac1a4c9154e1bdd8bbe5fa9d4949",
-    "balance passive_cavity": "38dcbf70f2f31fd7ea30e85df36a87759c7382d18877c47e06ed7077acd3c10b",
+        "5cf6200950ffd3aed55445386753b01f4c603783a1b2e0d27c10d812da48d879",
+    "transparent_slab_force": "b6bb0dd63bddd1a3c80f4d0f745db7397faa23b112ccdb93a777958c1a85db26",
+    "absorbing_slab_force": "4242d697bf78c748a1b19325d4c07d9dd17e374ea1cc7a93a462d9eac8fb86be",
+    "balance passive_cavity": "91b6a58ef34c6e555871d559fe11cc69c00dfa99718beb9215c2274c96625343",
     "balance passive_cavity --slices 32":
-        "0d4151ab9d39840fedab1d0797eb321ac84ea8a823a60f540516e513b51af248",
+        "1a7a2e6c59d7a5284a4dde184499c9fce2166925abef2a345ee02400223d07b9",
 }
 
 

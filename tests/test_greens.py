@@ -5,11 +5,12 @@ from scipy import integrate
 
 from photonstack.errors import ConfigError, DivergentSourceError
 from photonstack.greens import interface_coefficients, region_integrals, solve_wave_basis
-from photonstack.stack import ConstantIndex, Layer, LayerStack
+from photonstack.spectral import occupation_sums
+from photonstack.stack import ConstantIndex, Layer, LayerSlices, LayerStack, TemperatureProfile
 from photonstack.units import c, omega_from_ev
 
 from conftest import INF, cavity_stack
-from oracles import greens_sample, true_wronskian
+from oracles import closed_form_integrals, greens_sample, true_wronskian
 
 RNG = np.random.default_rng(20260211)
 
@@ -210,7 +211,7 @@ def test_green_function_continuous_across_interfaces(cavity_basis):
         assert np.max(np.abs(lo - hi) / np.abs(lo)) < 1e-4
 
 
-# --- closed-form source integrals vs adaptive quadrature -------------------
+# --- the closed-form oracle vs adaptive quadrature -------------------------
 
 def _quad_integrals(basis, x, j, lo, hi):
     """Brute-force integrals over source positions of |G|^2 and of the
@@ -239,7 +240,7 @@ def test_region_integrals_match_quadrature_finite(x):
         (2, 11e-6, 15e-6),        # inside the right medium
     ]
     for j, lo, hi in cases:
-        got = region_integrals(basis.at(x), j, lo, hi)
+        got = closed_form_integrals(basis.at(x), j, lo, hi)
         want_gg, want_dgg = _quad_integrals(basis, x, j, lo, hi)
         assert abs(got.gg[0] - want_gg) / want_gg < 1e-8
         assert abs(got.dgg[0] - want_dgg) / want_dgg < 1e-8
@@ -254,7 +255,7 @@ def test_region_integrals_semi_infinite_tails():
     x = 5e-6
     for j, edge in ((0, 0.0), (2, 10e-6)):
         lo, hi = stack.layer_bounds(j)
-        got = region_integrals(basis.at(x), j, lo, hi)
+        got = closed_form_integrals(basis.at(x), j, lo, hi)
         kappa = basis.wavenumbers[j].imag
         s = greens_sample(basis, x, edge)
         want_gg = np.abs(s.value) ** 2 / (2 * kappa)
@@ -267,9 +268,8 @@ def test_lossless_tail_raises():
     stack = uniform_stack(1.0)
     om = omega_from_ev(np.array([0.1]))
     basis = solve_wave_basis(stack, om)
-    lo, hi = stack.layer_bounds(2)
     with pytest.raises(DivergentSourceError):
-        region_integrals(basis.at(4e-6), 2, lo, hi)
+        region_integrals(basis.at(4e-6), 2, stack.layer_bounds(2))
 
 
 def test_region_integral_gradients_match_finite_differences():
@@ -279,9 +279,9 @@ def test_region_integral_gradients_match_finite_differences():
     x = 4.7e-6
     h = 2e-10
     for j, lo, hi in [(0, -INF, 0.0), (1, 0.0, 10e-6), (2, 10e-6, INF)]:
-        got = region_integrals(basis.at(x), j, lo, hi, gradient=True)
-        plus = region_integrals(basis.at(x + h), j, lo, hi)
-        minus = region_integrals(basis.at(x - h), j, lo, hi)
+        got = closed_form_integrals(basis.at(x), j, lo, hi, gradient=True)
+        plus = closed_form_integrals(basis.at(x + h), j, lo, hi)
+        minus = closed_form_integrals(basis.at(x - h), j, lo, hi)
         fd_gg = (plus.gg[0] - minus.gg[0]) / (2 * h)
         fd_dgg = (plus.dgg[0] - minus.dgg[0]) / (2 * h)
         scale_gg = max(abs(fd_gg), abs(got.d_gg[0]))
@@ -302,7 +302,7 @@ def test_random_point_region_closure(cavity_basis, cavity):
             lo, hi = cavity.layer_bounds(j)
             if np.all(k2im == 0.0):
                 continue
-            total += k2im * region_integrals(cavity_basis.at(x), j, lo, hi).gg
+            total += k2im * closed_form_integrals(cavity_basis.at(x), j, lo, hi).gg
         im_g = cavity_basis.at(x).coincident_value.imag
         assert np.max(np.abs(total - im_g) / np.abs(im_g)) < 1e-10
 
@@ -333,7 +333,9 @@ def test_omega_validation():
 def test_region_integrals_on_point_arrays_equal_per_point_calls(gradient):
     """Batched field points give bit-for-bit the per-point results, for
     source intervals left of, containing, and right of each point, for
-    points exactly on slice boundaries, and in semi-infinite layers."""
+    points exactly on slice boundaries, and in semi-infinite layers: in
+    the closed-form oracle, in the library's region integrals, and in the
+    occupation sums built from them."""
     stack = LayerStack([
         Layer(INF, ConstantIndex(1.5 + 0.3j), 400.0),
         Layer(10e-6, ConstantIndex(1.1 + 0.1j), 350.0),
@@ -350,18 +352,36 @@ def test_region_integrals_on_point_arrays_equal_per_point_calls(gradient):
         np.array([10e-6, 11.5e-6, 14e-6]),
     ]
     fields = ("gg", "dgg", "d_gg", "d_dgg") if gradient else ("gg", "dgg")
+    per_point = ("below", "inside", "split_left", "split_right")
+    profile = TemperatureProfile(stack, [400.0, LayerSlices(
+        tuple(float(b) for b in edges), (330.0, 360.0, 390.0, 345.0)), 300.0])
     for xs in point_sets:
         for j, lo, hi in regions:
-            batched = region_integrals(basis.at(xs), j, lo, hi, gradient=gradient)
+            batched = closed_form_integrals(basis.at(xs), j, lo, hi, gradient=gradient)
+            library = region_integrals(basis.at(xs), j, (lo, hi))
             for i, x in enumerate(xs):
-                single = region_integrals(basis.at(float(x)), j, lo, hi, gradient=gradient)
+                single = closed_form_integrals(basis.at(float(x)), j, lo, hi,
+                                               gradient=gradient)
                 for f in fields:
                     assert getattr(batched, f).shape == xs.shape + om.shape
                     assert np.array_equal(getattr(batched, f)[i], getattr(single, f)), (
                         f, j, lo, hi, x)
+                alone = region_integrals(basis.at(float(x)), j, (lo, hi))
+                for side in ("left", "right"):
+                    got, want = getattr(library, side), getattr(alone, side)
+                    assert (got is None and want is None) or np.array_equal(got, want)
+                for f in per_point if library.below is not None else ():
+                    assert np.array_equal(getattr(library, f)[i], getattr(alone, f)), (
+                        f, j, lo, hi, x)
+        sums = occupation_sums(basis.at(xs), profile, gradient=gradient)
+        for i, x in enumerate(xs):
+            alone = occupation_sums(basis.at(float(x)), profile, gradient=gradient)
+            for f in ("d_e", "f_e", "d_m", "f_m"):
+                for name in (f, f + "_prime") if gradient else (f,):
+                    assert np.array_equal(getattr(sums, name)[i], getattr(alone, name))
 
 
 def test_region_integrals_reject_points_in_several_layers():
     basis = solve_wave_basis(cavity_stack(), omega_from_ev(np.array([0.11])))
     with pytest.raises(ValueError, match="one layer"):
-        region_integrals(basis.at(np.array([-1e-6, 1e-6])), 1, 0.0, 10e-6)
+        region_integrals(basis.at(np.array([-1e-6, 1e-6])), 1, (0.0, 10e-6))

@@ -461,18 +461,13 @@ def test_scan_without_output_path_is_rejected():
 
 
 def test_non_finite_refusal_names_where(tmp_path):
-    """A 50 um absorber overflows the photon numbers in the gap behind it
-    at high energies; the refusal names the first failing position,
-    energy and quantity, and no file is written."""
+    """10 mm deep in a lossy half-space the wave values overflow, so the
+    photon numbers there are not finite; the refusal names the first
+    failing position, energy and quantity, and no file is written."""
     data = {
-        "stack": {"layers": [
-            {"thickness": "inf", "n": "1.5+0.3i", "temperature": 400.0},
-            {"thickness": 50.0, "n": "2+0.5i", "temperature": 350.0},
-            {"thickness": 10.0, "n": 1.0},
-            {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0},
-        ]},
+        "stack": CAVITY,
         "quantities": ["n_tot"],
-        "positions": {"start": 51.0, "stop": 59.0, "count": 5},
+        "positions": {"start": 5.0, "stop": 10010.0, "count": 2},
         "energies": {"start": 1.0, "stop": 5.0, "count": 5},
     }
     target = tmp_path / "nan.csv"
@@ -480,9 +475,36 @@ def test_non_finite_refusal_names_where(tmp_path):
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(PhotonStackError) as err:
             run_scan(ScanSpec.from_mapping(data), output=target)
-    assert str(err.value) == ("scan produced a non-finite n_tot at x_um = 51, "
-                              "E_eV = 3; refusing to write")
+    assert str(err.value) == ("scan produced a non-finite n_tot at x_um = 10010, "
+                              "E_eV = 1; refusing to write")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_thick_absorber_beside_the_gap_scans_without_overflow(tmp_path):
+    """A 50 um absorber at 350 K beside the 10 um gap of the hot-cold
+    cavity: the source integrals over it are flux differences at its
+    edges, with no interval exponential that overflows at high energies,
+    so the gap scan writes its CSV with no RuntimeWarning and the
+    effective temperature lies between the sources'."""
+    data = {
+        "stack": {"layers": [
+            {"thickness": "inf", "n": "1.5+0.3i", "temperature": 400.0},
+            {"thickness": 10.0, "n": 1.0},
+            {"thickness": 50.0, "n": "2+0.5i", "temperature": 350.0},
+            {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0},
+        ]},
+        "quantities": ["ldos_tot", "n_e", "n_m", "n_tot", "T_tot"],
+        "positions": {"start": 0.5, "stop": 9.5, "count": 10},
+        "energies": {"start": 0.1, "stop": 5.0, "count": 50},
+    }
+    target = tmp_path / "thick.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run_scan(ScanSpec.from_mapping(data), output=target)
+    _, header, table = read_scan_csv(target)
+    t_tot = table[:, header.index("T_tot")]
+    assert table.shape == (10 * 50, 7)
+    assert np.all((300.0 <= t_tot) & (t_tot <= 400.0)), (t_tot.min(), t_tot.max())
 
 
 def test_failed_replace_leaves_no_files(tmp_path, monkeypatch):

@@ -199,11 +199,35 @@ def test_bisection_stops_at_float_resolution():
     assert abs(roots[0] - 350.0) < 1e-12
 
 
+def _region_weight(basis, x: float, j: int, lo: float, hi: float):
+    """Im[n_j^2] times the integral of |G|^2 over [lo, hi] in layer j from
+    the one point x: a region integral of psi_left when the region lies
+    left of x, of psi_right when it lies right, or both parts of it when
+    x splits it, times |psi at x / W|^2 of the other solution."""
+    points = basis.at(x)
+    ri = region_integrals(points, j, (lo, hi))
+
+    def factor(phi, shift=None):
+        if shift is None:
+            return np.abs(phi / points.w) ** 2
+        return np.abs(phi * (np.exp(shift) / points.w)) ** 2
+
+    if ri.below is None:
+        if ri.right is None:
+            return factor(points.phi_r, ri.shift) * ri.left[0]
+        return factor(points.phi_l, ri.shift) * ri.right[0]
+    if ri.inside:
+        return (factor(points.phi_r) * ri.split_left + factor(points.phi_l) * ri.split_right)
+    if ri.below:
+        return factor(points.phi_r) * ri.left[0]
+    return factor(points.phi_l) * ri.right[0]
+
+
 def _scalar_balance(stack, slices, tolerance_K=1e-3, relaxation=0.5):
     """Reference solve, one slice and one source region at a time: the
-    weights from per-midpoint region integrals and every slice bisected
-    on its own with scalar trapezoid integrals (scipy's, against the
-    solver's np.trapezoid)."""
+    weights from one region-integral call per (midpoint, region) and
+    every slice bisected on its own with scalar trapezoid integrals
+    (scipy's, against the solver's np.trapezoid)."""
     om = default_balance_grid()
     basis = solve_wave_basis(stack, om)
     fixed = [layer.temperature for layer in stack.layers if layer.temperature is not None]
@@ -220,8 +244,8 @@ def _scalar_balance(stack, slices, tolerance_K=1e-3, relaxation=0.5):
                 midpoints.append((j, float(0.5 * (edges[m] + edges[m + 1]))))
                 regions.append((j, float(edges[m]), float(edges[m + 1]), None))
     n2im = lambda j: (stack.layers[j].n_at(om) ** 2).imag  # noqa: E731
-    weights = np.array([[n2im(r[0]) * region_integrals(basis.at(x), r[0], r[1], r[2]).gg
-                         for r in regions] for _, x in midpoints])
+    weights = np.array([[_region_weight(basis, x, *r[:3]) for r in regions]
+                        for _, x in midpoints])
     kernel = np.array([hbar * om**2 * n2im(j) * electric_density(basis.at(x))
                        for j, x in midpoints])
     denom = weights.sum(axis=1)
