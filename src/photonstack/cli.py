@@ -25,9 +25,9 @@ from .errors import ConfigError, ConvergenceError, PhotonStackError
 from .greens import solve_wave_basis
 from .scan import ScanSpec, _write_file, run_scan
 from .spectral import ldos_closure_residuals
-from .stack import load_stack
+from .stack import TabulatedIndex, load_stack
 from .thermo import BALANCE_DEFAULTS, solve_self_consistent
-from .units import MICRON, omega_from_ev
+from .units import MICRON, ev_from_omega, omega_from_ev
 
 _CLOSURE_EV = 0.11
 _CLOSURE_TOL = 1e-6
@@ -46,7 +46,16 @@ def _validate(args) -> int:
             print(f"warning: layer {j} is lossy but has no temperature; every "
                   "scan quantity except ldos_* and every balance solve will reject it")
 
+    tables = [layer.index.omega for layer in stack.layers
+              if isinstance(layer.index, TabulatedIndex)]
+    lo, hi = max([t[0] for t in tables], default=0.0), min([t[-1] for t in tables], default=np.inf)
+    if lo > hi:
+        print(f"invalid: the index tables share no photon energy (one starts at "
+              f"{ev_from_omega(lo):g} eV, another ends at {ev_from_omega(hi):g} eV)")
+        return 1
     omega = omega_from_ev(np.array([_CLOSURE_EV]))
+    if not lo <= omega[0] <= hi:  # every index table must cover the closure energy
+        omega = np.array([0.5 * (lo + hi)])
     basis = solve_wave_basis(stack, omega)
     lo, hi = stack.span
     points = [lo - _OUTER_DEPTH, hi + _OUTER_DEPTH]

@@ -403,10 +403,8 @@ def run_scan(
         f"units: {spec.units}",
     ]
     if any(layer.self_consistent for layer in stack.layers):
-        meta.append(
-            "solver: slices={slices} tolerance_K={tolerance_K:g} "
-            "max_iterations={max_iterations} relaxation={relaxation:g}".format(**spec.balance)
-        )
+        meta.append("solver: " + " ".join(  # integers in full, not as 1.23457e+06
+            f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in spec.balance.items()))
     if spec.mode == "slab":
         template = _SlabTemplate.from_stack(stack)
         axis_name, axis_values = "width_um", spec.widths.values()

@@ -412,7 +412,7 @@ def _format_complex(v: complex) -> str:
     return f"{float(v.real)!r}+{float(v.imag)!r}i"
 
 
-def serialize_stack(stack: LayerStack, name: str | None = None) -> dict:
+def serialize_stack(stack: LayerStack) -> dict:
     """Serialize a stack back to its configuration mapping.
 
     Tabulated indices are emitted inline so the result is self-contained;
@@ -436,10 +436,7 @@ def serialize_stack(stack: LayerStack, name: str | None = None) -> dict:
         elif layer.temperature is not None:
             entry["temperature"] = layer.temperature
         out_layers.append(entry)
-    out: dict = {"layers": out_layers}
-    if name:
-        out = {"name": name, "layers": out_layers}
-    return out
+    return {"layers": out_layers}
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ over a photon-energy grid (a conduction-coupled slab thermalizes each
 slice to one temperature). The reservoirs bracket each root, which
 bisection finds. ``spectral.region_weights`` fills in once per solve how
 strongly each source region of the sliced profile illuminates each slice
-midpoint; each sweep bisects all slice balances at once on a (slices,
-omega) array, and an under-relaxed update converges their mutual
-illumination.
+midpoint; each sweep bisects every slice balance in lockstep on one
+(slices, omega) array, and an update under-relaxed by RELAXATION
+converges their mutual illumination.
 """
 
 from __future__ import annotations
@@ -45,89 +45,53 @@ class BalanceResult:
     temperatures: np.ndarray
     residuals: np.ndarray
     iterations: int
-    update_history: tuple[float, ...]
 
 
 BALANCE_DEFAULTS = {
     "slices": 16,
     "tolerance_K": 1e-3,
     "max_iterations": 100,
-    "relaxation": 0.5,
 }
+
+# each sweep moves the slice temperatures half way to their new roots
+RELAXATION = 0.5
 
 
 def check_balance_settings(settings) -> dict:
     """The complete balance settings, in the order of BALANCE_DEFAULTS:
     ``settings`` over the defaults, with integer slices and
-    max_iterations and real tolerance_K and relaxation. Raise ConfigError
-    for an unknown key, a value of the wrong type, or one out of range:
-    fewer than one slice or iteration, more slices than an array can
-    hold, a tolerance that is not positive and finite, or a relaxation
-    outside (0, 1]."""
+    max_iterations and a real tolerance_K. Raise ConfigError for an
+    unknown key, a value of the wrong type, or one out of range: fewer
+    than one slice or iteration, more slices than an array can hold, or a
+    tolerance that is not positive and finite."""
     merged = {**BALANCE_DEFAULTS, **_mapping(settings, BALANCE_DEFAULTS, "balance")}
     slices = _count(merged["slices"], "balance slices")
     max_iterations = _integer(merged["max_iterations"], "balance max_iterations")
     tolerance_K = _real(merged["tolerance_K"], "balance tolerance_K")
-    relaxation = _real(merged["relaxation"], "balance relaxation")
     if max_iterations < 1:
         raise ConfigError("balance max_iterations must be >= 1")
     if not 0.0 < tolerance_K < np.inf:
         raise ConfigError("balance tolerance_K must be positive and finite")
-    if not 0.0 < relaxation <= 1.0:
-        raise ConfigError("balance relaxation must lie in (0, 1]")
     return {"slices": slices, "tolerance_K": tolerance_K,
-            "max_iterations": max_iterations, "relaxation": relaxation}
-
-
-def _bisect_all(balance, n: int, t_lo: float, t_hi: float, tol: float):
-    """Roots of n monotonically increasing balance functions on [t_lo,
-    t_hi], each clamped to the bracket when its root lies outside it.
-
-    ``balance(t, m)`` evaluates the functions with indices ``m`` at the
-    temperatures ``t``. All brackets are halved in lockstep, but each one
-    keeps its own early exits and stops once narrower than ``tol``, so
-    every root is exactly what a bisection of that function alone finds.
-    A ``tol`` below a few ulps of ``t_hi`` is raised to that, since such
-    a bracket cannot be halved any further.
-    """
-    tol = max(tol, 4.0 * np.spacing(t_hi))
-    roots = np.full(n, t_lo)
-    if t_hi - t_lo <= tol:
-        return roots
-    live = np.flatnonzero(~(balance(roots, np.arange(n)) >= 0.0))
-    at_hi = balance(np.full(live.size, t_hi), live) <= 0.0
-    roots[live[at_hi]] = t_hi
-    live = live[~at_hi]
-    lo = np.full(live.size, t_lo)
-    hi = np.full(live.size, t_hi)
-    while True:
-        moving = np.flatnonzero(hi - lo > tol)
-        if moving.size == 0:
-            break
-        mid = 0.5 * (lo[moving] + hi[moving])
-        up = balance(mid, live[moving]) >= 0.0
-        hi[moving[up]] = mid[up]
-        lo[moving[~up]] = mid[~up]
-    roots[live] = 0.5 * (lo + hi)
-    return roots
+            "max_iterations": max_iterations}
 
 
 def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     """Find slice temperatures that zero each slice's integrated exchange.
 
     ``settings`` override BALANCE_DEFAULTS: ``slices`` per self-consistent
-    layer, ``tolerance_K``, ``max_iterations`` and ``relaxation``. Each
-    iteration fills the midpoints' source weights with the current
-    occupancies and bisects all slice balances in lockstep between the
-    coldest and hottest reservoir, each with its own clamping and its own
-    stop at a bracket of ``0.1 * tolerance_K`` (so the roots are those of
-    a slice-by-slice bisection). The update is under-relaxed; the solve
-    converges once the largest update is below ``tolerance_K``, or raises
-    ConvergenceError after ``max_iterations``; unusable settings (see
-    ``check_balance_settings``) raise ConfigError.
+    layer, ``tolerance_K`` and ``max_iterations``. Each iteration fills
+    the midpoints' source weights with the current occupancies and
+    bisects every slice balance in lockstep between the coldest and
+    hottest reservoir, each slice with its own clamping to that bracket
+    and its own stop once its bracket is no wider than ``0.1 *
+    tolerance_K`` (or a few ulps), so the roots are those of a
+    slice-by-slice bisection. The update is under-relaxed by RELAXATION;
+    the solve converges once the largest update is below ``tolerance_K``,
+    or raises ConvergenceError after ``max_iterations``; unusable
+    settings (see ``check_balance_settings``) raise ConfigError.
     """
-    slices, tolerance_K, max_iterations, relaxation = (
-        check_balance_settings(settings).values())
+    slices, tolerance_K, max_iterations = check_balance_settings(settings).values()
     sc_layers = [j for j, layer in enumerate(stack.layers) if layer.self_consistent]
     if not sc_layers:
         return BalanceResult(
@@ -136,24 +100,22 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
             temperatures=np.empty(0),
             residuals=np.empty(0),
             iterations=0,
-            update_history=(),
         )
-    fixed = [
-        layer.temperature for layer in stack.layers if layer.temperature is not None
-    ]
+    fixed = [layer.temperature for layer in stack.layers if layer.temperature is not None]
     if not fixed:
-        raise ConfigError(
-            "self-consistent layers need at least one fixed-temperature reservoir"
-        )
+        raise ConfigError("self-consistent layers need at least one fixed-temperature reservoir")
     t_lo, t_hi = min(fixed), max(fixed)
+    # a bracket a few ulps wide cannot be halved any further, and one no
+    # wider than tol holds the one root t_lo
+    tol = max(0.1 * tolerance_K, 4.0 * np.spacing(t_hi))
+    t_top = t_hi if t_hi - t_lo > tol else t_lo
 
     om = default_balance_grid()
     basis = solve_wave_basis(stack, om)
 
-    t_init = 0.5 * (t_lo + t_hi)
     slice_edges = {j: np.linspace(*stack.layer_bounds(j), slices + 1) for j in sc_layers}
     n_slices = len(sc_layers) * slices
-    temps = np.full(n_slices, t_init)
+    temps = np.full(n_slices, 0.5 * (t_lo + t_hi))
     initial = TemperatureProfile.sliced(stack, slice_edges, temps.reshape(-1, slices))
     # reservoirs before slices: the balance temperatures depend on this summation order
     regions = sorted(initial.regions,
@@ -180,34 +142,36 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
         filled = np.concatenate([eta_fixed, source_occupation(om, t_slices[:, None])])
         return np.einsum("mrw,rw->mw", weights, filled) / denom
 
-    def integrated_balance(t, m, n_e):
-        # net exchange of slices m at temperatures t, over the (m, omega) grid
+    def integrated_balance(t, n_e):
+        # net exchange of every slice at its temperature in t
         eta = source_occupation(om, t[:, None])
-        return np.trapezoid(kernel[m] * (eta - n_e[m]), om, axis=-1)
+        return np.trapezoid(kernel * (eta - n_e), om, axis=-1)
 
-    history: list[float] = []
     for iterations in range(1, max_iterations + 1):
         n_e = field_numbers(temps)
-        roots = _bisect_all(
-            lambda t, m: integrated_balance(t, m, n_e),
-            n_slices,
-            t_lo,
-            t_hi,
-            0.1 * tolerance_K,
-        )
-        update = relaxation * (roots - temps)
+        # Each slice halves its own bracket until it is no wider than tol,
+        # but one whose balance at t_lo is >= 0 (a NaN is not) keeps t_lo,
+        # and then one whose balance at the top is <= 0 keeps the top.
+        lo, hi = np.full(n_slices, t_lo), np.full(n_slices, t_top)
+        at_lo = integrated_balance(lo, n_e) >= 0.0
+        at_hi = ~at_lo & (integrated_balance(hi, n_e) <= 0.0)
+        hi[at_lo] = t_lo
+        lo[at_hi] = t_top
+        while (moving := hi - lo > tol).any():
+            mid = 0.5 * (lo + hi)
+            up = integrated_balance(mid, n_e) >= 0.0
+            hi = np.where(moving & up, mid, hi)
+            lo = np.where(moving & ~up, mid, lo)
+        update = RELAXATION * (0.5 * (lo + hi) - temps)
         temps = temps + update
         step = float(np.max(np.abs(update)))
-        history.append(step)
         if step < tolerance_K:
             break
     else:
-        raise ConvergenceError(
-            f"balance sweep still moving {history[-1]:.3e} K after "
-            f"{max_iterations} iterations (tolerance {tolerance_K:g} K)"
-        )
+        raise ConvergenceError(f"balance sweep still moving {step:.3e} K after {max_iterations} "
+                               f"iterations (tolerance {tolerance_K:g} K)")
 
-    residuals = integrated_balance(temps, np.arange(n_slices), field_numbers(temps))
+    residuals = integrated_balance(temps, field_numbers(temps))
 
     return BalanceResult(
         profile=TemperatureProfile.sliced(stack, slice_edges, temps.reshape(-1, slices)),
@@ -215,5 +179,4 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
         temperatures=temps,
         residuals=residuals,
         iterations=iterations,
-        update_history=tuple(history),
     )

@@ -115,7 +115,7 @@ def test_grid_validation_errors(mapping, fragment):
     (lambda s: s.update(units="cgs"), "units"),
     (lambda s: s.update(balance={"slices": 8, "seed": 1}), "balance keys"),
     (lambda s: s.update(balance={1: 2, "seed": 1}), "unknown balance keys"),
-    (lambda s: s.update(balance={"relaxation": 1.5}), "relaxation"),
+    (lambda s: s.update(balance={"relaxation": 0.5}), "relaxation"),
     (lambda s: s.update(balance={"tolerance_K": 0.0}), "tolerance_K"),
     (lambda s: s.update(balance={"max_iterations": 0}), "max_iterations"),
     (lambda s: s.update(flavor="mild"), "unknown scan keys"),
@@ -633,6 +633,48 @@ def test_a_partly_lossy_table_is_a_source(tmp_path, capsys):
             np.testing.assert_allclose(n, bose, rtol=1e-9)
 
 
+def _table_stack(*ranges_ev):
+    """The cavity with one 350 K absorbing index table per (start, stop)
+    range, each table 2 um thick between 1 um vacuum spacers."""
+    layers = [{"thickness": "inf", "n": "1.5+0.3i", "temperature": 400.0}]
+    for start, stop in ranges_ev:
+        layers += [{"thickness": 1.0, "n": 1.0},
+                   {"thickness": 2.0, "temperature": 350.0,
+                    "n": {"E_eV": [start, stop], "n_re": [1.5, 1.5], "n_im": [0.2, 0.2]}}]
+    layers += [{"thickness": 1.0, "n": 1.0},
+               {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0}]
+    return {"layers": layers}
+
+
+@pytest.mark.parametrize("ranges_ev, closure_ev", [
+    ([(0.01, 0.3)], 0.11),                 # every table covers 0.11 eV
+    ([(0.2, 0.5)], 0.35),                  # else the middle of the shared range
+    ([(0.2, 0.5), (0.05, 0.3)], 0.25),
+])
+def test_cli_validate_checks_closure_inside_every_index_table(tmp_path, capsys, monkeypatch,
+                                                              ranges_ev, closure_ev):
+    seen = []
+
+    def recorded(stack, omega):
+        seen.append(units.ev_from_omega(omega))
+        return greens_mod.solve_wave_basis(stack, omega)
+
+    monkeypatch.setattr(cli, "solve_wave_basis", recorded)
+    config = write_spec(tmp_path, "tables.yaml", _table_stack(*ranges_ev))
+    assert cli.main(["validate", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and "clean" in lines[0]
+    assert len(seen) == 1 and seen[0] == pytest.approx([closure_ev], rel=1e-12)
+
+
+def test_cli_validate_rejects_index_tables_that_share_no_energy(tmp_path, capsys):
+    config = write_spec(tmp_path, "apart.yaml", _table_stack((0.2, 0.5), (0.05, 0.15)))
+    assert cli.main(["validate", str(config)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "invalid: the index tables share no photon energy (one starts at 0.2 eV, "
+        "another ends at 0.15 eV)"]
+
+
 def test_cli_scan_writes_file_and_reports(tmp_path, capsys):
     mapping = small_pointwise(output="fields.csv")
     spec_path = write_spec(tmp_path, "scan.yaml", mapping)
@@ -813,14 +855,13 @@ def test_self_consistent_scan_records_solver_settings(tmp_path):
         "quantities": ["T_e"],
         "positions": {"start": 3.0, "stop": 7.0, "count": 3},
         "energies": {"start": 0.1, "stop": 0.14, "count": 3},
-        "balance": {"slices": 2, "tolerance_K": 0.5},
+        "balance": {"slices": 2, "tolerance_K": 0.5, "max_iterations": 1234567},
         "output": "sc.csv",
     }
     out = tmp_path / "sc.csv"
     run_scan(ScanSpec.from_mapping(mapping), output=out)
     meta, _, rows = read_scan_csv(out)
-    assert ("solver: slices=2 tolerance_K=0.5 max_iterations=100 "
-            "relaxation=0.5") in meta
+    assert "solver: slices=2 tolerance_K=0.5 max_iterations=1234567" in meta
     assert np.all((rows[:, 2] > 300.0) & (rows[:, 2] < 400.0))
 
 

@@ -157,7 +157,7 @@ def test_self_consistent_marker_parsed():
 
 def test_serialize_round_trip():
     stack = cavity_stack()
-    mapping = serialize_stack(stack, name="cavity")
+    mapping = serialize_stack(stack)
     rebuilt = build_stack(mapping)
     assert rebuilt.interfaces == stack.interfaces
     for a, b in zip(rebuilt.layers, stack.layers):
