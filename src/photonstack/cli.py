@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, ConvergenceError, PhotonStackError
 from .greens import solve_wave_basis
-from .scan import ScanSpec, _write_file, run_scan
+from .scan import ScanSpec, _check_output, _write_file, run_scan
 from .spectral import ldos_closure_residuals
 from .stack import TabulatedIndex, load_stack
 from .thermo import BALANCE_DEFAULTS, solve_self_consistent
@@ -100,6 +100,8 @@ def _scan(args) -> int:
 
 
 def _balance(args) -> int:
+    if args.output is not None:
+        _check_output(args.output)
     stack = load_stack(args.config)
     result = solve_self_consistent(stack, slices=args.slices)
     lines = [

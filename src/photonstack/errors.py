@@ -21,8 +21,8 @@ class MissingTemperatureError(PhotonStackError):
     """A lossy layer participates as a source but has no temperature."""
 
 
-class InterfacePointError(PhotonStackError):
-    """A pointwise force density was requested exactly on an interface."""
+class InterfacePointError(ConfigError):
+    """A force density within 1 pm of an interface, or probes out of order."""
 
 
 class ConvergenceError(PhotonStackError):

@@ -34,8 +34,8 @@ from .spectral import (
     ldos_gradient,
     occupation_sums,
 )
-from .stack import TemperatureProfile
-from .units import c, hbar
+from .stack import LayerStack, TemperatureProfile
+from .units import MICRON, c, hbar
 
 _INTERFACE_CLEARANCE = 1e-12  # meters; force probes must stay off boundaries
 
@@ -43,6 +43,17 @@ _INTERFACE_CLEARANCE = 1e-12  # meters; force probes must stay off boundaries
 def _edge_distance(x, edges):
     """Distance from each of the points x to the nearest of ``edges``."""
     return np.min(np.abs(np.atleast_1d(x)[:, None] - np.asarray(edges)), axis=1)
+
+
+def check_off_interfaces(stack: LayerStack, x) -> None:
+    """The one interface rule of the force density: raise
+    InterfacePointError if any of the points x (m) lies within
+    ``_INTERFACE_CLEARANCE`` of an interface of ``stack``."""
+    xs = np.atleast_1d(x)
+    on = np.flatnonzero(_edge_distance(xs, stack.interfaces) < _INTERFACE_CLEARANCE)
+    if on.size:
+        raise InterfacePointError(f"x = {xs[on[0]] / MICRON:g} um lies within 1 pm of an "
+                                  "interface, where the force density holds a delta term")
 
 
 def energy_pressure(omega, densities: FieldTriplet, numbers: FieldTriplet):
@@ -64,17 +75,12 @@ class ForceDensitySample:
 
 def force_density(points: FieldPoints, densities: FieldTriplet,
                   sums: OccupationSums) -> ForceDensitySample:
-    """Analytic force-density decomposition at non-interface points.
+    """Analytic force-density decomposition at points clear of the interfaces.
 
     ``densities`` and ``sums`` are ``ldos`` and ``occupation_sums(...,
     gradient=True)`` at ``points``, as the caller already holds them.
     """
-    on = [b for b in points.basis.stack.interfaces if np.any(points.x == b)]
-    if on:
-        raise InterfacePointError(
-            f"x = {on[0]!r} lies on an interface where the force density holds a "
-            "delta contribution; integrate via the pressure difference instead"
-        )
+    check_off_interfaces(points.basis.stack, points.x)
     om = points.basis.omega
     d_rho_tot = ldos_gradient(points).total
     zcf = -0.5 * hbar * om * d_rho_tot

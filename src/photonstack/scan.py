@@ -29,28 +29,10 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, PhotonStackError
 from .greens import solve_wave_basis
-from .mechanics import (
-    _INTERFACE_CLEARANCE,
-    PointField,
-    _edge_distance,
-    fd_residual,
-    net_force,
-)
-from .stack import (
-    Layer,
-    LayerStack,
-    _brief,
-    _count,
-    _integer,
-    _mapping,
-    _read_text,
-    _read_yaml,
-    _real,
-    build_stack,
-    load_stack,
-    serialize_stack,
-)
-from .thermo import BALANCE_DEFAULTS, check_balance_settings, solve_self_consistent
+from .mechanics import PointField, check_off_interfaces, fd_residual, net_force
+from .stack import (Layer, LayerStack, _brief, _count, _integer, _mapping, _read_text,
+                    _read_yaml, _real, build_stack, load_stack, serialize_stack)
+from .thermo import check_balance_settings, solve_self_consistent
 from .units import LDOS_UNIT, MICRON, omega_from_ev
 
 # name -> (paper-units tag, SI tag, attribute path on PointField); only
@@ -80,34 +62,37 @@ _FORCE_QUANTITIES = frozenset({"zcf", "tcf", "ncf"})
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Inclusive 1D grid; log scale spaces points geometrically."""
+    """Inclusive 1D grid; log scale spaces points geometrically. Building one
+    checks it; a fault is a one-line ConfigError led by ``where``."""
 
     start: float
     stop: float
     count: int
     scale: str = "linear"
+    where: str = dataclasses.field(default="grid", kw_only=True, repr=False, compare=False)
 
-    @classmethod
-    def from_mapping(cls, data, where: str) -> "GridSpec":
-        _mapping(data, {"start", "stop", "count", "scale"}, "grid", where,
-                 required=("start", "stop", "count"))
-        start = _real(data["start"], f"{where}: start")
-        stop = _real(data["stop"], f"{where}: stop")
+    def __post_init__(self):
+        start, stop, where = self.start, self.stop, self.where
         if not np.all(np.isfinite([start, stop])):
             raise ConfigError(f"{where}: start and stop must be finite")
         if not np.isfinite(stop - start):
             raise ConfigError(f"{where}: the span stop - start must be finite")
-        count = _count(data["count"], f"{where}: count")
-        scale = data.get("scale", "linear")
-        if scale not in ("linear", "log"):
+        count = _count(self.count, f"{where}: count")
+        if self.scale not in ("linear", "log"):
             raise ConfigError(f"{where}: scale must be 'linear' or 'log'")
         if count > 1 and not stop > start:
             raise ConfigError(f"{where}: stop must exceed start")
         if count == 1 and stop != start:
             raise ConfigError(f"{where}: a single-point grid needs stop == start")
-        if scale == "log" and start <= 0.0:
+        if self.scale == "log" and start <= 0.0:
             raise ConfigError(f"{where}: log grids need start > 0")
-        return cls(start, stop, count, scale)
+
+    @classmethod
+    def from_mapping(cls, data, where: str) -> "GridSpec":
+        _mapping(data, {"start", "stop", "count", "scale"}, "grid", where,
+                 required=("start", "stop", "count"))
+        return cls(_real(data["start"], f"{where}: start"), _real(data["stop"], f"{where}: stop"),
+                   data["count"], data.get("scale", "linear"), where=where)
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -127,9 +112,18 @@ _SPEC_KEYS = {"stack", "quantities", "positions", "energies", "widths",
               "units", "balance", "output"}
 
 
+def _check_output(path) -> None:
+    """The one output-path rule, checked before any work is done."""
+    if not isinstance(path, (str, os.PathLike)) or not os.fspath(path):
+        raise ConfigError("output must be a nonempty path string")
+
+
 @dataclass(frozen=True)
 class ScanSpec:
-    """A validated scan request with the stack config embedded inline."""
+    """A scan request with the stack config embedded inline, valid by
+    construction however it is built (``dataclasses.replace`` included),
+    without building a grid. It holds the LayerStack of ``stack`` and, for
+    a slab scan, the five-layer template."""
 
     stack: dict
     quantities: tuple[str, ...]
@@ -137,8 +131,54 @@ class ScanSpec:
     positions: GridSpec | None = None
     widths: GridSpec | None = None
     units: str = "paper"
-    balance: dict = dataclasses.field(default_factory=lambda: dict(BALANCE_DEFAULTS))
+    balance: dict = dataclasses.field(default_factory=dict)
     output: str | None = None
+    layer_stack: LayerStack = dataclasses.field(init=False, repr=False, compare=False)
+    template: _SlabTemplate | None = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        quantities = self.quantities
+        if not isinstance(quantities, (list, tuple)) or not quantities:
+            raise ConfigError("scan spec needs a nonempty 'quantities' list")
+        bad = [q for q in quantities if q not in QUANTITIES]
+        if bad:
+            raise ConfigError(f"unknown quantities {_brief(bad)}; valid: {list(QUANTITIES)}")
+        if len(set(quantities)) != len(quantities):
+            raise ConfigError("duplicate quantities in scan spec")
+        if self.energies.start <= 0.0:
+            raise ConfigError("energies: photon energies must be positive")
+        if self.widths is not None and self.widths.start < 0.0:
+            raise ConfigError("widths: slab widths must be >= 0")
+
+        slab = "slab_force" in quantities
+        if slab and len(quantities) != 1:
+            raise ConfigError("slab_force cannot be combined with pointwise quantities")
+        if slab and self.widths is None:
+            raise ConfigError("slab_force scans need a 'widths' grid (um)")
+        if slab and self.positions is not None:
+            raise ConfigError("slab_force scans take no 'positions' grid")
+        if not slab and self.positions is None:
+            raise ConfigError("pointwise scans need a 'positions' grid (um)")
+        if not slab and self.widths is not None:
+            raise ConfigError("'widths' only applies to slab_force scans")
+
+        if self.units not in ("paper", "si"):
+            raise ConfigError("units must be 'paper' or 'si'")
+        balance = check_balance_settings(self.balance)
+        if self.output is not None:
+            _check_output(self.output)
+
+        stack = build_stack(self.stack)
+        template = _SlabTemplate.from_stack(stack) if slab else None
+        # a grid's last point is its stop, so the widths need not be built
+        if slab and self.widths.stop * MICRON >= template.gap:
+            raise ConfigError(
+                f"widths reach {self.widths.stop:g} um but the wall gap is only "
+                f"{template.gap / MICRON:g} um"
+            )
+        for name, value in (("quantities", tuple(quantities)), ("balance", balance),
+                            ("layer_stack", stack), ("template", template)):
+            object.__setattr__(self, name, value)
 
     @property
     def mode(self) -> str:
@@ -146,69 +186,25 @@ class ScanSpec:
 
     @classmethod
     def from_mapping(cls, data, *, base_dir=None) -> "ScanSpec":
+        """Parse a spec mapping: its keys, numbers and paths, and the stack
+        (a config path or an inline mapping); construction checks the rest.
+        Relative paths are resolved against ``base_dir``."""
         _mapping(data, _SPEC_KEYS, "scan", required=("stack", "quantities", "energies"))
-        raw_stack = data.get("stack")
+        raw_stack = data["stack"]
         base = Path(base_dir) if base_dir is not None else None
         if isinstance(raw_stack, str):
-            path = Path(raw_stack)
-            if base is not None and not path.is_absolute():
-                path = base / path
-            stack = load_stack(path)
+            stack = load_stack(base / raw_stack if base is not None else raw_stack)
         elif isinstance(raw_stack, dict):
             stack = build_stack(raw_stack, base_dir=base)
         else:
             raise ConfigError("scan spec needs 'stack': a config path or inline mapping")
-        normalized = serialize_stack(stack)
-
-        quantities = data.get("quantities")
-        if not isinstance(quantities, list) or not quantities:
-            raise ConfigError("scan spec needs a nonempty 'quantities' list")
-        bad = [q for q in quantities if q not in QUANTITIES]
-        if bad:
-            raise ConfigError(f"unknown quantities {_brief(bad)}; valid: {list(QUANTITIES)}")
-        if len(set(quantities)) != len(quantities):
-            raise ConfigError("duplicate quantities in scan spec")
-        quantities = tuple(quantities)
-
-        energies = GridSpec.from_mapping(data["energies"], "energies")
-        if energies.start <= 0.0:
-            raise ConfigError("energies: photon energies must be positive")
-
-        positions = widths = None
-        if "positions" in data:
-            positions = GridSpec.from_mapping(data["positions"], "positions")
-        if "widths" in data:
-            widths = GridSpec.from_mapping(data["widths"], "widths")
-            if widths.start < 0.0:
-                raise ConfigError("widths: slab widths must be >= 0")
-
-        if "slab_force" in quantities:
-            if len(quantities) != 1:
-                raise ConfigError("slab_force cannot be combined with pointwise quantities")
-            if widths is None:
-                raise ConfigError("slab_force scans need a 'widths' grid (um)")
-            if positions is not None:
-                raise ConfigError("slab_force scans take no 'positions' grid")
-        else:
-            if positions is None:
-                raise ConfigError("pointwise scans need a 'positions' grid (um)")
-            if widths is not None:
-                raise ConfigError("'widths' only applies to slab_force scans")
-
-        units = data.get("units", "paper")
-        if units not in ("paper", "si"):
-            raise ConfigError("units must be 'paper' or 'si'")
-
-        balance = check_balance_settings(data.get("balance", {}))
-
+        grids = {where: GridSpec.from_mapping(data[where], where)
+                 for where in ("energies", "positions", "widths") if where in data}
         output = data.get("output")
-        if output is not None and not isinstance(output, str):
-            raise ConfigError("output must be a path string")
-        if output is not None and base is not None and not Path(output).is_absolute():
+        if isinstance(output, str) and output and base is not None:
             output = str(base / output)
-
-        return cls(normalized, quantities, energies, positions, widths,
-                   units, balance, output)
+        return cls(serialize_stack(stack), data["quantities"], units=data.get("units", "paper"),
+                   balance=data.get("balance", {}), output=output, **grids)
 
     @classmethod
     def from_file(cls, path) -> "ScanSpec":
@@ -387,13 +383,14 @@ def run_scan(
     target = output if output is not None else spec.output
     if target is None:
         raise ConfigError("scan spec has no output path and none was given")
+    _check_output(target)
     target = Path(target)
     if _integer(threads, "--threads") < 1:
         raise ConfigError(f"--threads must be at least 1, not {threads}")
     if fd_check and _FORCE_QUANTITIES.isdisjoint(spec.quantities):
         raise ConfigError("--fd-check needs a force-density quantity (zcf, tcf or ncf)")
 
-    stack = build_stack(spec.stack)
+    stack = spec.layer_stack
     energies_ev = spec.energies.values()
     omega = omega_from_ev(energies_ev)
     meta = [
@@ -406,24 +403,12 @@ def run_scan(
         meta.append("solver: " + " ".join(  # integers in full, not as 1.23457e+06
             f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in spec.balance.items()))
     if spec.mode == "slab":
-        template = _SlabTemplate.from_stack(stack)
         axis_name, axis_values = "width_um", spec.widths.values()
-        if axis_values[-1] * MICRON >= template.gap:
-            raise ConfigError(
-                f"widths reach {axis_values[-1]:g} um but the wall gap is only "
-                f"{template.gap / MICRON:g} um"
-            )
-        worker, context = _slab_chunk, (template, omega, spec.balance)
+        worker, context = _slab_chunk, (spec.template, omega, spec.balance)
     else:
         axis_name, axis_values = "x_um", spec.positions.values()
         if _FORCE_QUANTITIES & set(spec.quantities):
-            dist = _edge_distance(axis_values * MICRON, stack.interfaces)
-            on = np.flatnonzero(dist < _INTERFACE_CLEARANCE)
-            if on.size:
-                raise ConfigError(
-                    f"position {axis_values[on[0]]:g} um lies on a layer interface; "
-                    "force densities are undefined there (shift the grid)"
-                )
+            check_off_interfaces(stack, axis_values * MICRON)
         worker = _pointwise_chunk
         context = (solve_self_consistent(stack, **spec.balance).profile, omega,
                    spec.quantities, spec.units, fd_check)

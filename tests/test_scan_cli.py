@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import subprocess
 import sys
 import warnings
@@ -14,7 +16,7 @@ import photonstack.greens as greens_mod
 import photonstack.mechanics as mechanics_mod
 import photonstack.scan as scan_mod
 from photonstack import cli, units
-from photonstack.errors import ConfigError, PhotonStackError
+from photonstack.errors import ConfigError, InterfacePointError, PhotonStackError
 from photonstack.scan import GridSpec, ScanSpec, read_scan_csv, run_scan
 from photonstack.thermo import BALANCE_DEFAULTS
 from photonstack.units import LDOS_UNIT
@@ -173,7 +175,9 @@ _FIELDS = (
        raw=st.none() | st.dictionaries(st.text(max_size=8), _JSON, max_size=4))
 def test_from_mapping_returns_a_spec_or_raises_config_error(slab, edits, raw):
     """Valid specs with some fields replaced by arbitrary JSON-like values,
-    and arbitrary mappings, either parse or fail with a ConfigError."""
+    and arbitrary mappings, either fail with a ConfigError or parse to a
+    spec that its canonical JSON rebuilds, output aside (as from_metadata
+    does)."""
     data = small_slab() if slab else small_pointwise()
     for path, value in edits:
         target = data
@@ -186,9 +190,36 @@ def test_from_mapping_returns_a_spec_or_raises_config_error(slab, edits, raw):
         if mapping is None:
             continue
         try:
-            assert isinstance(ScanSpec.from_mapping(mapping), ScanSpec)
+            spec = ScanSpec.from_mapping(mapping)
         except ConfigError:
-            pass
+            continue
+        rebuilt = ScanSpec.from_mapping(json.loads(spec.canonical_json()))
+        assert rebuilt == dataclasses.replace(spec, output=None)
+
+
+@pytest.mark.parametrize("change, fragment", [
+    (lambda: {"units": "SI"}, "units must be"),
+    (lambda: {"quantities": ("bogus",)}, "unknown quantities"),
+    (lambda: {"positions": GridSpec(8.0, 2.0, 3)}, "stop must exceed start"),
+    (lambda: {"balance": {"slices": 0}}, "balance slices"),
+    (lambda: {"output": ""}, "output"),
+], ids=["units", "quantities", "descending_grid", "balance", "empty_output"])
+def test_replace_cannot_build_an_invalid_spec(change, fragment):
+    """A spec checks itself however it is built, dataclasses.replace (as
+    the CLI's --units does) included."""
+    spec = ScanSpec.from_mapping(small_pointwise())
+    with pytest.raises(ConfigError, match=fragment) as info:
+        dataclasses.replace(spec, **change())
+    assert "\n" not in str(info.value)
+
+
+def test_building_a_spec_builds_no_grid(monkeypatch):
+    """Construction checks grids, the wall gap included, from their bounds
+    alone, so a count beyond any memory still gives a spec."""
+    monkeypatch.setattr(GridSpec, "values", lambda self: pytest.fail("a grid was built"))
+    for data, axis in ((small_pointwise(), "positions"), (small_slab(), "widths")):
+        data[axis]["count"] = 2**40
+        assert ScanSpec.from_mapping(data).mode == ("slab" if axis == "widths" else "pointwise")
 
 
 def test_slab_spec_cannot_mix_quantities_or_take_positions():
@@ -444,12 +475,28 @@ def test_force_grid_must_avoid_interfaces(tmp_path):
         run_scan(spec, output=tmp_path / "x.csv")
 
 
-def test_widths_must_fit_inside_the_wall_gap(tmp_path):
+def test_a_point_within_1_pm_of_an_interface_is_rejected_on_both_paths(tmp_path):
+    """force_density and the scan's up-front grid check apply one rule: a
+    point 1e-13 m from an interface is as undefined as one on it."""
+    stack = photonstack.build_stack(CAVITY)
+    points = photonstack.solve_wave_basis(stack, units.omega_from_ev(np.array([0.1]))).at(1e-13)
+    sums = photonstack.occupation_sums(
+        points, photonstack.TemperatureProfile.from_stack(stack), gradient=True)
+    with pytest.raises(InterfacePointError, match="within 1 pm of an interface"):
+        photonstack.force_density(points, photonstack.ldos(points), sums)
+    data = small_pointwise()
+    data["quantities"] = ["tcf"]
+    data["positions"] = {"start": 1e-7, "stop": 9.5, "count": 3}
+    with pytest.raises(InterfacePointError, match="within 1 pm of an interface"):
+        run_scan(ScanSpec.from_mapping(data), output=tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_widths_must_fit_inside_the_wall_gap():
     data = small_slab()
     data["widths"] = {"start": 0.0, "stop": 10.0, "count": 3}
-    spec = ScanSpec.from_mapping(data)
     with pytest.raises(ConfigError, match="wall gap"):
-        run_scan(spec, output=tmp_path / "x.csv")
+        ScanSpec.from_mapping(data)
 
 
 def test_scan_without_output_path_is_rejected():
@@ -737,6 +784,29 @@ def test_cli_scan_unwritable_output_exits_three(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert cli.main(["scan", str(spec_path), "--output", str(missing)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["scan_spec", "scan_option", "balance_option"])
+def test_cli_empty_output_path_exits_one_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                          command):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output path was checked")
+
+    for mod in (scan_mod, cli):
+        monkeypatch.setattr(mod, "solve_self_consistent", no_solve)
+    monkeypatch.setattr(scan_mod, "solve_wave_basis", no_solve)
+    spec = write_spec(tmp_path, "s.yaml",
+                      small_pointwise(output="" if command == "scan_spec" else "out.csv"))
+    argv = {
+        "scan_spec": ["scan", str(spec)],
+        "scan_option": ["scan", str(spec), "--output", ""],
+        "balance_option": ["balance", str(write_spec(tmp_path, "p.yaml", PASSIVE)),
+                           "--output", ""],
+    }[command]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output must be a nonempty path") and err.count("\n") == 1
+    assert all(p.suffix == ".yaml" for p in tmp_path.iterdir())
 
 
 def test_cli_balance_failed_write_keeps_the_old_file(tmp_path, capsys, monkeypatch):
