@@ -25,7 +25,7 @@ from .errors import ConfigError, ConvergenceError, PhotonStackError
 from .greens import solve_wave_basis
 from .scan import ScanSpec, _check_output, _write_file, run_scan
 from .spectral import ldos_closure_residuals
-from .stack import TabulatedIndex, load_stack
+from .stack import SELF_CONSISTENT, TabulatedIndex, load_stack
 from .thermo import BALANCE_DEFAULTS, solve_self_consistent
 from .units import MICRON, ev_from_omega, omega_from_ev
 
@@ -103,6 +103,8 @@ def _balance(args) -> int:
     if args.output is not None:
         _check_output(args.output)
     stack = load_stack(args.config)
+    if not any(layer.self_consistent for layer in stack.layers):
+        raise ConfigError(f"{args.config} has no {SELF_CONSISTENT} layer to balance")
     result = solve_self_consistent(stack, slices=args.slices)
     lines = [
         f"# photonstack {__version__} balance",

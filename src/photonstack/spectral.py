@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +30,9 @@ from .units import CROSS_SECTION, c, hbar, k_B
 def source_occupation(omega, temperature):
     """Bose-Einstein occupancy 1 / (e^{hbar omega / k_B T} - 1); an array
     of temperatures broadcasts against omega."""
-    if np.less_equal(temperature, 0.0).any():
-        raise ConfigError("temperature must be positive")
+    t = np.asarray(temperature)
+    if not ((t > 0.0) & (t < np.inf)).all():  # NaN fails both
+        raise ConfigError("temperature must be positive and finite")
     x = hbar * np.asarray(omega, dtype=float) / (k_B * temperature)
     return 1.0 / np.expm1(x)
 
@@ -149,14 +149,6 @@ class OccupationSums:
         ) / (n_sq * self.d_e + self.d_m)
 
 
-def _layer_runs(regions):
-    """Each run of consecutive regions of one layer (which tile it left to
-    right), with their edges."""
-    for j, run in groupby(regions, key=lambda reg: reg.layer):
-        run = tuple(run)
-        yield j, run, (run[0].lo, *(reg.hi for reg in run))
-
-
 def _field_factors(points: FieldPoints, left: bool, count: int, shift):
     """The first ``count`` of |c|^2, |c'|^2/k0^2, 2Re(c' c*) and
     -2Re(k^2 c c'*)/k0^2 with c = phi e^shift / w and c' from phi': psi_right
@@ -181,17 +173,19 @@ def _running(q, eta):
             for v in (q, q * eta)]
 
 
-def region_weights(points: FieldPoints, regions, out) -> None:
+def region_weights(points: FieldPoints, sources, out) -> None:
     """Fill ``out[:, r]`` (shape (points, regions) + omega.shape) with
-    Im[n^2] times the integral of |G|^2 over ``regions[r]`` from each of
-    the field points (a 1-D array), one column at a time. Each layer's
-    regions must be consecutive and left to right."""
+    Im[n^2] times the integral of |G|^2 over region r from each of the
+    field points (a 1-D array), one column at a time. The regions are
+    those between consecutive edges of ``sources``, triples ``(layer,
+    edges, temperatures)`` as ``TemperatureProfile.sources`` gives them,
+    in the order given."""
     col = 0
-    for j, run, edges in _layer_runs(regions):
+    for j, edges, _ in sources:
         ri = region_integrals(points, j, edges)
         c_left, c_right = (None if q is None else _field_factors(points, left, 1, ri.shift)[0]
                            for left, q in ((True, ri.left), (False, ri.right)))
-        for r in range(len(run)):
+        for r in range(len(edges) - 1):
             if ri.below is None:
                 out[:, col + r] = c_left * ri.left[r] if c_right is None else c_right * ri.right[r]
                 continue
@@ -199,7 +193,7 @@ def region_weights(points: FieldPoints, regions, out) -> None:
                            for m in (ri.below > r, (ri.below == r) & ri.inside))
             out[:, col + r] = np.where(split, c_left * ri.split_left + c_right * ri.split_right,
                                        np.where(left, c_left * ri.left[r], c_right * ri.right[r]))
-        col += len(run)
+        col += len(edges) - 1
 
 
 def occupation_sums(points: FieldPoints, profile: TemperatureProfile, *,
@@ -209,31 +203,30 @@ def occupation_sums(points: FieldPoints, profile: TemperatureProfile, *,
     be built on the stack of the points' basis. A weight is a point factor
     (``_field_factors``) that depends only on the side of its region,
     times a region integral. So the integrals are summed first, from one
-    ``region_integrals`` call per source layer (whole layers, then the
-    points' own layer up to each point), and each sum is one product per
-    side, and per later layer with its scale shift. The region a point
-    splits is weighted per point, with the derivative kernel's jump
-    across the source."""
+    ``region_integrals`` call per source layer of ``profile.sources``
+    (whole layers, then the points' own layer up to each point), and each
+    sum is one product per side, and per later layer with its scale
+    shift. The region a point splits is weighted per point, with the
+    derivative kernel's jump across the source."""
     if profile.stack is not points.basis.stack:
         raise ConfigError("the temperature profile belongs to another stack "
                           "than the field points' wave basis")
     om = points.basis.omega
     count = 4 if gradient else 2
     # occupancies relative to the hottest source's, applied last so none underflows alone
-    hottest = max((r.temperature for r in profile.regions), default=None)
+    hottest = max((t for _, _, temps in profile.sources for t in temps), default=None)
     hottest = 1.0 if hottest is None else source_occupation(om, hottest)
     hottest = np.where(hottest > 0.0, hottest, 1.0)
     # per side the (unfilled, filled) sums of unshifted factors; groups
     # get (side, shift, unfilled, filled) of each later layer
     near, groups, own = {True: [], False: []}, [], None
-    for j, run, edges in _layer_runs(profile.regions):
-        eta = source_occupation(om, np.reshape([reg.temperature for reg in run],
-                                               (-1,) + (1,) * om.ndim)) / hottest
+    for j, edges, temps in profile.sources:
+        eta = source_occupation(om, np.reshape(temps, (-1,) + (1,) * om.ndim)) / hottest
         ri = region_integrals(points, j, edges)
         if ri.below is not None:
             own = ri, eta
             near[True].append([v[ri.below] for v in _running(ri.left, eta)])
-            above = len(run) - ri.below - ri.inside
+            above = len(temps) - ri.below - ri.inside
             near[False].append([v[above] for v in _running(ri.right[::-1], eta[::-1])])
         elif ri.shift is None:
             near[True].append([v[-1] for v in _running(ri.left, eta)])
@@ -265,7 +258,7 @@ def occupation_sums(points: FieldPoints, profile: TemperatureProfile, *,
             sums[2 * i + 1] += part * eta_x
     for filled in sums[1::2]:
         filled *= hottest
-    return OccupationSums(np.abs(points.n) ** 2, bool(profile.regions), *sums)
+    return OccupationSums(np.abs(points.n) ** 2, bool(profile.sources), *sums)
 
 
 def photon_numbers(points: FieldPoints, profile: TemperatureProfile) -> FieldTriplet:

@@ -119,6 +119,13 @@ def _kelvin(t) -> bool:
             and 0 < t <= sys.float_info.max)
 
 
+def _increasing(values) -> bool:
+    """Whether ``values`` are real numbers, each below the next; compared,
+    not subtracted, so nothing overflows, and a NaN is below nothing."""
+    return (all(isinstance(v, numbers.Real) for v in values)
+            and all(a < b for a, b in zip(values, values[1:])))
+
+
 _EMITTERS_ONLY = ("a temperature assignment requires a lossy medium (Im[n^2] > 0), "
                   "since only lossy layers emit")
 
@@ -323,9 +330,11 @@ def _index_table(columns, where: str, origin: str = "") -> TabulatedIndex:
         raise ConfigError(f"{where}: index table entries must be numeric lists") from None
     if not len(energies) == len(re) == len(im) >= 2:
         raise ConfigError(f"{where}: index table columns must match and have >= 2 rows")
-    if np.any(np.diff(energies) <= 0):
+    if np.any(energies[1:] <= energies[:-1]):
         raise ConfigError(f"{where}: table energies must be strictly increasing")
-    return TabulatedIndex(np.asarray(omega_from_ev(energies)), re + 1j * im, origin)
+    with np.errstate(over="ignore"):  # _check_layer rejects the infinite frequency
+        omega = np.asarray(omega_from_ev(energies))
+    return TabulatedIndex(omega, re + 1j * im, origin)
 
 
 def _load_index_table(path: Path, where: str) -> TabulatedIndex:
@@ -451,16 +460,6 @@ class LayerSlices:
 
 
 @dataclass(frozen=True)
-class Region:
-    """One uniform-temperature source region used in emission integrals."""
-
-    layer: int
-    lo: float
-    hi: float
-    temperature: float
-
-
-@dataclass(frozen=True)
 class TemperatureProfile:
     """The thermal state of one stack, per layer: a fixed kelvin value, a
     sliced interior profile, or None. Building one checks it against the
@@ -491,7 +490,7 @@ class TemperatureProfile:
                 b = entry.boundaries
                 if len(b) != len(entry.temperatures) + 1:
                     raise ConfigError(f"layer {j}: slice boundaries do not match")
-                if (b[0], b[-1]) != self.stack.layer_bounds(j) or np.any(np.diff(b) <= 0):
+                if (b[0], b[-1]) != self.stack.layer_bounds(j) or not _increasing(b):
                     raise ConfigError(f"layer {j}: slices must exactly tile the layer")
                 if not all(map(_kelvin, entry.temperatures)):
                     raise ConfigError(
@@ -533,22 +532,22 @@ class TemperatureProfile:
         return cls(stack, entries)
 
     @cached_property
-    def regions(self) -> tuple[Region, ...]:
-        """The uniform-temperature emitting regions, left to right.
+    def sources(self) -> tuple[tuple[int, tuple[float, ...], tuple[float, ...]], ...]:
+        """The emitting layers, left to right, each as ``(layer, edges,
+        temperatures)``: the uniform-temperature regions between
+        consecutive edges, a sliced layer's slices or a fixed layer whole.
 
         Raises MissingTemperatureError if a lossy layer has no entry:
         photon-number integrals need every emitter's temperature, but the
         mode densities of such a stack do not.
         """
-        regions: list[Region] = []
+        sources = []
         for j, (layer, entry) in enumerate(zip(self.stack.layers, self.entries)):
             if isinstance(entry, LayerSlices):
-                b = entry.boundaries
-                regions.extend(Region(j, b[i], b[i + 1], float(t))
-                               for i, t in enumerate(entry.temperatures))
+                sources.append((j, entry.boundaries, tuple(map(float, entry.temperatures))))
             elif entry is not None:
-                regions.append(Region(j, *self.stack.layer_bounds(j), float(entry)))
+                sources.append((j, self.stack.layer_bounds(j), (float(entry),)))
             elif layer.lossy:
                 raise MissingTemperatureError(
                     f"layer {j} is lossy but has no temperature assignment")
-        return tuple(regions)
+        return tuple(sources)

@@ -11,10 +11,11 @@ slice temperature is driven to the root of its net exchange integrated
 over a photon-energy grid (a conduction-coupled slab thermalizes each
 slice to one temperature). The reservoirs bracket each root, which
 bisection finds. ``spectral.region_weights`` fills in once per solve how
-strongly each source region of the sliced profile illuminates each slice
-midpoint; each sweep bisects every slice balance in lockstep on one
-(slices, omega) array, and an update under-relaxed by RELAXATION
-converges their mutual illumination.
+strongly each region of the sliced profile's ``sources`` (the reservoir
+layers first, then the sliced ones) illuminates each slice midpoint;
+each sweep bisects every slice balance in lockstep on one (slices,
+omega) array, and an update under-relaxed by RELAXATION converges their
+mutual illumination.
 """
 
 from __future__ import annotations
@@ -118,12 +119,12 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     temps = np.full(n_slices, 0.5 * (t_lo + t_hi))
     initial = TemperatureProfile.sliced(stack, slice_edges, temps.reshape(-1, slices))
     # reservoirs before slices: the balance temperatures depend on this summation order
-    regions = sorted(initial.regions,
-                     key=lambda reg: stack.layers[reg.layer].self_consistent)
+    sources = sorted(initial.sources, key=lambda src: stack.layers[src[0]].self_consistent)
+    reservoirs = [t for _, _, (t,) in sources[:-len(sc_layers)]]
 
     # one field-point record per layer over all of its slice midpoints,
     # whose rows of the weight matrix are filled in place
-    weights = np.empty((n_slices, len(regions), om.size))
+    weights = np.empty((n_slices, len(reservoirs) + n_slices, om.size))
     kernel = np.empty((n_slices, om.size))
     midpoints = []
     for i, j in enumerate(sc_layers):
@@ -131,12 +132,11 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
         midpoints.append(x_m)
         points = basis.at(x_m)
         rows = slice(i * slices, (i + 1) * slices)
-        region_weights(points, regions, weights[rows])
+        region_weights(points, sources, weights[rows])
         kernel[rows] = hbar * om**2 * (points.n ** 2).imag * electric_density(points)
 
     denom = weights.sum(axis=1)
-    eta_fixed = np.array([source_occupation(om, reg.temperature)
-                          for reg in regions[:-n_slices]])
+    eta_fixed = np.array([source_occupation(om, t) for t in reservoirs])
 
     def field_numbers(t_slices):
         filled = np.concatenate([eta_fixed, source_occupation(om, t_slices[:, None])])

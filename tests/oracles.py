@@ -232,17 +232,18 @@ def closed_form_sums(points, profile, *, gradient: bool = False):
     sums = [np.zeros(points.x.shape + om.shape) for _ in range(count)]
     scales = [np.zeros(points.x.shape + om.shape) for _ in range(count)]
     lost = np.zeros(points.x.shape + om.shape, dtype=bool)
-    for reg in profile.regions:
-        n2im = (profile.stack.layers[reg.layer].n_at(om) ** 2).imag
-        eta = source_occupation(om, reg.temperature)
-        for out, magnitude in ((sums, False), (scales, True)):
-            ri = closed_form_integrals(points, reg.layer, reg.lo, reg.hi,
-                                       gradient=gradient, magnitude=magnitude)
-            lost |= ri.lost
-            weights = [n2im * ri.gg, n2im * ri.dgg / k0sq]
-            if gradient:
-                weights += [n2im * ri.d_gg, n2im * ri.d_dgg / k0sq]
-            for i, weight in enumerate(weights):
-                out[2 * i] += weight
-                out[2 * i + 1] += weight * eta
+    for j, edges, temps in profile.sources:
+        n2im = (profile.stack.layers[j].n_at(om) ** 2).imag
+        for lo, hi, t in zip(edges, edges[1:], temps):
+            eta = source_occupation(om, t)
+            for out, magnitude in ((sums, False), (scales, True)):
+                ri = closed_form_integrals(points, j, lo, hi,
+                                           gradient=gradient, magnitude=magnitude)
+                lost |= ri.lost
+                weights = [n2im * ri.gg, n2im * ri.dgg / k0sq]
+                if gradient:
+                    weights += [n2im * ri.d_gg, n2im * ri.d_dgg / k0sq]
+                for i, weight in enumerate(weights):
+                    out[2 * i] += weight
+                    out[2 * i + 1] += weight * eta
     return sums, scales, lost

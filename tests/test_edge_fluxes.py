@@ -62,12 +62,12 @@ def _point_sets(profile, depths):
     return sets
 
 
-def _branch(region, x):
-    if region.lo == -INF:
+def _branch(lo, hi, x):
+    if lo == -INF:
         return "left tail"
-    if region.hi == INF:
+    if hi == INF:
         return "right tail"
-    return "left" if region.hi <= x else "right" if region.lo >= x else "split"
+    return "left" if hi <= x else "right" if lo >= x else "split"
 
 
 def _oracle_holds(points, sums, scales, lost):
@@ -103,7 +103,8 @@ def differences(profile, om):
     """
     stack = profile.stack
     basis = solve_wave_basis(stack, om)
-    regions = profile.regions
+    regions = [(j, lo, hi) for j, edges, _ in profile.sources
+               for lo, hi in zip(edges, edges[1:])]
     branches, worst_sum, new_nonfinite, unheld = {}, 0.0, 0, 0
     for xs in _point_sets(profile, (1e-7, 1e-6, 20e-6)):
         points = basis.at(xs)
@@ -117,16 +118,16 @@ def differences(profile, om):
             rel = np.abs(lib - value)[holds] / scale[holds]
             worst_sum = max(worst_sum, float(np.max(rel, initial=0.0)))
         weights = np.empty((xs.size, len(regions), om.size))
-        region_weights(points, regions, weights)
-        for r, reg in enumerate(regions):
-            n2im = (stack.layers[reg.layer].n_at(om) ** 2).imag
-            oracle = closed_form_integrals(points, reg.layer, reg.lo, reg.hi)
+        region_weights(points, profile.sources, weights)
+        for r, (j, lo, hi) in enumerate(regions):
+            n2im = (stack.layers[j].n_at(om) ** 2).imag
+            oracle = closed_form_integrals(points, j, lo, hi)
             want = n2im * oracle.gg
             new_nonfinite += int(np.sum(np.isfinite(want) & ~oracle.lost
                                         & ~np.isfinite(weights[:, r])))
             rel = np.abs(weights[:, r] - want) / sums[0]
             for i, x in enumerate(xs):
-                branch = _branch(reg, x)
+                branch = _branch(lo, hi, x)
                 branches[branch] = max(branches.get(branch, 0.0),
                                        float(np.max(rel[i][holds[i]], initial=0.0)))
     return branches, worst_sum, new_nonfinite, unheld
@@ -199,7 +200,7 @@ def test_occupation_sums_call_region_integrals_once_per_source_layer(monkeypatch
     sums evaluate the edge fluxes once per layer, not once per region."""
     stack = passive_cavity_stack()
     profile = _bundled_profile(stack, slices=32)
-    assert len(profile.regions) == 34
+    assert [(j, len(temps)) for j, _, temps in profile.sources] == [(0, 1), (1, 32), (2, 1)]
     calls = []
 
     def counted(*args, **kwargs):
@@ -212,3 +213,20 @@ def test_occupation_sums_call_region_integrals_once_per_source_layer(monkeypatch
         calls.clear()
         occupation_sums(basis.at(x), profile, gradient=True)
         assert calls == [0, 1, 2]
+
+
+def test_region_weights_fill_columns_in_the_order_of_the_sources():
+    """The balance solve passes the reservoir layers before the sliced
+    one; each region's column then holds the very weights it holds in the
+    profile's left-to-right order."""
+    stack = passive_cavity_stack()
+    sources = _bundled_profile(stack, slices=4).sources
+    reservoirs_first = sorted(sources, key=lambda src: stack.layers[src[0]].self_consistent)
+    assert [j for j, _, _ in reservoirs_first] == [0, 2, 1]
+    basis = solve_wave_basis(stack, omega_from_ev(np.array([0.05, 0.1])))
+    points = basis.at(np.array([1.25e-6, 3.75e-6, 6.25e-6, 8.75e-6]))
+    in_order, permuted = np.empty((4, 6, 2)), np.empty((4, 6, 2))
+    region_weights(points, sources, in_order)
+    region_weights(points, reservoirs_first, permuted)
+    # profile columns: layer 0, the four slices of layer 1, layer 2
+    assert np.array_equal(permuted, in_order[:, [0, 5, 1, 2, 3, 4]])

@@ -234,7 +234,7 @@ def test_one_function_reads_files():
 def test_only_stack_knows_the_profile_entry_format():
     """``LayerSlices`` is named only in ``stack`` (and re-exported by the
     package), so every other module reads a profile through its
-    ``regions`` and ``edges``."""
+    ``sources`` and ``edges``."""
     named = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

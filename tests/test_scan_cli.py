@@ -892,6 +892,20 @@ def test_cli_fd_check_without_a_force_quantity_exits_one(tmp_path, capsys, mappi
     assert list(tmp_path.iterdir()) == [spec_path]
 
 
+def test_cli_balance_without_a_self_consistent_layer_exits_one(tmp_path, capsys, monkeypatch):
+    """A stack with nothing to balance is refused before any solve with
+    one error line, rather than printing a table with no rows."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a stack with nothing to balance")
+
+    monkeypatch.setattr(cli, "solve_self_consistent", no_solve)
+    config = write_spec(tmp_path, "cavity.yaml", CAVITY)
+    assert cli.main(["balance", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {config} has no self-consistent layer to balance"]
+
+
 def test_cli_lossy_layer_without_temperature_exits_one(tmp_path, capsys):
     """A lossy layer with no temperature next to a self-consistent one is
     a source the balance and the photon numbers both need: the balance

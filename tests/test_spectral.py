@@ -40,8 +40,9 @@ def test_occupancy_matches_direct_exponential():
 
 
 def test_occupancy_requires_positive_temperature():
-    with pytest.raises(ConfigError):
-        source_occupation(omega_from_ev(0.1), 0.0)
+    for temperature in (0.0, np.nan, np.inf, np.array([[300.0], [np.nan]])):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            source_occupation(omega_from_ev(0.1), temperature)
 
 
 def test_occupation_temperature_inverts_occupancy():

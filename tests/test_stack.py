@@ -236,11 +236,8 @@ def test_profile_requires_solved_self_consistent():
 def test_source_regions_enumerate_lossy_layers():
     stack = cavity_stack()
     profile = TemperatureProfile.from_stack(stack)
-    regions = profile.regions
-    assert [r.layer for r in regions] == [0, 2]
-    assert regions[0].hi == 0.0 and math.isinf(regions[0].lo)
-    assert regions[1].lo == 10e-6 and math.isinf(regions[1].hi)
-    assert [r.temperature for r in regions] == [400.0, 300.0]
+    assert profile.sources == ((0, (-math.inf, 0.0), (400.0,)),
+                               (2, (10e-6, math.inf), (300.0,)))
 
 
 def test_sliced_profile_lookup_and_validation():
@@ -256,9 +253,9 @@ def test_sliced_profile_lookup_and_validation():
     profile = TemperatureProfile(stack, (400.0, slices, 300.0))
     assert temperature_at(profile, 1e-6) == 380.0
     assert temperature_at(profile, 9.9e-6) == 320.0
-    regions = profile.regions
-    assert len(regions) == 6
-    assert [r.temperature for r in regions[1:5]] == [380.0, 360.0, 340.0, 320.0]
+    assert profile.sources == ((0, (-math.inf, 0.0), (400.0,)),
+                               (1, slices.boundaries, (380.0, 360.0, 340.0, 320.0)),
+                               (2, (10e-6, math.inf), (300.0,)))
     assert profile.edges == (0.0, *slices.boundaries[1:-1], 10e-6)
 
     with pytest.raises(ConfigError, match="slice boundaries"):
@@ -270,11 +267,11 @@ def test_sliced_profile_lookup_and_validation():
 
 def test_profile_reports_a_lossy_layer_without_temperature_on_read():
     """A lossy layer left without a temperature still makes a profile,
-    since mode densities need none; reading its source regions raises."""
+    since mode densities need none; reading its sources raises."""
     stack = cavity_stack()
     profile = TemperatureProfile(stack, (None, None, 300.0))
     with pytest.raises(MissingTemperatureError, match="layer 0"):
-        profile.regions
+        profile.sources
 
 
 @pytest.mark.parametrize("make_stack, entries, fragment", [
@@ -285,6 +282,12 @@ def test_profile_reports_a_lossy_layer_without_temperature_on_read():
     (passive_cavity_stack,
      (400.0, LayerSlices((0.0, 6e-6, 4e-6, 10e-6), (350.0, 340.0, 330.0)), 300.0),
      "exactly tile"),
+    (passive_cavity_stack, (400.0, LayerSlices((0.0, math.nan, 10e-6), (350.0, 340.0)), 300.0),
+     "exactly tile"),
+    (passive_cavity_stack, (400.0, LayerSlices((0.0, "5e-6", 10e-6), (350.0, 340.0)), 300.0),
+     "exactly tile"),
+    (passive_cavity_stack, (400.0, LayerSlices((0.0, None, 10e-6), (350.0, 340.0)), 300.0),
+     "exactly tile"),
     (passive_cavity_stack, (400.0, LayerSlices((0.0, 10e-6), (350.0,))), "profile length"),
     (passive_cavity_stack, (400.0, None, "300"), "positive number"),
     (passive_cavity_stack, (400.0, None, True), "positive number"),
@@ -294,16 +297,18 @@ def test_profile_reports_a_lossy_layer_without_temperature_on_read():
     (cavity_stack, (400.0, 5000.0, 300.0), "layer 1: a temperature assignment requires"),
     (cavity_stack, (400.0, LayerSlices((0.0, 5e-6, 10e-6), (1.0, 9000.0)), 300.0),
      "layer 1: a temperature assignment requires"),
-], ids=["count_mismatch", "partial_cover", "overlapping", "short",
+], ids=["count_mismatch", "partial_cover", "overlapping", "nan_boundary",
+        "string_boundary", "none_boundary", "short",
         "string_temperature", "bool_temperature", "infinite_temperature",
         "string_slice_temperature", "lossless_layer_temperature",
         "lossless_layer_slices"])
 def test_photon_numbers_reject_a_profile_that_does_not_fit(make_stack, entries, fragment):
     """A hand-built profile is checked when it is built, so no photon
     number is computed from a profile that leaves part of a layer dark,
-    counts a part twice, runs past the stack, holds a temperature that is
-    not a finite positive number or gives one to a layer that does not
-    emit (which no source region would read); the error is one line."""
+    counts a part twice, runs past the stack, cuts it at a boundary that
+    is not a number in order, holds a temperature that is not a finite
+    positive number or gives one to a layer that does not emit (which no
+    source region would read); the error is one line."""
     with pytest.raises(ConfigError, match=fragment) as info:
         TemperatureProfile(make_stack(), entries)
     assert "\n" not in str(info.value)
@@ -339,6 +344,10 @@ def test_a_profile_of_another_stack_is_rejected(evaluate):
     ({"thickness": 5.0, "n": {"E_eV": "12", "n_re": "34", "n_im": "11"}}, "numeric lists"),
     ({"thickness": 5.0, "n": {"table": 3}}, "file path"),
     ({"thickness": 5.0, "n": {"table": "n\x00.csv"}}, "cannot read index table"),
+    ({"thickness": 5.0, "n": {"E_eV": [1.0, 1.7e308], "n_re": [1.5, 1.6],
+                              "n_im": [0.1, 0.1]}}, "energies must be finite"),
+    ({"thickness": 5.0, "n": {"E_eV": [-1.7e308, 1.7e308], "n_re": [1.5, 1.6],
+                              "n_im": [0.1, 0.1]}}, "energies must be finite"),
 ])
 def test_build_stack_rejects_out_of_range_and_non_finite_values(layer, fragment):
     outer = {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0}
