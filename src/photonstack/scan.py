@@ -18,8 +18,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -33,7 +33,7 @@ from .mechanics import PointField, check_off_interfaces, fd_residual, net_force
 from .stack import (Layer, LayerStack, _brief, _count, _integer, _mapping, _read_text,
                     _read_yaml, _real, build_stack, load_stack, serialize_stack)
 from .thermo import check_balance_settings, solve_self_consistent
-from .units import LDOS_UNIT, MICRON, omega_from_ev
+from .units import EV, LDOS_UNIT, MICRON, hbar, omega_from_ev
 
 # name -> (paper-units tag, SI tag, attribute path on PointField); only
 # the LDOS columns differ between unit systems, and slab_force is computed
@@ -147,6 +147,10 @@ class ScanSpec:
             raise ConfigError("duplicate quantities in scan spec")
         if self.energies.start <= 0.0:
             raise ConfigError("energies: photon energies must be positive")
+        # the grid ascends, so its stop gives its largest omega
+        if not math.isfinite(self.energies.stop * (EV / hbar)):
+            raise ConfigError(f"energies: stop {self.energies.stop:g} eV overflows the "
+                              "angular frequency")
         if self.widths is not None and self.widths.start < 0.0:
             raise ConfigError("widths: slab widths must be >= 0")
 
@@ -359,6 +363,8 @@ def _run_chunks(worker, payloads):
     forks no idle workers."""
     if len(payloads) <= 1:
         return [worker(p) for p in payloads]
+    # imported here: it loads multiprocessing, which serial runs never use
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
         return list(pool.map(worker, payloads))
 
@@ -458,19 +464,112 @@ def _write_file(target, chunks) -> None:
         raise
 
 
+# The CSV writer formats whole axis blocks in passes of about this many
+# cells: each uint64 temporary then stays under glibc's 128 KB mmap
+# threshold (passes of 2**15 cells were slower and raised the peak RSS).
+_PASS_CELLS = 2 ** 13
+# A significand this close to a rounding tie is left to C printf; the
+# float error of the scaling is about 2e-7.
+_TIE_BAND = 1e-5
+_TEN = 10.0 ** np.arange(-300, 301)                                # _TEN[300 + k] = 10**k
+_LOW = np.array([(1 << 8 * j) - 1 for j in range(9)], np.uint64)  # the low j bytes
+_DOT = np.uint64(ord(".") << 56)
+
+
+def _layouts():
+    """%g's layout of nine digits d0 d1..d8 per decimal exponent X (row
+    X + 300). A cell is three little-endian words of NUL-padded bytes:
+    comma, sign, lead "0." to "0.000" (-4 <= X < 0) and d0 in byte 7, or
+    d0 and its dot in bytes 6 and 7 (exponent notation); the digits d1..
+    before the dot, which takes byte 7; the digits after it, or "e+XX".
+    Columns: word 0's fixed bytes, d0's shift, the dot after d0, how many
+    of d1.. are always written, how many precede word 1's dot (8: no dot)
+    and the exponent bytes."""
+    rows = []
+    for x in range(-300, 301):
+        if 0 <= x < 9:
+            lead, shift, dot, keep, split, tail = b"", 56, 0, x, x, b""
+        elif -4 <= x < 0:
+            lead, shift, dot, keep, split, tail = b"0." + b"0" * (-x - 1), 56, 0, 0, 8, b""
+        else:
+            lead, shift, dot, keep, split, tail = b"", 48, int(_DOT), 0, 8, b"e%+03d" % x
+        rows.append((ord(",") | int.from_bytes(lead, "little") << 16, shift, dot, keep,
+                     split, int.from_bytes(tail, "little")))
+    head, shift, dot, keep, split, tail = (np.array(c, np.uint64) for c in zip(*rows))
+    return head, shift, dot, keep.astype(np.intp), split.astype(np.intp), tail
+
+
+_HEAD, _D0_SHIFT, _D0_DOT, _KEEP, _SPLIT, _TAIL = _layouts()
+
+
+def _printf_cells(values) -> np.ndarray:
+    """The cells of ``values`` by C printf itself: what the fast path leaves out."""
+    cells = b"".join((b",%.9g" % v).ljust(24, b"\0") for v in values.tolist())
+    return np.frombuffer(cells, "<u8").reshape(-1, 3)
+
+
+def _cells(values) -> np.ndarray:
+    """``b",%.9g" % (v + 0.0)`` for each value, as the (n, 3) words of
+    NUL-padded cells (see _layouts). Values near a rounding tie and
+    magnitudes outside [1e-280, 1e280) go to C printf."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    a = np.abs(v)
+    inrange = (a >= 1e-280) & (a < 1e280)
+    a1 = np.where(inrange, a, 1.0)
+    # the significand s = a * 10**(8 - e) in [1e8, 1e9): log10 may miss e
+    # by one, so step down if s < 1e8, then up if s rounds to 1e9
+    e = np.floor(np.log10(a1)).astype(np.intp)
+    e -= a1 * _TEN[308 - e] < 1e8
+    e += np.rint(a1 * _TEN[308 - e]) >= 1e9
+    s = a1 * _TEN[308 - e]
+    m = np.rint(s)
+    slow = np.flatnonzero((np.abs(s - m) > 0.5 - _TIE_BAND) | (~inrange & (a != 0)))
+    m = (m * (a != 0)).astype(np.uint64)  # zero: all digits 0, e = 0
+    d0 = m // 100_000_000
+    rest = m - d0 * 100_000_000
+    # SWAR: the digits d1..d8 as the bytes of one word, d1 lowest
+    q = rest // 10_000
+    x = q | (rest - q * 10_000) << 32                  # two 4-digit lanes
+    q = ((x * 5243) >> 19) & 0x0000007F0000007F       # // 100
+    x = q | (x - q * 100) << 16                        # four 2-digit lanes
+    q = ((x * 103) >> 10) & 0x000F000F000F000F        # // 10
+    digits = q | (x - q * 10) << 8
+    # bytes up to the last nonzero digit, from the word's bit length
+    count = (np.frexp(digits.astype(np.float64))[1] + 7) >> 3
+    row = e + 300
+    digits = (digits + 0x3030303030303030) & _LOW[np.maximum(count, _KEEP[row])]
+    split = _SPLIT[row]
+    before, after = digits & _LOW[split], digits >> (8 * split).astype(np.uint64)
+    cells = np.empty((v.size, 3), np.uint64)
+    cells[:, 0] = (_HEAD[row] | (v < 0) * np.uint64(ord("-") << 8)
+                   | (d0 + ord("0")) << _D0_SHIFT[row] | (digits != 0) * _D0_DOT[row])
+    cells[:, 1] = before | (after != 0) * _DOT
+    cells[:, 2] = after | _TAIL[row]
+    if slow.size:
+        cells[slow] = _printf_cells(v[slow])
+    return cells
+
+
 def _write_csv(target: Path, meta, axis_name, axis_values, energies_ev,
                quantities, data) -> None:
     def chunks():
         yield "".join(f"# {line}\n" for line in meta).encode()
         yield (",".join([axis_name, "E_eV", *quantities]) + "\n").encode()
-        # each cell is C-printf %.9g of value + 0.0 (-0.0 reads "0"); one
-        # bytes % per axis block (a str % raised the peak RSS by ~2 MB)
-        rows = [b",%.9g" % e + b",%.9g" * len(quantities)
-                for e in (energies_ev + 0.0).tolist()]
-        for a, values in zip((axis_values + 0.0).tolist(), data):
-            a = b"%.9g" % a
-            block = a + (b"\n" + a).join(rows) + b"\n"
-            yield block % tuple((values + 0.0).ravel().tolist())
+        # each row: axis cell (its comma dropped), energy cell, quantity
+        # cells, newline; the NUL padding goes in one translate per pass
+        n_e, n_q = len(energies_ev), len(quantities)
+        axis_cells = _cells(axis_values)
+        axis_cells[:, 0] &= ~np.uint64(0xFF)
+        energy_cells = _cells(energies_ev)
+        step = max(1, _PASS_CELLS // (n_e * n_q))
+        for a in range(0, len(axis_values), step):
+            block = data[a:a + step]
+            rows = np.empty((len(block), n_e, 3 * n_q + 7), np.uint64)
+            rows[:, :, :3] = axis_cells[a:a + step, None]
+            rows[:, :, 3:6] = energy_cells
+            rows[:, :, 6:-1] = _cells(block).reshape(len(block), n_e, 3 * n_q)
+            rows[:, :, -1] = ord("\n")
+            yield rows.astype("<u8", copy=False).tobytes().translate(None, b"\0")
 
     _write_file(target, chunks())
 

@@ -4,6 +4,7 @@ reader, every file it writes through one writer, and every malformed input
 that names it."""
 
 import ast
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -14,7 +15,6 @@ import pytest
 import yaml
 
 import photonstack
-import photonstack.scan as scan_mod
 from photonstack import cli
 from photonstack.errors import ConfigError
 from photonstack.scan import ScanSpec, read_scan_csv, run_scan
@@ -108,6 +108,10 @@ _CASES = {
     "energies_infinite_stop": (
         lambda d: lambda: ScanSpec.from_mapping(_spec(energies__stop=math.inf)),
         "energies: start and stop must be finite"),
+    "scan_energies_overflowing_omega": (
+        lambda d: ["scan", str(_write(d / "s.yaml", yaml.safe_dump(
+            _spec(energies={"start": 0.1, "stop": 1.0e300, "count": 3}))))],
+        "energies: stop 1e+300 eV"),
     "positions_overflowing_span": (
         lambda d: lambda: ScanSpec.from_mapping(
             _spec(positions={"start": -1.0e308, "stop": 1.0e308, "count": 3})),
@@ -166,7 +170,7 @@ def test_threads_beyond_the_axis_length_change_no_byte(tmp_path, monkeypatch):
 
     spec = _write(tmp_path / "s.yaml", yaml.safe_dump(_spec()))
     assert cli.main(["scan", str(spec), "--output", str(tmp_path / "one.csv")]) == 0
-    monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     assert cli.main(["scan", str(spec), "--output", str(tmp_path / "many.csv"),
                      "--threads", str(HUGE)]) == 0
     assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()

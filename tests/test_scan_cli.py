@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import subprocess
@@ -213,6 +214,22 @@ def test_replace_cannot_build_an_invalid_spec(change, fragment):
     assert "\n" not in str(info.value)
 
 
+def test_an_energy_grid_whose_omega_overflows_is_refused(monkeypatch):
+    """An energies stop whose angular frequency overflows float64 is
+    refused when the spec is built, with no numpy warning and no grid."""
+    monkeypatch.setattr(GridSpec, "values", lambda self: pytest.fail("a grid was built"))
+    data = small_pointwise()
+    data["energies"] = {"start": 0.1, "stop": 1.0e300, "count": 3}
+    spec = ScanSpec.from_mapping(small_pointwise())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (lambda: ScanSpec.from_mapping(data),
+                      lambda: dataclasses.replace(spec, energies=GridSpec(0.1, 1.0e300, 3))):
+            with pytest.raises(ConfigError, match="^energies: stop 1e\\+300 eV") as info:
+                build()
+            assert "\n" not in str(info.value)
+
+
 def test_building_a_spec_builds_no_grid(monkeypatch):
     """Construction checks grids, the wall gap included, from their bounds
     alone, so a count beyond any memory still gives a spec."""
@@ -273,7 +290,7 @@ def test_pool_size_is_capped_by_the_number_of_chunks(tmp_path, monkeypatch):
     data["positions"] = {"start": 0.5, "stop": 9.5, "count": 3}
     spec = ScanSpec.from_mapping(data)
     run_scan(spec, output=tmp_path / "serial.csv")
-    monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     run_scan(spec, output=tmp_path / "pooled.csv", threads=64)
     assert requested == [3]
     assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
@@ -377,6 +394,53 @@ def test_writer_bytes_equal_the_savetxt_reference(tmp_path, table):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def _with_neighbours(values, ulps=2):
+    """``values`` and the floats up to ``ulps`` steps above and below each."""
+    out, up, down = [values], values, values
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def test_cell_formatter_is_exactly_printf(monkeypatch):
+    """The writer's vectorized cells are byte for byte C printf's %.9g, on
+    every power of ten and its neighbours, the switches of notation and of
+    carry, exact rounding ties, zeros, subnormals and random bit patterns.
+    The ties go to the printf fallback, but few other values do, so the
+    fast path is what is checked."""
+    powers = np.array([10.0 ** k for k in range(-323, 309)])
+    switches = np.array([9.9999999949e-5, 9.9999999951e-5, 99999999.95, 999999999.4,
+                         999999999.5, 999999999.6, 1e-280, 1e280])
+    rng = np.random.default_rng(20)
+    odd = 2 * rng.integers(10**8, 5 * 10**8, 300) + 1  # nine digits, ten when halved
+    ties = np.array([int(m) * 10**k / 2 for m in odd for k in range(7)])
+    tiny = np.array([0.0, -0.0, 5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308])
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    values = np.concatenate([_with_neighbours(powers), _with_neighbours(switches), ties,
+                             tiny, bits[np.isfinite(bits)]])
+    values = np.concatenate([values, -values])
+
+    fallback = []
+    printf_cells = scan_mod._printf_cells
+
+    def counted(v):
+        fallback.extend(v.tolist())
+        return printf_cells(v)
+
+    monkeypatch.setattr(scan_mod, "_printf_cells", counted)
+    cells = scan_mod._cells(values).astype("<u8").tobytes()
+    got = [cells[i:i + 24].replace(b"\0", b"") for i in range(0, len(cells), 24)]
+    assert got == [b",%.9g" % (v + 0.0) for v in values.tolist()]
+
+    tie_set = set(ties) | set(-ties)
+    in_range = [v for v in fallback if 1e-280 <= abs(v) < 1e280]
+    assert tie_set <= set(in_range)
+    others = len(in_range) - len(tie_set)
+    assert 0 < others < 1e-3 * np.count_nonzero((np.abs(values) >= 1e-280)
+                                                & (np.abs(values) < 1e280))
+
+
 class _Unformattable:
     """A cell that survives adding 0.0 but that %.9g cannot print."""
 
@@ -401,10 +465,12 @@ def test_a_failed_write_keeps_the_old_file_and_no_part_file(tmp_path, monkeypatc
             monkeypatch.setattr(scan_mod.os, "replace", refuse)
             run_scan(ScanSpec.from_mapping(small_pointwise()), output=target)
         else:
-            data = np.ones((3, 4, 2), dtype=object)
-            data[1, 2, 0] = _Unformattable()
+            # one axis block of 2 * 4096 cells per pass: the first pass is
+            # written to the .part file before the second one fails
+            data = np.ones((3, 4096, 2), dtype=object)
+            data[1, 2048, 0] = _Unformattable()
             scan_mod._write_csv(target, ["head"], "x_um", np.arange(3.0),
-                                np.arange(4.0), ("a", "b"), data)
+                                np.arange(4096.0), ("a", "b"), data)
     assert target.read_bytes() == b"old bytes\n"
     assert list(tmp_path.iterdir()) == [target]
 
@@ -966,14 +1032,26 @@ def test_cli_balance_emits_slice_temperatures(tmp_path, capsys):
 
 # --- runtime dependencies --------------------------------------------------
 
-def test_cli_import_loads_no_scipy():
-    """The package runs on numpy and PyYAML alone; scipy is a test oracle."""
+def _modules_loaded_by_cli_import():
+    """The modules a fresh interpreter holds after ``import photonstack.cli``."""
     src = Path(photonstack.__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import photonstack.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(' '.join(sys.modules))")
     out = subprocess.run([sys.executable, "-c", code, str(src)],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return set(out.stdout.split())
+
+
+def test_cli_import_loads_no_scipy():
+    """The package runs on numpy and PyYAML alone; scipy is a test oracle."""
+    assert not [m for m in _modules_loaded_by_cli_import() if m.split(".")[0] == "scipy"]
+
+
+def test_cli_import_loads_no_process_pool():
+    """Only a scan with more than one thread needs the process pool, so
+    importing the CLI loads neither it nor multiprocessing."""
+    loaded = _modules_loaded_by_cli_import()
+    assert not {"multiprocessing", "concurrent.futures.process"} & loaded
 
 
 def test_constants_are_the_si_definitions():
