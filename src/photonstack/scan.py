@@ -516,14 +516,18 @@ def _cells(values) -> np.ndarray:
     a = np.abs(v)
     inrange = (a >= 1e-280) & (a < 1e280)
     a1 = np.where(inrange, a, 1.0)
-    # the significand s = a * 10**(8 - e) in [1e8, 1e9): log10 may miss e
-    # by one, so step down if s < 1e8, then up if s rounds to 1e9
+    # the significand s = a * 10**(8 - e) in [1e8, 1e9): log10 may give
+    # e one too high, so step down if s < 1e8; an s that rounds to 1e9
+    # carries into the next decade, and one above that goes to C printf
     e = np.floor(np.log10(a1)).astype(np.intp)
     e -= a1 * _TEN[308 - e] < 1e8
-    e += np.rint(a1 * _TEN[308 - e]) >= 1e9
     s = a1 * _TEN[308 - e]
     m = np.rint(s)
-    slow = np.flatnonzero((np.abs(s - m) > 0.5 - _TIE_BAND) | (~inrange & (a != 0)))
+    slow = np.flatnonzero((np.abs(s - m) > 0.5 - _TIE_BAND) | (m > 1e9)
+                          | (~inrange & (a != 0)))
+    carry = m == 1e9
+    e += carry
+    m[carry] = 1e8
     m = (m * (a != 0)).astype(np.uint64)  # zero: all digits 0, e = 0
     d0 = m // 100_000_000
     rest = m - d0 * 100_000_000
