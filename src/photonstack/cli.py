@@ -8,8 +8,8 @@ Subcommands:
   balance   run the self-consistent temperature solver alone and emit
             per-slice temperatures as CSV.
 
-Exit codes: 0 success, 1 validation failure, 2 solver non-convergence,
-3 I/O failure.
+Exit codes: 0 success, 1 validation failure or a malformed command line,
+2 solver non-convergence, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -123,8 +123,16 @@ def _balance(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a ConfigError (exit 1), not argparse's
+    usage block and exit 2, which belongs to the balance solver."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="photonstack",
         description="Photon-number statistics, temperatures, and forces "
                     "of the thermal field in layered structures.",
@@ -158,8 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

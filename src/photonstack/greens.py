@@ -46,18 +46,8 @@ def interface_coefficients(n_left, n_right):
     Returns ``(r, t)`` with ``r = (n_left - n_right)/(n_left + n_right)``
     and ``t = 2 n_left/(n_left + n_right)``.
     """
-    nl = np.asarray(n_left, dtype=complex)
-    nr = np.asarray(n_right, dtype=complex)
-    if np.any(nl.real <= 0) or np.any(nr.real <= 0):
-        raise ConfigError("refractive indices must have positive real part")
-    if np.any(nl.imag < 0) or np.any(nr.imag < 0):
-        raise ConfigError("refractive indices must have nonnegative imaginary part")
-    denom = nl + nr
-    r = (nl - nr) / denom
-    t = 2.0 * nl / denom
-    if not r.shape:
-        return complex(r), complex(t)
-    return r, t
+    denom = n_left + n_right
+    return (n_left - n_right) / denom, 2.0 * n_left / denom
 
 
 @dataclass(frozen=True, eq=False)

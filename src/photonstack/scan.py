@@ -63,7 +63,8 @@ _FORCE_QUANTITIES = frozenset({"zcf", "tcf", "ncf"})
 @dataclass(frozen=True)
 class GridSpec:
     """Inclusive 1D grid; log scale spaces points geometrically. Building one
-    checks it; a fault is a one-line ConfigError led by ``where``."""
+    checks it and stores its bounds as floats and its count as an int; a
+    fault is a one-line ConfigError led by ``where``."""
 
     start: float
     stop: float
@@ -72,12 +73,15 @@ class GridSpec:
     where: str = dataclasses.field(default="grid", kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
-        start, stop, where = self.start, self.stop, self.where
-        if not np.all(np.isfinite([start, stop])):
+        where = self.where
+        start, stop = _real(self.start, f"{where}: start"), _real(self.stop, f"{where}: stop")
+        if not (math.isfinite(start) and math.isfinite(stop)):
             raise ConfigError(f"{where}: start and stop must be finite")
-        if not np.isfinite(stop - start):
+        if not math.isfinite(stop - start):
             raise ConfigError(f"{where}: the span stop - start must be finite")
         count = _count(self.count, f"{where}: count")
+        for name, value in (("start", start), ("stop", stop), ("count", count)):
+            object.__setattr__(self, name, value)
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"{where}: scale must be 'linear' or 'log'")
         if count > 1 and not stop > start:
@@ -91,8 +95,8 @@ class GridSpec:
     def from_mapping(cls, data, where: str) -> "GridSpec":
         _mapping(data, {"start", "stop", "count", "scale"}, "grid", where,
                  required=("start", "stop", "count"))
-        return cls(_real(data["start"], f"{where}: start"), _real(data["stop"], f"{where}: stop"),
-                   data["count"], data.get("scale", "linear"), where=where)
+        return cls(data["start"], data["stop"], data["count"], data.get("scale", "linear"),
+                   where=where)
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -100,12 +104,8 @@ class GridSpec:
         return np.linspace(self.start, self.stop, self.count)
 
     def mapping(self) -> dict:
-        return {
-            "start": float(self.start),
-            "stop": float(self.stop),
-            "count": int(self.count),
-            "scale": self.scale,
-        }
+        return {"start": self.start, "stop": self.stop, "count": self.count,
+                "scale": self.scale}
 
 
 _SPEC_KEYS = {"stack", "quantities", "positions", "energies", "widths",

@@ -283,31 +283,27 @@ def _count(value, where: str) -> int:
     return count
 
 
-def _real(value, where: str) -> float:
-    """float(value), for a number or a numeric string such as the 1e-3
-    that PyYAML leaves unconverted."""
-    try:
-        return float(value)
-    except OverflowError:  # integers beyond the float range
-        raise ConfigError(f"{where}: number out of range") from None
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, not {_brief(value)}") from None
-
-
-def _yaml_number(raw, where: str, expected: str, words=()):
-    """A YAML number (not a bool) as a float, or the one of ``words`` that
-    the string ``raw`` spells in any case."""
-    if isinstance(raw, str) and raw.strip().lower() in words:
-        return raw.strip().lower()
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return _real(raw, where)
-    raise ConfigError(f"{where} must be {expected}")
+def _real(value, where: str, words=()):
+    """The one number rule: a float for an int, a float, a numpy scalar or
+    a numeric string such as the 1e1 that PyYAML leaves unconverted (a
+    bool is not a number), or the one of ``words`` that a string spells in
+    any case; anything else is a one-line ConfigError naming ``where``."""
+    if isinstance(value, str) and value.strip().lower() in words:
+        return value.strip().lower()
+    if isinstance(value, (numbers.Real, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # integers beyond the float range
+            raise ConfigError(f"{where}: number out of range") from None
+        except ValueError:
+            pass
+    expected = " or ".join(["a number", *map(repr, words)])
+    raise ConfigError(f"{where} must be {expected}, not {_brief(value)}")
 
 
 def _parse_complex(raw, where: str) -> complex:
     if not isinstance(raw, str):
-        return complex(_yaml_number(raw, f"{where}: refractive index",
-                                    "a number or a string"))
+        return complex(_real(raw, f"{where}: refractive index"))
     text = raw.strip().replace(" ", "")
     if text.endswith("i"):
         text = text[:-1] + "j"
@@ -325,8 +321,9 @@ def _index_table(columns, where: str, origin: str = "") -> TabulatedIndex:
     try:
         if not all(isinstance(c, list) for c in columns):
             raise TypeError
-        energies, re, im = (np.array([float(v) for v in c], dtype=float) for c in columns)
-    except (TypeError, ValueError, OverflowError):
+        energies, re, im = (np.array([_real(v, where) for v in c], dtype=float)
+                            for c in columns)
+    except (TypeError, ConfigError):
         raise ConfigError(f"{where}: index table entries must be numeric lists") from None
     if not len(energies) == len(re) == len(im) >= 2:
         raise ConfigError(f"{where}: index table columns must match and have >= 2 rows")
@@ -355,8 +352,7 @@ def _parse_layer(i: int, entry, base_dir: Path | None) -> Layer:
     where = f"layer {i}"
     _mapping(entry, _LAYER_KEYS, where=where, required=("thickness", "n"))
 
-    thickness = _yaml_number(entry["thickness"], f"{where}: thickness",
-                             "a number in um or 'inf'", ("inf",))
+    thickness = _real(entry["thickness"], f"{where}: thickness", ("inf",))
     thickness = math.inf if thickness == "inf" else thickness * MICRON
 
     raw_n = entry["n"]
@@ -376,8 +372,7 @@ def _parse_layer(i: int, entry, base_dir: Path | None) -> Layer:
 
     t = entry.get("temperature")
     if t is not None:
-        t = _yaml_number(t, f"{where}: temperature",
-                         f"kelvin, '{SELF_CONSISTENT}', or 'none'", ("none", SELF_CONSISTENT))
+        t = _real(t, f"{where}: temperature", ("none", SELF_CONSISTENT))
     return Layer(thickness, index, None if isinstance(t, str) else t, t == SELF_CONSISTENT)
 
 

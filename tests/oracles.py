@@ -8,6 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from photonstack.errors import ConfigError, DivergentSourceError
+from photonstack.greens import region_integrals
 from photonstack.spectral import (electric_density, ldos, photon_numbers,
                                   source_occupation)
 from photonstack.stack import LayerSlices
@@ -79,6 +80,42 @@ def net_emission(basis, profile, x: float) -> np.ndarray:
     n_e = photon_numbers(basis.at(x), profile).electric
     eta = source_occupation(om, temperature)
     return hbar * om**2 * im_n2 * electric_density(basis.at(x)) * (eta - n_e)
+
+
+class EdgeFlux(NamedTuple):
+    """The net spectral flux S at one point, positive toward +x, and the
+    driven flux: the sum of the magnitudes of its rightward and leftward
+    parts."""
+
+    net: np.ndarray
+    driven: np.ndarray
+
+
+def edge_flux(basis, profile, x: float) -> EdgeFlux:
+    """The net spectral flux at a region edge x, from the source integrals
+    and the flux F = Im(conj(phi) phi')/k0^2 of each solution at x:
+    S = [sum over s left of x of eta_s I_L(s)] F_R(x)/|W|^2
+      + [sum over s right of x of eta_s I_R(s) e^(2 shift)] F_L(x)/|W|^2.
+    A region lies left of x when hi <= x and right of it when lo >= x, so
+    x must not lie inside one."""
+    points = basis.at(x)
+    om = basis.omega
+    k0sq, w_sq = (om / c) ** 2, np.abs(points.w) ** 2
+    f_left = (np.conj(points.phi_l) * (points.dphi_l / k0sq)).imag / w_sq
+    f_right = (np.conj(points.phi_r) * (points.dphi_r / k0sq)).imag / w_sq
+    rightward, leftward = np.zeros(om.shape), np.zeros(om.shape)
+    for j, edges, temps in profile.sources:
+        ri = region_integrals(points, j, edges)
+        scale = 1.0 if ri.shift is None else np.exp(2.0 * ri.shift)
+        for r, temperature in enumerate(temps):
+            if edges[r] < x < edges[r + 1]:
+                raise ValueError(f"x = {x!r} lies inside a source region")
+            eta = source_occupation(om, temperature)
+            if edges[r + 1] <= x:
+                rightward = rightward + eta * ri.left[r] * f_right
+            else:
+                leftward = leftward + eta * ri.right[r] * scale * f_left
+    return EdgeFlux(rightward + leftward, np.abs(rightward) + np.abs(leftward))
 
 
 def savetxt_csv(path, meta, axis_name, axis_values, energies_ev, quantities, data):

@@ -132,6 +132,26 @@ _CASES = {
         lambda d: ["balance", str(ROOT / "configs" / "passive_cavity.yaml"),
                    "--slices", str(HUGE)],
         "balance slices"),
+    # a bool is not a number
+    "bool_balance_tolerance": (
+        lambda d: lambda: ScanSpec.from_mapping(_spec(balance__tolerance_K=True)),
+        "balance tolerance_K must be a number, not True"),
+    "bool_positions_start": (
+        lambda d: lambda: ScanSpec.from_mapping(_spec(positions__start=True)),
+        "positions: start must be a number, not True"),
+    # a malformed command line exits 1, not with argparse's usage and 2
+    "balance_slices_not_an_integer": (
+        lambda d: ["balance", str(ROOT / "configs" / "passive_cavity.yaml"),
+                   "--slices", "abc"],
+        "photonstack balance: argument --slices: invalid int value: 'abc'"),
+    "scan_threads_not_an_integer": (
+        lambda d: ["scan", str(_write(d / "s.yaml", yaml.safe_dump(_spec()))),
+                   "--threads", "1.5"],
+        "photonstack scan: argument --threads: invalid int value: '1.5'"),
+    "scan_unknown_units": (
+        lambda d: ["scan", str(_write(d / "s.yaml", yaml.safe_dump(_spec()))),
+                   "--units", "xx"],
+        "photonstack scan: argument --units: invalid choice: 'xx'"),
 }
 
 

@@ -205,11 +205,17 @@ def test_from_mapping_returns_a_spec_or_raises_config_error(slab, edits, raw):
     (lambda: {"balance": {"slices": 0}}, "balance slices"),
     (lambda: {"output": ""}, "output"),
     (lambda: {"energies": GridSpec(0.1, 1.0e300, 3)}, "^energies: stop 1e\\+300 eV"),
+    (lambda: {"positions": GridSpec("x", 2.0, 3)}, "^grid: start must be a number, not 'x'$"),
+    (lambda: {"positions": GridSpec(None, 2.0, 3)}, "^grid: start must be a number, not None$"),
+    (lambda: {"positions": dataclasses.replace(GridSpec(2.0, 8.0, 3, where="positions"),
+                                               start=True)},
+     "^positions: start must be a number, not True$"),
 ], ids=["units", "quantities", "descending_grid", "balance", "empty_output",
-        "overflowing_omega"])
+        "overflowing_omega", "string_grid_start", "none_grid_start", "bool_grid_start"])
 def test_replace_cannot_build_an_invalid_spec(change, fragment):
     """A spec checks itself however it is built, dataclasses.replace (as
-    the CLI's --units does) included."""
+    the CLI's --units does) included, and so does each of its grids: a
+    direct build gives the error that from_mapping gives."""
     spec = ScanSpec.from_mapping(small_pointwise())
     with pytest.raises(ConfigError, match=fragment) as info:
         dataclasses.replace(spec, **change())

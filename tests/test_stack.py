@@ -142,6 +142,24 @@ def test_build_stack_parse_errors_name_the_field():
                                        "temperature": "warm"}, base]})
 
 
+def test_yaml_numbers_without_a_dot_read_as_numbers(tmp_path):
+    """PyYAML leaves 1e1 (no dot) a string; thickness, temperature and n
+    read it as the number it spells, like every other number in a config."""
+    rows = {"plain": ("10.0", "300.0", "1.0"), "dotless": ("1e1", "3e2", "1e0")}
+    built = {}
+    for name, (thickness, temperature, n) in rows.items():
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(
+            "layers:\n"
+            f"  - {{thickness: inf, n: 1.5+0.3i, temperature: {temperature}}}\n"
+            f"  - {{thickness: {thickness}, n: {n}}}\n"
+            "  - {thickness: inf, n: 2.5+0.5i, temperature: 4e2}\n"
+        )
+        built[name] = serialize_stack(load_stack(cfg))
+    assert built["dotless"] == built["plain"]
+    assert built["plain"]["layers"][1]["thickness"] == 10.0
+
+
 def test_self_consistent_marker_parsed():
     config = {
         "layers": [
@@ -348,6 +366,13 @@ def test_a_profile_of_another_stack_is_rejected(evaluate):
                               "n_im": [0.1, 0.1]}}, "energies must be finite"),
     ({"thickness": 5.0, "n": {"E_eV": [-1.7e308, 1.7e308], "n_re": [1.5, 1.6],
                               "n_im": [0.1, 0.1]}}, "energies must be finite"),
+    # a bool is not a number, wherever it stands
+    ({"thickness": True, "n": 1.0}, "layer 1: thickness must be a number or 'inf', not True"),
+    ({"thickness": 5.0, "n": True}, "layer 1: refractive index must be a number, not True"),
+    ({"thickness": 5.0, "n": "1.5+0.1i", "temperature": True},
+     "layer 1: temperature must be a number or 'none' or 'self-consistent', not True"),
+    ({"thickness": 5.0, "n": {"E_eV": [True, 2.0], "n_re": [1.5, 1.6],
+                              "n_im": [0.1, 0.1]}}, "numeric lists"),
 ])
 def test_build_stack_rejects_out_of_range_and_non_finite_values(layer, fragment):
     outer = {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0}

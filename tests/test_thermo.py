@@ -162,6 +162,7 @@ def test_convergence_failure_raises(passive_cavity):
     ({"tolerance_K": "fine"}, "balance tolerance_K must be a number"),
     ({"relaxation": 0.5}, "unknown balance keys"),
     ({"slice": 4}, "unknown balance keys"),
+    ({"tolerance_K": True}, "balance tolerance_K must be a number, not True"),
 ])
 def test_out_of_range_settings_raise_config_error(passive_cavity, monkeypatch,
                                                   settings, fragment):
