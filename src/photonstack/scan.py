@@ -60,6 +60,14 @@ POINTWISE_QUANTITIES = tuple(q for q in QUANTITIES if _QUANTITY_TABLE[q][2])
 
 _FORCE_QUANTITIES = frozenset({"zcf", "tcf", "ncf"})
 
+# Pointwise scans work in passes of whole positions, as many as fit in
+# about this many cells, so a pass's temporaries stay bounded whatever the
+# grid. The evaluation counts (position, energy) pairs, a few hundred
+# bytes of temporaries each; the CSV writer counts formatted cells, whose
+# uint64 temporaries then stay under glibc's 128 KB mmap threshold
+# (writer passes of 2**15 cells were slower and raised the peak RSS).
+_PASS_CELLS = 2 ** 13
+
 @dataclass(frozen=True)
 class GridSpec:
     """Inclusive 1D grid; log scale spaces points geometrically. Building one
@@ -145,6 +153,10 @@ class ScanSpec:
             raise ConfigError(f"unknown quantities {_brief(bad)}; valid: {list(QUANTITIES)}")
         if len(set(quantities)) != len(quantities):
             raise ConfigError("duplicate quantities in scan spec")
+        for where in ("energies", "positions", "widths"):
+            grid = getattr(self, where)
+            if not isinstance(grid, GridSpec) and (grid is not None or where == "energies"):
+                raise ConfigError(f"{where}: expected a grid, not {_brief(grid)}")
         if self.energies.start <= 0.0:
             raise ConfigError("energies: photon energies must be positive")
         # the grid ascends, so its stop gives its largest omega
@@ -264,8 +276,9 @@ class ScanResult:
 
 
 def _pointwise_chunk(payload):
-    """Evaluate one chunk of positions over the whole energy grid, one
-    pass per layer; top-level for pickling. With ``fd_check`` the second
+    """Evaluate one chunk of positions over the whole energy grid in
+    passes of at most ``_PASS_CELLS`` cells, each within one layer, into
+    one block; top-level for pickling. With ``fd_check`` the second
     result holds the finite-difference residual per (position, energy),
     NaN where no check was made."""
     xs, profile, omega, quantities, units, fd_check = payload
@@ -274,17 +287,21 @@ def _pointwise_chunk(payload):
     fd = np.full((len(xs), omega.size), np.nan) if fd_check else None
     ldos_scale = LDOS_UNIT if units == "paper" else 1.0
     forces = not _FORCE_QUANTITIES.isdisjoint(quantities)
-    layers = basis.stack.layer_index(xs)
-    for j in np.unique(layers):
-        rows = layers == j
-        pv = PointField(basis, profile, xs[rows], gradient=forces)
-        for q_i, q in enumerate(quantities):
-            vals = attrgetter(_QUANTITY_TABLE[q][2])(pv)
-            if q.startswith("ldos_"):
-                vals = vals / ldos_scale
-            block[rows, :, q_i] = vals
-        if fd_check:
-            fd[rows] = fd_residual(basis, profile, pv.points.x, pv.force.total)
+    # the positions ascend, so each layer's positions are one run
+    runs = np.flatnonzero(np.diff(basis.stack.layer_index(xs))) + 1
+    step = max(1, _PASS_CELLS // omega.size)
+    for lo, hi in zip([0, *runs], [*runs, len(xs)]):
+        for a in range(lo, hi, step):
+            rows = slice(a, min(a + step, hi))
+            pv = PointField(basis, profile, xs[rows], gradient=forces)
+            for q_i, q in enumerate(quantities):
+                vals = attrgetter(_QUANTITY_TABLE[q][2])(pv)
+                if q.startswith("ldos_"):
+                    vals = vals / ldos_scale
+                block[rows, :, q_i] = vals
+            if fd_check:
+                fd[rows] = fd_residual(basis, profile, pv.points.x, pv.force.total)
+            del pv, vals  # a pass's arrays are gone before the next pass builds its own
     return block, fd
 
 
@@ -352,21 +369,10 @@ def _slab_chunk(payload):
     return block, None
 
 
-def _chunks(values, n: int):
+def _chunks(n_values: int, n: int):
     # more chunks than values would only add empty ones
-    bounds = np.linspace(0, len(values), min(n, len(values)) + 1).astype(int)
-    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _run_chunks(worker, payloads):
-    """One process per payload, so a thread count above the axis length
-    forks no idle workers."""
-    if len(payloads) <= 1:
-        return [worker(p) for p in payloads]
-    # imported here: it loads multiprocessing, which serial runs never use
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-        return list(pool.map(worker, payloads))
+    bounds = np.linspace(0, n_values, min(n, n_values) + 1).astype(int)
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
 def run_scan(
@@ -420,22 +426,39 @@ def run_scan(
                    spec.quantities, spec.units, fd_check)
     # each payload is one ordered chunk of the axis (in metres), then the
     # context every chunk shares
-    payloads = [(chunk, *context)
-                for chunk in _chunks(axis_values * MICRON, threads)]
-    results = _run_chunks(worker, payloads)
-    data = np.concatenate([r[0] for r in results], axis=0)
+    chunks = _chunks(axis_values.size, threads)
+    payloads = [(axis_values[c] * MICRON, *context) for c in chunks]
+    if len(payloads) == 1:
+        data, fd = worker(payloads[0])
+    else:
+        # one process per chunk, so a thread count above the axis length
+        # forks no idle workers; each block is copied into place as it
+        # arrives, so the blocks and their joined copy never all coexist
+        # (imported here: it loads multiprocessing, which serial runs never use)
+        from concurrent.futures import ProcessPoolExecutor
+        data = np.empty((axis_values.size, omega.size, len(spec.quantities)))
+        fd = np.empty(data.shape[:2]) if fd_check else None
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+            results = pool.map(worker, payloads)
+            for c in chunks:
+                block, block_fd = next(results)
+                data[c] = block
+                if fd_check:
+                    fd[c] = block_fd
+                # no name holds a block while the next one arrives
+                del block, block_fd
     fd_max = None
-    if results[0][1] is not None:
+    if fd_check:
         # a position counts as unchecked when any of its residuals is NaN
-        fd = np.concatenate([r[1] for r in results], axis=0)
         unchecked = np.isnan(fd).any(axis=1)
         fd_max = float(np.max(fd[~unchecked], initial=0.0))
         meta.append(f"fd-check: max-rel-residual={fd_max:.3e} "
                     f"unchecked={np.count_nonzero(unchecked)}")
 
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        a, e, q = bad[0]
+    # a NaN or an infinity reaches data.min() or data.max(), and neither
+    # builds a mask the size of data
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        a, e, q = np.argwhere(~np.isfinite(data))[0]
         raise PhotonStackError(
             f"scan produced a non-finite {spec.quantities[q]} at {axis_name} = "
             f"{axis_values[a]:g}, E_eV = {energies_ev[e]:g}; refusing to write")
@@ -464,10 +487,6 @@ def _write_file(target, chunks) -> None:
         raise
 
 
-# The CSV writer formats whole axis blocks in passes of about this many
-# cells: each uint64 temporary then stays under glibc's 128 KB mmap
-# threshold (passes of 2**15 cells were slower and raised the peak RSS).
-_PASS_CELLS = 2 ** 13
 # A significand this close to a rounding tie is left to C printf; the
 # float error of the scaling is about 2e-7.
 _TIE_BAND = 1e-5

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -210,8 +211,13 @@ def test_from_mapping_returns_a_spec_or_raises_config_error(slab, edits, raw):
     (lambda: {"positions": dataclasses.replace(GridSpec(2.0, 8.0, 3, where="positions"),
                                                start=True)},
      "^positions: start must be a number, not True$"),
+    (lambda: {"energies": {"start": 0.1, "stop": 0.2, "count": 3}},
+     "^energies: expected a grid, not {'count': 3, 'start': 0.1, 'stop': 0.2}$"),
+    (lambda: {"widths": (1, 2)}, "^widths: expected a grid, not \\(1, 2\\)$"),
+    (lambda: {"positions": [0, 1]}, "^positions: expected a grid, not \\[0, 1\\]$"),
 ], ids=["units", "quantities", "descending_grid", "balance", "empty_output",
-        "overflowing_omega", "string_grid_start", "none_grid_start", "bool_grid_start"])
+        "overflowing_omega", "string_grid_start", "none_grid_start", "bool_grid_start",
+        "mapping_energies", "tuple_widths", "list_positions"])
 def test_replace_cannot_build_an_invalid_spec(change, fragment):
     """A spec checks itself however it is built, dataclasses.replace (as
     the CLI's --units does) included, and so does each of its grids: a
@@ -473,9 +479,10 @@ def test_a_failed_write_keeps_the_old_file_and_no_part_file(tmp_path, monkeypatc
 
 def test_each_position_is_evaluated_once(tmp_path, monkeypatch):
     """A scan asking for every pointwise quantity builds one field-point
-    record per layer chunk and computes the mode densities and the
-    occupation sums from it once, in one call for all positions of the
-    layer; a balance solve builds one record per self-consistent layer."""
+    record per pass and computes the mode densities and the occupation
+    sums from it once, in one call for all positions of the pass; a pass
+    lies within one layer and here holds all of that layer's positions.
+    A balance solve builds one record per self-consistent layer."""
     calls = {}
     original_at = greens_mod.WaveBasis.at
 
@@ -510,6 +517,70 @@ def test_each_position_is_evaluated_once(tmp_path, monkeypatch):
     ]})
     photonstack.solve_self_consistent(two_layers, slices=4)
     assert calls == {"at": [4, 4]}
+
+
+def test_pass_size_leaves_the_output_unchanged(tmp_path, monkeypatch):
+    """On a self-consistent cavity with every pointwise quantity, one
+    position in each wall and seven in the gap, passes of one position
+    and passes that split the gap as 3 + 3 + 1 give the data, the fd
+    residuals and the CSV bytes of the default run, where each layer is
+    one pass; three processes give its data and CSV bytes, the fd-check
+    line included."""
+    mapping = small_pointwise()
+    mapping.update(stack=dict(PASSIVE), quantities=list(scan_mod.POINTWISE_QUANTITIES),
+                   positions={"start": -1.5, "stop": 11.5, "count": 9},
+                   energies={"start": 0.05, "stop": 0.2, "count": 5}, balance={"slices": 4})
+    spec = ScanSpec.from_mapping(mapping)
+    residuals = []
+    original = scan_mod.fd_residual
+
+    def recorded(*args, **kwargs):
+        residuals.append(original(*args, **kwargs))
+        return residuals[-1]
+    monkeypatch.setattr(scan_mod, "fd_residual", recorded)
+
+    def run(name):
+        residuals.clear()
+        result = run_scan(spec, output=tmp_path / name, fd_check=True)
+        return result.data, np.concatenate(residuals), len(residuals), (tmp_path / name).read_bytes()
+
+    data, fd, passes, csv = run("default.csv")
+    assert passes == 3
+    for cells, expected_passes in ((1, 9), (3 * spec.energies.count, 5)):
+        monkeypatch.setattr(scan_mod, "_PASS_CELLS", cells)
+        other_data, other_fd, other_passes, other_csv = run(f"cells{cells}.csv")
+        assert other_passes == expected_passes
+        assert np.array_equal(other_data, data)
+        assert np.array_equal(other_fd, fd, equal_nan=True)
+        assert other_csv == csv
+    monkeypatch.undo()
+    pooled = run_scan(spec, output=tmp_path / "pooled.csv", threads=3, fd_check=True)
+    assert np.array_equal(pooled.data, data)
+    assert (tmp_path / "pooled.csv").read_bytes() == csv
+
+
+def test_scan_memory_is_bounded_by_its_result(tmp_path):
+    """Doubling the positions of a pointwise scan adds its result array
+    and next to nothing else: after a warm-up scan, the traced peak beyond
+    data.nbytes grows by less than a tenth of what data.nbytes grows by."""
+    data = small_pointwise()
+    data["quantities"] = list(scan_mod.POINTWISE_QUANTITIES)
+    data["energies"]["count"] = 64
+    run_scan(ScanSpec.from_mapping(data), output=tmp_path / "warm.csv")
+    extra, sizes = [], []
+    for count in (200, 400):
+        data["positions"] = {"start": 0.5, "stop": 9.5, "count": count}
+        spec = ScanSpec.from_mapping(data)
+        tracemalloc.start()
+        try:
+            result = run_scan(spec, output=tmp_path / f"{count}.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sizes.append(result.data.nbytes)
+        extra.append(peak - result.data.nbytes)
+        del result
+    assert extra[1] - extra[0] < 0.1 * (sizes[1] - sizes[0])
 
 
 def test_missing_spec_metadata_is_an_error(tmp_path):
