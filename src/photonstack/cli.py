@@ -149,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="scan spec YAML file")
     p.add_argument("--output", help="override the spec's output path")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes (default 1)")
+                   help="worker processes for slab scans (default 1)")
     p.add_argument("--fd-check", action="store_true",
                    help="cross-check force densities against finite differences")
     p.add_argument("--units", choices=("paper", "si"),

@@ -16,6 +16,7 @@ the data section byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -237,7 +238,8 @@ class ScanSpec:
             if body.startswith("spec: "):
                 try:
                     data = json.loads(body[len("spec: "):])
-                except ValueError as exc:  # bad JSON, or an integer too long to convert
+                except (ValueError, RecursionError) as exc:
+                    # bad JSON, an integer too long to convert, or nesting too deep
                     raise ConfigError(f"corrupt spec metadata in {csv_path}: {exc}") from None
                 return cls.from_mapping(data)
         raise ConfigError(f"no spec metadata block found in {csv_path}")
@@ -275,13 +277,12 @@ class ScanResult:
     fd_residual_max: float | None = None
 
 
-def _pointwise_chunk(payload):
-    """Evaluate one chunk of positions over the whole energy grid in
+def _pointwise(xs, profile, omega, quantities, units, fd_check):
+    """Evaluate the positions ``xs`` (m) over the whole energy grid in
     passes of at most ``_PASS_CELLS`` cells, each within one layer, into
-    one block; top-level for pickling. With ``fd_check`` the second
-    result holds the finite-difference residual per (position, energy),
-    NaN where no check was made."""
-    xs, profile, omega, quantities, units, fd_check = payload
+    one block. With ``fd_check`` the second result holds the
+    finite-difference residual per (position, energy), NaN where no check
+    was made."""
     basis = solve_wave_basis(profile.stack, omega)
     block = np.empty((len(xs), omega.size, len(quantities)))
     fd = np.full((len(xs), omega.size), np.nan) if fd_check else None
@@ -357,22 +358,13 @@ class _SlabTemplate:
         return quarter, self.gap - quarter
 
 
-def _slab_chunk(payload):
-    widths, template, omega, balance = payload
-    block = np.empty((len(widths), omega.size, 1))
-    for i, w in enumerate(widths):
-        stack = template.at_width(w)
-        profile = solve_self_consistent(stack, **balance).profile
-        basis = solve_wave_basis(stack, omega)
-        x1, x2 = template.probes(w)
-        block[i, :, 0] = net_force(basis, profile, x1, x2)
-    return block, None
-
-
-def _chunks(n_values: int, n: int):
-    # more chunks than values would only add empty ones
-    bounds = np.linspace(0, n_values, min(n, n_values) + 1).astype(int)
-    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+def _slab_force(template, omega, balance, width):
+    """The net spectral force on the slab at ``width`` (m), one value per
+    energy, after its own balance solve; top-level for pickling."""
+    stack = template.at_width(width)
+    profile = solve_self_consistent(stack, **balance).profile
+    basis = solve_wave_basis(stack, omega)
+    return net_force(basis, profile, *template.probes(width))
 
 
 def run_scan(
@@ -384,13 +376,15 @@ def run_scan(
 ) -> ScanResult:
     """Execute a scan and write its CSV.
 
-    ``threads`` (at least 1) splits the positions (pointwise scans) or
-    the widths (slab scans) into that many ordered chunks, at most one
-    per axis point and one process each; every process sees the whole
-    energy grid and the chunks are joined in order, so the output bytes,
-    fd-check line included, do not depend on the thread count.
-    ``fd_check`` needs a force-density quantity to check. A failed run
-    leaves no partial output file behind.
+    ``threads`` (at least 1) caps the worker processes of a slab scan:
+    each width is one task with its own balance solve, the tasks go to
+    the processes in ordered chunks of ceil(widths / threads), one
+    process per chunk, and the rows are stacked in order, so the output
+    bytes do not depend on the thread count. A pointwise scan always runs
+    in this process: its one balance solve and its CSV write cannot be
+    split, and they take most of its time. ``fd_check`` needs a
+    force-density quantity to check. A failed run leaves no partial
+    output file behind.
     """
     target = output if output is not None else spec.output
     if target is None:
@@ -416,37 +410,28 @@ def run_scan(
             f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in spec.balance.items()))
     if spec.mode == "slab":
         axis_name, axis_values = "width_um", spec.widths.values()
-        worker, context = _slab_chunk, (spec.template, omega, spec.balance)
+        widths = axis_values * MICRON
+        force = functools.partial(_slab_force, spec.template, omega, spec.balance)
+        # ordered chunks of ceil(n / threads) widths, one process each, so
+        # a thread count above the number of widths forks no idle workers
+        # (integer ceilings: any int is a valid thread count)
+        chunksize = -(-widths.size // threads)
+        workers = -(-widths.size // chunksize)
+        if workers == 1:
+            rows = list(map(force, widths))
+        else:
+            # imported here: it loads multiprocessing, which serial runs never use
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(force, widths, chunksize=chunksize))
+        data, fd = np.stack(rows)[:, :, None], None
     else:
         axis_name, axis_values = "x_um", spec.positions.values()
+        xs = axis_values * MICRON
         if _FORCE_QUANTITIES & set(spec.quantities):
-            check_off_interfaces(stack, axis_values * MICRON)
-        worker = _pointwise_chunk
-        context = (solve_self_consistent(stack, **spec.balance).profile, omega,
-                   spec.quantities, spec.units, fd_check)
-    # each payload is one ordered chunk of the axis (in metres), then the
-    # context every chunk shares
-    chunks = _chunks(axis_values.size, threads)
-    payloads = [(axis_values[c] * MICRON, *context) for c in chunks]
-    if len(payloads) == 1:
-        data, fd = worker(payloads[0])
-    else:
-        # one process per chunk, so a thread count above the axis length
-        # forks no idle workers; each block is copied into place as it
-        # arrives, so the blocks and their joined copy never all coexist
-        # (imported here: it loads multiprocessing, which serial runs never use)
-        from concurrent.futures import ProcessPoolExecutor
-        data = np.empty((axis_values.size, omega.size, len(spec.quantities)))
-        fd = np.empty(data.shape[:2]) if fd_check else None
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            results = pool.map(worker, payloads)
-            for c in chunks:
-                block, block_fd = next(results)
-                data[c] = block
-                if fd_check:
-                    fd[c] = block_fd
-                # no name holds a block while the next one arrives
-                del block, block_fd
+            check_off_interfaces(stack, xs)
+        profile = solve_self_consistent(stack, **spec.balance).profile
+        data, fd = _pointwise(xs, profile, omega, spec.quantities, spec.units, fd_check)
     fd_max = None
     if fd_check:
         # a position counts as unchecked when any of its residuals is NaN

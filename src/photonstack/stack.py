@@ -397,6 +397,8 @@ def _read_yaml(path: Path, what: str):
         return yaml.safe_load(_read_text(path, what))
     except ValueError as exc:  # an integer literal too long to convert
         raise ConfigError(f"invalid YAML in {path}: {exc}") from None
+    except RecursionError:  # PyYAML's composer recurses once per nesting level
+        raise ConfigError(f"invalid YAML in {path}: nested too deeply") from None
     except yaml.YAMLError as exc:
         problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
         mark = getattr(exc, "problem_mark", None)

@@ -69,6 +69,21 @@ _CASES = {
     "from_metadata_missing": (
         lambda d: lambda: ScanSpec.from_metadata(d / "missing.csv"),
         "cannot read scan output"),
+    "from_metadata_deeply_nested": (
+        lambda d: lambda: ScanSpec.from_metadata(
+            _write(d / "x.csv", "# spec: " + "[" * 100000 + "]" * 100000 + "\nx_um\n")),
+        "corrupt spec metadata"),
+    "from_file_deeply_nested": (
+        lambda d: lambda: ScanSpec.from_file(
+            _write(d / "s.yaml", "stack: " + "[" * 3000 + "]" * 3000 + "\n")),
+        "nested too deeply"),
+    "load_stack_deeply_nested": (
+        lambda d: lambda: photonstack.load_stack(
+            _write(d / "c.yaml", "layers: " + "[" * 3000 + "]" * 3000 + "\n")),
+        "nested too deeply"),
+    "scan_deeply_nested": (
+        lambda d: ["scan", str(_write(d / "s.yaml", "stack: " + "[" * 3000 + "]" * 3000 + "\n"))],
+        "nested too deeply"),
     "from_metadata_huge_integer": (
         lambda d: lambda: ScanSpec.from_metadata(
             _write(d / "x.csv", "# spec: {\"units\": " + "1" * 5000 + "}\nx_um\n")),
@@ -172,12 +187,13 @@ def test_malformed_input_gives_a_one_line_config_error(tmp_path, capsys, case):
 
 
 def test_threads_beyond_the_axis_length_change_no_byte(tmp_path, monkeypatch):
-    """A thread count no array could hold is capped at one chunk per
-    position; the pool is replaced so that no process starts."""
+    """A thread count no array could hold is capped at one worker per
+    width of a slab scan; the pool is replaced so that no process starts."""
+    workers = []
 
     class SerialPool:
         def __init__(self, max_workers):
-            self.max_workers = max_workers
+            workers.append(max_workers)
 
         def __enter__(self):
             return self
@@ -185,14 +201,20 @@ def test_threads_beyond_the_axis_length_change_no_byte(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize):
             return map(fn, items)
 
-    spec = _write(tmp_path / "s.yaml", yaml.safe_dump(_spec()))
+    spec = _write(tmp_path / "s.yaml", yaml.safe_dump({
+        "stack": str(ROOT / "configs" / "transparent_slab.yaml"),
+        "quantities": ["slab_force"],
+        "widths": {"start": 0.0, "stop": 2.0, "count": 3},
+        "energies": {"start": 0.1, "stop": 0.2, "count": 2},
+        "output": "out.csv"}))
     assert cli.main(["scan", str(spec), "--output", str(tmp_path / "one.csv")]) == 0
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     assert cli.main(["scan", str(spec), "--output", str(tmp_path / "many.csv"),
                      "--threads", str(HUGE)]) == 0
+    assert workers == [3]
     assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 

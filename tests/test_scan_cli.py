@@ -267,13 +267,14 @@ def test_thread_count_leaves_bytes_unchanged(tmp_path):
 
 
 def test_pool_size_is_capped_by_the_number_of_chunks(tmp_path, monkeypatch):
-    """More threads than positions start one worker per position, not
-    one per requested thread."""
+    """A slab scan's widths go out in ordered chunks of ceil(widths /
+    threads), one worker per chunk: more threads than widths start one
+    worker per width, not one per requested thread."""
     requested = []
 
     class SerialPool:
         def __init__(self, max_workers):
-            requested.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -281,17 +282,32 @@ def test_pool_size_is_capped_by_the_number_of_chunks(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize):
+            requested.append((self.max_workers, chunksize))
             return map(fn, items)
 
-    data = small_pointwise()
-    data["positions"] = {"start": 0.5, "stop": 9.5, "count": 3}
-    spec = ScanSpec.from_mapping(data)
+    spec = ScanSpec.from_mapping(small_slab())
     run_scan(spec, output=tmp_path / "serial.csv")
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    run_scan(spec, output=tmp_path / "pooled.csv", threads=64)
-    assert requested == [3]
-    assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    for threads in (64, 2):
+        run_scan(spec, output=tmp_path / f"pooled{threads}.csv", threads=threads)
+        assert (tmp_path / f"pooled{threads}.csv").read_bytes() == (
+            tmp_path / "serial.csv").read_bytes()
+    assert requested == [(5, 1), (2, 3)]
+
+
+def test_pointwise_scan_starts_no_pool(tmp_path, monkeypatch):
+    """A pointwise scan runs in one process whatever its thread count."""
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pointwise scan started a process pool")
+
+    spec = ScanSpec.from_mapping(small_pointwise())
+    run_scan(spec, output=tmp_path / "serial.csv")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    run_scan(spec, output=tmp_path / "threads.csv", threads=4)
+    assert (tmp_path / "threads.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -524,8 +540,8 @@ def test_pass_size_leaves_the_output_unchanged(tmp_path, monkeypatch):
     position in each wall and seven in the gap, passes of one position
     and passes that split the gap as 3 + 3 + 1 give the data, the fd
     residuals and the CSV bytes of the default run, where each layer is
-    one pass; three processes give its data and CSV bytes, the fd-check
-    line included."""
+    one pass; a run with threads=3 gives its data and CSV bytes, the
+    fd-check line included."""
     mapping = small_pointwise()
     mapping.update(stack=dict(PASSIVE), quantities=list(scan_mod.POINTWISE_QUANTITIES),
                    positions={"start": -1.5, "stop": 11.5, "count": 9},
@@ -561,26 +577,28 @@ def test_pass_size_leaves_the_output_unchanged(tmp_path, monkeypatch):
 
 def test_scan_memory_is_bounded_by_its_result(tmp_path):
     """Doubling the positions of a pointwise scan adds its result array
-    and next to nothing else: after a warm-up scan, the traced peak beyond
-    data.nbytes grows by less than a tenth of what data.nbytes grows by."""
+    and next to nothing else, with one thread or two: after a warm-up
+    scan, the traced peak beyond data.nbytes grows by less than a tenth of
+    what data.nbytes grows by."""
     data = small_pointwise()
     data["quantities"] = list(scan_mod.POINTWISE_QUANTITIES)
     data["energies"]["count"] = 64
     run_scan(ScanSpec.from_mapping(data), output=tmp_path / "warm.csv")
-    extra, sizes = [], []
-    for count in (200, 400):
-        data["positions"] = {"start": 0.5, "stop": 9.5, "count": count}
-        spec = ScanSpec.from_mapping(data)
-        tracemalloc.start()
-        try:
-            result = run_scan(spec, output=tmp_path / f"{count}.csv")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        sizes.append(result.data.nbytes)
-        extra.append(peak - result.data.nbytes)
-        del result
-    assert extra[1] - extra[0] < 0.1 * (sizes[1] - sizes[0])
+    for threads in (1, 2):
+        extra, sizes = [], []
+        for count in (200, 400):
+            data["positions"] = {"start": 0.5, "stop": 9.5, "count": count}
+            spec = ScanSpec.from_mapping(data)
+            tracemalloc.start()
+            try:
+                result = run_scan(spec, output=tmp_path / f"{count}.csv", threads=threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            sizes.append(result.data.nbytes)
+            extra.append(peak - result.data.nbytes)
+            del result
+        assert extra[1] - extra[0] < 0.1 * (sizes[1] - sizes[0]), threads
 
 
 def test_missing_spec_metadata_is_an_error(tmp_path):
@@ -1115,7 +1133,7 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_process_pool():
-    """Only a scan with more than one thread needs the process pool, so
+    """Only a slab scan with more than one thread needs the process pool, so
     importing the CLI loads neither it nor multiprocessing."""
     loaded = _modules_loaded_by_cli_import()
     assert not {"multiprocessing", "concurrent.futures.process"} & loaded
