@@ -54,14 +54,16 @@ def interface_coefficients(n_left, n_right):
 class WaveBasis:
     """The two outgoing solutions of one stack at a set of frequencies.
 
-    All amplitude arrays have shape ``(n_layers,) + omega.shape``. The
-    stored Wronskian ``wronskian_scaled[j]`` belongs to the rescaled
-    amplitudes of layer j; the physical Wronskian is recovered by
-    multiplying with ``exp(scale_left[j] + scale_right[j])``.
+    ``n`` (each layer's index at ``omega``, evaluated here once for all
+    uses) and all amplitude arrays have shape ``(n_layers,) +
+    omega.shape``. The stored Wronskian ``wronskian_scaled[j]`` belongs
+    to the rescaled amplitudes of layer j; the physical Wronskian is
+    recovered by multiplying with ``exp(scale_left[j] + scale_right[j])``.
     """
 
     stack: LayerStack
     omega: np.ndarray
+    n: np.ndarray
     wavenumbers: np.ndarray
     refs: tuple[float, ...]
     a_left: np.ndarray
@@ -119,7 +121,7 @@ class FieldPoints:
     @property
     def n(self):
         """Refractive index of the points' layer at the basis frequencies."""
-        return self.basis.stack.layers[self.layer].n_at(self.basis.omega)
+        return self.basis.n[self.layer]
 
     @property
     def coincident_value(self):
@@ -164,7 +166,7 @@ def solve_wave_basis(stack: LayerStack, omega) -> WaveBasis:
 
     n = np.empty((nlay,) + wshape, dtype=complex)
     for j, layer in enumerate(layers):
-        n[j] = layer.n_at(om)
+        n[j] = layer.index.at(om)
 
     k = n * (om / c)
     refs = (stack.interfaces[0], *stack.interfaces)
@@ -225,6 +227,7 @@ def solve_wave_basis(stack: LayerStack, omega) -> WaveBasis:
     return WaveBasis(
         stack=stack,
         omega=om,
+        n=n,
         wavenumbers=k,
         refs=refs,
         a_left=a_l,

@@ -117,7 +117,12 @@ class PointField:
 
     @cached_property
     def temperatures(self) -> FieldTriplet:
-        return effective_temperatures(self.numbers, self.points.basis.omega)
+        # with sources a true photon number is positive: a 0 has underflowed, NaN not 0 K
+        temps = effective_temperatures(self.numbers, self.points.basis.omega)
+        if not self.sums.has_sources:
+            return temps
+        return FieldTriplet._make(np.where(n > 0.0, t, np.nan)
+                                  for n, t in zip(self.numbers, temps))
 
     @cached_property
     def energy(self):
@@ -139,10 +144,7 @@ def fd_residual(basis: WaveBasis, profile: TemperatureProfile, x, total):
     checked and their residual is NaN.
     """
     om = basis.omega
-    n_re = max(
-        float(np.max(np.real(layer.n_at(om)))) for layer in basis.stack.layers
-    )
-    lam = 2.0 * np.pi * c / (float(np.max(om)) * n_re)
+    lam = 2.0 * np.pi * c / (float(np.max(om)) * float(np.max(basis.n.real)))
     xs = np.atleast_1d(x)
     out = np.full(xs.shape + om.shape, np.nan)
     dist = _edge_distance(xs, profile.edges)

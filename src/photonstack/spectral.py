@@ -28,13 +28,15 @@ from .units import CROSS_SECTION, c, hbar, k_B
 
 
 def source_occupation(omega, temperature):
-    """Bose-Einstein occupancy 1 / (e^{hbar omega / k_B T} - 1); an array
-    of temperatures broadcasts against omega."""
+    """Bose-Einstein occupancy 1 / (e^{hbar omega / k_B T} - 1), which
+    underflows to its exact limit 0; an array or a list of temperatures
+    broadcasts against omega. As in ``stack._kelvin``, a temperature is a
+    positive, finite real number: a bool, a string or None is not."""
     t = np.asarray(temperature)
-    if not ((t > 0.0) & (t < np.inf)).all():  # NaN fails both
-        raise ConfigError("temperature must be positive and finite")
-    x = hbar * np.asarray(omega, dtype=float) / (k_B * temperature)
-    return 1.0 / np.expm1(x)
+    if t.dtype.kind not in "iuf" or not ((t > 0.0) & (t < np.inf)).all():  # NaN fails both
+        raise ConfigError("temperature must be a positive and finite real number")
+    with np.errstate(over="ignore"):  # e^x = inf gives 1/inf = 0
+        return 1.0 / np.expm1(hbar * np.asarray(omega, dtype=float) / (k_B * t))
 
 
 def occupation_temperature(number, omega):
@@ -66,11 +68,6 @@ class FieldTriplet(NamedTuple):
 def _mode_density(om, g):
     """Mode density from a coincident Green's function (or its gradient)."""
     return 2.0 * om / (math.pi * c * c * CROSS_SECTION) * g.imag
-
-
-def electric_density(points: FieldPoints):
-    """Electric mode density at the field points."""
-    return _mode_density(points.basis.omega, points.coincident_value)
 
 
 def _densities(om, nn, g_e, g_m) -> FieldTriplet:
@@ -139,6 +136,8 @@ class OccupationSums:
 
     def total_number_gradient(self):
         """d n_tot/dx; needs the sums evaluated with ``gradient=True``."""
+        if self.d_e_prime is None:
+            raise ConfigError("the photon-number gradient needs sums with gradient=True")
         if not self.has_sources:
             return np.zeros(self.d_e.shape)
         n_sq = self.n_sq

@@ -85,9 +85,6 @@ class Layer:
     temperature: float | None = None
     self_consistent: bool = False
 
-    def n_at(self, omega):
-        return self.index.at(omega)
-
     @property
     def semi_infinite(self) -> bool:
         return self.thickness == math.inf

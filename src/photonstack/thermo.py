@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 from .greens import solve_wave_basis
-from .spectral import electric_density, region_weights, source_occupation
+from .spectral import ldos, region_weights, source_occupation
 from .stack import LayerStack, TemperatureProfile, _count, _integer, _mapping, _real
 from .units import hbar, omega_from_ev
 
@@ -133,7 +133,7 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
         points = basis.at(x_m)
         rows = slice(i * slices, (i + 1) * slices)
         region_weights(points, sources, weights[rows])
-        kernel[rows] = hbar * om**2 * (points.n ** 2).imag * electric_density(points)
+        kernel[rows] = hbar * om**2 * (points.n ** 2).imag * ldos(points).electric
 
     denom = weights.sum(axis=1)
     eta_fixed = np.array([source_occupation(om, t) for t in reservoirs])

@@ -9,8 +9,7 @@ import numpy as np
 
 from photonstack.errors import ConfigError, DivergentSourceError
 from photonstack.greens import region_integrals
-from photonstack.spectral import (electric_density, ldos, photon_numbers,
-                                  source_occupation)
+from photonstack.spectral import ldos, photon_numbers, source_occupation
 from photonstack.stack import LayerSlices
 from photonstack.units import c, hbar
 
@@ -70,7 +69,7 @@ def net_emission(basis, profile, x: float) -> np.ndarray:
     exchanges nothing."""
     om = basis.omega
     stack = basis.stack
-    nn = stack.layers[stack.layer_index(x)].n_at(om)
+    nn = stack.layers[stack.layer_index(x)].index.at(om)
     im_n2 = (nn * nn).imag
     if not np.any(im_n2 != 0.0):
         return np.zeros(om.shape)
@@ -79,7 +78,7 @@ def net_emission(basis, profile, x: float) -> np.ndarray:
         raise ConfigError(f"no temperature assigned at x = {x!r}")
     n_e = photon_numbers(basis.at(x), profile).electric
     eta = source_occupation(om, temperature)
-    return hbar * om**2 * im_n2 * electric_density(basis.at(x)) * (eta - n_e)
+    return hbar * om**2 * im_n2 * ldos(basis.at(x)).electric * (eta - n_e)
 
 
 class EdgeFlux(NamedTuple):
@@ -270,7 +269,7 @@ def closed_form_sums(points, profile, *, gradient: bool = False):
     scales = [np.zeros(points.x.shape + om.shape) for _ in range(count)]
     lost = np.zeros(points.x.shape + om.shape, dtype=bool)
     for j, edges, temps in profile.sources:
-        n2im = (profile.stack.layers[j].n_at(om) ** 2).imag
+        n2im = (profile.stack.layers[j].index.at(om) ** 2).imag
         for lo, hi, t in zip(edges, edges[1:], temps):
             eta = source_occupation(om, t)
             for out, magnitude in ((sums, False), (scales, True)):

@@ -120,7 +120,7 @@ def differences(profile, om):
         weights = np.empty((xs.size, len(regions), om.size))
         region_weights(points, profile.sources, weights)
         for r, (j, lo, hi) in enumerate(regions):
-            n2im = (stack.layers[j].n_at(om) ** 2).imag
+            n2im = (stack.layers[j].index.at(om) ** 2).imag
             oracle = closed_form_integrals(points, j, lo, hi)
             want = n2im * oracle.gg
             new_nonfinite += int(np.sum(np.isfinite(want) & ~oracle.lost

@@ -78,7 +78,7 @@ def test_net_flux_rises_across_a_slice_by_its_net_emission(name):
     temps = np.concatenate([t for _, _, t in profile.sources])
     eta = source_occupation(om, temps[:, None])
     first = sum(len(t) for k, _, t in profile.sources if k < j)
-    n = basis.stack.layers[j].n_at(om)
+    n = basis.stack.layers[j].index.at(om)
     nodes, weights = np.polynomial.legendre.leggauss(GAUSS_NODES)
     flux = [edge_flux(basis, profile, x).net for x in edges]
     for m in range(SLICES):

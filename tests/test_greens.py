@@ -6,7 +6,8 @@ from scipy import integrate
 from photonstack.errors import ConfigError, DivergentSourceError
 from photonstack.greens import interface_coefficients, region_integrals, solve_wave_basis
 from photonstack.spectral import occupation_sums
-from photonstack.stack import ConstantIndex, Layer, LayerSlices, LayerStack, TemperatureProfile
+from photonstack.stack import (ConstantIndex, Layer, LayerSlices, LayerStack, TabulatedIndex,
+                               TemperatureProfile)
 from photonstack.units import c, omega_from_ev
 
 from conftest import INF, cavity_stack
@@ -22,6 +23,24 @@ def uniform_stack(n: complex, width: float = 8e-6) -> LayerStack:
          Layer(INF, ConstantIndex(n), 350.0 if (n * n).imag > 0 else None)],
         allow_lossless_bounds=(n * n).imag <= 0,
     )
+
+
+def test_the_basis_holds_each_layer_index_at_its_frequencies():
+    """``WaveBasis.n[j]`` is layer j's index model at the basis
+    frequencies, and the field points of a layer read their index there."""
+    om = omega_from_ev(np.array([0.05, 0.11, 0.2]))
+    table = TabulatedIndex(omega_from_ev(np.array([0.01, 0.3])),
+                           np.array([1.5 + 0.1j, 1.9 + 0.5j]))
+    stack = LayerStack([Layer(INF, ConstantIndex(1.5 + 0.3j), 400.0),
+                        Layer(5e-6, table, 350.0),
+                        Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0)])
+    basis = solve_wave_basis(stack, om)
+    assert basis.n.shape == (3,) + om.shape
+    for j, layer in enumerate(stack.layers):
+        assert np.array_equal(basis.n[j], np.broadcast_to(layer.index.at(om), om.shape))
+    for x in (-1e-6, 2e-6, [2e-6, 3e-6], 7e-6):
+        points = basis.at(x)
+        assert np.array_equal(points.n, basis.n[points.layer])
 
 
 # --- analytic oracles ------------------------------------------------------
@@ -113,7 +132,7 @@ def _mp_green(stack, omega):
     psi_right = e^{ik(x - x_last)} in the last (the basis's own
     normalization). Returns G(x, x'), d^2 G / dx dx' at x' = x and the
     Wronskian in each layer; call them under ``mp.workdps(40)``."""
-    k = [mp.mpc(complex(layer.n_at(omega))) * mp.mpf(omega) / mp.mpf(c)
+    k = [mp.mpc(complex(layer.index.at(omega))) * mp.mpf(omega) / mp.mpf(c)
          for layer in stack.layers]
     edges = [mp.mpf(b) for b in stack.interfaces]
 

@@ -4,8 +4,9 @@ from scipy import integrate
 
 from photonstack.errors import ConfigError, InterfacePointError
 from photonstack.greens import solve_wave_basis
-from photonstack.mechanics import fd_residual, frequency_integrated_force, net_force
-from photonstack.spectral import ldos, photon_numbers, source_occupation
+from photonstack.mechanics import (PointField, fd_residual, force_density,
+                                   frequency_integrated_force, net_force)
+from photonstack.spectral import ldos, occupation_sums, photon_numbers, source_occupation
 from photonstack.stack import TemperatureProfile
 from photonstack.units import hbar, omega_from_ev
 
@@ -67,6 +68,16 @@ def test_field_fluctuations_continuous_energy_density_not(
 def test_interface_point_rejected(cavity, cavity_basis, cavity_profile):
     with pytest.raises(InterfacePointError):
         point_force(cavity_basis, cavity_profile, 0.0)
+
+
+def test_force_without_gradient_sums_names_the_keyword(cavity_basis, cavity_profile):
+    with pytest.raises(ConfigError, match="gradient=True"):
+        PointField(cavity_basis, cavity_profile, 4e-6).force
+    points = cavity_basis.at(4e-6)
+    with pytest.raises(ConfigError, match="gradient=True"):
+        force_density(points, ldos(points), occupation_sums(points, cavity_profile))
+    assert np.all(np.isfinite(PointField(cavity_basis, cavity_profile, 4e-6,
+                                         gradient=True).force.total))
 
 
 def test_decomposition_sums_to_energy_gradient(balanced_passive):

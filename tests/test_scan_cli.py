@@ -17,6 +17,7 @@ import photonstack
 import photonstack.greens as greens_mod
 import photonstack.mechanics as mechanics_mod
 import photonstack.scan as scan_mod
+import photonstack.thermo as thermo_mod
 from photonstack import cli, units
 from photonstack.errors import ConfigError, InterfacePointError, PhotonStackError
 from photonstack.scan import GridSpec, ScanSpec, read_scan_csv, run_scan
@@ -703,6 +704,73 @@ def test_a_thick_absorber_beside_the_gap_scans_without_overflow(tmp_path):
     t_tot = table[:, header.index("T_tot")]
     assert table.shape == (10 * 50, 7)
     assert np.all((300.0 <= t_tot) & (t_tot <= 400.0)), (t_tot.min(), t_tot.max())
+
+
+COLD_CAVITY = {"layers": [{**CAVITY["layers"][0], "temperature": 20.0},
+                          CAVITY["layers"][1],
+                          {**CAVITY["layers"][2], "temperature": 20.0}]}
+
+
+def _cold_scan(quantities, count=3):
+    """The cavity in equilibrium at 20 K, at x = 5 um from 1 eV up: at 2
+    and 3 eV the occupancy, about e^-1160, is below the float range."""
+    return ScanSpec.from_mapping({
+        "stack": COLD_CAVITY, "quantities": quantities,
+        "positions": {"start": 5.0, "stop": 5.0, "count": 1},
+        "energies": {"start": 1.0, "stop": float(count), "count": count}})
+
+
+def test_an_underflowed_occupancy_is_refused_not_written_as_zero_kelvin(tmp_path):
+    target = tmp_path / "cold.csv"
+    with pytest.raises(PhotonStackError) as err:
+        run_scan(_cold_scan(["n_tot", "T_tot", "T_e"]), output=target)
+    assert str(err.value) == ("scan produced a non-finite T_tot at x_um = 5, "
+                              "E_eV = 2; refusing to write")
+    assert list(tmp_path.iterdir()) == []
+    # where the occupancy is still a float, the equilibrium temperature is read
+    result = run_scan(_cold_scan(["n_tot", "T_tot", "T_e"], count=1), output=target)
+    np.testing.assert_allclose(result.data[0, 0, 1:], 20.0, rtol=1e-9)
+
+
+def test_an_underflowed_occupancy_without_temperature_columns_writes_no_warning(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_scan(_cold_scan(["n_tot", "ldos_e"]), output=tmp_path / "cold.csv")
+    assert result.data[0, 0, 0] > 0.0
+    assert np.array_equal(result.data[0, 1:, 0], [0.0, 0.0])
+
+
+def test_a_scan_evaluates_each_index_table_once_per_wave_basis(tmp_path, monkeypatch):
+    """Two tables, one of them self-consistent: one basis for the balance
+    solve and one for the scan, and each table is evaluated once in each,
+    however many quantities, passes and fd-check probes read the index."""
+    calls, bases = [], []
+    table_at = photonstack.TabulatedIndex.at
+
+    def counted(index, omega):
+        calls.append(index)
+        return table_at(index, omega)
+
+    def solved(stack, omega):
+        bases.append(stack)
+        return greens_mod.solve_wave_basis(stack, omega)
+
+    monkeypatch.setattr(photonstack.TabulatedIndex, "at", counted)
+    for module in (scan_mod, thermo_mod):
+        monkeypatch.setattr(module, "solve_wave_basis", solved)
+    monkeypatch.setattr(scan_mod, "_PASS_CELLS", 8)
+    stack = _table_stack((0.001, 1.0), (0.0005, 2.0))
+    stack["layers"][4]["temperature"] = "self-consistent"
+    spec = ScanSpec.from_mapping({
+        "stack": stack, "balance": {"slices": 4},
+        "quantities": ["ldos_tot", "n_e", "T_tot", "u", "zcf", "ncf"],
+        "positions": {"start": 0.25, "stop": 6.25, "count": 5},
+        "energies": {"start": 0.1, "stop": 0.3, "count": 4}})
+    run_scan(spec, output=tmp_path / "tables.csv", fd_check=True)
+    tables = [layer.index for layer in spec.layer_stack.layers
+              if isinstance(layer.index, photonstack.TabulatedIndex)]
+    assert len(bases) == 2 and len(tables) == 2
+    assert sorted(map(id, calls)) == sorted(2 * list(map(id, tables)))
 
 
 def test_failed_replace_leaves_no_files(tmp_path, monkeypatch):

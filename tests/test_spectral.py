@@ -40,9 +40,17 @@ def test_occupancy_matches_direct_exponential():
 
 
 def test_occupancy_requires_positive_temperature():
-    for temperature in (0.0, np.nan, np.inf, np.array([[300.0], [np.nan]])):
+    for temperature in (0.0, np.nan, np.inf, np.array([[300.0], [np.nan]]),
+                        True, "300", None, [300.0, "400"], object()):
         with pytest.raises(ConfigError, match="positive and finite"):
             source_occupation(omega_from_ev(0.1), temperature)
+
+
+def test_occupancy_takes_a_list_of_temperatures():
+    om = omega_from_ev(0.1)
+    got = source_occupation(om, [300.0, 400.0])
+    assert np.array_equal(got, [source_occupation(om, 300.0), source_occupation(om, 400.0)])
+    assert np.array_equal(got, 1.0 / np.expm1(hbar * om / (k_B * np.array([300.0, 400.0]))))
 
 
 def test_occupation_temperature_inverts_occupancy():

@@ -117,7 +117,7 @@ def test_build_stack_from_mapping():
         ]
     }
     stack = build_stack(config)
-    assert stack.layers[0].n_at(1.0) == 1.5 + 0.3j
+    assert stack.layers[0].index.at(1.0) == 1.5 + 0.3j
     assert stack.layers[1].thickness == pytest.approx(10e-6)
     assert stack.layers[2].temperature == 300.0
 
@@ -192,7 +192,7 @@ def test_serialize_round_trip_tabulated():
     ])
     rebuilt = build_stack(serialize_stack(stack))
     probe = omega_from_ev(0.12)
-    assert rebuilt.layers[1].n_at(probe) == pytest.approx(tab.at(probe))
+    assert rebuilt.layers[1].index.at(probe) == pytest.approx(tab.at(probe))
 
 
 def test_load_stack_from_yaml(tmp_path):
@@ -204,7 +204,7 @@ def test_load_stack_from_yaml(tmp_path):
         "  - {thickness: inf, n: 2.5+0.5i, temperature: 300.0}\n"
     )
     stack = load_stack(cfg)
-    assert stack.layers[0].n_at(1.0) == 1.5 + 0.3j
+    assert stack.layers[0].index.at(1.0) == 1.5 + 0.3j
     with pytest.raises(ConfigError, match="cannot read"):
         load_stack(tmp_path / "missing.yaml")
 
@@ -220,7 +220,7 @@ def test_index_table_csv(tmp_path):
         ]
     }
     stack = build_stack(config, base_dir=tmp_path)
-    mid = stack.layers[1].n_at(omega_from_ev(0.15))
+    mid = stack.layers[1].index.at(omega_from_ev(0.15))
     assert mid == pytest.approx(1.7 + 0.3j)
 
     table.write_text("energy,re,im\n0.05,1.5,0.1\n")

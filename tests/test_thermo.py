@@ -4,7 +4,7 @@ from scipy.integrate import trapezoid
 
 from photonstack.errors import ConfigError, ConvergenceError
 from photonstack.greens import region_integrals, solve_wave_basis
-from photonstack.spectral import electric_density, source_occupation
+from photonstack.spectral import ldos, source_occupation
 from photonstack.stack import (
     ConstantIndex,
     Layer,
@@ -250,10 +250,10 @@ def _scalar_balance(stack, slices, tolerance_K=1e-3, relaxation=0.5):
             for m in range(slices):
                 midpoints.append((j, float(0.5 * (edges[m] + edges[m + 1]))))
                 regions.append((j, float(edges[m]), float(edges[m + 1]), None))
-    n2im = lambda j: (stack.layers[j].n_at(om) ** 2).imag  # noqa: E731
+    n2im = lambda j: (stack.layers[j].index.at(om) ** 2).imag  # noqa: E731
     weights = np.array([[_region_weight(basis, x, *r[:3]) for r in regions]
                         for _, x in midpoints])
-    kernel = np.array([hbar * om**2 * n2im(j) * electric_density(basis.at(x))
+    kernel = np.array([hbar * om**2 * n2im(j) * ldos(basis.at(x)).electric
                        for j, x in midpoints])
     denom = weights.sum(axis=1)
     eta_fixed = [source_occupation(om, r[3]) for r in regions[:n_fixed]]
