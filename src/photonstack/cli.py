@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, ConvergenceError, PhotonStackError
 from .greens import solve_wave_basis
-from .scan import ScanSpec, _check_output, _write_file, run_scan
+from .scan import ScanSpec, _check_target, _write_file, run_scan
 from .spectral import ldos_closure_residuals
 from .stack import SELF_CONSISTENT, TabulatedIndex, load_stack
 from .thermo import BALANCE_DEFAULTS, solve_self_consistent
@@ -101,7 +101,7 @@ def _scan(args) -> int:
 
 def _balance(args) -> int:
     if args.output is not None:
-        _check_output(args.output)
+        _check_target(args.output)
     stack = load_stack(args.config)
     if not any(layer.self_consistent for layer in stack.layers):
         raise ConfigError(f"{args.config} has no {SELF_CONSISTENT} layer to balance")

@@ -26,14 +26,8 @@ import numpy as np
 
 from .errors import ConfigError, InterfacePointError
 from .greens import FieldPoints, WaveBasis, solve_wave_basis
-from .spectral import (
-    FieldTriplet,
-    OccupationSums,
-    effective_temperatures,
-    ldos,
-    ldos_gradient,
-    occupation_sums,
-)
+from .spectral import (FieldTriplet, OccupationSums, effective_temperatures, ldos,
+                       ldos_gradient, occupation_sums)
 from .stack import LayerStack, TemperatureProfile
 from .units import MICRON, c, hbar
 
@@ -117,12 +111,7 @@ class PointField:
 
     @cached_property
     def temperatures(self) -> FieldTriplet:
-        # with sources a true photon number is positive: a 0 has underflowed, NaN not 0 K
-        temps = effective_temperatures(self.numbers, self.points.basis.omega)
-        if not self.sums.has_sources:
-            return temps
-        return FieldTriplet._make(np.where(n > 0.0, t, np.nan)
-                                  for n, t in zip(self.numbers, temps))
+        return effective_temperatures(self.numbers, self.points.basis.omega)
 
     @cached_property
     def energy(self):

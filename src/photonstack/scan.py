@@ -16,6 +16,7 @@ the data section byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import functools
 import hashlib
 import json
@@ -389,7 +390,7 @@ def run_scan(
     target = output if output is not None else spec.output
     if target is None:
         raise ConfigError("scan spec has no output path and none was given")
-    _check_output(target)
+    _check_target(target)
     target = Path(target)
     if _integer(threads, "--threads") < 1:
         raise ConfigError(f"--threads must be at least 1, not {threads}")
@@ -457,6 +458,17 @@ def run_scan(
     _write_csv(target, meta, axis_name, axis_values, energies_ev,
                spec.quantities, data)
     return ScanResult(axis_name, energies_ev, spec.quantities, data, target, fd_max)
+
+
+def _check_target(target) -> None:
+    """The output-path rule, then, before any solve, the OSError that
+    writing ``target`` would raise if its directory is missing or it is one."""
+    _check_output(target)
+    target = Path(target)
+    if not target.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(target.parent))
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
 
 
 def _write_file(target, chunks) -> None:

@@ -23,17 +23,17 @@ import numpy as np
 
 from .errors import ConfigError
 from .greens import FieldPoints, region_integrals
-from .stack import TemperatureProfile
+from .stack import TemperatureProfile, _kelvin
 from .units import CROSS_SECTION, c, hbar, k_B
 
 
 def source_occupation(omega, temperature):
     """Bose-Einstein occupancy 1 / (e^{hbar omega / k_B T} - 1), which
     underflows to its exact limit 0; an array or a list of temperatures
-    broadcasts against omega. As in ``stack._kelvin``, a temperature is a
-    positive, finite real number: a bool, a string or None is not."""
+    broadcasts against omega. Each temperature passes ``stack._kelvin``,
+    the one temperature rule."""
     t = np.asarray(temperature)
-    if t.dtype.kind not in "iuf" or not ((t > 0.0) & (t < np.inf)).all():  # NaN fails both
+    if not _kelvin(t):
         raise ConfigError("temperature must be a positive and finite real number")
     with np.errstate(over="ignore"):  # e^x = inf gives 1/inf = 0
         return 1.0 / np.expm1(hbar * np.asarray(omega, dtype=float) / (k_B * t))
@@ -105,14 +105,11 @@ class OccupationSums:
 
     ``d_*`` are the unfilled (denominator) sums, ``f_*`` the
     occupancy-filled ones; primed entries are field-point derivatives
-    when requested. Each sum has shape x.shape + omega.shape. ``n_sq`` is
-    |n|^2 in the layer holding x, which weights the electric sums in the
-    total. Without any source region every sum is empty and every number
-    is zero.
+    when requested. Each sum has shape x.shape + omega.shape. ``n_sq``,
+    |n|^2 in the layer holding x, weights the electric sums in the total.
     """
 
     n_sq: np.ndarray
-    has_sources: bool
     d_e: np.ndarray
     f_e: np.ndarray
     d_m: np.ndarray
@@ -126,9 +123,6 @@ class OccupationSums:
     def numbers(self) -> FieldTriplet:
         """n = f/d for each density; the total weights the electric sums
         by |n|^2, as the total mode density does."""
-        if not self.has_sources:
-            zero = np.zeros(self.d_e.shape)
-            return FieldTriplet(zero, zero.copy(), zero.copy())
         electric = self.f_e / self.d_e
         magnetic = self.f_m / self.d_m
         total = (self.n_sq * self.f_e + self.f_m) / (self.n_sq * self.d_e + self.d_m)
@@ -138,8 +132,6 @@ class OccupationSums:
         """d n_tot/dx; needs the sums evaluated with ``gradient=True``."""
         if self.d_e_prime is None:
             raise ConfigError("the photon-number gradient needs sums with gradient=True")
-        if not self.has_sources:
-            return np.zeros(self.d_e.shape)
         n_sq = self.n_sq
         return (
             n_sq * self.f_e_prime
@@ -210,11 +202,12 @@ def occupation_sums(points: FieldPoints, profile: TemperatureProfile, *,
     if profile.stack is not points.basis.stack:
         raise ConfigError("the temperature profile belongs to another stack "
                           "than the field points' wave basis")
+    if not profile.sources:
+        raise ConfigError("photon numbers need a thermal source: the stack has no absorbing layer")
     om = points.basis.omega
     count = 4 if gradient else 2
     # occupancies relative to the hottest source's, applied last so none underflows alone
-    hottest = max((t for _, _, temps in profile.sources for t in temps), default=None)
-    hottest = 1.0 if hottest is None else source_occupation(om, hottest)
+    hottest = source_occupation(om, max(t for _, _, temps in profile.sources for t in temps))
     hottest = np.where(hottest > 0.0, hottest, 1.0)
     # per side the (unfilled, filled) sums of unshifted factors; groups
     # get (side, shift, unfilled, filled) of each later layer
@@ -257,21 +250,20 @@ def occupation_sums(points: FieldPoints, profile: TemperatureProfile, *,
             sums[2 * i + 1] += part * eta_x
     for filled in sums[1::2]:
         filled *= hottest
-    return OccupationSums(np.abs(points.n) ** 2, bool(profile.sources), *sums)
+    return OccupationSums(np.abs(points.n) ** 2, *sums)
 
 
 def photon_numbers(points: FieldPoints, profile: TemperatureProfile) -> FieldTriplet:
-    """Source-resolved mean photon numbers at the field points.
-
-    A structure with no lossy layer has no thermal sources; all three
-    numbers are then zero.
-    """
+    """Source-resolved mean photon numbers at the field points: weighted
+    means of the sources' occupancies, so a stack with no source has none."""
     return occupation_sums(points, profile).numbers
 
 
 def effective_temperatures(numbers: FieldTriplet, omega) -> FieldTriplet:
-    """Effective temperatures in kelvin matching each photon number."""
-    return FieldTriplet._make(occupation_temperature(n, omega) for n in numbers)
+    """Effective temperatures in kelvin matching each photon number; a
+    number that is not positive has underflowed, so it maps to NaN, not 0 K."""
+    return FieldTriplet._make(np.where(n > 0.0, occupation_temperature(n, omega), np.nan)
+                              for n in numbers)
 
 
 def ldos_closure_residuals(points: FieldPoints):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 import reprlib
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -30,6 +29,7 @@ from .errors import ConfigError, MissingTemperatureError
 from .units import MICRON, ev_from_omega, omega_from_ev
 
 SELF_CONSISTENT = "self-consistent"
+_FLOAT_MAX = np.finfo(float).max
 
 _TOP_KEYS = {"name", "layers"}
 _LAYER_KEYS = {"thickness", "n", "temperature"}
@@ -110,10 +110,14 @@ class Layer:
 
 
 def _kelvin(t) -> bool:
-    """The one temperature rule: t is a positive real number (a bool or a
-    numeric string is not) within the finite float range."""
-    return (not isinstance(t, bool) and isinstance(t, numbers.Real)
-            and 0 < t <= sys.float_info.max)
+    """The one temperature rule: t is a real number or a numpy array that
+    numpy holds as integers or floats (a bool, a string, None, a Fraction
+    or an int of 2**64 or more is not), each positive and within the
+    finite float range."""
+    if not isinstance(t, (numbers.Real, np.ndarray)):
+        return False
+    t = np.asarray(t)
+    return t.dtype.kind in "iuf" and bool(((t > 0) & (t <= _FLOAT_MAX)).all())  # NaN fails both
 
 
 def _increasing(values) -> bool:

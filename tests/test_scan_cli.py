@@ -1028,6 +1028,34 @@ def test_cli_empty_output_path_exits_one_before_any_solve(tmp_path, capsys, monk
     assert all(p.suffix == ".yaml" for p in tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("target", ["missing_directory", "a_directory"])
+@pytest.mark.parametrize("command", ["scan_pointwise", "scan_slab", "balance"])
+def test_cli_unwritable_output_exits_three_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                            command, target):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output directory was checked")
+
+    for mod in (scan_mod, cli):
+        monkeypatch.setattr(mod, "solve_self_consistent", no_solve)
+    monkeypatch.setattr(scan_mod, "solve_wave_basis", no_solve)
+    argv = {
+        "scan_pointwise": ["scan", str(write_spec(tmp_path, "s.yaml", small_pointwise()))],
+        "scan_slab": ["scan", str(write_spec(tmp_path, "s.yaml", small_slab()))],
+        "balance": ["balance", str(write_spec(tmp_path, "p.yaml", PASSIVE))],
+    }[command]
+    if target == "missing_directory":
+        output, named = tmp_path / "missing" / "out.csv", tmp_path / "missing"
+    else:
+        output = named = tmp_path / "out.csv"
+        output.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv + ["--output", str(output)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f": {str(named)!r}\n")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_cli_balance_failed_write_keeps_the_old_file(tmp_path, capsys, monkeypatch):
     """balance --output writes through the scan's writer: a refused rename
     exits 3, the old file keeps its bytes and no .part file is left."""

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from photonstack.errors import ConfigError
 from photonstack.greens import solve_wave_basis
+from photonstack.mechanics import PointField
 from photonstack.spectral import (
     effective_temperatures,
     ldos,
@@ -202,7 +205,11 @@ def test_gradient_sums_give_bitwise_equal_numbers(cavity, cavity_basis, cavity_p
             assert np.array_equal(getattr(sums.numbers, name), getattr(plain, name))
 
 
-def test_sourceless_structure_has_zero_numbers():
+def test_sourceless_structure_has_mode_densities_but_no_photon_numbers():
+    """A photon number is a weighted mean of the thermal sources'
+    occupancies, so a stack with no absorbing layer has none: every
+    photon-number path raises one ConfigError line, while the mode
+    densities still evaluate."""
     stack = LayerStack(
         [Layer(INF, ConstantIndex(1.0)),
          Layer(5e-6, ConstantIndex(1.5)),
@@ -211,8 +218,37 @@ def test_sourceless_structure_has_zero_numbers():
     )
     basis = solve_wave_basis(stack, omega_from_ev(np.array([0.1])))
     profile = TemperatureProfile.from_stack(stack)
-    nums = photon_numbers(basis.at(2e-6), profile)
-    assert np.array_equal(nums.electric, np.zeros(1))
-    assert np.array_equal(nums.total, np.zeros(1))
-    temps = effective_temperatures(nums, basis.omega)
-    assert temps.total[0] == 0.0
+    assert np.all(ldos(basis.at(2e-6)).total > 0.0)
+    for numbers in (lambda: photon_numbers(basis.at(2e-6), profile),
+                    lambda: occupation_sums(basis.at(2e-6), profile),
+                    lambda: PointField(basis, profile, 2e-6).numbers):
+        with pytest.raises(ConfigError) as err:
+            numbers()
+        assert str(err.value) == ("photon numbers need a thermal source: "
+                                  "the stack has no absorbing layer")
+
+
+def _cold_cavity_at_5um():
+    """The cavity in equilibrium at 20 K, at x = 5 um: at 2 eV the
+    occupancy, about e^-1160, is below the float range."""
+    stack = LayerStack([dataclasses.replace(layer, temperature=20.0) if layer.lossy else layer
+                        for layer in cavity_stack().layers])
+    basis = solve_wave_basis(stack, omega_from_ev(np.array([1.0, 2.0])))
+    return basis, TemperatureProfile.from_stack(stack)
+
+
+def test_an_underflowed_photon_number_has_no_temperature():
+    basis, profile = _cold_cavity_at_5um()
+    numbers = photon_numbers(basis.at(5e-6), profile)
+    assert numbers.total[0] > 0.0 and numbers.total[1] == 0.0
+    for temps in effective_temperatures(numbers, basis.omega):
+        assert abs(temps[0] - 20.0) < 1e-9 * 20.0
+        assert np.isnan(temps[1])
+
+
+def test_point_field_temperatures_are_the_effective_temperatures():
+    basis, profile = _cold_cavity_at_5um()
+    field = PointField(basis, profile, 5e-6)
+    want = effective_temperatures(field.numbers, basis.omega)
+    for got, expected in zip(field.temperatures, want):
+        assert np.array_equal(got, expected, equal_nan=True)
