@@ -42,7 +42,6 @@ from .spectral import (
     ldos_closure_residuals,
     ldos_gradient,
     occupation_sums,
-    occupation_temperature,
     photon_numbers,
     source_occupation,
 )

@@ -126,6 +126,8 @@ def _check_output(path) -> None:
     """The one output-path rule, checked before any work is done."""
     if not isinstance(path, (str, os.PathLike)) or not os.fspath(path):
         raise ConfigError("output must be a nonempty path string")
+    if "\0" in os.fsdecode(path):
+        raise ConfigError("output path must not contain a NUL character")
 
 
 @dataclass(frozen=True)

@@ -39,22 +39,6 @@ def source_occupation(omega, temperature):
         return 1.0 / np.expm1(hbar * np.asarray(omega, dtype=float) / (k_B * t))
 
 
-def occupation_temperature(number, omega):
-    """Temperature whose Bose-Einstein occupancy equals ``number``.
-
-    Zero occupancy maps to 0 K (nothing radiates at that frequency); a
-    NaN occupancy stays NaN, so an undefined number cannot pass as 0 K.
-    """
-    n = np.asarray(number, dtype=float)
-    om = np.asarray(omega, dtype=float)
-    with np.errstate(divide="ignore"):
-        denom = np.log1p(1.0 / np.where(n <= 0, 1.0, n))
-    out = np.where(n <= 0, 0.0, hbar * om / (k_B * denom))
-    if not out.shape:
-        return float(out)
-    return out
-
-
 class FieldTriplet(NamedTuple):
     """Electric, magnetic and total parts of one local quantity (mode
     densities, their x-derivatives, photon numbers or effective
@@ -260,9 +244,11 @@ def photon_numbers(points: FieldPoints, profile: TemperatureProfile) -> FieldTri
 
 
 def effective_temperatures(numbers: FieldTriplet, omega) -> FieldTriplet:
-    """Effective temperatures in kelvin matching each photon number; a
-    number that is not positive has underflowed, so it maps to NaN, not 0 K."""
-    return FieldTriplet._make(np.where(n > 0.0, occupation_temperature(n, omega), np.nan)
+    """Effective temperatures in kelvin matching each photon number, the
+    one inverse of ``source_occupation``; a number that is not positive
+    has underflowed, so it maps to NaN, not 0 K."""
+    om = np.asarray(omega, dtype=float)
+    return FieldTriplet._make(hbar * om / (k_B * np.log1p(1.0 / np.where(n > 0.0, n, np.nan)))
                               for n in numbers)
 
 

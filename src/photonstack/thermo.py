@@ -15,7 +15,9 @@ strongly each region of the sliced profile's ``sources`` (the reservoir
 layers first, then the sliced ones) illuminates each slice midpoint;
 each sweep bisects every slice balance in lockstep on one (slices,
 omega) array, and an update under-relaxed by RELAXATION converges their
-mutual illumination.
+mutual illumination. Weights or a kernel that are not finite (an absorber
+hundreds of absorption lengths thick overflows them) raise
+PhotonStackError: a NaN balance would pass for the hot reservoir's value.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, PhotonStackError
 from .greens import solve_wave_basis
 from .spectral import ldos, region_weights, source_occupation
 from .stack import LayerStack, TemperatureProfile, _count, _integer, _mapping, _real
-from .units import hbar, omega_from_ev
+from .units import MICRON, ev_from_omega, hbar, omega_from_ev
 
 
 def default_balance_grid():
@@ -90,7 +92,8 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     slice-by-slice bisection. The update is under-relaxed by RELAXATION;
     the solve converges once the largest update is below ``tolerance_K``,
     or raises ConvergenceError after ``max_iterations``; unusable
-    settings (see ``check_balance_settings``) raise ConfigError.
+    settings (see ``check_balance_settings``) raise ConfigError, and an
+    exchange that is not finite raises PhotonStackError before any sweep.
     """
     slices, tolerance_K, max_iterations = check_balance_settings(settings).values()
     sc_layers = [j for j, layer in enumerate(stack.layers) if layer.self_consistent]
@@ -126,16 +129,21 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     # whose rows of the weight matrix are filled in place
     weights = np.empty((n_slices, len(reservoirs) + n_slices, om.size))
     kernel = np.empty((n_slices, om.size))
-    midpoints = []
-    for i, j in enumerate(sc_layers):
-        x_m = 0.5 * (slice_edges[j][:-1] + slice_edges[j][1:])
-        midpoints.append(x_m)
-        points = basis.at(x_m)
+    x_mid = np.concatenate([0.5 * (e[:-1] + e[1:]) for e in slice_edges.values()])
+    for i in range(len(sc_layers)):
         rows = slice(i * slices, (i + 1) * slices)
+        points = basis.at(x_mid[rows])
         region_weights(points, sources, weights[rows])
         kernel[rows] = hbar * om**2 * (points.n ** 2).imag * ldos(points).electric
 
     denom = weights.sum(axis=1)
+    # a NaN balance is neither >= 0 nor <= 0, so the bisection would take
+    # every slice to the top of its bracket; a zero row sum gives one too
+    bad = ~(np.isfinite(kernel) & (denom > 0.0) & (denom < np.inf))
+    if bad.any():
+        s, e = np.argwhere(bad)[0]
+        raise PhotonStackError(f"balance exchange is not finite at x = {x_mid[s] / MICRON:g} um, "
+                               f"E = {ev_from_omega(om[e]):g} eV; refusing to solve")
     eta_fixed = np.array([source_occupation(om, t) for t in reservoirs])
 
     def field_numbers(t_slices):
@@ -175,7 +183,7 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
 
     return BalanceResult(
         profile=TemperatureProfile.sliced(stack, slice_edges, temps.reshape(-1, slices)),
-        slice_positions=tuple(float(x) for x in np.concatenate(midpoints)),
+        slice_positions=tuple(float(x) for x in x_mid),
         temperatures=temps,
         residuals=residuals,
         iterations=iterations,

@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 import photonstack
-from photonstack import cli
+from photonstack import cli, scan, thermo
 from photonstack.errors import ConfigError
 from photonstack.scan import ScanSpec, read_scan_csv, run_scan
 from photonstack.stack import TemperatureProfile, build_stack
@@ -163,6 +163,18 @@ _CASES = {
         lambda d: ["scan", str(_write(d / "s.yaml", yaml.safe_dump(_spec()))),
                    "--threads", "1.5"],
         "photonstack scan: argument --threads: invalid int value: '1.5'"),
+    # a NUL in an output path is refused before any solve
+    "spec_output_nul": (
+        lambda d: lambda: ScanSpec.from_mapping(_spec(output="bad\x00.csv")),
+        "output path must not contain a NUL character"),
+    "scan_output_nul": (
+        lambda d: ["scan", str(_write(d / "s.yaml", yaml.safe_dump(_spec()))),
+                   "--output", str(d / "bad\x00.csv")],
+        "output path must not contain a NUL character"),
+    "balance_output_nul": (
+        lambda d: ["balance", str(ROOT / "configs" / "passive_cavity.yaml"),
+                   "--output", str(d / "bad\x00.csv")],
+        "output path must not contain a NUL character"),
     "scan_unknown_units": (
         lambda d: ["scan", str(_write(d / "s.yaml", yaml.safe_dump(_spec()))),
                    "--units", "xx"],
@@ -171,7 +183,12 @@ _CASES = {
 
 
 @pytest.mark.parametrize("case", list(_CASES), ids=list(_CASES))
-def test_malformed_input_gives_a_one_line_config_error(tmp_path, capsys, case):
+def test_malformed_input_gives_a_one_line_config_error(tmp_path, capsys, monkeypatch, case):
+    def solve(*args, **kwargs):
+        raise AssertionError("a malformed input reached a solver")
+
+    for module in (cli, scan, thermo):
+        monkeypatch.setattr(module, "solve_wave_basis", solve)
     make, fragment = _CASES[case]
     call = make(tmp_path)
     if isinstance(call, list):

@@ -7,12 +7,12 @@ from photonstack.errors import ConfigError
 from photonstack.greens import solve_wave_basis
 from photonstack.mechanics import PointField
 from photonstack.spectral import (
+    FieldTriplet,
     effective_temperatures,
     ldos,
     ldos_closure_residuals,
     ldos_gradient,
     occupation_sums,
-    occupation_temperature,
     photon_numbers,
     source_occupation,
 )
@@ -56,28 +56,20 @@ def test_occupancy_takes_a_list_of_temperatures():
     assert np.array_equal(got, 1.0 / np.expm1(hbar * om / (k_B * np.array([300.0, 400.0]))))
 
 
-def test_occupation_temperature_inverts_occupancy():
+def test_effective_temperatures_invert_occupancy():
     om = omega_from_ev(np.linspace(0.01, 0.3, 7))
     for t in (120.0, 300.0, 777.0):
         n = source_occupation(om, t)
-        back = occupation_temperature(n, om)
-        assert np.max(np.abs(back - t)) < 1e-9
-
-
-def test_zero_occupancy_maps_to_zero_kelvin():
-    om = omega_from_ev(np.array([0.05, 0.15]))
-    out = occupation_temperature(np.zeros(2), om)
-    assert np.array_equal(out, np.zeros(2))
-    assert occupation_temperature(0.0, omega_from_ev(0.1)) == 0.0
+        for back in effective_temperatures(FieldTriplet(n, n, n), om):
+            assert np.max(np.abs(back - t)) < 1e-9
 
 
 def test_nan_occupancy_stays_nan_not_zero_kelvin():
     om = omega_from_ev(0.1)
-    out = occupation_temperature(np.array([np.nan, 0.0, 1.0]), om)
-    assert np.isnan(out[0])
-    assert out[1] == 0.0
-    assert abs(out[2] - hbar * om / (k_B * np.log(2.0))) < 1e-9 * out[2]
-    assert np.isnan(occupation_temperature(np.nan, om))
+    n = np.array([np.nan, 0.0, -1.0, 1.0])
+    for out in effective_temperatures(FieldTriplet(n, n, n), om):
+        assert np.isnan(out[:3]).all()
+        assert abs(out[3] - hbar * om / (k_B * np.log(2.0))) < 1e-9 * out[3]
 
 
 # --- mode densities --------------------------------------------------------

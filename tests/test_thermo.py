@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import yaml
 from scipy.integrate import trapezoid
 
-from photonstack.errors import ConfigError, ConvergenceError
+from photonstack import cli, scan
+from photonstack.errors import ConfigError, ConvergenceError, PhotonStackError
 from photonstack.greens import region_integrals, solve_wave_basis
 from photonstack.spectral import ldos, source_occupation
 from photonstack.stack import (
@@ -11,6 +13,7 @@ from photonstack.stack import (
     LayerSlices,
     LayerStack,
     TemperatureProfile,
+    build_stack,
 )
 from photonstack import thermo
 from photonstack.thermo import default_balance_grid, solve_self_consistent
@@ -77,6 +80,52 @@ def test_solver_needs_a_reservoir():
     )
     with pytest.raises(ConfigError, match="fixed-temperature reservoir"):
         solve_self_consistent(stack)
+
+
+# a 200 um absorber whose region integrals overflow at the top of the
+# balance grid: a NaN exchange must not pass as the hot reservoir's 400 K
+THICK = {"layers": [
+    {"thickness": "inf", "n": "1.5+0.3i", "temperature": 400.0},
+    {"thickness": 200.0, "n": "1.5+1i", "temperature": "self-consistent"},
+    {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0},
+]}
+THICK_ERROR = "balance exchange is not finite at x = 25 um, E = 0.703168 eV; refusing to solve"
+
+
+def test_a_non_finite_exchange_raises():
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(PhotonStackError) as info:
+            solve_self_consistent(build_stack(THICK), slices=4)
+    assert str(info.value) == THICK_ERROR
+
+
+def test_balance_cli_refuses_a_non_finite_exchange(tmp_path, capsys):
+    config = tmp_path / "thick.yaml"
+    config.write_text(yaml.safe_dump(THICK))
+    out = tmp_path / "out.csv"
+    with pytest.warns(RuntimeWarning):
+        code = cli.main(["balance", str(config), "--slices", "4", "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {THICK_ERROR}\n"
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_scan_refuses_a_non_finite_exchange_before_the_pointwise_solve(
+        tmp_path, capsys, monkeypatch):
+    def pointwise(*args):
+        raise AssertionError("the pointwise solve ran")
+
+    monkeypatch.setattr(scan, "_pointwise", pointwise)
+    spec = tmp_path / "s.yaml"
+    spec.write_text(yaml.safe_dump({
+        "stack": THICK, "quantities": ["T_e"], "balance": {"slices": 4},
+        "positions": {"start": -1.0, "stop": 1.0, "count": 2},
+        "energies": {"start": 0.1, "stop": 0.2, "count": 2},
+        "output": str(tmp_path / "out.csv")}))
+    with pytest.warns(RuntimeWarning):
+        assert cli.main(["scan", str(spec)]) == 1
+    assert capsys.readouterr().err == f"error: {THICK_ERROR}\n"
+    assert list(tmp_path.iterdir()) == [spec]
 
 
 def test_equilibrium_reservoirs_give_flat_profile():
