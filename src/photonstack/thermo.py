@@ -10,14 +10,15 @@ Layers marked self-consistent are cut into uniform slices, and every
 slice temperature is driven to the root of its net exchange integrated
 over a photon-energy grid (a conduction-coupled slab thermalizes each
 slice to one temperature). The reservoirs bracket each root, which
-bisection finds. ``spectral.region_weights`` fills in once per solve how
-strongly each region of the sliced profile's ``sources`` (the reservoir
-layers first, then the sliced ones) illuminates each slice midpoint;
-each sweep bisects every slice balance in lockstep on one (slices,
-omega) array, and an update under-relaxed by RELAXATION converges their
-mutual illumination. Weights or a kernel that are not finite (an absorber
-hundreds of absorption lengths thick overflows them) raise
-PhotonStackError: a NaN balance would pass for the hot reservoir's value.
+Newton steps safeguarded by that bracket find. ``spectral.region_weights``
+fills in once per solve how strongly each region of the sliced profile's
+``sources`` (the reservoir layers first, then the sliced ones)
+illuminates each slice midpoint; each sweep solves every slice balance
+in lockstep on one (slices, omega) array, and an update under-relaxed by
+RELAXATION converges their mutual illumination. Weights or a kernel that
+are not finite (an absorber hundreds of absorption lengths thick
+overflows them) raise PhotonStackError: a NaN balance would pass for the
+hot reservoir's value.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import ConfigError, ConvergenceError, PhotonStackError
 from .greens import solve_wave_basis
 from .spectral import ldos, region_weights, source_occupation
 from .stack import LayerStack, TemperatureProfile, _count, _integer, _mapping, _real
-from .units import MICRON, ev_from_omega, hbar, omega_from_ev
+from .units import MICRON, ev_from_omega, hbar, k_B, omega_from_ev
 
 
 def default_balance_grid():
@@ -83,17 +84,21 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     """Find slice temperatures that zero each slice's integrated exchange.
 
     ``settings`` override BALANCE_DEFAULTS: ``slices`` per self-consistent
-    layer, ``tolerance_K`` and ``max_iterations``. Each iteration fills
-    the midpoints' source weights with the current occupancies and
-    bisects every slice balance in lockstep between the coldest and
-    hottest reservoir, each slice with its own clamping to that bracket
-    and its own stop once its bracket is no wider than ``0.1 *
-    tolerance_K`` (or a few ulps), so the roots are those of a
-    slice-by-slice bisection. The update is under-relaxed by RELAXATION;
-    the solve converges once the largest update is below ``tolerance_K``,
-    or raises ConvergenceError after ``max_iterations``; unusable
-    settings (see ``check_balance_settings``) raise ConfigError, and an
-    exchange that is not finite raises PhotonStackError before any sweep.
+    layer, ``tolerance_K`` and ``max_iterations``. Each iteration (a
+    sweep) fills the midpoints' field photon numbers from the current
+    temperatures and then finds every slice's root in lockstep between
+    the coldest and hottest reservoir, each slice with its own clamping
+    to that bracket. A slice takes Newton steps from its current
+    temperature, its balance and slope coming from one occupancy
+    evaluation; a step that would leave the bracket, or that is not under
+    half the one before, halves the bracket instead (the rtsafe rule). A
+    slice stops once its last correction or its bracket is no wider than
+    ``0.1 * tolerance_K`` (or a few ulps). The update is under-relaxed by
+    RELAXATION; the solve converges once the largest update is below
+    ``tolerance_K``, or raises ConvergenceError after ``max_iterations``
+    sweeps; unusable settings (see ``check_balance_settings``) raise
+    ConfigError, and an exchange that is not finite raises
+    PhotonStackError before any sweep.
     """
     slices, tolerance_K, max_iterations = check_balance_settings(settings).values()
     sc_layers = [j for j, layer in enumerate(stack.layers) if layer.self_consistent]
@@ -130,14 +135,16 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     weights = np.empty((n_slices, len(reservoirs) + n_slices, om.size))
     kernel = np.empty((n_slices, om.size))
     x_mid = np.concatenate([0.5 * (e[:-1] + e[1:]) for e in slice_edges.values()])
-    for i in range(len(sc_layers)):
-        rows = slice(i * slices, (i + 1) * slices)
-        points = basis.at(x_mid[rows])
-        region_weights(points, sources, weights[rows])
-        kernel[rows] = hbar * om**2 * (points.n ** 2).imag * ldos(points).electric
+    # an overflow leaves an inf or a NaN, which the check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(sc_layers)):
+            rows = slice(i * slices, (i + 1) * slices)
+            points = basis.at(x_mid[rows])
+            region_weights(points, sources, weights[rows])
+            kernel[rows] = hbar * om**2 * (points.n ** 2).imag * ldos(points).electric
 
     denom = weights.sum(axis=1)
-    # a NaN balance is neither >= 0 nor <= 0, so the bisection would take
+    # a NaN balance is neither >= 0 nor <= 0, so the root-find would take
     # every slice to the top of its bracket; a zero row sum gives one too
     bad = ~(np.isfinite(kernel) & (denom > 0.0) & (denom < np.inf))
     if bad.any():
@@ -145,32 +152,48 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
         raise PhotonStackError(f"balance exchange is not finite at x = {x_mid[s] / MICRON:g} um, "
                                f"E = {ev_from_omega(om[e]):g} eV; refusing to solve")
     eta_fixed = np.array([source_occupation(om, t) for t in reservoirs])
+    # d(eta)/dT = eta (1 + eta) hbar omega / (k_B T^2)
+    slope_kernel = kernel * (hbar * om / k_B)
 
     def field_numbers(t_slices):
         filled = np.concatenate([eta_fixed, source_occupation(om, t_slices[:, None])])
         return np.einsum("mrw,rw->mw", weights, filled) / denom
 
-    def integrated_balance(t, n_e):
-        # net exchange of every slice at its temperature in t
-        eta = source_occupation(om, t[:, None])
+    def integrated_balance(eta, n_e):
+        # net exchange of every slice whose own occupancy is eta
         return np.trapezoid(kernel * (eta - n_e), om, axis=-1)
 
+    eta_lo, eta_top = source_occupation(om, t_lo), source_occupation(om, t_top)
     for iterations in range(1, max_iterations + 1):
         n_e = field_numbers(temps)
-        # Each slice halves its own bracket until it is no wider than tol,
-        # but one whose balance at t_lo is >= 0 (a NaN is not) keeps t_lo,
-        # and then one whose balance at the top is <= 0 keeps the top.
-        lo, hi = np.full(n_slices, t_lo), np.full(n_slices, t_top)
-        at_lo = integrated_balance(lo, n_e) >= 0.0
-        at_hi = ~at_lo & (integrated_balance(hi, n_e) <= 0.0)
-        hi[at_lo] = t_lo
-        lo[at_hi] = t_top
-        while (moving := hi - lo > tol).any():
-            mid = 0.5 * (lo + hi)
-            up = integrated_balance(mid, n_e) >= 0.0
-            hi = np.where(moving & up, mid, hi)
-            lo = np.where(moving & ~up, mid, lo)
-        update = RELAXATION * (0.5 * (lo + hi) - temps)
+        # A slice whose balance at t_lo is >= 0 (a NaN is not) keeps t_lo,
+        # then one whose balance at the top is <= 0 keeps the top; every
+        # other slice brackets its root between them.
+        at_lo = integrated_balance(eta_lo, n_e) >= 0.0
+        at_hi = ~at_lo & (integrated_balance(eta_top, n_e) <= 0.0)
+        lo = np.where(at_hi, t_top, t_lo)
+        hi = np.where(at_lo, t_lo, t_top)
+        # Newton steps from the current temperatures, safeguarded as in
+        # rtsafe: a step that leaves the bracket or is not under half the
+        # one before halves the bracket instead. A slice stops once its
+        # last correction or its bracket is no wider than tol.
+        t = np.clip(temps, lo, hi)
+        correction = hi - lo
+        while (moving := (hi - lo > tol) & (np.abs(correction) > tol)).any():
+            eta = source_occupation(om, t[:, None])
+            balance = integrated_balance(eta, n_e)
+            slope = np.trapezoid(slope_kernel * eta * (1.0 + eta), om, axis=-1) / t**2
+            up = balance >= 0.0
+            hi = np.where(moving & up, t, hi)
+            lo = np.where(moving & ~up, t, lo)
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope bisects
+                newton = balance / slope
+            half = 0.5 * (hi - lo)
+            ok = ((np.abs(newton) < 0.5 * np.abs(correction))
+                  & (lo <= t - newton) & (t - newton <= hi))
+            t = np.where(moving, np.where(ok, t - newton, lo + half), t)
+            correction = np.where(moving, np.where(ok, newton, half), correction)
+        update = RELAXATION * (t - temps)
         temps = temps + update
         step = float(np.max(np.abs(update)))
         if step < tolerance_K:
@@ -179,7 +202,7 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
         raise ConvergenceError(f"balance sweep still moving {step:.3e} K after {max_iterations} "
                                f"iterations (tolerance {tolerance_K:g} K)")
 
-    residuals = integrated_balance(temps, field_numbers(temps))
+    residuals = integrated_balance(source_occupation(om, temps[:, None]), field_numbers(temps))
 
     return BalanceResult(
         profile=TemperatureProfile.sliced(stack, slice_edges, temps.reshape(-1, slices)),

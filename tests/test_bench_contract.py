@@ -1,5 +1,6 @@
 """The parts of the package the benchmark harness in ``perfbench/`` relies
-on: the functions its tracer wraps and the scan-result fields it reads."""
+on: the functions its tracer wraps, the scan-result fields it reads, and
+the seed-0 values its reference holds."""
 
 import dataclasses
 import importlib
@@ -8,15 +9,18 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from photonstack.scan import ScanSpec, run_scan
 from photonstack.thermo import BalanceResult
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tracer(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(monkeypatch, name):
+    """``perfbench/<name>.py``, which is not a package, as a module."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -25,7 +29,7 @@ def _load_tracer(monkeypatch):
 
 
 def test_every_traced_name_is_a_callable_of_its_module(monkeypatch):
-    tracer = _load_tracer(monkeypatch)
+    tracer = _load(monkeypatch, "tracer")
     missing = [f"{owner}.{name}"
                for owner, names in tracer.TRACED.items()
                for name in names
@@ -49,7 +53,7 @@ def test_the_tracer_sees_every_pointwise_evaluation(monkeypatch, tmp_path):
     """The tracer only sees calls made through the module-global names it
     replaces, so a scan that reached the spectral or mechanics functions
     some other way would vanish from the benchmark's per-layer numbers."""
-    tracer_mod = _load_tracer(monkeypatch)
+    tracer_mod = _load(monkeypatch, "tracer")
     spec = ScanSpec.from_mapping({
         "stack": CAVITY,
         "quantities": ["u", "p", "zcf", "tcf", "ncf", "T_tot"],
@@ -84,3 +88,18 @@ def test_scan_result_has_the_fields_the_harness_reads(tmp_path):
     assert np.array_equal(result.energies_ev, spec.energies.values())
     assert result.data.shape == (2, 3, 2)
     assert result.path == tmp_path / "tiny.csv" and result.path.stat().st_size > 0
+
+
+@pytest.mark.parametrize("name", ["field_map", "force_map"])
+def test_seed_zero_workloads_match_the_benchmark_reference(monkeypatch, tmp_path, name):
+    """The benchmark counts a seed-0 scan as failed when its output check
+    fails or its summary is more than REF_RTOL off ``reference.json``; a
+    library change that moves a value that far fails here first."""
+    workloads = _load(monkeypatch, "workloads")
+    stack, spec = workloads.generate(ROOT, name, 0)
+    spec_path = workloads.write_inputs(tmp_path, stack, spec, name)
+    result = run_scan(ScanSpec.from_file(spec_path), threads=1)
+    assert workloads.check(name, result.quantities, result.energies_ev, result.data) == []
+    summary = workloads.summarize(result.quantities, result.data)
+    reference = workloads.load_reference(ROOT)[name]["summary"]
+    assert workloads.compare_summary(summary, reference) == []

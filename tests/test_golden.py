@@ -22,33 +22,33 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # block. A change that moves only metadata leaves the second pin as it is.
 SHA256 = {
     "cavity_field_map": (
-        "0ef05dc4ab399d15ca9498045774b2a8b9ae35b6a00c84d17c76203999f80f01",
+        "5845e0599ad1fdb704927667aab4d686db032b39bd026d892d682a5e861512c8",
         "58484aeba8c635d8a2a227808bef9b8b1f83d910775ba1c89b4503325974576d"),
     "cavity_field_map --units si": (
-        "5196c16f4516a3c01a01c6d1a1deb9c720154b4353229c42fc3da6c46716ea90",
+        "78b460fcaba409cabe0e6f9c81dfe3adcd8bdd9759cebd8406a7b7729283bf55",
         "2cad684b05f088a1d33f716dbffd0bc47ee224a4ee76393c72fe7b15567f0bd8"),
     "passive_cavity_forces": (
-        "bcbe20ebf176c95aafe7b3a885daa82c603d77b8d5332a6690d64c49dd4182df",
-        "aba357a5105b35e2378c18b919c15b9287b1bbe39e129e32b8e6bbd0def47f6f"),
+        "d70c3742e799748500c61c82d9afa92a0f64b5895becba129302763dbb2ea2c2",
+        "126cfe3b6bb2f21c9d30f7ec2b1a65d2a6586c61e4a876f05d35760f3a5aea5c"),
     # the fd-check line is part of the promise that --threads moves no byte
     "passive_cavity_forces --fd-check": (
-        "095eab7ab3aeb384d804b9600051cce32d6800e3c0e0ee9fa1c283b33cf60a93",
-        "aba357a5105b35e2378c18b919c15b9287b1bbe39e129e32b8e6bbd0def47f6f"),
+        "3c5d7fca4919a0e09b11d4d544e267aeb5aaf10a47af834437c9ec655f62218e",
+        "126cfe3b6bb2f21c9d30f7ec2b1a65d2a6586c61e4a876f05d35760f3a5aea5c"),
     "passive_cavity_forces --fd-check --threads 2": (
-        "095eab7ab3aeb384d804b9600051cce32d6800e3c0e0ee9fa1c283b33cf60a93",
-        "aba357a5105b35e2378c18b919c15b9287b1bbe39e129e32b8e6bbd0def47f6f"),
+        "3c5d7fca4919a0e09b11d4d544e267aeb5aaf10a47af834437c9ec655f62218e",
+        "126cfe3b6bb2f21c9d30f7ec2b1a65d2a6586c61e4a876f05d35760f3a5aea5c"),
     "transparent_slab_force": (
-        "c9bae56b5ff26e43aa158772430c18bbe338abb87669a49e81a912b073ab5c15",
+        "868c6e0efdd0e7f6328c677c1995ae5271096254f0f009fe2b300617d0712091",
         "9ce6b766c70ce0d1d400d928bf7e464fffd02cfdcdc9f7ff475b36964d389935"),
     "absorbing_slab_force": (
-        "4032a8437edd4298738257397cf550107ab5e4de57da80ce57f61c418497a6a6",
-        "a0224fc7ca51d4bbda7e4fb01b85fe18b6013cf74ce23564bbcfeed6e64820c1"),
+        "11dc6dcf0f38ae146f4f5f8133ba1bed7a3eb083d1d79a5a0dc07d428ac90565",
+        "fbcf963c1689b47af8812b71d085a12f6162c06c251c293865c63ea85588c739"),
     "balance passive_cavity": (
-        "2e6fd46b44402ade2331942ef7eb8dd00cfbfb851dabcfe36315484d23c19e06",
-        "ce749e6335f2323b9be6da68f6a02eca8afea7424c5020bcbabaede67191b173"),
+        "87fd37de4a9cd198f6bd9455d9277edb5abfdde22328ef876d435773c4681cdd",
+        "1bc92c85cf54cebbc3fa4e6af577d32b12cde26a64c725eac2f15c22641b5758"),
     "balance passive_cavity --slices 32": (
-        "a0005ec4e1cc8424a9d47c4b57825f8fc2ea2c275bc6df2e36b6881ed6e84844",
-        "f690c330467388aa6cc45f74aa82183ab294d54941656cf828b1c5c81b23fe8e"),
+        "85b1f8055e21ce172f3b0e988217ab60016248fd6230a200a512ba7497e9b21d",
+        "173bd7e31e307ea5f5f1e6d526f1029ccba52ee16408f46a97de3ee0dc40eae8"),
 }
 
 

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 from scipy.integrate import trapezoid
 
+import photonstack
 from photonstack import cli, scan
 from photonstack.errors import ConfigError, ConvergenceError, PhotonStackError
 from photonstack.greens import region_integrals, solve_wave_basis
@@ -93,9 +99,9 @@ THICK_ERROR = "balance exchange is not finite at x = 25 um, E = 0.703168 eV; ref
 
 
 def test_a_non_finite_exchange_raises():
-    with pytest.warns(RuntimeWarning):
-        with pytest.raises(PhotonStackError) as info:
-            solve_self_consistent(build_stack(THICK), slices=4)
+    # the suite turns a RuntimeWarning into an error: the overflow is silent
+    with pytest.raises(PhotonStackError) as info:
+        solve_self_consistent(build_stack(THICK), slices=4)
     assert str(info.value) == THICK_ERROR
 
 
@@ -103,11 +109,25 @@ def test_balance_cli_refuses_a_non_finite_exchange(tmp_path, capsys):
     config = tmp_path / "thick.yaml"
     config.write_text(yaml.safe_dump(THICK))
     out = tmp_path / "out.csv"
-    with pytest.warns(RuntimeWarning):
-        code = cli.main(["balance", str(config), "--slices", "4", "--output", str(out)])
+    code = cli.main(["balance", str(config), "--slices", "4", "--output", str(out)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {THICK_ERROR}\n"
     assert list(tmp_path.iterdir()) == [config]
+
+
+def test_balance_command_refuses_a_non_finite_exchange_in_one_line(tmp_path):
+    """Outside the test suite's warning filters too, the command prints
+    its one error line and no numpy warning before it."""
+    config = tmp_path / "thick.yaml"
+    config.write_text(yaml.safe_dump(THICK))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    src = Path(photonstack.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "photonstack.cli", "balance", str(config), "--slices", "4"],
+        capture_output=True, text=True, env=env)
+    assert run.returncode == 1
+    assert run.stderr == f"error: {THICK_ERROR}\n"
 
 
 def test_scan_refuses_a_non_finite_exchange_before_the_pointwise_solve(
@@ -122,8 +142,7 @@ def test_scan_refuses_a_non_finite_exchange_before_the_pointwise_solve(
         "positions": {"start": -1.0, "stop": 1.0, "count": 2},
         "energies": {"start": 0.1, "stop": 0.2, "count": 2},
         "output": str(tmp_path / "out.csv")}))
-    with pytest.warns(RuntimeWarning):
-        assert cli.main(["scan", str(spec)]) == 1
+    assert cli.main(["scan", str(spec)]) == 1
     assert capsys.readouterr().err == f"error: {THICK_ERROR}\n"
     assert list(tmp_path.iterdir()) == [spec]
 
@@ -135,7 +154,8 @@ def test_equilibrium_reservoirs_give_flat_profile():
         Layer(INF, ConstantIndex(2.5 + 0.5j), 350.0),
     ])
     result = solve_self_consistent(stack, slices=4)
-    assert np.max(np.abs(result.temperatures - 350.0)) < 1e-2
+    # a bracket of one temperature returns it exactly
+    assert np.all(result.temperatures == 350.0)
 
 
 def test_passive_cavity_profile(passive_balance):
@@ -218,7 +238,7 @@ def test_out_of_range_settings_raise_config_error(passive_cavity, monkeypatch,
     def started(*args, **kwargs):
         raise AssertionError("the balance solve started")
 
-    # a solve that got past the settings check would bisect, possibly forever
+    # a solve that got past the settings check would iterate, possibly forever
     monkeypatch.setattr(thermo, "solve_wave_basis", started)
     with pytest.raises(ConfigError, match=fragment) as info:
         solve_self_consistent(passive_cavity, **settings)
@@ -232,10 +252,10 @@ def test_settings_are_completed_and_coerced_like_a_spec():
     assert thermo.check_balance_settings({}) == thermo.BALANCE_DEFAULTS
 
 
-def test_bisection_stops_at_float_resolution(passive_cavity, monkeypatch):
-    """A bracket a few ulps wide cannot be halved, so a tolerance below
-    that still ends each sweep's bisection; the solve then runs out of
-    iterations instead of bisecting forever."""
+def test_newton_stops_at_float_resolution(passive_cavity, monkeypatch):
+    """A correction or bracket a few ulps wide cannot shrink any further,
+    so a tolerance below that still ends each sweep's Newton solve; the
+    solve then runs out of iterations instead of iterating forever."""
     calls = 0
     occupation = thermo.source_occupation
 
@@ -243,16 +263,16 @@ def test_bisection_stops_at_float_resolution(passive_cavity, monkeypatch):
         nonlocal calls
         calls += 1
         if calls > 200:
-            raise AssertionError("bisection does not stop")
+            raise AssertionError("the Newton solve does not stop")
         return occupation(*args)
 
     # one occupation per balance evaluation and per field-number fill
     monkeypatch.setattr(thermo, "source_occupation", counted)
     with pytest.raises(ConvergenceError, match="after 2 iterations"):
         solve_self_consistent(passive_cavity, tolerance_K=1e-300, max_iterations=2)
-    # two reservoirs, then per sweep one fill, two clamps and the 49
-    # halvings that take 100 K down to 4 ulps of 400 K: 106 calls
-    assert calls <= 2 + 2 * (3 + 49)
+    # two reservoirs and the two clamp occupancies, then per sweep one fill
+    # and at most 8 Newton or halving steps to 4 ulps of 400 K (5 here)
+    assert calls <= 4 + 2 * (1 + 8)
 
 
 def _region_weight(basis, x: float, j: int, lo: float, hi: float):
@@ -283,7 +303,9 @@ def _scalar_balance(stack, slices, tolerance_K=1e-3, relaxation=0.5):
     """Reference solve, one slice and one source region at a time: the
     weights from one region-integral call per (midpoint, region) and
     every slice bisected on its own with scalar trapezoid integrals
-    (scipy's, against the solver's np.trapezoid)."""
+    (scipy's, against the solver's np.trapezoid). Returns the slice
+    temperatures and the function that gives every slice's integrated
+    balance at given slice temperatures."""
     om = default_balance_grid()
     basis = solve_wave_basis(stack, om)
     fixed = [layer.temperature for layer in stack.layers if layer.temperature is not None]
@@ -314,6 +336,10 @@ def _scalar_balance(stack, slices, tolerance_K=1e-3, relaxation=0.5):
     def balance(m, t, n_e):
         return float(trapezoid(kernel[m] * (source_occupation(om, t) - n_e[m]), om))
 
+    def balances(temps):
+        n_e = field_numbers(temps)
+        return np.array([balance(m, float(temps[m]), n_e) for m in range(len(temps))])
+
     def bisect(f, tol):
         if t_hi - t_lo <= tol or f(t_lo) >= 0.0:
             return t_lo
@@ -337,19 +363,19 @@ def _scalar_balance(stack, slices, tolerance_K=1e-3, relaxation=0.5):
         temps = temps + update
         if np.max(np.abs(update)) < tolerance_K:
             break
-    n_e = field_numbers(temps)
-    residuals = np.array([balance(m, float(temps[m]), n_e) for m in range(len(temps))])
-    return temps, residuals
+    return temps, balances
 
 
 @pytest.mark.parametrize("stack, slices", [
     (passive_cavity_stack(), 16),
     (slab_stack(2.5e-6, 1.5 + 0.3j, self_consistent=True), 8),
 ], ids=["passive_cavity", "absorbing_slab"])
-def test_lockstep_bisection_matches_the_scalar_solve(stack, slices):
-    """Batched weights and lockstep bisection reproduce the slice-by-slice
-    solve bit for bit."""
-    result = solve_self_consistent(stack, slices=slices)
-    temps, residuals = _scalar_balance(stack, slices)
-    assert np.array_equal(result.temperatures, temps)
-    assert np.array_equal(result.residuals, residuals)
+def test_lockstep_newton_matches_the_scalar_bisection(stack, slices):
+    """Batched weights and the lockstep Newton solve find the roots of the
+    slice-by-slice bisection to well within the tolerance, and report as
+    residuals its balances at the solved temperatures bit for bit."""
+    for tolerance_K, bound in ((1e-7, 1e-8), (1e-3, 5e-5)):
+        result = solve_self_consistent(stack, slices=slices, tolerance_K=tolerance_K)
+        temps, balances = _scalar_balance(stack, slices, tolerance_K)
+        assert np.max(np.abs(result.temperatures - temps)) < bound
+        assert np.array_equal(result.residuals, balances(result.temperatures))
