@@ -13,12 +13,13 @@ slice to one temperature). The reservoirs bracket each root, which
 Newton steps safeguarded by that bracket find. ``spectral.region_weights``
 fills in once per solve how strongly each region of the sliced profile's
 ``sources`` (the reservoir layers first, then the sliced ones)
-illuminates each slice midpoint; each sweep solves every slice balance
-in lockstep on one (slices, omega) array, and an update under-relaxed by
-RELAXATION converges their mutual illumination. Weights or a kernel that
-are not finite (an absorber hundreds of absorption lengths thick
-overflows them) raise PhotonStackError: a NaN balance would pass for the
-hot reservoir's value.
+illuminates each slice midpoint, and these weights become the exchange
+operator in place, of which every balance integral is one contraction.
+Each sweep solves all slice balances in lockstep, and an update
+under-relaxed by RELAXATION converges their mutual illumination. Weights
+or a kernel that are not finite (an absorber hundreds of absorption
+lengths thick overflows them) raise PhotonStackError: a NaN balance
+would pass for the hot reservoir's value.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ def default_balance_grid():
 
 @dataclass(frozen=True, eq=False)
 class BalanceResult:
-    """Solved slice temperatures and convergence record."""
+    """Solved slice temperatures, the sweeps they took (``iterations``)
+    and their ``residuals``: each slice's net exchange, the integral of
+    kernel (eta - n_e) d omega, in W/m^3."""
 
     profile: TemperatureProfile
     slice_positions: tuple[float, ...]
@@ -84,19 +87,19 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     """Find slice temperatures that zero each slice's integrated exchange.
 
     ``settings`` override BALANCE_DEFAULTS: ``slices`` per self-consistent
-    layer, ``tolerance_K`` and ``max_iterations``. Each iteration (a
-    sweep) fills the midpoints' field photon numbers from the current
-    temperatures and then finds every slice's root in lockstep between
-    the coldest and hottest reservoir, each slice with its own clamping
-    to that bracket. A slice takes Newton steps from its current
-    temperature, its balance and slope coming from one occupancy
-    evaluation; a step that would leave the bracket, or that is not under
-    half the one before, halves the bracket instead (the rtsafe rule). A
-    slice stops once its last correction or its bracket is no wider than
-    ``0.1 * tolerance_K`` (or a few ulps). The update is under-relaxed by
-    RELAXATION; the solve converges once the largest update is below
+    layer, ``tolerance_K`` and ``max_iterations``. A slice's balance is
+    its emission ``own @ eta(T_m)`` (``own``: the kernel times the
+    trapezoid weights) less its absorption, a part fixed per solve plus
+    the exchange operator's (slices, slices * omega) slice block times the
+    slice occupancies. Each sweep clamps every slice to the reservoirs'
+    bracket and takes Newton steps from its current temperature (the
+    first on the absorption's occupancies), each halving the bracket
+    instead when it would leave it or is not under half the one before
+    (the rtsafe rule), until the last correction or the bracket is no
+    wider than ``0.1 * tolerance_K`` (or a few ulps). The solve converges
+    once the largest update, under-relaxed by RELAXATION, is below
     ``tolerance_K``, or raises ConvergenceError after ``max_iterations``
-    sweeps; unusable settings (see ``check_balance_settings``) raise
+    sweeps. Unusable settings (see ``check_balance_settings``) raise
     ConfigError, and an exchange that is not finite raises
     PhotonStackError before any sweep.
     """
@@ -126,7 +129,7 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     n_slices = len(sc_layers) * slices
     temps = np.full(n_slices, 0.5 * (t_lo + t_hi))
     initial = TemperatureProfile.sliced(stack, slice_edges, temps.reshape(-1, slices))
-    # reservoirs before slices: the balance temperatures depend on this summation order
+    # reservoirs first: the slice columns of the operator are one trailing view
     sources = sorted(initial.sources, key=lambda src: stack.layers[src[0]].self_consistent)
     reservoirs = [t for _, _, (t,) in sources[:-len(sc_layers)]]
 
@@ -151,38 +154,34 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
         s, e = np.argwhere(bad)[0]
         raise PhotonStackError(f"balance exchange is not finite at x = {x_mid[s] / MICRON:g} um, "
                                f"E = {ev_from_omega(om[e]):g} eV; refusing to solve")
-    eta_fixed = np.array([source_occupation(om, t) for t in reservoirs])
-    # d(eta)/dT = eta (1 + eta) hbar omega / (k_B T^2)
-    slope_kernel = kernel * (hbar * om / k_B)
-
-    def field_numbers(t_slices):
-        filled = np.concatenate([eta_fixed, source_occupation(om, t_slices[:, None])])
-        return np.einsum("mrw,rw->mw", weights, filled) / denom
-
-    def integrated_balance(eta, n_e):
-        # net exchange of every slice whose own occupancy is eta
-        return np.trapezoid(kernel * (eta - n_e), om, axis=-1)
-
-    eta_lo, eta_top = source_occupation(om, t_lo), source_occupation(om, t_top)
+    own = 0.5 * np.convolve(np.diff(om), [1.0, 1.0]) * kernel  # kernel * trapezoid weights
+    weights *= (own / denom)[:, None, :]  # the exchange operator: absorption per unit eta
+    eta_fixed = np.concatenate([source_occupation(om, t) for t in reservoirs])
+    by_reservoirs = weights[:, :len(reservoirs)].reshape(n_slices, -1) @ eta_fixed
+    coupling = weights[:, len(reservoirs):].reshape(n_slices, -1)
+    theta = hbar * om / k_B  # d(eta)/dT = eta (1 + eta) theta / T^2
+    own_lo, own_top = own @ source_occupation(om, t_lo), own @ source_occupation(om, t_top)
     for iterations in range(1, max_iterations + 1):
-        n_e = field_numbers(temps)
-        # A slice whose balance at t_lo is >= 0 (a NaN is not) keeps t_lo,
-        # then one whose balance at the top is <= 0 keeps the top; every
-        # other slice brackets its root between them.
-        at_lo = integrated_balance(eta_lo, n_e) >= 0.0
-        at_hi = ~at_lo & (integrated_balance(eta_top, n_e) <= 0.0)
+        eta = source_occupation(om, temps[:, None])
+        absorbed = by_reservoirs + coupling @ eta.ravel()
+        # A slice whose balance at t_lo is >= 0 keeps t_lo, then one whose
+        # balance at the top is <= 0 keeps the top; every other slice
+        # brackets its root between them.
+        at_lo = own_lo >= absorbed
+        at_hi = ~at_lo & (own_top <= absorbed)
         lo = np.where(at_hi, t_top, t_lo)
         hi = np.where(at_lo, t_lo, t_top)
         # Newton steps from the current temperatures, safeguarded as in
         # rtsafe: a step that leaves the bracket or is not under half the
         # one before halves the bracket instead. A slice stops once its
-        # last correction or its bracket is no wider than tol.
-        t = np.clip(temps, lo, hi)
+        # last correction or its bracket is no wider than tol (eta is at t_eta).
+        t, t_eta = np.clip(temps, lo, hi), temps
         correction = hi - lo
         while (moving := (hi - lo > tol) & (np.abs(correction) > tol)).any():
-            eta = source_occupation(om, t[:, None])
-            balance = integrated_balance(eta, n_e)
-            slope = np.trapezoid(slope_kernel * eta * (1.0 + eta), om, axis=-1) / t**2
+            if not np.array_equal(t, t_eta):
+                t_eta, eta = t, source_occupation(om, t[:, None])
+            balance = np.vecdot(own, eta) - absorbed
+            slope = np.vecdot(own, theta * eta * (1.0 + eta)) / t**2
             up = balance >= 0.0
             hi = np.where(moving & up, t, hi)
             lo = np.where(moving & ~up, t, lo)
@@ -202,7 +201,8 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
         raise ConvergenceError(f"balance sweep still moving {step:.3e} K after {max_iterations} "
                                f"iterations (tolerance {tolerance_K:g} K)")
 
-    residuals = integrated_balance(source_occupation(om, temps[:, None]), field_numbers(temps))
+    eta = source_occupation(om, temps[:, None])
+    residuals = np.vecdot(own, eta) - (by_reservoirs + coupling @ eta.ravel())
 
     return BalanceResult(
         profile=TemperatureProfile.sliced(stack, slice_edges, temps.reshape(-1, slices)),

@@ -6,11 +6,13 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
+from scipy.integrate import trapezoid
 
 from photonstack.errors import ConfigError, DivergentSourceError
-from photonstack.greens import region_integrals
+from photonstack.greens import region_integrals, solve_wave_basis
 from photonstack.spectral import ldos, photon_numbers, source_occupation
 from photonstack.stack import LayerSlices
+from photonstack.thermo import default_balance_grid
 from photonstack.units import c, hbar
 
 
@@ -283,3 +285,94 @@ def closed_form_sums(points, profile, *, gradient: bool = False):
                     out[2 * i] += weight
                     out[2 * i + 1] += weight * eta
     return sums, scales, lost
+
+
+def _region_weight(basis, x: float, j: int, lo: float, hi: float):
+    """Im[n_j^2] times the integral of |G|^2 over [lo, hi] in layer j from
+    the one point x: a region integral of psi_left when the region lies
+    left of x, of psi_right when it lies right, or both parts of it when
+    x splits it, times |psi at x / W|^2 of the other solution."""
+    points = basis.at(x)
+    ri = region_integrals(points, j, (lo, hi))
+
+    def factor(phi, shift=None):
+        if shift is None:
+            return np.abs(phi / points.w) ** 2
+        return np.abs(phi * (np.exp(shift) / points.w)) ** 2
+
+    if ri.below is None:
+        if ri.right is None:
+            return factor(points.phi_r, ri.shift) * ri.left[0]
+        return factor(points.phi_l, ri.shift) * ri.right[0]
+    if ri.inside:
+        return (factor(points.phi_r) * ri.split_left + factor(points.phi_l) * ri.split_right)
+    if ri.below:
+        return factor(points.phi_r) * ri.left[0]
+    return factor(points.phi_l) * ri.right[0]
+
+
+def _scalar_balance(stack, slices, tolerance_K=1e-3, relaxation=0.5):
+    """Reference solve, one slice and one source region at a time: the
+    weights from one region-integral call per (midpoint, region) and
+    every slice bisected on its own with scalar trapezoid integrals
+    (scipy's, against the solver's exchange operator). Returns the slice
+    temperatures and the function that gives every slice's integrated
+    balance at given slice temperatures."""
+    om = default_balance_grid()
+    basis = solve_wave_basis(stack, om)
+    fixed = [layer.temperature for layer in stack.layers if layer.temperature is not None]
+    t_lo, t_hi = min(fixed), max(fixed)
+    regions = [(j, *stack.layer_bounds(j), layer.temperature)
+               for j, layer in enumerate(stack.layers)
+               if layer.lossy and not layer.self_consistent]
+    n_fixed = len(regions)
+    midpoints = []
+    for j, layer in enumerate(stack.layers):
+        if layer.self_consistent:
+            edges = np.linspace(*stack.layer_bounds(j), slices + 1)
+            for m in range(slices):
+                midpoints.append((j, float(0.5 * (edges[m] + edges[m + 1]))))
+                regions.append((j, float(edges[m]), float(edges[m + 1]), None))
+    n2im = lambda j: (stack.layers[j].index.at(om) ** 2).imag  # noqa: E731
+    weights = np.array([[_region_weight(basis, x, *r[:3]) for r in regions]
+                        for _, x in midpoints])
+    kernel = np.array([hbar * om**2 * n2im(j) * ldos(basis.at(x)).electric
+                       for j, x in midpoints])
+    denom = weights.sum(axis=1)
+    eta_fixed = [source_occupation(om, r[3]) for r in regions[:n_fixed]]
+
+    def field_numbers(temps):
+        filled = np.array(eta_fixed + [source_occupation(om, t) for t in temps])
+        return np.einsum("mrw,rw->mw", weights, filled) / denom
+
+    def balance(m, t, n_e):
+        return float(trapezoid(kernel[m] * (source_occupation(om, t) - n_e[m]), om))
+
+    def balances(temps):
+        n_e = field_numbers(temps)
+        return np.array([balance(m, float(temps[m]), n_e) for m in range(len(temps))])
+
+    def bisect(f, tol):
+        if t_hi - t_lo <= tol or f(t_lo) >= 0.0:
+            return t_lo
+        if f(t_hi) <= 0.0:
+            return t_hi
+        lo, hi = t_lo, t_hi
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if f(mid) >= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    temps = np.full(len(midpoints), 0.5 * (t_lo + t_hi))
+    while True:
+        n_e = field_numbers(temps)
+        roots = np.array([bisect(lambda t, m=m: balance(m, t, n_e), 0.1 * tolerance_K)
+                          for m in range(len(midpoints))])
+        update = relaxation * (roots - temps)
+        temps = temps + update
+        if np.max(np.abs(update)) < tolerance_K:
+            break
+    return temps, balances
