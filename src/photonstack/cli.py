@@ -84,12 +84,7 @@ def _scan(args) -> int:
     spec = ScanSpec.from_file(args.spec)
     if args.units is not None:
         spec = dataclasses.replace(spec, units=args.units)
-    result = run_scan(
-        spec,
-        output=args.output,
-        threads=args.threads,
-        fd_check=args.fd_check,
-    )
+    result = run_scan(spec, output=args.output, fd_check=args.fd_check)
     na, ne, nq = result.data.shape
     print(f"wrote {result.path}: {na * ne} rows "
           f"({result.axis_name} x E_eV = {na} x {ne}), "
@@ -148,8 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="run a grid scan from a YAML spec")
     p.add_argument("spec", help="scan spec YAML file")
     p.add_argument("--output", help="override the spec's output path")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for slab scans (default 1)")
     p.add_argument("--fd-check", action="store_true",
                    help="cross-check force densities against finite differences")
     p.add_argument("--units", choices=("paper", "si"),

@@ -6,7 +6,8 @@ pressure, force densities) on a position grid. A slab scan sweeps the
 width of the central layer of a five-layer template, keeping the wall
 separation fixed and the slab centered, and reports the net spectral
 force on the slab from the pressure difference at the midpoints of the
-two host segments.
+two host segments. It solves its widths in ascending order, in one
+process; ``run_scan``'s ``threads`` keyword must be the integer 1.
 
 Output is deterministic: fixed column order, x-major rows, 9 significant
 digits, and a metadata block whose embedded spec suffices to reproduce
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import errno
-import functools
 import hashlib
 import json
 import math
@@ -32,7 +32,7 @@ from . import __version__
 from .errors import ConfigError, PhotonStackError
 from .greens import solve_wave_basis
 from .mechanics import PointField, check_off_interfaces, fd_residual, net_force
-from .stack import (Layer, LayerStack, _brief, _count, _integer, _mapping, _read_text,
+from .stack import (Layer, LayerStack, _brief, _count, _mapping, _read_text,
                     _read_yaml, _real, build_stack, load_stack, serialize_stack)
 from .thermo import check_balance_settings, solve_self_consistent
 from .units import EV, LDOS_UNIT, MICRON, hbar, omega_from_ev
@@ -361,15 +361,6 @@ class _SlabTemplate:
         return quarter, self.gap - quarter
 
 
-def _slab_force(template, omega, balance, width):
-    """The net spectral force on the slab at ``width`` (m), one value per
-    energy, after its own balance solve; top-level for pickling."""
-    stack = template.at_width(width)
-    profile = solve_self_consistent(stack, **balance).profile
-    basis = solve_wave_basis(stack, omega)
-    return net_force(basis, profile, *template.probes(width))
-
-
 def run_scan(
     spec: ScanSpec,
     *,
@@ -379,23 +370,19 @@ def run_scan(
 ) -> ScanResult:
     """Execute a scan and write its CSV.
 
-    ``threads`` (at least 1) caps the worker processes of a slab scan:
-    each width is one task with its own balance solve, the tasks go to
-    the processes in ordered chunks of ceil(widths / threads), one
-    process per chunk, and the rows are stacked in order, so the output
-    bytes do not depend on the thread count. A pointwise scan always runs
-    in this process: its one balance solve and its CSV write cannot be
-    split, and they take most of its time. ``fd_check`` needs a
-    force-density quantity to check. A failed run leaves no partial
-    output file behind.
+    A slab scan solves its widths in ascending order, each with its own
+    balance solve, all in this process. ``threads`` must be the integer
+    1; the keyword goes once the benchmark stops passing it. ``fd_check``
+    needs a force-density quantity to check. A failed run leaves no
+    partial output file behind.
     """
     target = output if output is not None else spec.output
     if target is None:
         raise ConfigError("scan spec has no output path and none was given")
     _check_target(target)
     target = Path(target)
-    if _integer(threads, "--threads") < 1:
-        raise ConfigError(f"--threads must be at least 1, not {threads}")
+    if type(threads) is not int or threads != 1:
+        raise ConfigError(f"threads must be the integer 1, not {_brief(threads)}")
     if fd_check and _FORCE_QUANTITIES.isdisjoint(spec.quantities):
         raise ConfigError("--fd-check needs a force-density quantity (zcf, tcf or ncf)")
 
@@ -413,20 +400,12 @@ def run_scan(
             f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in spec.balance.items()))
     if spec.mode == "slab":
         axis_name, axis_values = "width_um", spec.widths.values()
-        widths = axis_values * MICRON
-        force = functools.partial(_slab_force, spec.template, omega, spec.balance)
-        # ordered chunks of ceil(n / threads) widths, one process each, so
-        # a thread count above the number of widths forks no idle workers
-        # (integer ceilings: any int is a valid thread count)
-        chunksize = -(-widths.size // threads)
-        workers = -(-widths.size // chunksize)
-        if workers == 1:
-            rows = list(map(force, widths))
-        else:
-            # imported here: it loads multiprocessing, which serial runs never use
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(force, widths, chunksize=chunksize))
+        template, rows = spec.template, []
+        for w in axis_values * MICRON:
+            at_w = template.at_width(w)
+            profile = solve_self_consistent(at_w, **spec.balance).profile
+            basis = solve_wave_basis(at_w, omega)
+            rows.append(net_force(basis, profile, *template.probes(w)))
         data, fd = np.stack(rows)[:, :, None], None
     else:
         axis_name, axis_values = "x_um", spec.positions.values()

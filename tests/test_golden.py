@@ -30,11 +30,7 @@ SHA256 = {
     "passive_cavity_forces": (
         "d70c3742e799748500c61c82d9afa92a0f64b5895becba129302763dbb2ea2c2",
         "126cfe3b6bb2f21c9d30f7ec2b1a65d2a6586c61e4a876f05d35760f3a5aea5c"),
-    # the fd-check line is part of the promise that --threads moves no byte
     "passive_cavity_forces --fd-check": (
-        "3c5d7fca4919a0e09b11d4d544e267aeb5aaf10a47af834437c9ec655f62218e",
-        "126cfe3b6bb2f21c9d30f7ec2b1a65d2a6586c61e4a876f05d35760f3a5aea5c"),
-    "passive_cavity_forces --fd-check --threads 2": (
         "3c5d7fca4919a0e09b11d4d544e267aeb5aaf10a47af834437c9ec655f62218e",
         "126cfe3b6bb2f21c9d30f7ec2b1a65d2a6586c61e4a876f05d35760f3a5aea5c"),
     "transparent_slab_force": (

@@ -4,7 +4,6 @@ reader, every file it writes through one writer, and every malformed input
 that names it."""
 
 import ast
-import concurrent.futures
 import math
 import os
 import subprocess
@@ -115,8 +114,8 @@ _CASES = {
     **{f"threads_{name}": (
         lambda d, n=n: lambda: run_scan(ScanSpec.from_mapping(_spec()),
                                         output=d / "out.csv", threads=n),
-        "--threads must be an integer")
-       for name, n in [("float", 2.5), ("string", "2"), ("none", None)]},
+        "threads must be the integer 1")
+       for name, n in [("two", 2), ("float", 2.5), ("string", "2"), ("none", None)]},
     "positions_infinite_stop": (
         lambda d: lambda: ScanSpec.from_mapping(_spec(positions__stop=math.inf)),
         "positions: start and stop must be finite"),
@@ -159,10 +158,10 @@ _CASES = {
         lambda d: ["balance", str(ROOT / "configs" / "passive_cavity.yaml"),
                    "--slices", "abc"],
         "photonstack balance: argument --slices: invalid int value: 'abc'"),
-    "scan_threads_not_an_integer": (
+    "scan_threads_removed": (
         lambda d: ["scan", str(_write(d / "s.yaml", yaml.safe_dump(_spec()))),
-                   "--threads", "1.5"],
-        "photonstack scan: argument --threads: invalid int value: '1.5'"),
+                   "--threads", "2"],
+        "unrecognized arguments: --threads 2"),
     # a NUL in an output path is refused before any solve
     "spec_output_nul": (
         lambda d: lambda: ScanSpec.from_mapping(_spec(output="bad\x00.csv")),
@@ -201,38 +200,6 @@ def test_malformed_input_gives_a_one_line_config_error(tmp_path, capsys, monkeyp
         message = str(info.value)
         assert "\n" not in message
     assert fragment in message
-
-
-def test_threads_beyond_the_axis_length_change_no_byte(tmp_path, monkeypatch):
-    """A thread count no array could hold is capped at one worker per
-    width of a slab scan; the pool is replaced so that no process starts."""
-    workers = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize):
-            return map(fn, items)
-
-    spec = _write(tmp_path / "s.yaml", yaml.safe_dump({
-        "stack": str(ROOT / "configs" / "transparent_slab.yaml"),
-        "quantities": ["slab_force"],
-        "widths": {"start": 0.0, "stop": 2.0, "count": 3},
-        "energies": {"start": 0.1, "stop": 0.2, "count": 2},
-        "output": "out.csv"}))
-    assert cli.main(["scan", str(spec), "--output", str(tmp_path / "one.csv")]) == 0
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    assert cli.main(["scan", str(spec), "--output", str(tmp_path / "many.csv"),
-                     "--threads", str(HUGE)]) == 0
-    assert workers == [3]
-    assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 def test_a_utf8_spec_reads_in_the_c_locale(tmp_path):

@@ -1,6 +1,6 @@
-import concurrent.futures
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -259,74 +259,22 @@ def test_pointwise_rerun_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_thread_count_leaves_bytes_unchanged(tmp_path):
-    spec = ScanSpec.from_mapping(small_pointwise())
-    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    run_scan(spec, output=serial, threads=1)
-    run_scan(spec, output=parallel, threads=3)
-    assert serial.read_bytes() == parallel.read_bytes()
+def test_slab_scan_solves_its_widths_in_order_in_this_process(tmp_path, monkeypatch):
+    """A slab scan solves the balance once per width, in ascending width
+    order, all in the calling process."""
+    solved = []
+    original = scan_mod.solve_self_consistent
 
-
-def test_pool_size_is_capped_by_the_number_of_chunks(tmp_path, monkeypatch):
-    """A slab scan's widths go out in ordered chunks of ceil(widths /
-    threads), one worker per chunk: more threads than widths start one
-    worker per width, not one per requested thread."""
-    requested = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize):
-            requested.append((self.max_workers, chunksize))
-            return map(fn, items)
-
+    def recorded(stack, **kwargs):
+        solved.append((stack.layers[2].thickness, os.getpid()))
+        return original(stack, **kwargs)
+    monkeypatch.setattr(scan_mod, "solve_self_consistent", recorded)
     spec = ScanSpec.from_mapping(small_slab())
-    run_scan(spec, output=tmp_path / "serial.csv")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    for threads in (64, 2):
-        run_scan(spec, output=tmp_path / f"pooled{threads}.csv", threads=threads)
-        assert (tmp_path / f"pooled{threads}.csv").read_bytes() == (
-            tmp_path / "serial.csv").read_bytes()
-    assert requested == [(5, 1), (2, 3)]
-
-
-def test_pointwise_scan_starts_no_pool(tmp_path, monkeypatch):
-    """A pointwise scan runs in one process whatever its thread count."""
-
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a pointwise scan started a process pool")
-
-    spec = ScanSpec.from_mapping(small_pointwise())
-    run_scan(spec, output=tmp_path / "serial.csv")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-    run_scan(spec, output=tmp_path / "threads.csv", threads=4)
-    assert (tmp_path / "threads.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-
-
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_cli_scan_with_fewer_than_one_thread_exits_one(tmp_path, capsys, threads):
-    spec_path = write_spec(tmp_path, "scan.yaml", small_pointwise())
-    assert cli.main(["scan", str(spec_path), "--threads", threads]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: --threads must be at least 1, not {threads}"]
-    assert list(tmp_path.iterdir()) == [spec_path]
-
-
-def test_slab_scan_threads_deterministic(tmp_path):
-    spec = ScanSpec.from_mapping(small_slab())
-    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    run_scan(spec, output=serial, threads=1)
-    run_scan(spec, output=parallel, threads=4)
-    assert serial.read_bytes() == parallel.read_bytes()
-    meta, header, rows = read_scan_csv(serial)
+    run_scan(spec, output=tmp_path / "slab.csv")
+    widths = (spec.widths.values() * units.MICRON).tolist()
+    assert widths == sorted(widths)
+    assert solved == [(w, os.getpid()) for w in widths]
+    meta, header, rows = read_scan_csv(tmp_path / "slab.csv")
     assert header == ["width_um", "E_eV", "slab_force"]
     assert rows.shape == (5 * 4, 3)
     assert any(m.startswith("mode: slab") for m in meta)
@@ -541,8 +489,7 @@ def test_pass_size_leaves_the_output_unchanged(tmp_path, monkeypatch):
     position in each wall and seven in the gap, passes of one position
     and passes that split the gap as 3 + 3 + 1 give the data, the fd
     residuals and the CSV bytes of the default run, where each layer is
-    one pass; a run with threads=3 gives its data and CSV bytes, the
-    fd-check line included."""
+    one pass."""
     mapping = small_pointwise()
     mapping.update(stack=dict(PASSIVE), quantities=list(scan_mod.POINTWISE_QUANTITIES),
                    positions={"start": -1.5, "stop": 11.5, "count": 9},
@@ -570,36 +517,30 @@ def test_pass_size_leaves_the_output_unchanged(tmp_path, monkeypatch):
         assert np.array_equal(other_data, data)
         assert np.array_equal(other_fd, fd, equal_nan=True)
         assert other_csv == csv
-    monkeypatch.undo()
-    pooled = run_scan(spec, output=tmp_path / "pooled.csv", threads=3, fd_check=True)
-    assert np.array_equal(pooled.data, data)
-    assert (tmp_path / "pooled.csv").read_bytes() == csv
 
 
 def test_scan_memory_is_bounded_by_its_result(tmp_path):
     """Doubling the positions of a pointwise scan adds its result array
-    and next to nothing else, with one thread or two: after a warm-up
-    scan, the traced peak beyond data.nbytes grows by less than a tenth of
-    what data.nbytes grows by."""
+    and next to nothing else: after a warm-up scan, the traced peak beyond
+    data.nbytes grows by less than a tenth of what data.nbytes grows by."""
     data = small_pointwise()
     data["quantities"] = list(scan_mod.POINTWISE_QUANTITIES)
     data["energies"]["count"] = 64
     run_scan(ScanSpec.from_mapping(data), output=tmp_path / "warm.csv")
-    for threads in (1, 2):
-        extra, sizes = [], []
-        for count in (200, 400):
-            data["positions"] = {"start": 0.5, "stop": 9.5, "count": count}
-            spec = ScanSpec.from_mapping(data)
-            tracemalloc.start()
-            try:
-                result = run_scan(spec, output=tmp_path / f"{count}.csv", threads=threads)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            sizes.append(result.data.nbytes)
-            extra.append(peak - result.data.nbytes)
-            del result
-        assert extra[1] - extra[0] < 0.1 * (sizes[1] - sizes[0]), threads
+    extra, sizes = [], []
+    for count in (200, 400):
+        data["positions"] = {"start": 0.5, "stop": 9.5, "count": count}
+        spec = ScanSpec.from_mapping(data)
+        tracemalloc.start()
+        try:
+            result = run_scan(spec, output=tmp_path / f"{count}.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sizes.append(result.data.nbytes)
+        extra.append(peak - result.data.nbytes)
+        del result
+    assert extra[1] - extra[0] < 0.1 * (sizes[1] - sizes[0])
 
 
 def test_missing_spec_metadata_is_an_error(tmp_path):
@@ -1229,8 +1170,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_process_pool():
-    """Only a slab scan with more than one thread needs the process pool, so
-    importing the CLI loads neither it nor multiprocessing."""
+    """Every scan runs in one process, so importing the CLI loads neither
+    a process pool nor multiprocessing."""
     loaded = _modules_loaded_by_cli_import()
     assert not {"multiprocessing", "concurrent.futures.process"} & loaded
 
