@@ -71,8 +71,9 @@ def force_density(points: FieldPoints, densities: FieldTriplet,
                   sums: OccupationSums) -> ForceDensitySample:
     """Analytic force-density decomposition at points clear of the interfaces.
 
-    ``densities`` and ``sums`` are ``ldos`` and ``occupation_sums(...,
-    gradient=True)`` at ``points``, as the caller already holds them.
+    ``densities`` and ``sums`` are ``ldos`` and ``occupation_sums`` at
+    ``points``, as the caller already holds them; reading the sums'
+    derivatives here evaluates them once.
     """
     check_off_interfaces(points.basis.stack, points.x)
     om = points.basis.omega
@@ -87,15 +88,12 @@ class PointField:
     """Lazy evaluation at x (a point or a 1-D array of points in one
     layer) under ``profile``: the field-point record ``points`` is built
     once, the mode densities and the occupation sums are computed from it
-    at most once each, and every quantity is built from them. The sums
-    carry field-point derivatives only with ``gradient``, which ``force``
-    needs."""
+    at most once each, and every quantity is built from them; ``force``
+    alone reads the sums' derivatives."""
 
-    def __init__(self, basis: WaveBasis, profile: TemperatureProfile, x, *,
-                 gradient: bool = False):
+    def __init__(self, basis: WaveBasis, profile: TemperatureProfile, x):
         self.points = basis.at(x)
         self.profile = profile
-        self.gradient = gradient
 
     @cached_property
     def densities(self) -> FieldTriplet:
@@ -103,7 +101,7 @@ class PointField:
 
     @cached_property
     def sums(self) -> OccupationSums:
-        return occupation_sums(self.points, self.profile, gradient=self.gradient)
+        return occupation_sums(self.points, self.profile)
 
     @property
     def numbers(self) -> FieldTriplet:

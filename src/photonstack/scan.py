@@ -290,14 +290,13 @@ def _pointwise(xs, profile, omega, quantities, units, fd_check):
     block = np.empty((len(xs), omega.size, len(quantities)))
     fd = np.full((len(xs), omega.size), np.nan) if fd_check else None
     ldos_scale = LDOS_UNIT if units == "paper" else 1.0
-    forces = not _FORCE_QUANTITIES.isdisjoint(quantities)
     # the positions ascend, so each layer's positions are one run
     runs = np.flatnonzero(np.diff(basis.stack.layer_index(xs))) + 1
     step = max(1, _PASS_CELLS // omega.size)
     for lo, hi in zip([0, *runs], [*runs, len(xs)]):
         for a in range(lo, hi, step):
             rows = slice(a, min(a + step, hi))
-            pv = PointField(basis, profile, xs[rows], gradient=forces)
+            pv = PointField(basis, profile, xs[rows])
             for q_i, q in enumerate(quantities):
                 vals = attrgetter(_QUANTITY_TABLE[q][2])(pv)
                 if q.startswith("ldos_"):

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from functools import cache, cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,9 +88,10 @@ class OccupationSums:
     """Absorption-weighted source integrals behind the occupancies at x.
 
     ``d_*`` are the unfilled (denominator) sums, ``f_*`` the
-    occupancy-filled ones; primed entries are field-point derivatives
-    when requested. Each sum has shape x.shape + omega.shape. ``n_sq``,
-    |n|^2 in the layer holding x, weights the electric sums in the total.
+    occupancy-filled ones; ``primes()`` gives their field-point
+    derivatives, in that order, evaluated on its first call. Each sum has
+    shape x.shape + omega.shape. ``n_sq``, |n|^2 in the layer holding x,
+    weights the electric sums in the total.
     """
 
     n_sq: np.ndarray
@@ -98,10 +99,7 @@ class OccupationSums:
     f_e: np.ndarray
     d_m: np.ndarray
     f_m: np.ndarray
-    d_e_prime: np.ndarray | None = None
-    f_e_prime: np.ndarray | None = None
-    d_m_prime: np.ndarray | None = None
-    f_m_prime: np.ndarray | None = None
+    primes: Callable[[], list]
 
     @cached_property
     def numbers(self) -> FieldTriplet:
@@ -113,33 +111,21 @@ class OccupationSums:
         return FieldTriplet(electric, magnetic, total)
 
     def total_number_gradient(self):
-        """d n_tot/dx; needs the sums evaluated with ``gradient=True``."""
-        if self.d_e_prime is None:
-            raise ConfigError("the photon-number gradient needs sums with gradient=True")
+        """d n_tot/dx."""
+        d_e, f_e, d_m, f_m = self.primes()
         n_sq = self.n_sq
-        return (
-            n_sq * self.f_e_prime
-            + self.f_m_prime
-            - self.numbers.total * (n_sq * self.d_e_prime + self.d_m_prime)
-        ) / (n_sq * self.d_e + self.d_m)
+        return ((n_sq * f_e + f_m - self.numbers.total * (n_sq * d_e + d_m))
+                / (n_sq * self.d_e + self.d_m))
 
 
-def _field_factors(points: FieldPoints, left: bool, count: int, shift):
-    """The first ``count`` of |c|^2, |c'|^2/k0^2, 2Re(c' c*) and
-    -2Re(k^2 c c'*)/k0^2 with c = phi e^shift / w and c' from phi': psi_right
-    at the points for regions left of them (``left``), else psi_left."""
+def _coefficients(points: FieldPoints, left: bool, shift):
+    """c = phi e^shift / w and c' from phi': psi_right at the points for
+    regions left of them (``left``), else psi_left."""
     phi, dphi = (points.phi_r, points.dphi_r) if left else (points.phi_l, points.dphi_l)
     if shift is None:
-        cc, dd = phi / points.w, dphi / points.w
-    else:
-        scale = np.exp(shift) / points.w
-        cc, dd = phi * scale, dphi * scale
-    k0sq = (points.basis.omega / c) ** 2
-    factors = [np.abs(cc) ** 2, np.abs(dd) ** 2 / k0sq]
-    if count > 2:
-        k2 = points.basis.wavenumbers[points.layer] ** 2
-        factors += [2.0 * (dd * np.conj(cc)).real, -2.0 * (k2 * cc * np.conj(dd)).real / k0sq]
-    return factors[:count]
+        return phi / points.w, dphi / points.w
+    scale = np.exp(shift) / points.w
+    return phi * scale, dphi * scale
 
 
 def _running(q, eta):
@@ -158,7 +144,8 @@ def region_weights(points: FieldPoints, sources, out) -> None:
     col = 0
     for j, edges, _ in sources:
         ri = region_integrals(points, j, edges)
-        c_left, c_right = (None if q is None else _field_factors(points, left, 1, ri.shift)[0]
+        c_left, c_right = (None if q is None
+                           else np.abs(_coefficients(points, left, ri.shift)[0]) ** 2
                            for left, q in ((True, ri.left), (False, ri.right)))
         for r in range(len(edges) - 1):
             if ri.below is None:
@@ -171,17 +158,17 @@ def region_weights(points: FieldPoints, sources, out) -> None:
         col += len(edges) - 1
 
 
-def occupation_sums(points: FieldPoints, profile: TemperatureProfile, *,
-                    gradient: bool = False) -> OccupationSums:
+def occupation_sums(points: FieldPoints, profile: TemperatureProfile) -> OccupationSums:
     """Accumulate the source weights and the occupancy-filled ones at the
-    field points, optionally with analytic x-derivatives; the profile must
-    be built on the stack of the points' basis. A weight is a point factor
-    (``_field_factors``) that depends only on the side of its region,
-    times a region integral. So the integrals are summed first, from one
-    ``region_integrals`` call per source layer of ``profile.sources``
-    (whole layers, then the points' own layer up to each point), and each
-    sum is one product per side, and per later layer with its scale
-    shift. The region a point splits is weighted per point, with the
+    field points; the profile must be built on the stack of the points'
+    basis. A weight is a point factor of c and c' (``_coefficients``)
+    that depends only on the side of its region, times a region integral.
+    So the integrals are summed first, from one ``region_integrals`` call
+    per source layer of ``profile.sources`` (whole layers, then the
+    points' own layer up to each point), and each sum is one product per
+    side, and per later layer with its scale shift. The region a point
+    splits is weighted per point. The x-derivatives weight the same
+    integrals when the record's ``primes()`` is first called, with the
     derivative kernel's jump across the source."""
     if profile.stack is not points.basis.stack:
         raise ConfigError("the temperature profile belongs to another stack "
@@ -189,7 +176,7 @@ def occupation_sums(points: FieldPoints, profile: TemperatureProfile, *,
     if not profile.sources:
         raise ConfigError("photon numbers need a thermal source: the stack has no absorbing layer")
     om = points.basis.omega
-    count = 4 if gradient else 2
+    k0sq = (om / c) ** 2
     # occupancies relative to the hottest source's, applied last so none underflows alone
     hottest = source_occupation(om, max(t for _, _, temps in profile.sources for t in temps))
     hottest = np.where(hottest > 0.0, hottest, 1.0)
@@ -209,32 +196,46 @@ def occupation_sums(points: FieldPoints, profile: TemperatureProfile, *,
         else:
             groups.append((False, ri.shift, *[v[-1] for v in _running(ri.right, eta)]))
     groups[:0] = [(left, None, *map(sum, zip(*sides))) for left, sides in near.items() if sides]
-    sums = [np.zeros(points.x.shape + om.shape) for _ in range(2 * count)]
-    unshifted = {}
-    for left, shift, d, f in groups:
-        factors = _field_factors(points, left, count, shift)
-        if shift is None:
-            unshifted[left] = factors
-        for i, factor in enumerate(factors):
-            sums[2 * i] += factor * d
-            sums[2 * i + 1] += factor * f
-    if own is not None:
-        ri, eta = own
-        parts = [a * ri.split_left + b * ri.split_right
-                 for a, b in zip(unshifted[True], unshifted[False])]
-        if gradient:
-            w = points.w
-            jump = (np.abs(points.dphi_r / w) ** 2 * np.abs(points.phi_l) ** 2
-                    - np.abs(points.dphi_l / w) ** 2 * np.abs(points.phi_r) ** 2)
-            cut = np.reshape(ri.inside, np.shape(ri.inside) + (1,) * om.ndim)
-            parts[3] = parts[3] + np.where(cut, (points.n ** 2).imag * jump / (om / c) ** 2, 0.0)
-        eta_x = eta[np.minimum(ri.below, len(eta) - 1)]
-        for i, part in enumerate(parts):
-            sums[2 * i] += part
-            sums[2 * i + 1] += part * eta_x
-    for filled in sums[1::2]:
-        filled *= hottest
-    return OccupationSums(np.abs(points.n) ** 2, *sums)
+
+    def accumulate(factors, jump=0.0):
+        """The (unfilled, filled) sums of each of the two point factors
+        ``factors(c, c')``: one product per group, then the split region,
+        whose second factor's kernel jumps by ``jump`` across the source."""
+        sums = [np.zeros(points.x.shape + om.shape) for _ in range(4)]
+        unshifted = {}
+        for left, shift, d, f in groups:
+            pair = factors(*_coefficients(points, left, shift))
+            if shift is None:
+                unshifted[left] = pair
+            for i, factor in enumerate(pair):
+                sums[2 * i] += factor * d
+                sums[2 * i + 1] += factor * f
+        if own is not None:
+            ri, eta = own
+            parts = [a * ri.split_left + b * ri.split_right
+                     for a, b in zip(unshifted[True], unshifted[False])]
+            parts[1] += np.where(ri.inside.reshape(ri.inside.shape + (1,) * om.ndim), jump, 0.0)
+            eta_x = eta[np.minimum(ri.below, len(eta) - 1)]
+            for i, part in enumerate(parts):
+                sums[2 * i] += part
+                sums[2 * i + 1] += part * eta_x
+        for filled in sums[1::2]:
+            filled *= hottest
+        return sums
+
+    @cache
+    def derivatives():
+        """The sums' x-derivatives: 2Re(c' c*) and -2Re(k^2 c c'*)/k0^2,
+        the derivatives of |c|^2 and |c'|^2/k0^2, weight the same integrals."""
+        k2 = points.basis.wavenumbers[points.layer] ** 2
+        jump = (np.abs(points.dphi_r / points.w) ** 2 * np.abs(points.phi_l) ** 2
+                - np.abs(points.dphi_l / points.w) ** 2 * np.abs(points.phi_r) ** 2)
+        return accumulate(lambda cc, dd: (2.0 * (dd * np.conj(cc)).real,
+                                          -2.0 * (k2 * cc * np.conj(dd)).real / k0sq),
+                          (points.n ** 2).imag * jump / k0sq)
+
+    plain = accumulate(lambda cc, dd: (np.abs(cc) ** 2, np.abs(dd) ** 2 / k0sq))
+    return OccupationSums(np.abs(points.n) ** 2, *plain, derivatives)
 
 
 def photon_numbers(points: FieldPoints, profile: TemperatureProfile) -> FieldTriplet:

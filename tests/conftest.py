@@ -18,10 +18,9 @@ def point_energy(basis, profile, x):
 
 
 def point_force(basis, profile, x):
-    """force_density fed with freshly evaluated densities and gradient sums."""
+    """force_density fed with freshly evaluated densities and sums."""
     points = basis.at(x)
-    sums = occupation_sums(points, profile, gradient=True)
-    return force_density(points, ldos(points), sums)
+    return force_density(points, ldos(points), occupation_sums(points, profile))
 
 
 def cavity_stack() -> LayerStack:

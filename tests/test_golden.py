@@ -46,6 +46,8 @@ SHA256 = {
         "85b1f8055e21ce172f3b0e988217ab60016248fd6230a200a512ba7497e9b21d",
         "173bd7e31e307ea5f5f1e6d526f1029ccba52ee16408f46a97de3ee0dc40eae8"),
 }
+# --output writes to the file the very bytes the balance prints
+SHA256["balance passive_cavity --output"] = SHA256["balance passive_cavity"]
 
 
 @pytest.mark.parametrize("name", sorted(SHA256))
@@ -53,8 +55,15 @@ def test_bundled_output_bytes(name, tmp_path, capsys):
     words = name.split()
     if words[0] == "balance":
         config, *extra = words[1:]
+        out = tmp_path / f"{config}.csv"
+        extra = [f"--output={out}" if word == "--output" else word for word in extra]
         assert cli.main(["balance", str(CONFIGS / f"{config}.yaml"), *extra]) == 0
-        data = capsys.readouterr().out.encode("utf-8")
+        printed = capsys.readouterr().out
+        if out.exists():
+            assert printed == f"wrote {out}: 16 slice temperatures\n"
+            data = out.read_bytes()
+        else:
+            data = printed.encode("utf-8")
     else:
         config, *extra = words
         out = tmp_path / f"{config}.csv"

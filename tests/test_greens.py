@@ -392,12 +392,14 @@ def test_region_integrals_on_point_arrays_equal_per_point_calls(gradient):
                 for f in per_point if library.below is not None else ():
                     assert np.array_equal(getattr(library, f)[i], getattr(alone, f)), (
                         f, j, lo, hi, x)
-        sums = occupation_sums(basis.at(xs), profile, gradient=gradient)
+        sums = occupation_sums(basis.at(xs), profile)
         for i, x in enumerate(xs):
-            alone = occupation_sums(basis.at(float(x)), profile, gradient=gradient)
+            alone = occupation_sums(basis.at(float(x)), profile)
             for f in ("d_e", "f_e", "d_m", "f_m"):
-                for name in (f, f + "_prime") if gradient else (f,):
-                    assert np.array_equal(getattr(sums, name)[i], getattr(alone, name))
+                assert np.array_equal(getattr(sums, f)[i], getattr(alone, f))
+            primes = ("d_e_prime", "f_e_prime", "d_m_prime", "f_m_prime") if gradient else ()
+            for f, got, want in zip(primes, sums.primes(), alone.primes()):
+                assert np.array_equal(got[i], want), (f, x)
 
 
 def test_region_integrals_reject_points_in_several_layers():

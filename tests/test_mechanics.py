@@ -4,9 +4,8 @@ from scipy import integrate
 
 from photonstack.errors import ConfigError, InterfacePointError
 from photonstack.greens import solve_wave_basis
-from photonstack.mechanics import (PointField, fd_residual, force_density,
-                                   frequency_integrated_force, net_force)
-from photonstack.spectral import ldos, occupation_sums, photon_numbers, source_occupation
+from photonstack.mechanics import PointField, fd_residual, frequency_integrated_force, net_force
+from photonstack.spectral import ldos, photon_numbers, source_occupation
 from photonstack.stack import TemperatureProfile
 from photonstack.units import hbar, omega_from_ev
 
@@ -70,14 +69,8 @@ def test_interface_point_rejected(cavity, cavity_basis, cavity_profile):
         point_force(cavity_basis, cavity_profile, 0.0)
 
 
-def test_force_without_gradient_sums_names_the_keyword(cavity_basis, cavity_profile):
-    with pytest.raises(ConfigError, match="gradient=True"):
-        PointField(cavity_basis, cavity_profile, 4e-6).force
-    points = cavity_basis.at(4e-6)
-    with pytest.raises(ConfigError, match="gradient=True"):
-        force_density(points, ldos(points), occupation_sums(points, cavity_profile))
-    assert np.all(np.isfinite(PointField(cavity_basis, cavity_profile, 4e-6,
-                                         gradient=True).force.total))
+def test_force_works_on_a_point_field_built_without_options(cavity_basis, cavity_profile):
+    assert np.all(np.isfinite(PointField(cavity_basis, cavity_profile, 4e-6).force.total))
 
 
 def test_decomposition_sums_to_energy_gradient(balanced_passive):
@@ -225,6 +218,15 @@ def test_integrated_force_rejects_a_decreasing_grid(cavity_profile):
     om = omega_from_ev(np.array([0.2, 0.1, 0.05]))
     with pytest.raises(ConfigError, match="frequency grid must be 1D and increasing"):
         frequency_integrated_force(cavity_profile, 2e-6, 8e-6, om)
+
+
+def test_integrated_force_warns_when_the_grid_stops_inside_the_integrand(cavity_profile):
+    """At 0.05 eV the 400 K wall's thermal integrand is still large, so a
+    grid that stops there warns and still returns the truncated integral."""
+    om = omega_from_ev(np.linspace(0.005, 0.05, 16))
+    with pytest.warns(UserWarning, match="not negligible at the grid's upper edge"):
+        force = frequency_integrated_force(cavity_profile, 2e-6, 8e-6, om)
+    assert np.isfinite(force)
 
 
 def test_integrated_thermal_force_points_to_cold_wall():

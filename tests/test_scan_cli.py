@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -17,6 +18,7 @@ import photonstack
 import photonstack.greens as greens_mod
 import photonstack.mechanics as mechanics_mod
 import photonstack.scan as scan_mod
+import photonstack.spectral as spectral_mod
 import photonstack.thermo as thermo_mod
 from photonstack import cli, units
 from photonstack.errors import ConfigError, InterfacePointError, PhotonStackError
@@ -80,6 +82,16 @@ def small_slab(output="slab.csv"):
     }
 
 
+def on_slab(change):
+    """A spec edit that replaces the spec with a copy of ``small_slab()``
+    and then applies ``change`` to it."""
+    def mutate(spec):
+        spec.clear()
+        spec.update(copy.deepcopy(small_slab()))
+        change(spec)
+    return mutate
+
+
 # --- grid and spec validation ----------------------------------------------
 
 def test_grid_values_linear_and_log():
@@ -125,6 +137,14 @@ def test_grid_validation_errors(mapping, fragment):
     (lambda s: s.update(balance={"max_iterations": 0}), "max_iterations"),
     (lambda s: s.update(flavor="mild"), "unknown scan keys"),
     (lambda s: s.update({1: 2, "flavor": "mild"}), "scan keys"),
+    (on_slab(lambda s: s["stack"]["layers"].pop(2)),
+     "slab_force scans need a five-layer stack: wall, host, slab, host, wall"),
+    (on_slab(lambda s: s["stack"]["layers"][1].update(n="1.0+0.1i")),
+     "host layers .1 and 3. must be lossless"),
+    (on_slab(lambda s: s["stack"]["layers"][3].update(n=1.2)),
+     "host layers .1 and 3. must share one index"),
+    (on_slab(lambda s: s["widths"].update(start=-1.0)), "widths: slab widths must be >= 0"),
+    (on_slab(lambda s: s.pop("widths")), "slab_force scans need a 'widths' grid"),
 ])
 def test_spec_validation_errors(mutate, fragment):
     data = small_pointwise()
@@ -447,14 +467,32 @@ def test_each_position_is_evaluated_once(tmp_path, monkeypatch):
     record per pass and computes the mode densities and the occupation
     sums from it once, in one call for all positions of the pass; a pass
     lies within one layer and here holds all of that layer's positions.
-    A balance solve builds one record per self-consistent layer."""
+    Each pass reads the edge fluxes of each source layer (the two walls)
+    once, and evaluates the sums' derivatives once when it asks for a
+    force and never when it does not. A balance solve builds one record
+    per self-consistent layer and reads each source layer's edge fluxes
+    once for it."""
     calls = {}
     original_at = greens_mod.WaveBasis.at
+    original_regions = spectral_mod.region_integrals
+    original_record = spectral_mod.OccupationSums
 
     def counted_at(self, x):
         calls.setdefault("at", []).append(np.size(x))
         return original_at(self, x)
+
+    def counted_regions(points, j, edges):
+        calls.setdefault("region_integrals", []).append(j)
+        return original_regions(points, j, edges)
+
+    def counted_record(*fields):  # n_sq, d_e, f_e, d_m, f_m, primes
+        def counted_primes():
+            calls.setdefault("primes", []).append(len(fields[1]))
+            return fields[-1]()
+        return original_record(*fields[:-1], counted_primes)
     monkeypatch.setattr(greens_mod.WaveBasis, "at", counted_at)
+    monkeypatch.setattr(spectral_mod, "region_integrals", counted_regions)
+    monkeypatch.setattr(spectral_mod, "OccupationSums", counted_record)
     for mod in (scan_mod, mechanics_mod):
         for name in ("ldos", "occupation_sums", "photon_numbers"):
             original = getattr(mod, name, None)
@@ -469,8 +507,15 @@ def test_each_position_is_evaluated_once(tmp_path, monkeypatch):
     data["quantities"] = list(scan_mod.POINTWISE_QUANTITIES)
     # one position in each wall, four in the gap
     data["positions"] = {"start": -1.5, "stop": 11.5, "count": 6}
+    per_pass = {"at": [1, 4, 1], "ldos": [1, 4, 1], "occupation_sums": [1, 4, 1],
+                "region_integrals": [0, 2] * 3}
     run_scan(ScanSpec.from_mapping(data), output=tmp_path / "all.csv")
-    assert calls == {"at": [1, 4, 1], "ldos": [1, 4, 1], "occupation_sums": [1, 4, 1]}
+    assert calls == {**per_pass, "primes": [1, 4, 1]}
+
+    calls.clear()
+    data["quantities"] = [q for q in data["quantities"] if q not in ("zcf", "tcf", "ncf")]
+    run_scan(ScanSpec.from_mapping(data), output=tmp_path / "no_force.csv")
+    assert calls == per_pass
 
     calls.clear()
     two_layers = photonstack.build_stack({"layers": [
@@ -481,7 +526,7 @@ def test_each_position_is_evaluated_once(tmp_path, monkeypatch):
         {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0},
     ]})
     photonstack.solve_self_consistent(two_layers, slices=4)
-    assert calls == {"at": [4, 4]}
+    assert calls == {"at": [4, 4], "region_integrals": [0, 4, 1, 3] * 2}
 
 
 def test_pass_size_leaves_the_output_unchanged(tmp_path, monkeypatch):
@@ -573,8 +618,7 @@ def test_a_point_within_1_pm_of_an_interface_is_rejected_on_both_paths(tmp_path)
     point 1e-13 m from an interface is as undefined as one on it."""
     stack = photonstack.build_stack(CAVITY)
     points = photonstack.solve_wave_basis(stack, units.omega_from_ev(np.array([0.1]))).at(1e-13)
-    sums = photonstack.occupation_sums(
-        points, photonstack.TemperatureProfile.from_stack(stack), gradient=True)
+    sums = photonstack.occupation_sums(points, photonstack.TemperatureProfile.from_stack(stack))
     with pytest.raises(InterfacePointError, match="within 1 pm of an interface"):
         photonstack.force_density(points, photonstack.ldos(points), sums)
     data = small_pointwise()

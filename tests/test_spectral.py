@@ -187,16 +187,6 @@ def test_electric_temperature_saturates_deep_in_reservoirs(cavity):
     assert abs(t_right - 300.0) < 1.0
 
 
-def test_gradient_sums_give_bitwise_equal_numbers(cavity, cavity_basis, cavity_profile):
-    """Scans read u and p off the gradient sums when forces are requested;
-    they must match the plain photon numbers bit for bit."""
-    for x in (-3e-6, 4e-6, 13e-6):
-        plain = photon_numbers(cavity_basis.at(x), cavity_profile)
-        sums = occupation_sums(cavity_basis.at(x), cavity_profile, gradient=True)
-        for name in ("electric", "magnetic", "total"):
-            assert np.array_equal(getattr(sums.numbers, name), getattr(plain, name))
-
-
 def test_sourceless_structure_has_mode_densities_but_no_photon_numbers():
     """A photon number is a weighted mean of the thermal sources'
     occupancies, so a stack with no absorbing layer has none: every

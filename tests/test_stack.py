@@ -51,6 +51,8 @@ def test_assemble_collects_all_problems():
     assert "layer 0" in msg and "thickness inf" in msg
     assert "layer 1" in msg and "interior thickness" in msg
     assert "layer 2" in msg and "temperature must be positive" in msg
+    with pytest.raises(ConfigError, match="a stack needs at least two layers"):
+        LayerStack([Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0)])
 
 
 def test_outer_layers_must_be_lossy():
@@ -94,6 +96,13 @@ def test_self_consistent_semi_infinite_rejected():
         LayerStack([
             Layer(INF, ConstantIndex(1.5 + 0.3j), self_consistent=True),
             Layer(5e-6, ConstantIndex(1.0)),
+            Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),
+        ])
+    with pytest.raises(ConfigError, match="layer 1: temperature cannot be both fixed and "
+                                          "self-consistent"):
+        LayerStack([
+            Layer(INF, ConstantIndex(1.5 + 0.3j), 400.0),
+            Layer(5e-6, ConstantIndex(1.5 + 0.1j), 350.0, self_consistent=True),
             Layer(INF, ConstantIndex(2.5 + 0.5j), 300.0),
         ])
 
@@ -225,6 +234,10 @@ def test_index_table_csv(tmp_path):
 
     table.write_text("energy,re,im\n0.05,1.5,0.1\n")
     with pytest.raises(ConfigError, match="must start with header"):
+        build_stack(config, base_dir=tmp_path)
+
+    table.write_text("E_eV,n_re,n_im\n0.05,1.5\n0.25,1.9,0.5\n")
+    with pytest.raises(ConfigError, match="layer 1: malformed table row '0.05,1.5' in "):
         build_stack(config, base_dir=tmp_path)
 
 
@@ -373,6 +386,10 @@ def test_a_profile_of_another_stack_is_rejected(evaluate):
      "layer 1: temperature must be a number or 'none' or 'self-consistent', not True"),
     ({"thickness": 5.0, "n": {"E_eV": [True, 2.0], "n_re": [1.5, 1.6],
                               "n_im": [0.1, 0.1]}}, "numeric lists"),
+    ({"thickness": 5.0, "n": {"E_eV": [0.01, 0.5], "n_re": [1.5], "n_im": [0.1, 0.1]}},
+     "layer 1: index table columns must match and have >= 2 rows"),
+    ({"thickness": 5.0, "n": {"E_eV": [0.5, 0.01], "n_re": [1.5, 1.6], "n_im": [0.1, 0.1]}},
+     "layer 1: table energies must be strictly increasing"),
 ])
 def test_build_stack_rejects_out_of_range_and_non_finite_values(layer, fragment):
     outer = {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0}
