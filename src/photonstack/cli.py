@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 validation failure or a malformed command line,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -82,8 +81,6 @@ def _validate(args) -> int:
 
 def _scan(args) -> int:
     spec = ScanSpec.from_file(args.spec)
-    if args.units is not None:
-        spec = dataclasses.replace(spec, units=args.units)
     result = run_scan(spec, output=args.output, fd_check=args.fd_check)
     na, ne, nq = result.data.shape
     print(f"wrote {result.path}: {na * ne} rows "
@@ -145,8 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="override the spec's output path")
     p.add_argument("--fd-check", action="store_true",
                    help="cross-check force densities against finite differences")
-    p.add_argument("--units", choices=("paper", "si"),
-                   help="override the spec's unit system")
     p.set_defaults(handler=_scan)
 
     p = sub.add_parser("balance", help="solve self-consistent temperatures")

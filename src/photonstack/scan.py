@@ -329,7 +329,9 @@ class _SlabTemplate:
         problems = []
         if host_l.lossy or host_r.lossy:
             problems.append("host layers (1 and 3) must be lossless")
-        if host_l.index != host_r.index:
+        a, b = host_l.index, host_r.index  # by value: two reads of one table are two objects
+        if type(a) is not type(b) or not (np.array_equal(a.values, b.values) and np.array_equal(
+                getattr(a, "omega", 0), getattr(b, "omega", 0))):
             problems.append("host layers (1 and 3) must share one index")
         if problems:
             raise ConfigError("; ".join(problems))

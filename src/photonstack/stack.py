@@ -65,10 +65,11 @@ class TabulatedIndex:
     def at(self, omega):
         w = np.asarray(omega, dtype=float)
         if np.any(w < self.omega[0]) or np.any(w > self.omega[-1]):
+            need, have = ev_from_omega(np.array([[w.min(), w.max()], self.omega[[0, -1]]]))
             raise ConfigError(
-                f"index table {self.origin or '<inline>'} does not cover the "
-                "requested frequency range"
-            )
+                f"index table {self.origin or '<inline>'} does not cover the requested "
+                f"frequency range ({need[0]:g} to {need[1]:g} eV; the table spans "
+                f"{have[0]:g} to {have[1]:g} eV)")
         out = np.interp(w, self.omega, self.values.real) + 1j * np.interp(
             w, self.omega, self.values.imag
         )
@@ -360,7 +361,7 @@ def _parse_layer(i: int, entry, base_dir: Path | None) -> Layer:
     if not isinstance(raw_n, dict):
         index = ConstantIndex(_parse_complex(raw_n, where))
     elif "table" not in _mapping(raw_n, {"table", *_TABLE_COLUMNS}, "index", where):
-        index = _index_table([raw_n.get(k) for k in _TABLE_COLUMNS], where)
+        index = _index_table([raw_n.get(k) for k in _TABLE_COLUMNS], where, where)
     elif len(raw_n) != 1:
         raise ConfigError(f"{where}: 'table' cannot mix with inline columns")
     elif not isinstance(raw_n["table"], str):

@@ -11,20 +11,22 @@ import hashlib
 from pathlib import Path
 
 import pytest
+import yaml
 
 from photonstack import cli
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # key: a bundled config name (a scan) or "balance" and a config name,
-# followed by the extra CLI arguments of the run; value: the sha256 of the
+# followed by the extra CLI arguments of the run, where a scan's KEY=VALUE
+# words set keys of a copy of its spec; value: the sha256 of the
 # whole output and of its data section, everything after the leading "#"
 # block. A change that moves only metadata leaves the second pin as it is.
 SHA256 = {
     "cavity_field_map": (
         "5845e0599ad1fdb704927667aab4d686db032b39bd026d892d682a5e861512c8",
         "58484aeba8c635d8a2a227808bef9b8b1f83d910775ba1c89b4503325974576d"),
-    "cavity_field_map --units si": (
+    "cavity_field_map units=si": (
         "78b460fcaba409cabe0e6f9c81dfe3adcd8bdd9759cebd8406a7b7729283bf55",
         "2cad684b05f088a1d33f716dbffd0bc47ee224a4ee76393c72fe7b15567f0bd8"),
     "passive_cavity_forces": (
@@ -67,7 +69,14 @@ def test_bundled_output_bytes(name, tmp_path, capsys):
     else:
         config, *extra = words
         out = tmp_path / f"{config}.csv"
-        argv = ["scan", str(CONFIGS / f"{config}.yaml"), "--output", str(out), *extra]
+        spec = CONFIGS / f"{config}.yaml"
+        keys = dict(word.split("=") for word in extra if "=" in word)
+        if keys:
+            mapping = yaml.safe_load(spec.read_text(encoding="utf-8"))
+            mapping.update(keys, stack=str(CONFIGS / mapping["stack"]))
+            spec = tmp_path / spec.name
+            spec.write_text(yaml.safe_dump(mapping), encoding="utf-8")
+        argv = ["scan", str(spec), "--output", str(out), *(w for w in extra if "=" not in w)]
         assert cli.main(argv) == 0
         data = out.read_bytes()
     head = 0

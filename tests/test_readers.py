@@ -177,7 +177,7 @@ _CASES = {
     "scan_unknown_units": (
         lambda d: ["scan", str(_write(d / "s.yaml", yaml.safe_dump(_spec()))),
                    "--units", "xx"],
-        "photonstack scan: argument --units: invalid choice: 'xx'"),
+        "unrecognized arguments: --units xx"),
 }
 
 

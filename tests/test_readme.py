@@ -1,11 +1,12 @@
 """The README's examples must run, or validate, as written against the package."""
 
+import argparse
 import re
 from pathlib import Path
 
 import yaml
 
-from photonstack import ScanSpec, build_stack
+from photonstack import ScanSpec, build_stack, cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 CONFIGS = README.parent / "configs"
@@ -34,3 +35,17 @@ def test_readme_yaml_examples_validate():
         build_stack(config)
     for spec in specs:
         ScanSpec.from_mapping(spec, base_dir=CONFIGS)
+
+
+def test_readme_synopsis_lists_each_subcommands_options():
+    """The command-line block names exactly the options that each
+    subcommand's parser accepts (--help aside)."""
+    block = re.search(r"## Command line\n+```\n(.*?)```", README.read_text(encoding="utf-8"),
+                      flags=re.S).group(1)
+    listed = {line.split()[1]: set(re.findall(r"--[\w-]+", line))
+              for line in block.splitlines() if line.startswith("photonstack ")}
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    accepted = {name: {o for a in p._actions for o in a.option_strings if o.startswith("--")}
+                - {"--help"} for name, p in subparsers.items()}
+    assert len(listed) == 3 and listed == accepted

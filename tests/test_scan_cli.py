@@ -92,6 +92,11 @@ def on_slab(change):
     return mutate
 
 
+def host_table(last_n_re=1.2):
+    """A lossless inline index table for a slab host layer."""
+    return {"E_eV": [0.01, 0.1, 1.0], "n_re": [1.0, 1.1, last_n_re], "n_im": [0.0, 0.0, 0.0]}
+
+
 # --- grid and spec validation ----------------------------------------------
 
 def test_grid_values_linear_and_log():
@@ -121,6 +126,7 @@ def test_grid_validation_errors(mapping, fragment):
 
 @pytest.mark.parametrize("mutate, fragment", [
     (lambda s: s.pop("quantities"), "quantities"),
+    (lambda s: s.update(quantities=[]), "nonempty 'quantities' list"),
     (lambda s: s.update(quantities=["ldos_e", "vorticity"]), "unknown quantities"),
     (lambda s: s.update(quantities=["u", "u"]), "duplicate"),
     (lambda s: s.pop("energies"), "energies"),
@@ -143,6 +149,9 @@ def test_grid_validation_errors(mapping, fragment):
      "host layers .1 and 3. must be lossless"),
     (on_slab(lambda s: s["stack"]["layers"][3].update(n=1.2)),
      "host layers .1 and 3. must share one index"),
+    (on_slab(lambda s: [s["stack"]["layers"][j].update(n=host_table(1.0 + j / 30))
+                        for j in (1, 3)]),
+     "^host layers \\(1 and 3\\) must share one index$"),
     (on_slab(lambda s: s["widths"].update(start=-1.0)), "widths: slab widths must be >= 0"),
     (on_slab(lambda s: s.pop("widths")), "slab_force scans need a 'widths' grid"),
 ])
@@ -240,9 +249,9 @@ def test_from_mapping_returns_a_spec_or_raises_config_error(slab, edits, raw):
         "overflowing_omega", "string_grid_start", "none_grid_start", "bool_grid_start",
         "mapping_energies", "tuple_widths", "list_positions"])
 def test_replace_cannot_build_an_invalid_spec(change, fragment):
-    """A spec checks itself however it is built, dataclasses.replace (as
-    the CLI's --units does) included, and so does each of its grids: a
-    direct build gives the error that from_mapping gives."""
+    """A spec checks itself however it is built, dataclasses.replace
+    included, and so does each of its grids: a direct build gives the
+    error that from_mapping gives."""
     spec = ScanSpec.from_mapping(small_pointwise())
     with pytest.raises(ConfigError, match=fragment) as info:
         dataclasses.replace(spec, **change())
@@ -256,6 +265,19 @@ def test_building_a_spec_builds_no_grid(monkeypatch):
     for data, axis in ((small_pointwise(), "positions"), (small_slab(), "widths")):
         data[axis]["count"] = 2**40
         assert ScanSpec.from_mapping(data).mode == ("slab" if axis == "widths" else "pointwise")
+
+
+def test_slab_hosts_with_equal_index_tables_scan(tmp_path):
+    """Two host tables with the same entries are one index: each layer
+    reads its own table object, and the hosts are compared by value."""
+    data = copy.deepcopy(small_slab())
+    for j in (1, 3):
+        data["stack"]["layers"][j]["n"] = host_table()
+    spec = ScanSpec.from_mapping(data)
+    run_scan(spec, output=tmp_path / "slab.csv")
+    _, header, rows = read_scan_csv(tmp_path / "slab.csv")
+    assert header == ["width_um", "E_eV", "slab_force"] and rows.shape == (5 * 4, 3)
+    assert np.all(np.isfinite(rows))
 
 
 def test_slab_spec_cannot_mix_quantities_or_take_positions():
@@ -926,6 +948,22 @@ def test_cli_validate_rejects_index_tables_that_share_no_energy(tmp_path, capsys
         "another ends at 0.15 eV)"]
 
 
+def test_index_table_range_error_names_both_ranges_and_the_table(tmp_path, capsys):
+    """A table that misses the balance grid (1 meV to 1 eV) says so with
+    both ranges; in a scan, whose spec embeds the table, it names its layer."""
+    (tmp_path / "sc.csv").write_text("E_eV,n_re,n_im\n0.01,1.1,0.1\n2.0,1.1,0.1\n")
+    stack = {"layers": [dict(layer) for layer in PASSIVE["layers"]]}
+    stack["layers"][1]["n"] = {"table": "sc.csv"}
+    config = write_spec(tmp_path, "sc.yaml", stack)
+    spec = write_spec(tmp_path, "scan.yaml", {**small_pointwise(), "stack": "sc.yaml"})
+    for argv, origin in ((["balance", str(config)], tmp_path / "sc.csv"),
+                         (["scan", str(spec)], "layer 1")):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: index table {origin} does not cover the requested frequency range "
+            "(0.001 to 1 eV; the table spans 0.01 to 2 eV)\n")
+
+
 def test_cli_scan_writes_file_and_reports(tmp_path, capsys):
     mapping = small_pointwise(output="fields.csv")
     spec_path = write_spec(tmp_path, "scan.yaml", mapping)
@@ -937,12 +975,11 @@ def test_cli_scan_writes_file_and_reports(tmp_path, capsys):
 
 
 def test_cli_scan_units_override(tmp_path):
-    spec_path = write_spec(tmp_path, "scan.yaml", small_pointwise())
+    """The spec's units key sets the unit system of the LDOS columns."""
     paper, si = tmp_path / "paper.csv", tmp_path / "si.csv"
-    assert cli.main(["scan", str(spec_path), "--output", str(paper),
-                     "--units", "paper"]) == 0
-    assert cli.main(["scan", str(spec_path), "--output", str(si),
-                     "--units", "si"]) == 0
+    for name, out in (("paper", paper), ("si", si)):
+        spec_path = write_spec(tmp_path, f"{name}.yaml", {**small_pointwise(), "units": name})
+        assert cli.main(["scan", str(spec_path), "--output", str(out)]) == 0
     _, header, rows_p = read_scan_csv(paper)
     _, _, rows_s = read_scan_csv(si)
     i_ldos, i_u = header.index("ldos_tot"), header.index("u")
