@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands:
-  validate  check a stack config: structural invariants, then a
-            single-frequency mode-density closure identity at
-            representative points; exit 0 iff clean.
+  validate  check a stack config: structural invariants, index table
+            ranges, then a single-frequency mode-density closure
+            identity at representative points; exit 0 iff clean.
   scan      run a grid scan from a YAML spec and write its CSV.
   balance   run the self-consistent temperature solver alone and emit
             per-slice temperatures as CSV.
@@ -25,7 +25,7 @@ from .greens import solve_wave_basis
 from .scan import ScanSpec, _check_target, _write_file, run_scan
 from .spectral import ldos_closure_residuals
 from .stack import SELF_CONSISTENT, TabulatedIndex, load_stack
-from .thermo import BALANCE_DEFAULTS, solve_self_consistent
+from .thermo import BALANCE_DEFAULTS, default_balance_grid, solve_self_consistent
 from .units import MICRON, ev_from_omega, omega_from_ev
 
 _CLOSURE_EV = 0.11
@@ -44,6 +44,13 @@ def _validate(args) -> int:
         if layer.lossy and not layer.has_assignment:
             print(f"warning: layer {j} is lossy but has no temperature; every "
                   "scan quantity except ldos_* and every balance solve will reject it")
+    if any(layer.self_consistent for layer in stack.layers):
+        try:  # a balance solve evaluates every index over its whole grid
+            for layer in stack.layers:
+                layer.index.at(default_balance_grid()[[0, -1]])
+        except ConfigError as exc:
+            print(f"invalid: {exc}")
+            return 1
 
     tables = [layer.index.omega for layer in stack.layers
               if isinstance(layer.index, TabulatedIndex)]
@@ -64,13 +71,10 @@ def _validate(args) -> int:
     clean = True
     for x in sorted(points):
         at = basis.at(x)
-        res_e, res_m = ldos_closure_residuals(at)
-        worst = float(np.max(np.maximum(res_e, res_m)))
+        worst = float(np.max(ldos_closure_residuals(at)))
         if not worst <= _CLOSURE_TOL:
-            print(
-                f"invalid: layer {at.layer}: greens-closure residual {worst:.2e} "
-                f"at x = {x / MICRON:g} um exceeds {_CLOSURE_TOL:g}"
-            )
+            print(f"invalid: layer {at.layer}: greens-closure residual {worst:.2e} "
+                  f"at x = {x / MICRON:g} um exceeds {_CLOSURE_TOL:g}")
             clean = False
     if clean:
         print(f"{args.config}: clean ({len(stack.layers)} layers, "

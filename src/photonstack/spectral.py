@@ -49,6 +49,12 @@ class FieldTriplet(NamedTuple):
     total: np.ndarray
 
 
+def density_per_weight(omega):
+    """P(omega) = 2 omega^3 / (pi c^4 S): each mode density is P times its
+    unfilled source sum, the electric one that of ``region_weights``."""
+    return 2.0 * omega**3 / (math.pi * c**4 * CROSS_SECTION)
+
+
 def _mode_density(om, g):
     """Mode density from a coincident Green's function (or its gradient)."""
     return 2.0 * om / (math.pi * c * c * CROSS_SECTION) * g.imag
@@ -259,12 +265,9 @@ def ldos_closure_residuals(points: FieldPoints):
     photon numbers divide by, over every source region of the stack at a
     uniform temperature. Both should agree to roundoff; a large residual
     flags a broken basis solve or an absorber missing from the sources."""
-    om = points.basis.omega
     # the unfilled sums do not depend on the temperature
     sums = occupation_sums(points, TemperatureProfile.uniform(points.basis.stack, 300.0))
-    pref = 2.0 * om**3 / (math.pi * c**4 * CROSS_SECTION)
-    surf = ldos(points)
+    pref = density_per_weight(points.basis.omega)
     tiny = np.finfo(float).tiny
-    res_e = np.abs(surf.electric - pref * sums.d_e) / np.maximum(np.abs(surf.electric), tiny)
-    res_m = np.abs(surf.magnetic - pref * sums.d_m) / np.maximum(np.abs(surf.magnetic), tiny)
-    return res_e, res_m
+    return tuple(np.abs(rho - pref * d) / np.maximum(np.abs(rho), tiny)
+                 for rho, d in zip(ldos(points)[:2], (sums.d_e, sums.d_m)))

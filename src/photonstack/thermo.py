@@ -11,15 +11,18 @@ slice temperature is driven to the root of its net exchange integrated
 over a photon-energy grid (a conduction-coupled slab thermalizes each
 slice to one temperature). The reservoirs bracket each root, which
 Newton steps safeguarded by that bracket find. ``spectral.region_weights``
-fills in once per solve how strongly each region of the sliced profile's
-``sources`` (the reservoir layers first, then the sliced ones)
-illuminates each slice midpoint, and these weights become the exchange
-operator in place, of which every balance integral is one contraction.
-Each sweep solves all slice balances in lockstep, and an update
-under-relaxed by RELAXATION converges their mutual illumination. Weights
-or a kernel that are not finite (an absorber hundreds of absorption
-lengths thick overflows them) raise PhotonStackError: a NaN balance
-would pass for the hot reservoir's value.
+fills in once per solve the weight W_r with which each region r of the
+sliced profile's ``sources`` (the reservoirs first, then the slices)
+illuminates each slice midpoint. As rho_e = P sum_r W_r (the closure
+identity) and n_e is the W-weighted mean of the sources' eta_r, a slice's
+balance is sum_omega sum_r B_r (eta(T) - eta_r) with the exchange operator
+B = hbar omega^2 Im[n^2] P W times the trapezoid weights, into which the
+weights turn in place: the emission is its row sum. Each sweep solves
+all slice balances in lockstep, and an update under-relaxed by
+RELAXATION converges their mutual illumination. Weights that are not
+finite (an absorber hundreds of absorption lengths thick overflows them)
+raise PhotonStackError: a NaN balance would pass for the hot reservoir's
+value.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, PhotonStackError
 from .greens import solve_wave_basis
-from .spectral import ldos, region_weights, source_occupation
+from .spectral import density_per_weight, region_weights, source_occupation
 from .stack import LayerStack, TemperatureProfile, _count, _integer, _mapping, _real
 from .units import MICRON, ev_from_omega, hbar, k_B, omega_from_ev
 
@@ -44,8 +47,8 @@ def default_balance_grid():
 @dataclass(frozen=True, eq=False)
 class BalanceResult:
     """Solved slice temperatures, the sweeps they took (``iterations``)
-    and their ``residuals``: each slice's net exchange, the integral of
-    kernel (eta - n_e) d omega, in W/m^3."""
+    and their ``residuals``: each slice's net exchange, the exchange
+    operator's sum_r B_mr (eta_m - eta_r) over the balance grid, in W/m^3."""
 
     profile: TemperatureProfile
     slice_positions: tuple[float, ...]
@@ -88,20 +91,19 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
 
     ``settings`` override BALANCE_DEFAULTS: ``slices`` per self-consistent
     layer, ``tolerance_K`` and ``max_iterations``. A slice's balance is
-    its emission ``own @ eta(T_m)`` (``own``: the kernel times the
-    trapezoid weights) less its absorption, a part fixed per solve plus
-    the exchange operator's (slices, slices * omega) slice block times the
-    slice occupancies. Each sweep clamps every slice to the reservoirs'
-    bracket and takes Newton steps from its current temperature (the
-    first on the absorption's occupancies), each halving the bracket
-    instead when it would leave it or is not under half the one before
-    (the rtsafe rule), until the last correction or the bracket is no
-    wider than ``0.1 * tolerance_K`` (or a few ulps). The solve converges
-    once the largest update, under-relaxed by RELAXATION, is below
-    ``tolerance_K``, or raises ConvergenceError after ``max_iterations``
-    sweeps. Unusable settings (see ``check_balance_settings``) raise
-    ConfigError, and an exchange that is not finite raises
-    PhotonStackError before any sweep.
+    its emission ``own @ eta(T_m)`` (``own``: the row sums of the exchange
+    operator B) less its absorption, a part fixed per solve plus B's
+    (slices, slices * omega) slice block times the slice occupancies. As
+    B >= 0, the reservoirs bracket every root. Each sweep takes Newton
+    steps from each slice's temperature (the first on the absorption's
+    occupancies), each halving the bracket instead when it would leave it
+    or is not under half the one before (the rtsafe rule), until the last
+    correction or the bracket is no wider than ``0.1 * tolerance_K`` (or a
+    few ulps). The solve converges once the largest update, under-relaxed
+    by RELAXATION, is below ``tolerance_K``, or raises ConvergenceError
+    after ``max_iterations`` sweeps. Unusable settings (see
+    ``check_balance_settings``) raise ConfigError, and an exchange that is
+    not finite raises PhotonStackError before any sweep.
     """
     slices, tolerance_K, max_iterations = check_balance_settings(settings).values()
     sc_layers = [j for j, layer in enumerate(stack.layers) if layer.self_consistent]
@@ -134,43 +136,33 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     reservoirs = [t for _, _, (t,) in sources[:-len(sc_layers)]]
 
     # one field-point record per layer over all of its slice midpoints,
-    # whose rows of the weight matrix are filled in place
+    # whose rows of the weight matrix are filled and scaled in place to
+    # the exchange operator B: absorption per unit eta
     weights = np.empty((n_slices, len(reservoirs) + n_slices, om.size))
-    kernel = np.empty((n_slices, om.size))
     x_mid = np.concatenate([0.5 * (e[:-1] + e[1:]) for e in slice_edges.values()])
+    scale = 0.5 * np.convolve(np.diff(om), [1.0, 1.0]) * hbar * om**2 * density_per_weight(om)
     # an overflow leaves an inf or a NaN, which the check below refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(sc_layers)):
+        for i, j in enumerate(sc_layers):
             rows = slice(i * slices, (i + 1) * slices)
-            points = basis.at(x_mid[rows])
-            region_weights(points, sources, weights[rows])
-            kernel[rows] = hbar * om**2 * (points.n ** 2).imag * ldos(points).electric
-
-    denom = weights.sum(axis=1)
+            region_weights(basis.at(x_mid[rows]), sources, weights[rows])
+            weights[rows] *= scale * (basis.n[j] ** 2).imag
+        own = weights.sum(axis=1)  # emission per unit eta(T_m)
     # a NaN balance is neither >= 0 nor <= 0, so the root-find would take
-    # every slice to the top of its bracket; a zero row sum gives one too
-    bad = ~(np.isfinite(kernel) & (denom > 0.0) & (denom < np.inf))
+    # every slice to the top of its bracket
+    bad = ~np.isfinite(own)
     if bad.any():
         s, e = np.argwhere(bad)[0]
         raise PhotonStackError(f"balance exchange is not finite at x = {x_mid[s] / MICRON:g} um, "
                                f"E = {ev_from_omega(om[e]):g} eV; refusing to solve")
-    own = 0.5 * np.convolve(np.diff(om), [1.0, 1.0]) * kernel  # kernel * trapezoid weights
-    weights *= (own / denom)[:, None, :]  # the exchange operator: absorption per unit eta
     eta_fixed = np.concatenate([source_occupation(om, t) for t in reservoirs])
     by_reservoirs = weights[:, :len(reservoirs)].reshape(n_slices, -1) @ eta_fixed
     coupling = weights[:, len(reservoirs):].reshape(n_slices, -1)
     theta = hbar * om / k_B  # d(eta)/dT = eta (1 + eta) theta / T^2
-    own_lo, own_top = own @ source_occupation(om, t_lo), own @ source_occupation(om, t_top)
     for iterations in range(1, max_iterations + 1):
         eta = source_occupation(om, temps[:, None])
         absorbed = by_reservoirs + coupling @ eta.ravel()
-        # A slice whose balance at t_lo is >= 0 keeps t_lo, then one whose
-        # balance at the top is <= 0 keeps the top; every other slice
-        # brackets its root between them.
-        at_lo = own_lo >= absorbed
-        at_hi = ~at_lo & (own_top <= absorbed)
-        lo = np.where(at_hi, t_top, t_lo)
-        hi = np.where(at_lo, t_lo, t_top)
+        lo, hi = np.full(n_slices, t_lo), np.full(n_slices, t_top)
         # Newton steps from the current temperatures, safeguarded as in
         # rtsafe: a step that leaves the bracket or is not under half the
         # one before halves the bracket instead. A slice stops once its

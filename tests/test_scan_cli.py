@@ -948,6 +948,22 @@ def test_cli_validate_rejects_index_tables_that_share_no_energy(tmp_path, capsys
         "another ends at 0.15 eV)"]
 
 
+def test_cli_validate_rejects_index_tables_that_miss_the_balance_grid(tmp_path, capsys):
+    """A stack with a self-consistent layer is clean only if every index
+    covers the balance grid (1 meV to 1 eV), as its balance solve needs;
+    the same table passes once the layer has a fixed temperature."""
+    (tmp_path / "sc.csv").write_text("E_eV,n_re,n_im\n0.01,1.1,0.1\n2.0,1.1,0.1\n")
+    stack = {"layers": [dict(layer) for layer in PASSIVE["layers"]]}
+    stack["layers"][1]["n"] = {"table": "sc.csv"}
+    assert cli.main(["validate", str(write_spec(tmp_path, "sc.yaml", stack))]) == 1
+    assert capsys.readouterr().out == (
+        f"invalid: index table {tmp_path / 'sc.csv'} does not cover the requested frequency "
+        "range (0.001 to 1 eV; the table spans 0.01 to 2 eV)\n")
+    stack["layers"][1]["temperature"] = 350.0
+    assert cli.main(["validate", str(write_spec(tmp_path, "fixed.yaml", stack))]) == 0
+    assert "clean" in capsys.readouterr().out
+
+
 def test_index_table_range_error_names_both_ranges_and_the_table(tmp_path, capsys):
     """A table that misses the balance grid (1 meV to 1 eV) says so with
     both ranges; in a scan, whose spec embeds the table, it names its layer."""
