@@ -91,7 +91,8 @@ def _scan(args) -> int:
           f"({result.axis_name} x E_eV = {na} x {ne}), "
           f"quantities: {', '.join(result.quantities)}")
     if result.fd_residual_max is not None:
-        print(f"fd-check: max relative residual {result.fd_residual_max:.3e}")
+        print(f"fd-check: max relative residual {result.fd_residual_max:.3e}, "
+              f"{result.fd_unchecked} positions unchecked")
     return 0
 
 

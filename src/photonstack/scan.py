@@ -11,7 +11,7 @@ process; ``run_scan``'s ``threads`` keyword must be the integer 1.
 
 Output is deterministic: fixed column order, x-major rows, 9 significant
 digits, and a metadata block whose embedded spec suffices to reproduce
-the data section byte for byte.
+the file byte for byte.
 """
 
 from __future__ import annotations
@@ -278,21 +278,21 @@ class ScanResult:
     data: np.ndarray
     path: Path | None
     fd_residual_max: float | None = None
+    fd_unchecked: int | None = None
 
 
-def _pointwise(xs, profile, omega, quantities, units, fd_check):
-    """Evaluate the positions ``xs`` (m) over the whole energy grid in
-    passes of at most ``_PASS_CELLS`` cells, each within one layer, into
-    one block. With ``fd_check`` the second result holds the
+def _pointwise(basis, xs, profile, quantities, units, fd_check):
+    """Evaluate the positions ``xs`` (m) over the whole energy grid of
+    ``basis`` in passes of at most ``_PASS_CELLS`` cells, each within one
+    layer, into one block. With ``fd_check`` the second result holds the
     finite-difference residual per (position, energy), NaN where no check
     was made."""
-    basis = solve_wave_basis(profile.stack, omega)
-    block = np.empty((len(xs), omega.size, len(quantities)))
-    fd = np.full((len(xs), omega.size), np.nan) if fd_check else None
+    block = np.empty((len(xs), basis.omega.size, len(quantities)))
+    fd = np.full((len(xs), basis.omega.size), np.nan) if fd_check else None
     ldos_scale = LDOS_UNIT if units == "paper" else 1.0
     # the positions ascend, so each layer's positions are one run
     runs = np.flatnonzero(np.diff(basis.stack.layer_index(xs))) + 1
-    step = max(1, _PASS_CELLS // omega.size)
+    step = max(1, _PASS_CELLS // basis.omega.size)
     for lo, hi in zip([0, *runs], [*runs, len(xs)]):
         for a in range(lo, hi, step):
             rows = slice(a, min(a + step, hi))
@@ -329,9 +329,8 @@ class _SlabTemplate:
         problems = []
         if host_l.lossy or host_r.lossy:
             problems.append("host layers (1 and 3) must be lossless")
-        a, b = host_l.index, host_r.index  # by value: two reads of one table are two objects
-        if type(a) is not type(b) or not (np.array_equal(a.values, b.values) and np.array_equal(
-                getattr(a, "omega", 0), getattr(b, "omega", 0))):
+        entries = serialize_stack(stack)["layers"]
+        if entries[1]["n"] != entries[3]["n"]:
             problems.append("host layers (1 and 3) must share one index")
         if problems:
             raise ConfigError("; ".join(problems))
@@ -374,8 +373,9 @@ def run_scan(
     A slab scan solves its widths in ascending order, each with its own
     balance solve, all in this process. ``threads`` must be the integer
     1; the keyword goes once the benchmark stops passing it. ``fd_check``
-    needs a force-density quantity to check. A failed run leaves no
-    partial output file behind.
+    needs a force-density quantity and reports on the result, never in the
+    file. The scan grid's wave basis is solved before any balance. A
+    failed run leaves no partial output file behind.
     """
     target = output if output is not None else spec.output
     if target is None:
@@ -404,8 +404,8 @@ def run_scan(
         template, rows = spec.template, []
         for w in axis_values * MICRON:
             at_w = template.at_width(w)
-            profile = solve_self_consistent(at_w, **spec.balance).profile
             basis = solve_wave_basis(at_w, omega)
+            profile = solve_self_consistent(at_w, **spec.balance).profile
             rows.append(net_force(basis, profile, *template.probes(w)))
         data, fd = np.stack(rows)[:, :, None], None
     else:
@@ -413,15 +413,14 @@ def run_scan(
         xs = axis_values * MICRON
         if _FORCE_QUANTITIES & set(spec.quantities):
             check_off_interfaces(stack, xs)
+        basis = solve_wave_basis(stack, omega)
         profile = solve_self_consistent(stack, **spec.balance).profile
-        data, fd = _pointwise(xs, profile, omega, spec.quantities, spec.units, fd_check)
-    fd_max = None
+        data, fd = _pointwise(basis, xs, profile, spec.quantities, spec.units, fd_check)
+    fd_record = ()
     if fd_check:
         # a position counts as unchecked when any of its residuals is NaN
         unchecked = np.isnan(fd).any(axis=1)
-        fd_max = float(np.max(fd[~unchecked], initial=0.0))
-        meta.append(f"fd-check: max-rel-residual={fd_max:.3e} "
-                    f"unchecked={np.count_nonzero(unchecked)}")
+        fd_record = float(np.max(fd[~unchecked], initial=0.0)), np.count_nonzero(unchecked)
 
     # a NaN or an infinity reaches data.min() or data.max(), and neither
     # builds a mask the size of data
@@ -439,7 +438,7 @@ def run_scan(
 
     _write_csv(target, meta, axis_name, axis_values, energies_ev,
                spec.quantities, data)
-    return ScanResult(axis_name, energies_ev, spec.quantities, data, target, fd_max)
+    return ScanResult(axis_name, energies_ev, spec.quantities, data, target, *fd_record)
 
 
 def _check_target(target) -> None:

@@ -24,32 +24,31 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # block. A change that moves only metadata leaves the second pin as it is.
 SHA256 = {
     "cavity_field_map": (
-        "5845e0599ad1fdb704927667aab4d686db032b39bd026d892d682a5e861512c8",
+        "e53ec4708d62ec5d25700e47b77bd0b3d89c71dd7a3ce750b643c40ad8e6a0f1",
         "58484aeba8c635d8a2a227808bef9b8b1f83d910775ba1c89b4503325974576d"),
     "cavity_field_map units=si": (
-        "78b460fcaba409cabe0e6f9c81dfe3adcd8bdd9759cebd8406a7b7729283bf55",
+        "ab28d1208728610940a7f52d1832ee019e75c07ec47568bd97294aacc9308b30",
         "2cad684b05f088a1d33f716dbffd0bc47ee224a4ee76393c72fe7b15567f0bd8"),
     "passive_cavity_forces": (
-        "d70c3742e799748500c61c82d9afa92a0f64b5895becba129302763dbb2ea2c2",
-        "126cfe3b6bb2f21c9d30f7ec2b1a65d2a6586c61e4a876f05d35760f3a5aea5c"),
-    "passive_cavity_forces --fd-check": (
-        "3c5d7fca4919a0e09b11d4d544e267aeb5aaf10a47af834437c9ec655f62218e",
+        "c510d3fe41d5e64deeb2da1f240365f6ce282ceb3832380f5f6582d446369435",
         "126cfe3b6bb2f21c9d30f7ec2b1a65d2a6586c61e4a876f05d35760f3a5aea5c"),
     "transparent_slab_force": (
-        "868c6e0efdd0e7f6328c677c1995ae5271096254f0f009fe2b300617d0712091",
+        "5ba0e0cae1f53bf49dbe6f51c7ff70050d78260bf0610d9c16fb423312e08b71",
         "9ce6b766c70ce0d1d400d928bf7e464fffd02cfdcdc9f7ff475b36964d389935"),
     "absorbing_slab_force": (
-        "11dc6dcf0f38ae146f4f5f8133ba1bed7a3eb083d1d79a5a0dc07d428ac90565",
+        "0cd1ab98f6ff89c286f911f486c21eaaa25997bbc3221e87327d0388ee00a811",
         "fbcf963c1689b47af8812b71d085a12f6162c06c251c293865c63ea85588c739"),
     "balance passive_cavity": (
-        "87fd37de4a9cd198f6bd9455d9277edb5abfdde22328ef876d435773c4681cdd",
+        "8990ad99214a1c102ebc93f5a4f2140deb2e2c3820339eb707bcf1e5ac134842",
         "1bc92c85cf54cebbc3fa4e6af577d32b12cde26a64c725eac2f15c22641b5758"),
     "balance passive_cavity --slices 32": (
-        "85b1f8055e21ce172f3b0e988217ab60016248fd6230a200a512ba7497e9b21d",
+        "9b533ef21fe80bb63782667434fc2eec7bfa937917932425dcf5c8f2ffe7ebbf",
         "173bd7e31e307ea5f5f1e6d526f1029ccba52ee16408f46a97de3ee0dc40eae8"),
 }
 # --output writes to the file the very bytes the balance prints
 SHA256["balance passive_cavity --output"] = SHA256["balance passive_cavity"]
+# --fd-check reports on the terminal and writes the file a plain run writes
+SHA256["passive_cavity_forces --fd-check"] = SHA256["passive_cavity_forces"]
 
 
 @pytest.mark.parametrize("name", sorted(SHA256))

@@ -322,9 +322,23 @@ def test_slab_scan_solves_its_widths_in_order_in_this_process(tmp_path, monkeypa
     assert any(m.startswith("mode: slab") for m in meta)
 
 
-def test_embedded_spec_reproduces_the_file(tmp_path):
+@pytest.mark.parametrize("mapping, fd_check", [
+    (small_pointwise(), False),
+    (small_slab(), False),
+    ({**small_pointwise(), "stack": dict(PASSIVE), "quantities": ["T_e", "ncf"],
+      "balance": {"slices": 2, "tolerance_K": 0.5, "max_iterations": 1234567}}, False),
+    ({**small_pointwise(), "units": "si"}, False),
+    ({**small_pointwise(), "stack": {"layers": [
+        CAVITY["layers"][0], {"thickness": 10.0, "n": host_table()}, CAVITY["layers"][2]]}},
+     False),
+    ({**small_pointwise(), "quantities": ["u", "zcf", "tcf", "ncf"]}, True),
+], ids=["pointwise", "slab", "self_consistent", "si", "inline_table", "fd_check"])
+def test_embedded_spec_reproduces_the_file(tmp_path, mapping, fd_check):
+    """Every scan file, fd-checked or not, is a function of its own spec
+    line: rebuilding the spec from it and running it again writes the
+    same bytes."""
     first = tmp_path / "first.csv"
-    run_scan(ScanSpec.from_mapping(small_pointwise()), output=first)
+    run_scan(ScanSpec.from_mapping(mapping), output=first, fd_check=fd_check)
     rebuilt = ScanSpec.from_metadata(first)
     second = tmp_path / "second.csv"
     run_scan(rebuilt, output=second)
@@ -980,6 +994,32 @@ def test_index_table_range_error_names_both_ranges_and_the_table(tmp_path, capsy
             "(0.001 to 1 eV; the table spans 0.01 to 2 eV)\n")
 
 
+@pytest.mark.parametrize("mapping, layer", [(small_pointwise(), 1), (small_slab(), 2)],
+                         ids=["pointwise", "slab"])
+def test_a_table_that_misses_the_scan_energies_fails_before_any_balance(tmp_path, monkeypatch,
+                                                                         mapping, layer):
+    """The scan grid's wave basis, the first evaluation of every index at
+    the scan energies, is solved before any balance solve, in both modes."""
+    mapping = copy.deepcopy(mapping)
+    mapping["stack"]["layers"][layer].update(
+        n={"E_eV": [0.0005, 2.0], "n_re": [1.1, 1.1], "n_im": [0.1, 0.1]},
+        temperature="self-consistent")
+    mapping.update(balance={"slices": 2}, energies={"start": 1.5, "stop": 2.5, "count": 3})
+    solved = []
+    original = scan_mod.solve_self_consistent
+
+    def recorded(stack, **kwargs):
+        solved.append(stack)
+        return original(stack, **kwargs)
+    monkeypatch.setattr(scan_mod, "solve_self_consistent", recorded)
+    with pytest.raises(ConfigError) as info:
+        run_scan(ScanSpec.from_mapping(mapping), output=tmp_path / "out.csv")
+    assert str(info.value) == (
+        f"index table layer {layer} does not cover the requested frequency range "
+        "(1.5 to 2.5 eV; the table spans 0.0005 to 2 eV)")
+    assert solved == []
+
+
 def test_cli_scan_writes_file_and_reports(tmp_path, capsys):
     mapping = small_pointwise(output="fields.csv")
     spec_path = write_spec(tmp_path, "scan.yaml", mapping)
@@ -1140,10 +1180,12 @@ def test_cli_scan_nonconvergent_balance_exits_two(tmp_path, capsys):
     assert not (tmp_path / "never.csv").exists()
 
 
-def test_fd_check_counts_points_on_slice_boundaries(tmp_path):
+def test_fd_check_counts_points_on_slice_boundaries(tmp_path, capsys):
     """Positions on balance slice boundaries leave no room for a finite-
     difference step: they are counted as unchecked, not reported as a
-    residual, and their force values are still written."""
+    residual, and their force values are still written. The check
+    reports on the result and the terminal, and writes the file a plain
+    run writes."""
     mapping = {
         "stack": dict(PASSIVE),
         "quantities": ["u", "ncf"],
@@ -1152,16 +1194,23 @@ def test_fd_check_counts_points_on_slice_boundaries(tmp_path):
         "balance": {"slices": 4, "tolerance_K": 0.5},
         "output": "fd.csv",
     }
-    out = tmp_path / "fd.csv"
+    out, plain = tmp_path / "fd.csv", tmp_path / "plain.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         result = run_scan(ScanSpec.from_mapping(mapping), output=out, fd_check=True)
-    meta, _, rows = read_scan_csv(out)
-    line = next(m for m in meta if m.startswith("fd-check: "))
+    _, _, rows = read_scan_csv(out)
     # 2.5, 5.0 and 7.5 um sit on the boundaries of the four slices
-    assert line.endswith(" unchecked=3")
+    assert result.fd_unchecked == 3
     assert result.fd_residual_max < 1e-4
     assert rows.shape == (7 * 3, 4) and np.all(np.isfinite(rows))
+    run_scan(ScanSpec.from_mapping(mapping), output=plain)
+    assert out.read_bytes() == plain.read_bytes()
+    spec_path = write_spec(tmp_path, "fd.yaml", mapping)
+    assert cli.main(["scan", str(spec_path), "--fd-check"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"fd-check: max relative residual {result.fd_residual_max:.3e}, "
+        "3 positions unchecked")
+    assert out.read_bytes() == plain.read_bytes()
 
 
 @pytest.mark.parametrize("mapping", [small_slab(), small_pointwise()],
