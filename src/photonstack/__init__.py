@@ -7,7 +7,7 @@ temperatures, self-consistent temperature profiles of passive layers, and
 the spectral force densities acting on the structure.
 """
 
-__version__ = "0.3.3"
+__version__ = "0.3.4"
 
 from .errors import (
     ConfigError,

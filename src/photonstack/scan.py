@@ -10,15 +10,15 @@ two host segments. It solves its widths in ascending order, in one
 process; ``run_scan``'s ``threads`` keyword must be the integer 1.
 
 Output is deterministic: fixed column order, x-major rows, 9 significant
-digits, and a metadata block whose embedded spec suffices to reproduce
-the file byte for byte.
+digits, and a three-line metadata block (the version, the column units
+and the spec) whose spec line suffices to reproduce the file byte for
+byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import errno
-import hashlib
 import json
 import math
 import os
@@ -263,10 +263,6 @@ class ScanSpec:
         return json.dumps(self.canonical_mapping(), sort_keys=True,
                           separators=(",", ":"))
 
-    def stack_sha256(self) -> str:
-        blob = json.dumps(self.stack, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
 
 @dataclass(frozen=True, eq=False)
 class ScanResult:
@@ -390,15 +386,6 @@ def run_scan(
     stack = spec.layer_stack
     energies_ev = spec.energies.values()
     omega = omega_from_ev(energies_ev)
-    meta = [
-        f"photonstack {__version__} scan",
-        f"stack-sha256: {spec.stack_sha256()}",
-        f"mode: {spec.mode}",
-        f"units: {spec.units}",
-    ]
-    if any(layer.self_consistent for layer in stack.layers):
-        meta.append("solver: " + " ".join(  # integers in full, not as 1.23457e+06
-            f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in spec.balance.items()))
     if spec.mode == "slab":
         axis_name, axis_values = "width_um", spec.widths.values()
         template, rows = spec.template, []
@@ -433,8 +420,8 @@ def run_scan(
     tag = 0 if spec.units == "paper" else 1
     col_units = [f"{axis_name} [um]", "E_eV [eV]"]
     col_units += [f"{q} [{_QUANTITY_TABLE[q][tag]}]" for q in spec.quantities]
-    meta.append("columns: " + ", ".join(col_units))
-    meta.append("spec: " + spec.canonical_json())
+    meta = [f"photonstack {__version__} scan", "columns: " + ", ".join(col_units),
+            "spec: " + spec.canonical_json()]
 
     _write_csv(target, meta, axis_name, axis_values, energies_ev,
                spec.quantities, data)

@@ -153,13 +153,15 @@ def region_weights(points: FieldPoints, sources, out) -> None:
         c_left, c_right = (None if q is None
                            else np.abs(_coefficients(points, left, ri.shift)[0]) ** 2
                            for left, q in ((True, ri.left), (False, ri.right)))
+        if ri.below is not None:  # the split region's weight is the same for every column
+            both = c_left * ri.split_left + c_right * ri.split_right
         for r in range(len(edges) - 1):
             if ri.below is None:
                 out[:, col + r] = c_left * ri.left[r] if c_right is None else c_right * ri.right[r]
                 continue
             left, split = (np.reshape(m, m.shape + (1,) * points.basis.omega.ndim)
                            for m in (ri.below > r, (ri.below == r) & ri.inside))
-            out[:, col + r] = np.where(split, c_left * ri.split_left + c_right * ri.split_right,
+            out[:, col + r] = np.where(split, both,
                                        np.where(left, c_left * ri.left[r], c_right * ri.right[r]))
         col += len(edges) - 1
 

@@ -24,25 +24,25 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # block. A change that moves only metadata leaves the second pin as it is.
 SHA256 = {
     "cavity_field_map": (
-        "e53ec4708d62ec5d25700e47b77bd0b3d89c71dd7a3ce750b643c40ad8e6a0f1",
+        "11dc2c987b2e82fed0e556039245ba110719b804a6765565757ef351b11b54fc",
         "58484aeba8c635d8a2a227808bef9b8b1f83d910775ba1c89b4503325974576d"),
     "cavity_field_map units=si": (
-        "ab28d1208728610940a7f52d1832ee019e75c07ec47568bd97294aacc9308b30",
+        "d117d8673e0de57097bc54ec2c0253f7983e64113e0d89b11635ae87fcb84ee2",
         "2cad684b05f088a1d33f716dbffd0bc47ee224a4ee76393c72fe7b15567f0bd8"),
     "passive_cavity_forces": (
-        "c510d3fe41d5e64deeb2da1f240365f6ce282ceb3832380f5f6582d446369435",
+        "5b961130eef5357a60f271db76d7f52b1926173644289ca594d3fb2609f4b2d1",
         "126cfe3b6bb2f21c9d30f7ec2b1a65d2a6586c61e4a876f05d35760f3a5aea5c"),
     "transparent_slab_force": (
-        "5ba0e0cae1f53bf49dbe6f51c7ff70050d78260bf0610d9c16fb423312e08b71",
+        "933496494446b59c5e2c274bf2aa47fdd7cd610409a7c32141bfcd14f2a1224e",
         "9ce6b766c70ce0d1d400d928bf7e464fffd02cfdcdc9f7ff475b36964d389935"),
     "absorbing_slab_force": (
-        "0cd1ab98f6ff89c286f911f486c21eaaa25997bbc3221e87327d0388ee00a811",
+        "8c092ab755e355fa816b585a46b518489f760cb03285bb885b866982fc11a438",
         "fbcf963c1689b47af8812b71d085a12f6162c06c251c293865c63ea85588c739"),
     "balance passive_cavity": (
-        "8990ad99214a1c102ebc93f5a4f2140deb2e2c3820339eb707bcf1e5ac134842",
+        "3dcc5f04d3c6d162fdb73ee658db3ab19fb3732f6992bbec31d73f680ec88286",
         "1bc92c85cf54cebbc3fa4e6af577d32b12cde26a64c725eac2f15c22641b5758"),
     "balance passive_cavity --slices 32": (
-        "9b533ef21fe80bb63782667434fc2eec7bfa937917932425dcf5c8f2ffe7ebbf",
+        "034d0eadf11fb55c9abef5cad812ea30bd2f5ddac950eb8f2d5d7086868fff79",
         "173bd7e31e307ea5f5f1e6d526f1029ccba52ee16408f46a97de3ee0dc40eae8"),
 }
 # --output writes to the file the very bytes the balance prints

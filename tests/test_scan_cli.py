@@ -316,10 +316,9 @@ def test_slab_scan_solves_its_widths_in_order_in_this_process(tmp_path, monkeypa
     widths = (spec.widths.values() * units.MICRON).tolist()
     assert widths == sorted(widths)
     assert solved == [(w, os.getpid()) for w in widths]
-    meta, header, rows = read_scan_csv(tmp_path / "slab.csv")
+    _, header, rows = read_scan_csv(tmp_path / "slab.csv")
     assert header == ["width_um", "E_eV", "slab_force"]
     assert rows.shape == (5 * 4, 3)
-    assert any(m.startswith("mode: slab") for m in meta)
 
 
 @pytest.mark.parametrize("mapping, fd_check", [
@@ -346,13 +345,17 @@ def test_embedded_spec_reproduces_the_file(tmp_path, mapping, fd_check):
 
 
 def test_metadata_block_contents(tmp_path):
+    """The metadata is the version line, the column units and the spec."""
     out = tmp_path / "out.csv"
-    result = run_scan(ScanSpec.from_mapping(small_pointwise()), output=out)
+    spec = ScanSpec.from_mapping(small_pointwise())
+    result = run_scan(spec, output=out)
     meta, header, rows = read_scan_csv(out)
-    assert meta[0].endswith("scan")
-    assert any(m.startswith("stack-sha256: ") for m in meta)
-    assert any(m.startswith("columns: x_um [um], E_eV [eV], ldos_e [2/(pi c S)]")
-               for m in meta)
+    assert meta == [
+        f"photonstack {photonstack.__version__} scan",
+        "columns: x_um [um], E_eV [eV], ldos_e [2/(pi c S)], ldos_tot [2/(pi c S)], "
+        "u [J s/m^3], p [N s/m^2]",
+        "spec: " + spec.canonical_json(),
+    ]
     assert header == ["x_um", "E_eV", "ldos_e", "ldos_tot", "u", "p"]
     assert rows.shape == (6 * 7, 6)
     # x-major ordering: energy cycles fastest
@@ -622,6 +625,27 @@ def test_scan_memory_is_bounded_by_its_result(tmp_path):
         extra.append(peak - result.data.nbytes)
         del result
     assert extra[1] - extra[0] < 0.1 * (sizes[1] - sizes[0])
+
+
+def test_a_0_3_3_header_still_rebuilds_its_spec(tmp_path):
+    """Files written before 0.3.4 carry four more header lines (stack
+    hash, mode, units, solver); the spec line alone is read."""
+    spec = ScanSpec.from_mapping({**small_pointwise(), "stack": dict(PASSIVE),
+                                  "quantities": ["T_e"], "units": "si",
+                                  "balance": {"slices": 2, "max_iterations": 1234567}})
+    old = tmp_path / "old.csv"
+    old.write_text("\n".join([
+        "# photonstack 0.3.3 scan",
+        "# stack-sha256: " + "0" * 64,
+        "# mode: pointwise",
+        "# units: si",
+        "# solver: slices=2 max_iterations=1234567",
+        "# columns: x_um [um], E_eV [eV], T_e [K]",
+        "# spec: " + spec.canonical_json(),
+        "x_um,E_eV,T_e",
+        "0.5,0.05,350",
+    ]) + "\n")
+    assert ScanSpec.from_metadata(old) == dataclasses.replace(spec, output=None)
 
 
 def test_missing_spec_metadata_is_an_error(tmp_path):
@@ -1278,8 +1302,10 @@ def test_self_consistent_scan_records_solver_settings(tmp_path):
     }
     out = tmp_path / "sc.csv"
     run_scan(ScanSpec.from_mapping(mapping), output=out)
-    meta, _, rows = read_scan_csv(out)
-    assert "solver: slices=2 tolerance_K=0.5 max_iterations=1234567" in meta
+    _, _, rows = read_scan_csv(out)
+    # the integer survives in full, not as 1.23457e+06
+    assert ScanSpec.from_metadata(out).balance == {
+        "slices": 2, "tolerance_K": 0.5, "max_iterations": 1234567}
     assert np.all((rows[:, 2] > 300.0) & (rows[:, 2] < 400.0))
 
 
