@@ -65,9 +65,12 @@ _FORCE_QUANTITIES = frozenset({"zcf", "tcf", "ncf"})
 # Pointwise scans work in passes of whole positions, as many as fit in
 # about this many cells, so a pass's temporaries stay bounded whatever the
 # grid. The evaluation counts (position, energy) pairs, a few hundred
-# bytes of temporaries each; the CSV writer counts formatted cells, whose
-# uint64 temporaries then stay under glibc's 128 KB mmap threshold
-# (writer passes of 2**15 cells were slower and raised the peak RSS).
+# bytes of temporaries each; the CSV writer counts formatted values. Its
+# per-value uint64 temporaries (at most 64 KB) stay under glibc's 128 KB
+# mmap threshold, but a pass's (values, 3) cell array and its assembled
+# rows do not: 172.8 and 217.6 KB for 4 positions of a 200-energy,
+# 9-quantity map (writer passes of 2**15 cells were slower and raised
+# the peak RSS).
 _PASS_CELLS = 2 ** 13
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .greens import FieldPoints, region_integrals
+from .greens import FieldPoints, WaveBasis, region_integrals
 from .stack import TemperatureProfile, _kelvin
 from .units import CROSS_SECTION, c, hbar, k_B
 
@@ -51,7 +51,8 @@ class FieldTriplet(NamedTuple):
 
 def density_per_weight(omega):
     """P(omega) = 2 omega^3 / (pi c^4 S): each mode density is P times its
-    unfilled source sum, the electric one that of ``region_weights``."""
+    unfilled source sum (``OccupationSums.d_e`` and ``d_m``), so the
+    balance's emission per unit eta is P times the electric one."""
     return 2.0 * omega**3 / (math.pi * c**4 * CROSS_SECTION)
 
 
@@ -140,30 +141,81 @@ def _running(q, eta):
             for v in (q, q * eta)]
 
 
-def region_weights(points: FieldPoints, sources, out) -> None:
-    """Fill ``out[:, r]`` (shape (points, regions) + omega.shape) with
-    Im[n^2] times the integral of |G|^2 over region r from each of the
-    field points (a 1-D array), one column at a time. The regions are
-    those between consecutive edges of ``sources``, triples ``(layer,
-    edges, temperatures)`` as ``TemperatureProfile.sources`` gives them,
-    in the order given."""
-    col = 0
-    for j, edges, _ in sources:
-        ri = region_integrals(points, j, edges)
-        c_left, c_right = (None if q is None
-                           else np.abs(_coefficients(points, left, ri.shift)[0]) ** 2
-                           for left, q in ((True, ri.left), (False, ri.right)))
-        if ri.below is not None:  # the split region's weight is the same for every column
-            both = c_left * ri.split_left + c_right * ri.split_right
-        for r in range(len(edges) - 1):
-            if ri.below is None:
-                out[:, col + r] = c_left * ri.left[r] if c_right is None else c_right * ri.right[r]
+class SliceExchange(NamedTuple):
+    """The exchange operator B of a balance, from the midpoints ``x`` of
+    the slices of every self-consistent layer (left to right) to every
+    source region: B_mr = hbar omega^2 Im[n_m^2] P times the quadrature
+    weight times Im[n_r^2] times the integral of |G|^2 over region r from
+    x_m, with the indices n_m of the slice and n_r of the region. ``own``,
+    its row sums of shape x.shape + omega.shape, is each slice's emission
+    per unit eta; ``absorbed(eta)`` gives each slice's absorption
+    sum_omega sum_r B_mr eta_r at the slice occupancies eta (shape
+    ``own.shape``) and the fixed sources' own."""
+
+    x: np.ndarray
+    own: np.ndarray
+    absorbed: Callable[[np.ndarray], np.ndarray]
+
+
+def slice_exchange(basis: WaveBasis, profile: TemperatureProfile, quadrature) -> SliceExchange:
+    """The balance's exchange operator at the slice midpoints of
+    ``profile`` (built on ``basis.stack``, with every self-consistent
+    layer sliced), with ``quadrature`` weights over ``basis.omega``.
+    G = -psi_left(x<) psi_right(x>) / W makes each weight a point factor
+    |c|^2 (``_coefficients``) of its region's side times a region
+    integral, so B is never formed. Per self-consistent layer, one
+    ``region_integrals`` call per source layer gives the integrals; each
+    other source layer adds one outer product, fixed per solve for a
+    fixed temperature, and within the layer the slices left and right of
+    each slice are running sums. Memory and time go as slices * omega."""
+    om = basis.omega
+    scale = quadrature * hbar * om**2 * density_per_weight(om)
+    sliced = [(j, np.asarray(edges)) for j, edges, _ in profile.sources
+              if basis.stack.layers[j].self_consistent]
+    ends = np.cumsum([0] + [edges.size - 1 for _, edges in sliced])
+    rows = {j: slice(*span) for (j, _), span in zip(sliced, zip(ends, ends[1:]))}
+    x = np.concatenate([0.5 * (edges[:-1] + edges[1:]) for _, edges in sliced])
+    own, fixed, layers = np.zeros(x.shape + om.shape), np.zeros(x.shape), []
+    for A, _ in sliced:
+        points = basis.at(x[rows[A]])
+        weight = scale * (points.n ** 2).imag
+        emit, coupled = own[rows[A]], []
+        for j, edges, temps in profile.sources:
+            ri = region_integrals(points, j, edges)
+            if j == A:  # slice m splits region m
+                c_lo, c_up = (np.abs(_coefficients(points, left, None)[0]) ** 2 * weight
+                              for left in (True, False))
+                split = c_lo * ri.split_left + c_up * ri.split_right
+                a_lo, q_lo, a_up, q_up = c_lo[1:], ri.left[:-1], c_up[:-1], ri.right[1:]
+                emit += split
+                emit[1:] += a_lo * np.cumsum(q_lo, axis=0)
+                emit[:-1] += a_up * np.cumsum(q_up[::-1], axis=0)[::-1]
                 continue
-            left, split = (np.reshape(m, m.shape + (1,) * points.basis.omega.ndim)
-                           for m in (ri.below > r, (ri.below == r) & ri.inside))
-            out[:, col + r] = np.where(split, both,
-                                       np.where(left, c_left * ri.left[r], c_right * ri.right[r]))
-        col += len(edges) - 1
+            left = ri.right is None
+            a = np.abs(_coefficients(points, left, ri.shift)[0]) ** 2 * weight
+            q = ri.left if left else ri.right
+            emit += a * np.sum(q, axis=0)
+            if j in rows:
+                coupled.append((rows[j], a, q))
+            else:
+                eta = source_occupation(om, np.reshape(temps, (-1,) + (1,) * om.ndim))
+                fixed[rows[A]] += np.vecdot(a, np.sum(q * eta, axis=0))
+        layers.append((rows[A], split, a_lo, q_lo, a_up, q_up, coupled))
+
+    def absorbed(eta):
+        """Two running sums per layer, one per side, and one product per
+        other self-consistent layer."""
+        out = fixed.copy()
+        for mine, split, a_lo, q_lo, a_up, q_up, coupled in layers:
+            own_eta, part = eta[mine], out[mine]
+            part += np.vecdot(split, own_eta)
+            part[1:] += np.vecdot(a_lo, np.cumsum(q_lo * own_eta[:-1], axis=0))
+            part[:-1] += np.vecdot(a_up, np.cumsum((q_up * own_eta[1:])[::-1], axis=0)[::-1])
+            for other, a, q in coupled:
+                part += np.vecdot(a, np.sum(q * eta[other], axis=0))
+        return out
+
+    return SliceExchange(x, own, absorbed)
 
 
 def occupation_sums(points: FieldPoints, profile: TemperatureProfile) -> OccupationSums:

@@ -10,19 +10,19 @@ Layers marked self-consistent are cut into uniform slices, and every
 slice temperature is driven to the root of its net exchange integrated
 over a photon-energy grid (a conduction-coupled slab thermalizes each
 slice to one temperature). The reservoirs bracket each root, which
-Newton steps safeguarded by that bracket find. ``spectral.region_weights``
-fills in once per solve the weight W_r with which each region r of the
-sliced profile's ``sources`` (the reservoirs first, then the slices)
-illuminates each slice midpoint. As rho_e = P sum_r W_r (the closure
-identity) and n_e is the W-weighted mean of the sources' eta_r, a slice's
-balance is sum_omega sum_r B_r (eta(T) - eta_r) with the exchange operator
-B = hbar omega^2 Im[n^2] P W times the trapezoid weights, into which the
-weights turn in place: the emission is its row sum. Each sweep solves
-all slice balances in lockstep, and an update under-relaxed by
-RELAXATION converges their mutual illumination. Weights that are not
-finite (an absorber hundreds of absorption lengths thick overflows them)
-raise PhotonStackError: a NaN balance would pass for the hot reservoir's
-value.
+Newton steps safeguarded by that bracket find. As rho_e = P sum_r W_r
+(the closure identity), with W_r the weight with which source region r
+illuminates a slice midpoint, and n_e is the W-weighted mean of the
+sources' eta_r, a slice's balance is sum_omega sum_r B_r (eta(T) - eta_r)
+with the exchange operator B = hbar omega^2 Im[n^2] P W times the
+trapezoid weights: the emission is its row sum.
+``spectral.slice_exchange`` holds B once per solve in the factors of the
+Green's function, so a solve never forms B and its memory grows as
+slices * omega. Each sweep solves all slice balances in lockstep, and an
+update under-relaxed by RELAXATION converges their mutual illumination.
+Weights that are not finite (an absorber hundreds of absorption lengths
+thick overflows them) raise PhotonStackError: a NaN balance would pass
+for the hot reservoir's value.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, PhotonStackError
 from .greens import solve_wave_basis
-from .spectral import density_per_weight, region_weights, source_occupation
+from .spectral import slice_exchange, source_occupation
 from .stack import LayerStack, TemperatureProfile, _count, _integer, _mapping, _real
 from .units import MICRON, ev_from_omega, hbar, k_B, omega_from_ev
 
@@ -92,14 +92,15 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     ``settings`` override BALANCE_DEFAULTS: ``slices`` per self-consistent
     layer, ``tolerance_K`` and ``max_iterations``. A slice's balance is
     its emission ``own @ eta(T_m)`` (``own``: the row sums of the exchange
-    operator B) less its absorption, a part fixed per solve plus B's
-    (slices, slices * omega) slice block times the slice occupancies. As
-    B >= 0, the reservoirs bracket every root. Each sweep takes Newton
-    steps from each slice's temperature (the first on the absorption's
-    occupancies), each halving the bracket instead when it would leave it
-    or is not under half the one before (the rtsafe rule), until the last
-    correction or the bracket is no wider than ``0.1 * tolerance_K`` (or a
-    few ulps). The solve converges once the largest update, under-relaxed
+    operator B) less its absorption: a part fixed per solve, plus the
+    slices' own, which ``SliceExchange.absorbed`` sums in O(slices *
+    omega) from the slice occupancies. As B >= 0, the reservoirs bracket
+    every root. Each sweep takes Newton steps from each slice's
+    temperature (the first on the absorption's occupancies), each halving
+    the bracket instead when it would leave it or is not under half the
+    one before (the rtsafe rule), until the last correction or the
+    bracket is no wider than ``0.1 * tolerance_K`` (or a few ulps). The
+    solve converges once the largest update, under-relaxed
     by RELAXATION, is below ``tolerance_K``, or raises ConvergenceError
     after ``max_iterations`` sweeps. Unusable settings (see
     ``check_balance_settings``) raise ConfigError, and an exchange that is
@@ -131,23 +132,10 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
     n_slices = len(sc_layers) * slices
     temps = np.full(n_slices, 0.5 * (t_lo + t_hi))
     initial = TemperatureProfile.sliced(stack, slice_edges, temps.reshape(-1, slices))
-    # reservoirs first: the slice columns of the operator are one trailing view
-    sources = sorted(initial.sources, key=lambda src: stack.layers[src[0]].self_consistent)
-    reservoirs = [t for _, _, (t,) in sources[:-len(sc_layers)]]
-
-    # one field-point record per layer over all of its slice midpoints,
-    # whose rows of the weight matrix are filled and scaled in place to
-    # the exchange operator B: absorption per unit eta
-    weights = np.empty((n_slices, len(reservoirs) + n_slices, om.size))
-    x_mid = np.concatenate([0.5 * (e[:-1] + e[1:]) for e in slice_edges.values()])
-    scale = 0.5 * np.convolve(np.diff(om), [1.0, 1.0]) * hbar * om**2 * density_per_weight(om)
     # an overflow leaves an inf or a NaN, which the check below refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, j in enumerate(sc_layers):
-            rows = slice(i * slices, (i + 1) * slices)
-            region_weights(basis.at(x_mid[rows]), sources, weights[rows])
-            weights[rows] *= scale * (basis.n[j] ** 2).imag
-        own = weights.sum(axis=1)  # emission per unit eta(T_m)
+        exchange = slice_exchange(basis, initial, 0.5 * np.convolve(np.diff(om), [1.0, 1.0]))
+    own, x_mid = exchange.own, exchange.x  # own: emission per unit eta(T_m)
     # a NaN balance is neither >= 0 nor <= 0, so the root-find would take
     # every slice to the top of its bracket
     bad = ~np.isfinite(own)
@@ -155,13 +143,10 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
         s, e = np.argwhere(bad)[0]
         raise PhotonStackError(f"balance exchange is not finite at x = {x_mid[s] / MICRON:g} um, "
                                f"E = {ev_from_omega(om[e]):g} eV; refusing to solve")
-    eta_fixed = np.concatenate([source_occupation(om, t) for t in reservoirs])
-    by_reservoirs = weights[:, :len(reservoirs)].reshape(n_slices, -1) @ eta_fixed
-    coupling = weights[:, len(reservoirs):].reshape(n_slices, -1)
     theta = hbar * om / k_B  # d(eta)/dT = eta (1 + eta) theta / T^2
     for iterations in range(1, max_iterations + 1):
         eta = source_occupation(om, temps[:, None])
-        absorbed = by_reservoirs + coupling @ eta.ravel()
+        absorbed = exchange.absorbed(eta)
         lo, hi = np.full(n_slices, t_lo), np.full(n_slices, t_top)
         # Newton steps from the current temperatures, safeguarded as in
         # rtsafe: a step that leaves the bracket or is not under half the
@@ -194,7 +179,7 @@ def solve_self_consistent(stack: LayerStack, **settings) -> BalanceResult:
                                f"iterations (tolerance {tolerance_K:g} K)")
 
     eta = source_occupation(om, temps[:, None])
-    residuals = np.vecdot(own, eta) - (by_reservoirs + coupling @ eta.ravel())
+    residuals = np.vecdot(own, eta) - exchange.absorbed(eta)
 
     return BalanceResult(
         profile=TemperatureProfile.sliced(stack, slice_edges, temps.reshape(-1, slices)),

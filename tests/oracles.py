@@ -311,6 +311,40 @@ def _region_weight(basis, x: float, j: int, lo: float, hi: float):
     return factor(points.phi_l) * ri.right[0]
 
 
+def region_weights(points, sources):
+    """The dense weight array, shape (points, regions) + omega.shape:
+    Im[n^2] times the integral of |G|^2 over each region from each of the
+    field points (a 1-D array), filled one column at a time. The regions
+    are those between consecutive edges of ``sources``, triples ``(layer,
+    edges, temperatures)`` as ``TemperatureProfile.sources`` gives them,
+    in the order given. The balance's exchange operator is this array
+    times each row's factor, which ``spectral.slice_exchange`` keeps in
+    the factors of the Green's function instead."""
+    om = points.basis.omega
+    out = np.empty(points.x.shape + (sum(len(e) - 1 for _, e, _ in sources),) + om.shape)
+
+    def factor(phi, shift):
+        scale = 1.0 / points.w if shift is None else np.exp(shift) / points.w
+        return np.abs(phi * scale) ** 2
+
+    col = 0
+    for j, edges, _ in sources:
+        ri = region_integrals(points, j, edges)
+        c_left = None if ri.left is None else factor(points.phi_r, ri.shift)
+        c_right = None if ri.right is None else factor(points.phi_l, ri.shift)
+        for r in range(len(edges) - 1):
+            if ri.below is None:
+                out[:, col + r] = c_left * ri.left[r] if c_right is None else c_right * ri.right[r]
+                continue
+            left, split = (np.reshape(m, m.shape + (1,) * om.ndim)
+                           for m in (ri.below > r, (ri.below == r) & ri.inside))
+            out[:, col + r] = np.where(
+                split, c_left * ri.split_left + c_right * ri.split_right,
+                np.where(left, c_left * ri.left[r], c_right * ri.right[r]))
+        col += len(edges) - 1
+    return out
+
+
 def _scalar_balance(stack, slices, tolerance_K=1e-3, relaxation=0.5):
     """Reference solve, one slice and one source region at a time: the
     weights from one region-integral call per (midpoint, region) and

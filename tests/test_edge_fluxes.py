@@ -23,13 +23,13 @@ from hypothesis import strategies as st
 
 from photonstack import greens, spectral
 from photonstack.greens import solve_wave_basis
-from photonstack.spectral import ldos, occupation_sums, region_weights
+from photonstack.spectral import ldos, occupation_sums
 from photonstack.stack import (ConstantIndex, Layer, LayerSlices, LayerStack,
                                TemperatureProfile, load_stack)
 from photonstack.units import CROSS_SECTION, c, omega_from_ev
 
 from conftest import INF, passive_cavity_stack
-from oracles import closed_form_integrals, closed_form_sums
+from oracles import closed_form_integrals, closed_form_sums, region_weights
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BUNDLED = ("hot_cold_cavity", "passive_cavity", "absorbing_slab", "transparent_slab")
@@ -92,7 +92,8 @@ def differences(profile, om):
     ``profile``'s stack, and on every interface and slice edge.
 
     Returns the largest difference of each branch of the |G|^2 weights
-    (``region_weights``) against Im[n^2] times the closed-form integral,
+    (the dense fill ``region_weights``, on the library's region
+    integrals) against Im[n^2] times the closed-form integral,
     relative to the summed weights at that point (the unfilled sum the
     weight enters); the largest difference of the eight occupation sums,
     relative to the summed magnitudes of the oracle's terms (a gradient
@@ -118,8 +119,7 @@ def differences(profile, om):
             new_nonfinite += int(np.sum(np.isfinite(value) & ~lost & ~np.isfinite(lib)))
             rel = np.abs(lib - value)[holds] / scale[holds]
             worst_sum = max(worst_sum, float(np.max(rel, initial=0.0)))
-        weights = np.empty((xs.size, len(regions), om.size))
-        region_weights(points, profile.sources, weights)
+        weights = region_weights(points, profile.sources)
         for r, (j, lo, hi) in enumerate(regions):
             n2im = (stack.layers[j].index.at(om) ** 2).imag
             oracle = closed_form_integrals(points, j, lo, hi)
@@ -218,20 +218,3 @@ def test_occupation_sums_call_region_integrals_once_per_source_layer(monkeypatch
         assert sums.primes.cache_info().currsize == 0
         assert sums.primes() is sums.primes()
         assert calls == [0, 1, 2]
-
-
-def test_region_weights_fill_columns_in_the_order_of_the_sources():
-    """The balance solve passes the reservoir layers before the sliced
-    one; each region's column then holds the very weights it holds in the
-    profile's left-to-right order."""
-    stack = passive_cavity_stack()
-    sources = _bundled_profile(stack, slices=4).sources
-    reservoirs_first = sorted(sources, key=lambda src: stack.layers[src[0]].self_consistent)
-    assert [j for j, _, _ in reservoirs_first] == [0, 2, 1]
-    basis = solve_wave_basis(stack, omega_from_ev(np.array([0.05, 0.1])))
-    points = basis.at(np.array([1.25e-6, 3.75e-6, 6.25e-6, 8.75e-6]))
-    in_order, permuted = np.empty((4, 6, 2)), np.empty((4, 6, 2))
-    region_weights(points, sources, in_order)
-    region_weights(points, reservoirs_first, permuted)
-    # profile columns: layer 0, the four slices of layer 1, layer 2
-    assert np.array_equal(permuted, in_order[:, [0, 5, 1, 2, 3, 4]])

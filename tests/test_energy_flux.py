@@ -6,10 +6,11 @@ identities follow from d/dx Im(G* dG/dx) = -k0^2 Im[n^2] |G|^2 away from
 the source: at one temperature everywhere no net flux flows; across a
 lossless layer S is constant; and across a slice, S rises by the slice's
 net emission, Im[n_m^2] sum_s (eta_m - eta_s) int_m w_s dx, with the
-source weights w_s of ``spectral.region_weights`` (the balance solver's
-weight rule) integrated over the slice. They are checked on the two
-bundled balance stacks, each with its self-consistent layer cut into
-8 slices, on the balance solver's own energy grid.
+source weights w_s of the dense fill ``oracles.region_weights`` (the
+balance solver's weight rule) integrated over the slice. They are
+checked on the two bundled balance stacks, each with its
+self-consistent layer cut into 8 slices, on the balance solver's own
+energy grid.
 """
 
 from pathlib import Path
@@ -18,11 +19,11 @@ import numpy as np
 import pytest
 
 from photonstack.greens import solve_wave_basis
-from photonstack.spectral import region_weights, source_occupation
+from photonstack.spectral import source_occupation
 from photonstack.stack import LayerSlices, TemperatureProfile, load_stack
 from photonstack.thermo import default_balance_grid
 
-from oracles import edge_flux
+from oracles import edge_flux, region_weights
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 STACKS = ("passive_cavity", "absorbing_slab")
@@ -84,8 +85,7 @@ def test_net_flux_rises_across_a_slice_by_its_net_emission(name):
     for m in range(SLICES):
         half = 0.5 * (edges[m + 1] - edges[m])
         xs = edges[m] + half * (1.0 + nodes)
-        w = np.empty((GAUSS_NODES, temps.size, om.size))
-        region_weights(basis.at(xs), profile.sources, w)
+        w = region_weights(basis.at(xs), profile.sources)
         integrals = np.einsum("x,xrw->rw", half * weights, w)
         emission = (n * n).imag * np.sum((eta[first + m] - eta) * integrals, axis=0)
         rise = flux[m + 1] - flux[m]

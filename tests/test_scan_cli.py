@@ -565,7 +565,7 @@ def test_each_position_is_evaluated_once(tmp_path, monkeypatch):
         {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300.0},
     ]})
     photonstack.solve_self_consistent(two_layers, slices=4)
-    assert calls == {"at": [4, 4], "region_integrals": [0, 4, 1, 3] * 2}
+    assert calls == {"at": [4, 4], "region_integrals": [0, 1, 3, 4] * 2}
 
 
 def test_pass_size_leaves_the_output_unchanged(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import photonstack
 from photonstack import cli, scan
 from photonstack.errors import ConfigError, ConvergenceError, PhotonStackError
 from photonstack.greens import solve_wave_basis
-from photonstack.spectral import ldos, source_occupation
+from photonstack.spectral import density_per_weight, ldos, slice_exchange, source_occupation
 from photonstack.stack import (
     ConstantIndex,
     Layer,
@@ -26,7 +27,7 @@ from photonstack.thermo import default_balance_grid, solve_self_consistent
 from photonstack.units import ev_from_omega, hbar, omega_from_ev
 
 from conftest import INF, cavity_stack, passive_cavity_stack, slab_stack
-from oracles import _scalar_balance, net_emission
+from oracles import _scalar_balance, net_emission, region_weights
 
 
 def test_default_grid_is_logarithmic():
@@ -355,3 +356,51 @@ def test_a_sweep_reuses_its_occupancies_for_the_first_newton_step(passive_cavity
     result = solve_self_consistent(passive_cavity, slices=16)
     assert result.iterations == 25
     assert calls <= 66
+
+
+@pytest.mark.parametrize("stack, slices", [
+    (passive_cavity_stack(), 16),
+    (passive_cavity_stack(), 32),
+    (slab_stack(2.5e-6, 1.5 + 0.3j, self_consistent=True), 16),
+    (TWO_LAYERS, 4),
+], ids=["passive_cavity_16", "passive_cavity_32", "absorbing_slab_16", "two_layers"])
+def test_slice_exchange_matches_the_dense_operator(stack, slices):
+    """The balance's factorized exchange gives every slice the emission
+    per unit eta and the absorption of the dense operator (the weight
+    array ``oracles.region_weights`` times the slice row's factor) to
+    1e-13 relative, at random slice temperatures between the reservoirs'."""
+    om = default_balance_grid()
+    basis = solve_wave_basis(stack, om)
+    quadrature = 0.5 * np.convolve(np.diff(om), [1.0, 1.0])
+    sc = [j for j, layer in enumerate(stack.layers) if layer.self_consistent]
+    edges = {j: np.linspace(*stack.layer_bounds(j), slices + 1) for j in sc}
+    temps = np.random.default_rng(3).uniform(300.0, 400.0, (len(sc), slices))
+    profile = TemperatureProfile.sliced(stack, edges, temps)
+    exchange = slice_exchange(basis, profile, quadrature)
+
+    scale = quadrature * hbar * om**2 * density_per_weight(om)
+    dense = np.concatenate([
+        region_weights(basis.at(0.5 * (e[:-1] + e[1:])), profile.sources)
+        * (scale * (basis.n[j] ** 2).imag) for j, e in edges.items()])
+    regions = np.concatenate([t for _, _, t in profile.sources])
+    own = dense.sum(axis=1)
+    absorbed = np.einsum("mrw,rw->m", dense, source_occupation(om, regions[:, None]))
+    assert np.array_equal(exchange.x, np.concatenate([0.5 * (e[:-1] + e[1:])
+                                                      for e in edges.values()]))
+    assert np.all(np.abs(exchange.own - own) <= 1e-13 * own)
+    got = exchange.absorbed(source_occupation(om, temps.reshape(-1, 1)))
+    assert np.all(np.abs(got - absorbed) <= 1e-13 * absorbed)
+
+
+def test_a_512_slice_balance_peaks_under_64_mb():
+    """The balance keeps no array of slices^2 * omega values: a 512-slice
+    passive_cavity solve peaks under 64 MB of traced allocations, where
+    the dense operator alone took 538 MB."""
+    tracemalloc.start()
+    try:
+        result = solve_self_consistent(passive_cavity_stack(), slices=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.temperatures.size == 512
+    assert peak < 64 * 2**20
