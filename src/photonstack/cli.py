@@ -22,10 +22,12 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, ConvergenceError, PhotonStackError
 from .greens import solve_wave_basis
-from .scan import ScanSpec, _check_target, _write_file, run_scan
+from .scan import ScanSpec, _check_target, _header, _write_file, run_scan
 from .spectral import ldos_closure_residuals
-from .stack import SELF_CONSISTENT, TabulatedIndex, load_stack
-from .thermo import BALANCE_DEFAULTS, default_balance_grid, solve_self_consistent
+from .stack import (SELF_CONSISTENT, TabulatedIndex, _mapping, build_stack, load_stack,
+                    serialize_stack)
+from .thermo import (BALANCE_DEFAULTS, check_balance_settings, default_balance_grid,
+                     solve_self_consistent)
 from .units import MICRON, ev_from_omega, omega_from_ev
 
 _CLOSURE_EV = 0.11
@@ -102,21 +104,24 @@ def _balance(args) -> int:
     stack = load_stack(args.config)
     if not any(layer.self_consistent for layer in stack.layers):
         raise ConfigError(f"{args.config} has no {SELF_CONSISTENT} layer to balance")
-    result = solve_self_consistent(stack, slices=args.slices)
-    lines = [
-        f"# photonstack {__version__} balance",
-        f"# slices: {args.slices}",
-        f"# iterations: {result.iterations}",
-        "x_um,T_K",
-    ]
-    for x, t in zip(result.slice_positions, result.temperatures):
-        lines.append(f"{x / MICRON:.9g},{t:.9g}")
-    text = "\n".join(lines) + "\n"
-    if args.output is None:
+    return _run_balance({"stack": serialize_stack(stack), "balance": {"slices": args.slices}},
+                        args.output)
+
+
+def _run_balance(spec, output) -> int:
+    """Solve a ``stack``/``balance`` spec mapping; write the CSV whose header holds it."""
+    _mapping(spec, {"stack", "balance"}, "balance spec", required=("stack", "balance"))
+    spec = {"stack": spec["stack"], "balance": check_balance_settings(spec["balance"])}
+    result = solve_self_consistent(build_stack(spec["stack"]), **spec["balance"])
+    text = _header("balance", ["x_um [um]", "T_K [K]"], spec) + "x_um,T_K\n" + "".join(
+        f"{x / MICRON:.9g},{t:.9g}\n" for x, t in zip(result.slice_positions, result.temperatures))
+    note = f"{len(result.temperatures)} slice temperatures in {result.iterations} sweeps"
+    if output is None:
         sys.stdout.write(text)
+        print(note, file=sys.stderr)
     else:
-        _write_file(args.output, [text.encode()])
-        print(f"wrote {args.output}: {len(result.temperatures)} slice temperatures")
+        _write_file(output, [text.encode()])
+        print(f"wrote {output}: {note}")
     return 0
 
 

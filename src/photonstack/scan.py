@@ -123,6 +123,7 @@ class GridSpec:
 
 _SPEC_KEYS = {"stack", "quantities", "positions", "energies", "widths",
               "units", "balance", "output"}
+_JSON = {"sort_keys": True, "separators": (",", ":")}  # the canonical form of a spec line
 
 
 def _check_output(path) -> None:
@@ -237,18 +238,7 @@ class ScanSpec:
     @classmethod
     def from_metadata(cls, csv_path) -> "ScanSpec":
         """Rebuild the spec embedded in a scan's own metadata block."""
-        for line in _read_text(csv_path, "scan output").splitlines():
-            if not line.startswith("#"):
-                break
-            body = line.lstrip("#").strip()
-            if body.startswith("spec: "):
-                try:
-                    data = json.loads(body[len("spec: "):])
-                except (ValueError, RecursionError) as exc:
-                    # bad JSON, an integer too long to convert, or nesting too deep
-                    raise ConfigError(f"corrupt spec metadata in {csv_path}: {exc}") from None
-                return cls.from_mapping(data)
-        raise ConfigError(f"no spec metadata block found in {csv_path}")
+        return cls.from_mapping(read_spec(csv_path, "scan"))
 
     def canonical_mapping(self) -> dict:
         out = {
@@ -263,8 +253,7 @@ class ScanSpec:
         return {k: v for k, v in out.items() if v is not None}
 
     def canonical_json(self) -> str:
-        return json.dumps(self.canonical_mapping(), sort_keys=True,
-                          separators=(",", ":"))
+        return json.dumps(self.canonical_mapping(), **_JSON)
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,12 +412,15 @@ def run_scan(
     tag = 0 if spec.units == "paper" else 1
     col_units = [f"{axis_name} [um]", "E_eV [eV]"]
     col_units += [f"{q} [{_QUANTITY_TABLE[q][tag]}]" for q in spec.quantities]
-    meta = [f"photonstack {__version__} scan", "columns: " + ", ".join(col_units),
-            "spec: " + spec.canonical_json()]
-
-    _write_csv(target, meta, axis_name, axis_values, energies_ev,
-               spec.quantities, data)
+    _write_csv(target, _header("scan", col_units, spec.canonical_mapping()), axis_name,
+               axis_values, energies_ev, spec.quantities, data)
     return ScanResult(axis_name, energies_ev, spec.quantities, data, target, *fd_record)
+
+
+def _header(kind: str, columns, spec: dict) -> str:
+    """The comment block of every file photonstack writes; ``read_spec`` reads it."""
+    return (f"# photonstack {__version__} {kind}\n# columns: {', '.join(columns)}\n"
+            f"# spec: {json.dumps(spec, **_JSON)}\n")
 
 
 def _check_target(target) -> None:
@@ -541,11 +533,10 @@ def _cells(values) -> np.ndarray:
     return cells
 
 
-def _write_csv(target: Path, meta, axis_name, axis_values, energies_ev,
+def _write_csv(target: Path, head: str, axis_name, axis_values, energies_ev,
                quantities, data) -> None:
     def chunks():
-        yield "".join(f"# {line}\n" for line in meta).encode()
-        yield (",".join([axis_name, "E_eV", *quantities]) + "\n").encode()
+        yield (head + ",".join([axis_name, "E_eV", *quantities]) + "\n").encode()
         # each row: axis cell (its comma dropped), energy cell, quantity
         # cells, newline; the NUL padding goes in one translate per pass
         n_e, n_q = len(energies_ev), len(quantities)
@@ -565,11 +556,30 @@ def _write_csv(target: Path, meta, axis_name, axis_values, energies_ev,
     _write_file(target, chunks())
 
 
+def read_spec(path, kind: str) -> dict:
+    """The spec of a photonstack ``kind`` file, or a ConfigError naming the file."""
+    lines = _read_text(path, "photonstack output").splitlines()
+    for line in lines:
+        if not line.startswith("#"):
+            break
+        body = line.lstrip("#").strip()
+        if body.startswith("spec: "):
+            try:
+                data = json.loads(body[len("spec: "):])
+            except (ValueError, RecursionError) as exc:
+                # bad JSON, an integer too long to convert, or nesting too deep
+                raise ConfigError(f"corrupt spec metadata in {path}: {exc}") from None
+            if not lines[0].endswith(f" {kind}"):  # the version line names the kind
+                raise ConfigError(f"{path} is not a photonstack {kind} file: {lines[0]}")
+            return data
+    raise ConfigError(f"no spec metadata block found in {path}")
+
+
 def read_scan_csv(path):
-    """Read back a scan CSV: (metadata lines, header columns, float array)."""
+    """Read back any CSV photonstack writes: (metadata lines, header columns, floats)."""
     meta, header, rows = [], None, []
     try:
-        for line in _read_text(path, "scan output").splitlines():
+        for line in _read_text(path, "photonstack output").splitlines():
             if line.startswith("#"):
                 meta.append(line.lstrip("#").strip())
             elif header is None:

@@ -119,13 +119,12 @@ def edge_flux(basis, profile, x: float) -> EdgeFlux:
     return EdgeFlux(rightward + leftward, np.abs(rightward) + np.abs(leftward))
 
 
-def savetxt_csv(path, meta, axis_name, axis_values, energies_ev, quantities, data):
-    """The scan CSV as np.savetxt wrote it: the metadata lines, the header,
-    then each axis value's rows as one float64 block with -0.0 turned
-    into 0.0 by adding 0.0."""
+def savetxt_csv(path, head, axis_name, axis_values, energies_ev, quantities, data):
+    """The scan CSV as np.savetxt wrote it: the comment block ``head``, the
+    header, then each axis value's rows as one float64 block with -0.0
+    turned into 0.0 by adding 0.0."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in meta:
-            f.write(f"# {line}\n")
+        f.write(head)
         f.write(",".join([axis_name, "E_eV", *quantities]) + "\n")
         block = np.empty((len(energies_ev), 2 + len(quantities)))
         block[:, 1] = energies_ev

@@ -24,25 +24,25 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # block. A change that moves only metadata leaves the second pin as it is.
 SHA256 = {
     "cavity_field_map": (
-        "11dc2c987b2e82fed0e556039245ba110719b804a6765565757ef351b11b54fc",
+        "2d2be9bb833f9a311c575f301afeea84682761ef4447bdb5435884eb356af58a",
         "58484aeba8c635d8a2a227808bef9b8b1f83d910775ba1c89b4503325974576d"),
     "cavity_field_map units=si": (
-        "d117d8673e0de57097bc54ec2c0253f7983e64113e0d89b11635ae87fcb84ee2",
+        "baec5e4dff03cbfcc692668e4e054c6a8845969fb998e4c87ee62722767cd2ec",
         "2cad684b05f088a1d33f716dbffd0bc47ee224a4ee76393c72fe7b15567f0bd8"),
     "passive_cavity_forces": (
-        "5b961130eef5357a60f271db76d7f52b1926173644289ca594d3fb2609f4b2d1",
+        "867a49c916663f450f8a45f58c39228448bc87b4c250a520fce29478e5d47d88",
         "126cfe3b6bb2f21c9d30f7ec2b1a65d2a6586c61e4a876f05d35760f3a5aea5c"),
     "transparent_slab_force": (
-        "933496494446b59c5e2c274bf2aa47fdd7cd610409a7c32141bfcd14f2a1224e",
+        "0ce636522ec27160fb476ac8a4e480e19bb4d2c7c99d2441d5b495f60e05e280",
         "9ce6b766c70ce0d1d400d928bf7e464fffd02cfdcdc9f7ff475b36964d389935"),
     "absorbing_slab_force": (
-        "8c092ab755e355fa816b585a46b518489f760cb03285bb885b866982fc11a438",
+        "6a899b1ecb3c4acc03d59ad300591b83e02bdc564b6a3009acad2e8740106961",
         "fbcf963c1689b47af8812b71d085a12f6162c06c251c293865c63ea85588c739"),
     "balance passive_cavity": (
-        "3dcc5f04d3c6d162fdb73ee658db3ab19fb3732f6992bbec31d73f680ec88286",
+        "865013071251f40f984ea85dd8b9ae5f5e88b8fd7536d92e653ee51300fc7293",
         "1bc92c85cf54cebbc3fa4e6af577d32b12cde26a64c725eac2f15c22641b5758"),
     "balance passive_cavity --slices 32": (
-        "034d0eadf11fb55c9abef5cad812ea30bd2f5ddac950eb8f2d5d7086868fff79",
+        "ccea05abb312dee40b183fba7e74bdb0d84be9b7caae24720bab3212df433ba3",
         "173bd7e31e307ea5f5f1e6d526f1029ccba52ee16408f46a97de3ee0dc40eae8"),
 }
 # --output writes to the file the very bytes the balance prints
@@ -61,7 +61,7 @@ def test_bundled_output_bytes(name, tmp_path, capsys):
         assert cli.main(["balance", str(CONFIGS / f"{config}.yaml"), *extra]) == 0
         printed = capsys.readouterr().out
         if out.exists():
-            assert printed == f"wrote {out}: 16 slice temperatures\n"
+            assert printed == f"wrote {out}: 16 slice temperatures in 25 sweeps\n"
             data = out.read_bytes()
         else:
             data = printed.encode("utf-8")

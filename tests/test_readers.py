@@ -61,13 +61,13 @@ def _write(path, text=None, data=None):
 _CASES = {
     "from_metadata_undecodable": (
         lambda d: lambda: ScanSpec.from_metadata(_write(d / "x.csv", data=b"\xff\xfe#")),
-        "cannot read scan output"),
+        "cannot read photonstack output"),
     "from_metadata_nul_path": (
         lambda d: lambda: ScanSpec.from_metadata(d / "x\x00.csv"),
-        "cannot read scan output"),
+        "cannot read photonstack output"),
     "from_metadata_missing": (
         lambda d: lambda: ScanSpec.from_metadata(d / "missing.csv"),
-        "cannot read scan output"),
+        "cannot read photonstack output"),
     "from_metadata_deeply_nested": (
         lambda d: lambda: ScanSpec.from_metadata(
             _write(d / "x.csv", "# spec: " + "[" * 100000 + "]" * 100000 + "\nx_um\n")),
@@ -89,11 +89,11 @@ _CASES = {
         "corrupt spec metadata"),
     "read_scan_csv_undecodable": (
         lambda d: lambda: read_scan_csv(_write(d / "x.csv", data=b"\xff\xfe#")),
-        "cannot read scan output"),
+        "cannot read photonstack output"),
     "read_scan_csv_nul_path": (
-        lambda d: lambda: read_scan_csv(d / "x\x00.csv"), "cannot read scan output"),
+        lambda d: lambda: read_scan_csv(d / "x\x00.csv"), "cannot read photonstack output"),
     "read_scan_csv_missing": (
-        lambda d: lambda: read_scan_csv(d / "missing.csv"), "cannot read scan output"),
+        lambda d: lambda: read_scan_csv(d / "missing.csv"), "cannot read photonstack output"),
     "read_scan_csv_malformed_row": (
         lambda d: lambda: read_scan_csv(_write(d / "x.csv", "x_um,E_eV\n1,0.1\n2,abc\n")),
         "malformed data row"),

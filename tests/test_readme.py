@@ -6,6 +6,7 @@ from pathlib import Path
 
 import yaml
 
+import photonstack
 from photonstack import ScanSpec, build_stack, cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -49,3 +50,11 @@ def test_readme_synopsis_lists_each_subcommands_options():
     accepted = {name: {o for a in p._actions for o in a.option_strings if o.startswith("--")}
                 - {"--help"} for name, p in subparsers.items()}
     assert len(listed) == 3 and listed == accepted
+
+
+def test_readme_example_headers_quote_the_current_version():
+    """A version quoted in an example header line (``photonstack X.Y.Z
+    scan`` or ``balance``) is the package's own."""
+    quoted = re.findall(r"photonstack\s+(\d+\.\d+\.\d+)\s+(?:scan|balance)\b",
+                        README.read_text(encoding="utf-8"))
+    assert quoted and set(quoted) == {photonstack.__version__}

@@ -22,12 +22,13 @@ import photonstack.spectral as spectral_mod
 import photonstack.thermo as thermo_mod
 from photonstack import cli, units
 from photonstack.errors import ConfigError, InterfacePointError, PhotonStackError
-from photonstack.scan import GridSpec, ScanSpec, read_scan_csv, run_scan
+from photonstack.scan import GridSpec, ScanSpec, read_scan_csv, read_spec, run_scan
 from photonstack.thermo import BALANCE_DEFAULTS
 from photonstack.units import LDOS_UNIT
 
 from oracles import savetxt_csv
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 CAVITY = {
     "layers": [
@@ -344,6 +345,71 @@ def test_embedded_spec_reproduces_the_file(tmp_path, mapping, fd_check):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("config, slices", [("passive_cavity", 16), ("passive_cavity", 32),
+                                            ("absorbing_slab", 16)])
+def test_a_balance_file_rebuilds_itself(tmp_path, capsys, config, slices):
+    """A balance file, written to --output or printed to stdout, is a
+    function of its own spec line: the balance command run from the spec
+    that read_spec returns writes the same bytes, to a file or to stdout."""
+    argv = ["balance", str(CONFIGS / f"{config}.yaml"), "--slices", str(slices)]
+    written = tmp_path / "written.csv"
+    assert cli.main(argv + ["--output", str(written)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {written}: {slices} slice temperatures")
+    assert cli.main(argv) == 0
+    printed = tmp_path / "printed.csv"
+    printed.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert printed.read_bytes() == written.read_bytes()
+    rebuilt = tmp_path / "rebuilt.csv"
+    for source in (written, printed):
+        spec = read_spec(source, "balance")
+        assert cli._run_balance(spec, rebuilt) == 0
+        assert rebuilt.read_bytes() == source.read_bytes()
+        capsys.readouterr()
+        assert cli._run_balance(spec, None) == 0
+        assert capsys.readouterr().out.encode("utf-8") == source.read_bytes()
+
+
+def test_read_scan_csv_reads_a_balance_file(tmp_path):
+    out = tmp_path / "balance.csv"
+    assert cli.main(["balance", str(CONFIGS / "passive_cavity.yaml"), "--output", str(out)]) == 0
+    meta, header, rows = read_scan_csv(out)
+    assert [line.split(":")[0] for line in meta] == [
+        f"photonstack {photonstack.__version__} balance", "columns", "spec"]
+    assert header == ["x_um", "T_K"]
+    assert rows.shape == (16, 2)
+
+
+def test_a_damaged_or_foreign_spec_is_one_config_error_naming_the_file(tmp_path):
+    """A truncated or hand-edited spec line, a 0.3.4 balance file (which
+    has no spec line) and a file of the other kind are each refused with
+    one ConfigError line that names the file; the kind is named too."""
+    balance = tmp_path / "balance.csv"
+    assert cli.main(["balance", str(CONFIGS / "passive_cavity.yaml"), "--slices", "2",
+                     "--output", str(balance)]) == 0
+    scan = tmp_path / "scan.csv"
+    run_scan(ScanSpec.from_mapping(small_pointwise()), output=scan)
+    text = balance.read_text(encoding="utf-8")
+    spec_line = text.splitlines()[2]
+    damaged = {
+        "truncated": text.replace(spec_line, spec_line[:-40]),
+        "hand_edited": text.replace('"slices":2', '"slices":two'),
+        "v0_3_4": "# photonstack 0.3.4 balance\n# slices: 16\n# iterations: 25\n"
+                  "x_um,T_K\n0.3125,377.107706\n",
+    }
+    calls = [(lambda p: read_spec(p, "balance"), tmp_path / f"{name}.csv", None)
+             for name in damaged]
+    for name, body in damaged.items():
+        (tmp_path / f"{name}.csv").write_text(body, encoding="utf-8")
+    calls += [(ScanSpec.from_metadata, balance, "balance"),
+              (lambda p: read_spec(p, "balance"), scan, "scan")]
+    for call, path, kind in calls:
+        with pytest.raises(ConfigError) as info:
+            call(path)
+        message = str(info.value)
+        assert str(path) in message and "\n" not in message
+        assert kind is None or f"photonstack {photonstack.__version__} {kind}" in message
+
+
 def test_metadata_block_contents(tmp_path):
     """The metadata is the version line, the column units and the spec."""
     out = tmp_path / "out.csv"
@@ -370,7 +436,7 @@ def test_writer_bytes_for_zeros_tiny_and_large_values(tmp_path):
         [[-0.0, 0.0, 5e-324], [1.0e-300, -2.5, 1.23456789012e300]],
         [[123456.7891, -0.0, 0.1], [0.0, -1e-7, 6.02214076e23]],
     ])
-    scan_mod._write_csv(out, ["head", "spec: {}"], "x_um",
+    scan_mod._write_csv(out, "# head\n# spec: {}\n", "x_um",
                         np.array([-0.0, 2.5]), np.array([0.0, 0.125]),
                         ("a", "b", "c"), data)
     assert out.read_bytes() == (
@@ -410,7 +476,7 @@ def _scan_tables(draw):
 def test_writer_bytes_equal_the_savetxt_reference(tmp_path, table):
     axis, energies, data = table
     quantities = tuple(f"q{i}" for i in range(data.shape[2]))
-    args = (["head", "spec: {}"], "x_um", axis, energies, quantities, data)
+    args = ("# head\n# spec: {}\n", "x_um", axis, energies, quantities, data)
     scan_mod._write_csv(tmp_path / "new.csv", *args)
     savetxt_csv(tmp_path / "ref.csv", *args)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -495,7 +561,7 @@ def test_a_failed_write_keeps_the_old_file_and_no_part_file(tmp_path, monkeypatc
             # written to the .part file before the second one fails
             data = np.ones((3, 4096, 2), dtype=object)
             data[1, 2048, 0] = _Unformattable()
-            scan_mod._write_csv(target, ["head"], "x_um", np.arange(3.0),
+            scan_mod._write_csv(target, "# head\n", "x_um", np.arange(3.0),
                                 np.arange(4096.0), ("a", "b"), data)
     assert target.read_bytes() == b"old bytes\n"
     assert list(tmp_path.iterdir()) == [target]
@@ -629,23 +695,25 @@ def test_scan_memory_is_bounded_by_its_result(tmp_path):
 
 def test_a_0_3_3_header_still_rebuilds_its_spec(tmp_path):
     """Files written before 0.3.4 carry four more header lines (stack
-    hash, mode, units, solver); the spec line alone is read."""
+    hash, mode, units, solver), and 0.3.4 files an older version line;
+    the spec line alone is read."""
     spec = ScanSpec.from_mapping({**small_pointwise(), "stack": dict(PASSIVE),
                                   "quantities": ["T_e"], "units": "si",
                                   "balance": {"slices": 2, "max_iterations": 1234567}})
     old = tmp_path / "old.csv"
-    old.write_text("\n".join([
-        "# photonstack 0.3.3 scan",
-        "# stack-sha256: " + "0" * 64,
-        "# mode: pointwise",
-        "# units: si",
-        "# solver: slices=2 max_iterations=1234567",
-        "# columns: x_um [um], E_eV [eV], T_e [K]",
-        "# spec: " + spec.canonical_json(),
-        "x_um,E_eV,T_e",
-        "0.5,0.05,350",
-    ]) + "\n")
-    assert ScanSpec.from_metadata(old) == dataclasses.replace(spec, output=None)
+    for version, extra in (("0.3.3", ["# stack-sha256: " + "0" * 64, "# mode: pointwise",
+                                      "# units: si",
+                                      "# solver: slices=2 max_iterations=1234567"]),
+                           ("0.3.4", [])):
+        old.write_text("\n".join([
+            f"# photonstack {version} scan",
+            *extra,
+            "# columns: x_um [um], E_eV [eV], T_e [K]",
+            "# spec: " + spec.canonical_json(),
+            "x_um,E_eV,T_e",
+            "0.5,0.05,350",
+        ]) + "\n")
+        assert ScanSpec.from_metadata(old) == dataclasses.replace(spec, output=None)
 
 
 def test_missing_spec_metadata_is_an_error(tmp_path):
@@ -873,9 +941,6 @@ def test_cli_validate_warns_about_a_lossy_layer_without_temperature(tmp_path, ca
     assert "clean" in lines[-1]
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-
 @pytest.mark.parametrize("name", ["hot_cold_cavity", "passive_cavity",
                                   "transparent_slab", "absorbing_slab"])
 def test_cli_validate_is_clean_on_every_bundled_stack(name, capsys):
@@ -1004,17 +1069,17 @@ def test_cli_validate_rejects_index_tables_that_miss_the_balance_grid(tmp_path, 
 
 def test_index_table_range_error_names_both_ranges_and_the_table(tmp_path, capsys):
     """A table that misses the balance grid (1 meV to 1 eV) says so with
-    both ranges; in a scan, whose spec embeds the table, it names its layer."""
+    both ranges; a balance and a scan, whose specs embed the table, name its
+    layer."""
     (tmp_path / "sc.csv").write_text("E_eV,n_re,n_im\n0.01,1.1,0.1\n2.0,1.1,0.1\n")
     stack = {"layers": [dict(layer) for layer in PASSIVE["layers"]]}
     stack["layers"][1]["n"] = {"table": "sc.csv"}
     config = write_spec(tmp_path, "sc.yaml", stack)
     spec = write_spec(tmp_path, "scan.yaml", {**small_pointwise(), "stack": "sc.yaml"})
-    for argv, origin in ((["balance", str(config)], tmp_path / "sc.csv"),
-                         (["scan", str(spec)], "layer 1")):
+    for argv in (["balance", str(config)], ["scan", str(spec)]):
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == (
-            f"error: index table {origin} does not cover the requested frequency range "
+            "error: index table layer 1 does not cover the requested frequency range "
             "(0.001 to 1 eV; the table spans 0.01 to 2 eV)\n")
 
 
@@ -1312,10 +1377,15 @@ def test_self_consistent_scan_records_solver_settings(tmp_path):
 def test_cli_balance_emits_slice_temperatures(tmp_path, capsys):
     config = write_spec(tmp_path, "passive.yaml", PASSIVE)
     assert cli.main(["balance", str(config), "--slices", "4"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("# photonstack") and lines[0].endswith("balance")
-    assert "# slices: 4" in lines
-    assert "x_um,T_K" in lines
+    out, err = capsys.readouterr()
+    lines = out.strip().splitlines()
+    assert lines[:2] == [f"# photonstack {photonstack.__version__} balance",
+                         "# columns: x_um [um], T_K [K]"]
+    assert json.loads(lines[2].removeprefix("# spec: "))["balance"] == {
+        "slices": 4, "tolerance_K": 1e-3, "max_iterations": 100}
+    assert lines[3] == "x_um,T_K"
+    # the sweep count goes to stderr, so stdout carries the file alone
+    assert err.startswith("4 slice temperatures in ") and err.endswith(" sweeps\n")
     data = np.array([[float(v) for v in line.split(",")]
                      for line in lines if line and not line.startswith(("#", "x_um"))])
     assert data.shape == (4, 2)
