@@ -93,27 +93,28 @@ def _scan(args) -> int:
           f"({result.axis_name} x E_eV = {na} x {ne}), "
           f"quantities: {', '.join(result.quantities)}")
     if result.fd_residual_max is not None:
-        print(f"fd-check: max relative residual {result.fd_residual_max:.3e}, "
-              f"{result.fd_unchecked} positions unchecked")
+        residual = ("no position checked" if np.isnan(result.fd_residual_max)
+                    else f"max relative residual {result.fd_residual_max:.3e}")
+        print(f"fd-check: {residual}, {result.fd_unchecked} positions unchecked")
     return 0
 
 
 def _balance(args) -> int:
-    if args.output is not None:
-        _check_target(args.output)
-    stack = load_stack(args.config)
-    if not any(layer.self_consistent for layer in stack.layers):
-        raise ConfigError(f"{args.config} has no {SELF_CONSISTENT} layer to balance")
-    return _run_balance({"stack": serialize_stack(stack), "balance": {"slices": args.slices}},
-                        args.output)
+    spec = {"stack": serialize_stack(load_stack(args.config)), "balance": {"slices": args.slices}}
+    return _run_balance(spec, args.output, args.config)
 
 
-def _run_balance(spec, output) -> int:
-    """Solve a ``stack``/``balance`` spec mapping; write the CSV whose header holds it."""
+def _run_balance(spec, output, source) -> int:
+    """The one path into a balance: every check before any solve, then the CSV holding ``spec``."""
+    if output is not None:
+        _check_target(output)
     _mapping(spec, {"stack", "balance"}, "balance spec", required=("stack", "balance"))
     spec = {"stack": spec["stack"], "balance": check_balance_settings(spec["balance"])}
-    result = solve_self_consistent(build_stack(spec["stack"]), **spec["balance"])
-    text = _header("balance", ["x_um [um]", "T_K [K]"], spec) + "x_um,T_K\n" + "".join(
+    stack = build_stack(spec["stack"])
+    if not any(layer.self_consistent for layer in stack.layers):
+        raise ConfigError(f"{source} has no {SELF_CONSISTENT} layer to balance")
+    result = solve_self_consistent(stack, **spec["balance"])
+    text = _header("balance", [("x_um", "um"), ("T_K", "K")], spec) + "".join(
         f"{x / MICRON:.9g},{t:.9g}\n" for x, t in zip(result.slice_positions, result.temperatures))
     note = f"{len(result.temperatures)} slice temperatures in {result.iterations} sweeps"
     if output is None:

@@ -10,9 +10,8 @@ two host segments. It solves its widths in ascending order, in one
 process; ``run_scan``'s ``threads`` keyword must be the integer 1.
 
 Output is deterministic: fixed column order, x-major rows, 9 significant
-digits, and a three-line metadata block (the version, the column units
-and the spec) whose spec line suffices to reproduce the file byte for
-byte.
+digits, and a header (the version, column-unit and spec comment lines,
+then the column-name row) whose spec line reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -397,9 +396,9 @@ def run_scan(
         data, fd = _pointwise(basis, xs, profile, spec.quantities, spec.units, fd_check)
     fd_record = ()
     if fd_check:
-        # a position counts as unchecked when any of its residuals is NaN
-        unchecked = np.isnan(fd).any(axis=1)
-        fd_record = float(np.max(fd[~unchecked], initial=0.0)), np.count_nonzero(unchecked)
+        # a position with a NaN residual is unchecked; with none checked, the max is NaN
+        checked = fd[~np.isnan(fd).any(axis=1)]
+        fd_record = float(checked.max()) if checked.size else math.nan, len(fd) - len(checked)
 
     # a NaN or an infinity reaches data.min() or data.max(), and neither
     # builds a mask the size of data
@@ -410,17 +409,18 @@ def run_scan(
             f"{axis_values[a]:g}, E_eV = {energies_ev[e]:g}; refusing to write")
 
     tag = 0 if spec.units == "paper" else 1
-    col_units = [f"{axis_name} [um]", "E_eV [eV]"]
-    col_units += [f"{q} [{_QUANTITY_TABLE[q][tag]}]" for q in spec.quantities]
-    _write_csv(target, _header("scan", col_units, spec.canonical_mapping()), axis_name,
-               axis_values, energies_ev, spec.quantities, data)
+    columns = [(axis_name, "um"), ("E_eV", "eV"),
+               *((q, _QUANTITY_TABLE[q][tag]) for q in spec.quantities)]
+    _write_csv(target, _header("scan", columns, spec.canonical_mapping()), axis_values,
+               energies_ev, data)
     return ScanResult(axis_name, energies_ev, spec.quantities, data, target, *fd_record)
 
 
 def _header(kind: str, columns, spec: dict) -> str:
-    """The comment block of every file photonstack writes; ``read_spec`` reads it."""
-    return (f"# photonstack {__version__} {kind}\n# columns: {', '.join(columns)}\n"
-            f"# spec: {json.dumps(spec, **_JSON)}\n")
+    """Every output's header: the block ``read_spec`` reads, then the row of ``columns`` names."""
+    return (f"# photonstack {__version__} {kind}\n"
+            f"# columns: {', '.join(f'{name} [{unit}]' for name, unit in columns)}\n"
+            f"# spec: {json.dumps(spec, **_JSON)}\n{','.join(name for name, _ in columns)}\n")
 
 
 def _check_target(target) -> None:
@@ -533,13 +533,12 @@ def _cells(values) -> np.ndarray:
     return cells
 
 
-def _write_csv(target: Path, head: str, axis_name, axis_values, energies_ev,
-               quantities, data) -> None:
+def _write_csv(target: Path, head: str, axis_values, energies_ev, data) -> None:
     def chunks():
-        yield (head + ",".join([axis_name, "E_eV", *quantities]) + "\n").encode()
+        yield head.encode()
         # each row: axis cell (its comma dropped), energy cell, quantity
         # cells, newline; the NUL padding goes in one translate per pass
-        n_e, n_q = len(energies_ev), len(quantities)
+        n_e, n_q = len(energies_ev), data.shape[2]
         axis_cells = _cells(axis_values)
         axis_cells[:, 0] &= ~np.uint64(0xFF)
         energy_cells = _cells(energies_ev)

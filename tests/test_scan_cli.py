@@ -362,10 +362,10 @@ def test_a_balance_file_rebuilds_itself(tmp_path, capsys, config, slices):
     rebuilt = tmp_path / "rebuilt.csv"
     for source in (written, printed):
         spec = read_spec(source, "balance")
-        assert cli._run_balance(spec, rebuilt) == 0
+        assert cli._run_balance(spec, rebuilt, source) == 0
         assert rebuilt.read_bytes() == source.read_bytes()
         capsys.readouterr()
-        assert cli._run_balance(spec, None) == 0
+        assert cli._run_balance(spec, None, source) == 0
         assert capsys.readouterr().out.encode("utf-8") == source.read_bytes()
 
 
@@ -436,9 +436,8 @@ def test_writer_bytes_for_zeros_tiny_and_large_values(tmp_path):
         [[-0.0, 0.0, 5e-324], [1.0e-300, -2.5, 1.23456789012e300]],
         [[123456.7891, -0.0, 0.1], [0.0, -1e-7, 6.02214076e23]],
     ])
-    scan_mod._write_csv(out, "# head\n# spec: {}\n", "x_um",
-                        np.array([-0.0, 2.5]), np.array([0.0, 0.125]),
-                        ("a", "b", "c"), data)
+    scan_mod._write_csv(out, "# head\n# spec: {}\nx_um,E_eV,a,b,c\n",
+                        np.array([-0.0, 2.5]), np.array([0.0, 0.125]), data)
     assert out.read_bytes() == (
         b"# head\n"
         b"# spec: {}\n"
@@ -475,8 +474,8 @@ def _scan_tables(draw):
 @example(table=(np.array([-0.0]), np.array([999999999.5]), np.array([[[-5e-324]]])))
 def test_writer_bytes_equal_the_savetxt_reference(tmp_path, table):
     axis, energies, data = table
-    quantities = tuple(f"q{i}" for i in range(data.shape[2]))
-    args = ("# head\n# spec: {}\n", "x_um", axis, energies, quantities, data)
+    quantities = ",".join(f"q{i}" for i in range(data.shape[2]))
+    args = (f"# head\n# spec: {{}}\nx_um,E_eV,{quantities}\n", axis, energies, data)
     scan_mod._write_csv(tmp_path / "new.csv", *args)
     savetxt_csv(tmp_path / "ref.csv", *args)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -534,7 +533,7 @@ def test_cell_formatter_is_exactly_printf(monkeypatch):
 
 
 class _Unformattable:
-    """A cell that survives adding 0.0 but that %.9g cannot print."""
+    """A cell that survives adding 0.0 but that the writer cannot convert to a float."""
 
     def __add__(self, other):
         return self
@@ -546,13 +545,22 @@ def test_a_failed_write_keeps_the_old_file_and_no_part_file(tmp_path, monkeypatc
                                                             failure, error):
     """run_scan's promise: a failed run leaves no partial output behind;
     an existing target keeps its bytes whether the final rename fails or
-    a cell fails to format in the middle of the second axis block."""
+    a cell fails to format in the middle of the second axis block. The
+    failure must be the one staged: the format case reaches the writer,
+    which takes the header and the first pass before the cell fails."""
     def refuse(src, dst):
         raise RuntimeError("rename refused")
 
+    write_file, taken = scan_mod._write_file, []
+
+    def counted_write(target, chunks):
+        write_file(target, (taken.append(chunk) or chunk for chunk in chunks))
+
+    monkeypatch.setattr(scan_mod, "_write_file", counted_write)
     target = tmp_path / "out.csv"
     target.write_bytes(b"old bytes\n")
-    with pytest.raises(error):
+    message = {"replace": "rename refused", "format": "_Unformattable"}[failure]
+    with pytest.raises(error, match=message):
         if failure == "replace":
             monkeypatch.setattr(scan_mod.os, "replace", refuse)
             run_scan(ScanSpec.from_mapping(small_pointwise()), output=target)
@@ -561,8 +569,10 @@ def test_a_failed_write_keeps_the_old_file_and_no_part_file(tmp_path, monkeypatc
             # written to the .part file before the second one fails
             data = np.ones((3, 4096, 2), dtype=object)
             data[1, 2048, 0] = _Unformattable()
-            scan_mod._write_csv(target, "# head\n", "x_um", np.arange(3.0),
-                                np.arange(4096.0), ("a", "b"), data)
+            scan_mod._write_csv(target, "# head\nx_um,E_eV,a,b\n", np.arange(3.0),
+                                np.arange(4096.0), data)
+    if failure == "format":
+        assert len(taken) == 2 and taken[1].startswith(b"0,0,1,1\n0,1,1,1\n")
     assert target.read_bytes() == b"old bytes\n"
     assert list(tmp_path.iterdir()) == [target]
 
@@ -1269,6 +1279,27 @@ def test_cli_scan_nonconvergent_balance_exits_two(tmp_path, capsys):
     assert not (tmp_path / "never.csv").exists()
 
 
+def test_fd_check_with_no_position_checked_reports_none(tmp_path, capsys):
+    """When every position lies on a slice boundary, no residual was
+    measured: the result holds NaN, not 0, and the terminal says that no
+    position was checked."""
+    mapping = {
+        "stack": dict(PASSIVE),
+        "quantities": ["ncf"],
+        "positions": {"start": 2.5, "stop": 7.5, "count": 3},
+        "energies": {"start": 0.1, "stop": 0.14, "count": 3},
+        "balance": {"slices": 4, "tolerance_K": 0.5},
+        "output": "fd.csv",
+    }
+    result = run_scan(ScanSpec.from_mapping(mapping), output=tmp_path / "fd.csv",
+                      fd_check=True)
+    assert np.isnan(result.fd_residual_max) and result.fd_unchecked == 3
+    spec_path = write_spec(tmp_path, "fd.yaml", mapping)
+    assert cli.main(["scan", str(spec_path), "--fd-check"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "fd-check: no position checked, 3 positions unchecked")
+
+
 def test_fd_check_counts_points_on_slice_boundaries(tmp_path, capsys):
     """Positions on balance slice boundaries leave no room for a finite-
     difference step: they are counted as unchecked, not reported as a
@@ -1327,6 +1358,27 @@ def test_cli_balance_without_a_self_consistent_layer_exits_one(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [f"error: {config} has no self-consistent layer to balance"]
+
+
+def test_a_balance_rebuild_runs_the_command_checks(tmp_path, monkeypatch):
+    """A balance rebuilt from a file's spec takes the command's one path:
+    a stack with nothing to balance is one ConfigError naming the file,
+    and an output in a missing directory is refused, each before any
+    solve and with nothing written."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the checks")
+
+    monkeypatch.setattr(cli, "solve_self_consistent", no_solve)
+    source = tmp_path / "balance.csv"
+    stack = photonstack.serialize_stack(photonstack.load_stack(CONFIGS / "hot_cold_cavity.yaml"))
+    spec = {"stack": stack, "balance": {"slices": 4}}
+    with pytest.raises(ConfigError) as info:
+        cli._run_balance(spec, tmp_path / "rebuilt.csv", source)
+    assert str(info.value) == f"{source} has no self-consistent layer to balance"
+    spec = {"stack": dict(PASSIVE), "balance": {"slices": 4}}
+    with pytest.raises(FileNotFoundError):
+        cli._run_balance(spec, tmp_path / "missing" / "rebuilt.csv", source)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_lossy_layer_without_temperature_exits_one(tmp_path, capsys):
