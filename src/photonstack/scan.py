@@ -2,12 +2,13 @@
 
 Two modes, selected by the quantity list. A pointwise scan samples field
 quantities (LDOS, photon numbers, effective temperatures, energy density,
-pressure, force densities) on a position grid. A slab scan sweeps the
-width of the central layer of a five-layer template, keeping the wall
-separation fixed and the slab centered, and reports the net spectral
-force on the slab from the pressure difference at the midpoints of the
-two host segments. It solves its widths in ascending order, in one
-process; ``run_scan``'s ``threads`` keyword must be the integer 1.
+pressure, force densities) on a position grid. A slab scan cuts each
+width of the central layer from the spec's own wall / host / slab /
+host / wall stack, keeping the wall gap fixed and the slab centered, and
+reports the net spectral force on the slab from the pressure difference
+at the midpoints of the two host segments. It solves its widths in
+ascending order, in one process; ``run_scan``'s ``threads`` keyword must
+be the integer 1.
 
 Output is deterministic: fixed column order, x-major rows, 9 significant
 digits, and a header (the version, column-unit and spec comment lines,
@@ -31,7 +32,7 @@ from . import __version__
 from .errors import ConfigError, PhotonStackError
 from .greens import solve_wave_basis
 from .mechanics import PointField, check_off_interfaces, fd_residual, net_force
-from .stack import (Layer, LayerStack, _brief, _count, _mapping, _read_text,
+from .stack import (LayerStack, _brief, _count, _mapping, _read_text,
                     _read_yaml, _real, build_stack, load_stack, serialize_stack)
 from .thermo import check_balance_settings, solve_self_consistent
 from .units import EV, LDOS_UNIT, MICRON, hbar, omega_from_ev
@@ -137,8 +138,8 @@ def _check_output(path) -> None:
 class ScanSpec:
     """A scan request with the stack config embedded inline, valid by
     construction however it is built (``dataclasses.replace`` included),
-    without building a grid. It holds the LayerStack of ``stack`` and, for
-    a slab scan, the five-layer template."""
+    without building a grid. It builds the LayerStack of ``stack`` once, as
+    ``layer_stack``, and keeps that stack's serialization as ``stack``."""
 
     stack: dict
     quantities: tuple[str, ...]
@@ -149,7 +150,6 @@ class ScanSpec:
     balance: dict = dataclasses.field(default_factory=dict)
     output: str | None = None
     layer_stack: LayerStack = dataclasses.field(init=False, repr=False, compare=False)
-    template: _SlabTemplate | None = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         quantities = self.quantities
@@ -191,16 +191,26 @@ class ScanSpec:
         if self.output is not None:
             _check_output(self.output)
 
-        stack = build_stack(self.stack)
-        template = _SlabTemplate.from_stack(stack) if slab else None
-        # a grid's last point is its stop, so the widths need not be built
-        if slab and self.widths.stop * MICRON >= template.gap:
-            raise ConfigError(
-                f"widths reach {self.widths.stop:g} um but the wall gap is only "
-                f"{template.gap / MICRON:g} um"
-            )
-        for name, value in (("quantities", tuple(quantities)), ("balance", balance),
-                            ("layer_stack", stack), ("template", template)):
+        layer_stack = build_stack(self.stack)
+        stack = serialize_stack(layer_stack)
+        if slab:
+            if len(layer_stack.layers) != 5:
+                raise ConfigError(
+                    "slab_force scans need a five-layer stack: wall, host, slab, host, wall")
+            problems = []
+            if layer_stack.layers[1].lossy or layer_stack.layers[3].lossy:
+                problems.append("host layers (1 and 3) must be lossless")
+            if stack["layers"][1]["n"] != stack["layers"][3]["n"]:
+                problems.append("host layers (1 and 3) must share one index")
+            if problems:
+                raise ConfigError("; ".join(problems))
+            # a grid's last point is its stop, so the widths need not be built
+            gap = layer_stack.span[1]
+            if self.widths.stop * MICRON >= gap:
+                raise ConfigError(f"widths reach {self.widths.stop:g} um but the wall gap "
+                                  f"is only {gap / MICRON:g} um")
+        for name, value in (("stack", stack), ("quantities", tuple(quantities)),
+                            ("balance", balance), ("layer_stack", layer_stack)):
             object.__setattr__(self, name, value)
 
     @property
@@ -295,57 +305,20 @@ def _pointwise(basis, xs, profile, quantities, units, fd_check):
     return block, fd
 
 
-@dataclass(frozen=True)
-class _SlabTemplate:
-    """Five-layer wall/host/slab/host/wall geometry with a fixed wall gap."""
-
-    wall_left: Layer
-    wall_right: Layer
-    host: Layer
-    slab: Layer
-    gap: float
-
-    @classmethod
-    def from_stack(cls, stack: LayerStack) -> "_SlabTemplate":
-        layers = stack.layers
-        if len(layers) != 5:
-            raise ConfigError(
-                "slab_force scans need a five-layer stack: wall, host, slab, host, wall"
-            )
-        left, host_l, slab, host_r, right = layers
-        problems = []
-        if host_l.lossy or host_r.lossy:
-            problems.append("host layers (1 and 3) must be lossless")
-        entries = serialize_stack(stack)["layers"]
-        if entries[1]["n"] != entries[3]["n"]:
-            problems.append("host layers (1 and 3) must share one index")
-        if problems:
-            raise ConfigError("; ".join(problems))
-        gap = host_l.thickness + slab.thickness + host_r.thickness
-        return cls(left, right, host_l, slab, gap)
-
-    def at_width(self, width: float) -> LayerStack:
-        if width == 0.0:
-            layers = [
-                self.wall_left,
-                dataclasses.replace(self.host, thickness=self.gap),
-                self.wall_right,
-            ]
-        else:
-            side = 0.5 * (self.gap - width)
-            layers = [
-                self.wall_left,
-                dataclasses.replace(self.host, thickness=side),
-                dataclasses.replace(self.slab, thickness=width),
-                dataclasses.replace(self.host, thickness=side),
-                self.wall_right,
-            ]
-        return LayerStack(layers)
-
-    def probes(self, width: float) -> tuple[float, float]:
-        # midpoints of the two host segments, measured from the left wall
-        quarter = 0.25 * (self.gap - width)
-        return quarter, self.gap - quarter
+def _at_width(stack: LayerStack, width: float) -> tuple[LayerStack, float, float]:
+    """The five-layer ``stack`` with its slab ``width`` (m) wide, centered
+    between the walls at their own gap, and the midpoints of its two host
+    segments, measured from the left wall; width 0 leaves one host."""
+    left, host, slab, _, right = stack.layers
+    gap = stack.span[1]
+    side = 0.5 * (gap - width)
+    if width == 0.0:
+        layers = [left, dataclasses.replace(host, thickness=gap), right]
+    else:
+        layers = [left, dataclasses.replace(host, thickness=side),
+                  dataclasses.replace(slab, thickness=width),
+                  dataclasses.replace(host, thickness=side), right]
+    return LayerStack(layers), 0.5 * side, gap - 0.5 * side
 
 
 def run_scan(
@@ -379,12 +352,12 @@ def run_scan(
     omega = omega_from_ev(energies_ev)
     if spec.mode == "slab":
         axis_name, axis_values = "width_um", spec.widths.values()
-        template, rows = spec.template, []
+        rows = []
         for w in axis_values * MICRON:
-            at_w = template.at_width(w)
+            at_w, x1, x2 = _at_width(stack, w)
             basis = solve_wave_basis(at_w, omega)
             profile = solve_self_consistent(at_w, **spec.balance).profile
-            rows.append(net_force(basis, profile, *template.probes(w)))
+            rows.append(net_force(basis, profile, x1, x2))
         data, fd = np.stack(rows)[:, :, None], None
     else:
         axis_name, axis_values = "x_um", spec.positions.values()

@@ -282,3 +282,24 @@ def test_one_function_writes_files():
                 or name == "open" and not _opens_for_reading(call))
 
     assert _call_sites(writes) == {("scan", "_write_file", "open")}
+
+
+def test_every_import_is_used():
+    """Each name a module of the package imports is read in that module;
+    ``__init__`` imports to re-export, so it is left out."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -281,6 +281,74 @@ def test_slab_hosts_with_equal_index_tables_scan(tmp_path):
     assert np.all(np.isfinite(rows))
 
 
+def test_constructor_hosts_are_compared_by_value():
+    """The host rule reads the normalized stack, so hosts written as the
+    string "1" and the number 1.0 are one index on the constructor path."""
+    stack = copy.deepcopy(SLAB_5)
+    stack["layers"][1]["n"], stack["layers"][3]["n"] = "1", 1.0
+    spec = ScanSpec(stack, ("slab_force",), GridSpec(0.06, 0.18, 4),
+                    widths=GridSpec(0.5, 4.0, 5))
+    assert spec.layer_stack.layers[1].index == spec.layer_stack.layers[3].index
+
+
+def test_each_width_is_cut_from_the_spec_stack(tmp_path, monkeypatch):
+    """Each width keeps the spec's walls and wall gap and centers a slab
+    ``w`` wide between two hosts ``(gap - w)/2`` thick, probed at the host
+    midpoints; width 0 leaves three layers, one host filling the gap."""
+    seen, original = [], scan_mod.net_force
+
+    def spy(basis, profile, x1, x2):
+        seen.append((basis.stack, x1, x2))
+        return original(basis, profile, x1, x2)
+    monkeypatch.setattr(scan_mod, "net_force", spy)
+    data = small_slab()
+    data["widths"] = {"start": 0.0, "stop": 4.0, "count": 5}
+    spec = ScanSpec.from_mapping(data)
+    run_scan(spec, output=tmp_path / "slab.csv")
+    parent = spec.layer_stack
+    gap = parent.span[1]
+    widths = spec.widths.values() * units.MICRON
+    assert len(seen) == len(widths)
+    for w, (stack, x1, x2) in zip(widths, seen):
+        layers = stack.layers
+        assert layers[0] is parent.layers[0] and layers[-1] is parent.layers[-1]
+        assert stack.span[1] == pytest.approx(gap, rel=1e-15)
+        assert layers[1].index == layers[-2].index == parent.layers[1].index
+        side = (gap - w) / 2
+        assert (x1, x2) == pytest.approx((side / 2, gap - side / 2), rel=1e-15)
+        if w == 0.0:
+            assert [layer.thickness for layer in layers[1:-1]] == [gap]
+            continue
+        assert layers[2].index == parent.layers[2].index
+        assert [layer.thickness for layer in layers[1:-1]] == pytest.approx([side, w, side],
+                                                                             rel=1e-15)
+        midpoints = [0.5 * sum(stack.layer_bounds(j)) for j in (1, 3)]
+        assert [x1, x2] == pytest.approx(midpoints, rel=1e-15)
+
+
+def test_a_constructor_spec_holds_its_normalized_stack(tmp_path):
+    """However a spec is built, ``spec.stack`` is the serialized
+    ``spec.layer_stack``, so a constructor-built spec with a hand-written
+    stack rebuilds from its own file byte for byte and equals the
+    rebuilt spec."""
+    stack = {"layers": [
+        {"thickness": "inf", "n": "1.5+0.3i", "temperature": 400},
+        {"thickness": 10, "n": "1"},
+        {"thickness": "inf", "n": "2.5+0.5i", "temperature": 300},
+    ]}
+    base = ScanSpec.from_mapping(small_pointwise())
+    for spec in (ScanSpec(stack, ("u", "n_tot"), base.energies, base.positions),
+                 dataclasses.replace(base, stack=stack, output=None)):
+        assert spec.stack == photonstack.serialize_stack(spec.layer_stack)
+        assert spec.stack["layers"][1] == {"thickness": 10.0, "n": "1.0"}
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        run_scan(spec, output=first)
+        rebuilt = ScanSpec.from_metadata(first)
+        assert rebuilt == spec
+        run_scan(rebuilt, output=second)
+        assert first.read_bytes() == second.read_bytes()
+
+
 def test_slab_spec_cannot_mix_quantities_or_take_positions():
     data = small_slab()
     data["quantities"] = ["slab_force", "u"]
@@ -331,8 +399,14 @@ def test_slab_scan_solves_its_widths_in_order_in_this_process(tmp_path, monkeypa
     ({**small_pointwise(), "stack": {"layers": [
         CAVITY["layers"][0], {"thickness": 10.0, "n": host_table()}, CAVITY["layers"][2]]}},
      False),
+    # 0.011176 eV moves on each of its first two trips through rad/s
+    ({**small_pointwise(), "stack": {"layers": [
+        CAVITY["layers"][0],
+        {"thickness": 10.0, "n": {**host_table(), "E_eV": [0.01, 0.011176, 1.0]}},
+        CAVITY["layers"][2]]}}, False),
     ({**small_pointwise(), "quantities": ["u", "zcf", "tcf", "ncf"]}, True),
-], ids=["pointwise", "slab", "self_consistent", "si", "inline_table", "fd_check"])
+], ids=["pointwise", "slab", "self_consistent", "si", "inline_table", "table_energy_trips",
+        "fd_check"])
 def test_embedded_spec_reproduces_the_file(tmp_path, mapping, fd_check):
     """Every scan file, fd-checked or not, is a function of its own spec
     line: rebuilding the spec from it and running it again writes the
